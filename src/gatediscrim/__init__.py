@@ -39,8 +39,6 @@ from .geometry import (
     HullResult,
     PhaseGroup,
     arc_spread,
-    contains_origin,
-    convex_coefficients,
     dedupe_phases,
     hull_of_phases,
     midpoint_quad,
@@ -84,8 +82,6 @@ __all__ = [
     "HullResult",
     "PhaseGroup",
     "arc_spread",
-    "contains_origin",
-    "convex_coefficients",
     "dedupe_phases",
     "hull_of_phases",
     "midpoint_quad",

@@ -62,6 +62,8 @@ def check_weyl(alpha, tol: float = 1e-12) -> np.ndarray:
     a = np.asarray(alpha, dtype=float).ravel()
     if a.shape != (3,):
         raise DomainError(f"interaction vector must have 3 entries, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"interaction vector must be finite, got {a.tolist()}")
     ax, ay, az = (float(x) for x in a)
     if az < -tol:
         raise DomainError(f"alpha_z >= 0 violated: alpha_z = {az!r}")

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, canonical, discrimination, files, oracle, svg
+from . import __version__, canonical, discrimination, files, geometry, oracle, svg
 from .errors import DomainError, GateDiscrimError
 from .numerics import wrap_angle
 
@@ -29,6 +29,8 @@ def _angles(text: str, count: int, degrees: bool, what: str) -> np.ndarray:
         vals = np.array([float(p) for p in parts])
     except ValueError as err:
         raise DomainError(f"{what}: {err}") from err
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"{what} needs finite numbers, got {text!r}")
     if degrees:
         vals = np.deg2rad(vals)
     return vals
@@ -132,15 +134,15 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
     u1 = canonical.build_ud(d1)
     u2 = canonical.build_ud(d2)
     report = discrimination.discriminate(u1, u2)
-    if abs(report.achieved_value - report.fidelity) > 1e-9:
+    if abs(report.achieved_value - report.fidelity) > geometry.VERDICT_TOL:
         bad.append(
             f"probe reaches {report.achieved_value!r} vs fidelity "
             f"{report.fidelity!r}"
         )
     conc = discrimination.concurrence(report.probe.u)
-    if conc > 1e-9:
+    if conc > geometry.VERDICT_TOL:
         bad.append(f"probe concurrence {conc:.3e}")
-    if report.perfectly_distinguishable != (report.fidelity <= 1e-9):
+    if report.perfectly_distinguishable != (report.fidelity <= geometry.VERDICT_TOL):
         bad.append("verdict disagrees with fidelity")
     dec = canonical.extract_interaction(u1)
     if float(np.max(np.abs(dec.alpha - d1))) > 1e-8:
@@ -157,7 +159,7 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
     gap = abs(outcome.empirical_rate - report.error_probability)
     limit = 5.0 * outcome.std_error + 1e-12
     if outcome.std_error == 0.0:
-        if gap > 1e-9:
+        if gap > geometry.VERDICT_TOL:
             bad.append("zero-variance simulation missed the analytic rate")
     elif gap > limit:
         bad.append(

@@ -20,7 +20,6 @@ from . import canonical, geometry
 from .errors import (
     ConstructionFailedError,
     DomainError,
-    NotInHullError,
     NotNormalizedError,
     NotProductError,
 )
@@ -151,10 +150,38 @@ def achieved_overlap(u, omega) -> float:
     return float(abs(np.sum(w * np.exp(-1j * om))))
 
 
+def _hull(om) -> geometry.HullResult:
+    """Hull of the points e^{-i omega_k}; it decides every verdict here."""
+    return geometry.hull_of_phases(wrap_angle(-om))
+
+
+def _varignon_weights(mids) -> np.ndarray:
+    """Convex weights alpha over a midpoint cycle M0..M3 with sum alpha_k M_k = 0.
+
+    Edge midpoints of any quadrilateral form a parallelogram (Varignon), so
+    about its centre c, M2 - c = -(M0 - c) and M3 - c = -(M1 - c).  Solving
+    0 = c + a (M0 - c) + b (M1 - c) places the origin in the fan triangle
+    (M0, M1, M2) when b >= 0 and in (M0, M2, M3) otherwise.  The system is
+    regular because the sides are half the quadrilateral's diagonals, which
+    cross (or, for a padded triangle, share one vertex).  An origin within
+    the verdict tolerance outside the parallelogram gets clipped weights.
+    """
+    c = mids.mean(axis=0)
+    (p, q), (r, s) = mids[0] - c, mids[1] - c
+    det = p * s - q * r
+    a = (r * c[1] - s * c[0]) / det
+    b = (q * c[0] - p * c[1]) / det
+    alpha = np.array(
+        [(1.0 - abs(b) + a) / 2, max(b, 0.0), (1.0 - abs(b) - a) / 2, max(-b, 0.0)]
+    )
+    alpha = np.clip(alpha, 0.0, None)
+    return alpha / alpha.sum()
+
+
 def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
     n = len(hull.vertices)
     u = np.zeros(4, dtype=complex)
-    if not hull.contains_origin:
+    if not hull.origin_inside:
         # the chord between the angular extremes realizes the minimum; put
         # equal weight on one representative of each end with a 90 degree
         # relative phase so the pair stays a product state
@@ -166,64 +193,58 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
         u[ia] = _SQ2
         u[ib] = 1j * _SQ2
         return u
-    # origin inside: weights come from balancing the edge midpoints, walked
-    # around an even cycle so the alternating-phase trick cancels sum(u^2)
+    # origin inside: vertex weight w_k is the mean of the weights of the two
+    # midpoints on vertex k, walked around an even cycle so the
+    # alternating-phase trick cancels sum(u^2)
     if n == 2:
-        cyc = [0, 1]
-    elif n == 3:
-        dup = max(range(3), key=lambda i: hull.groups[i].multiplicity)
-        cyc = []
-        for i in range(3):
-            cyc.append(i)
-            if i == dup:
-                cyc.append(i)
+        cyc, w = [0, 1], np.array([0.5, 0.5])
     else:
-        cyc = [0, 1, 2, 3]
-    pts = np.array([hull.vertices[i].xy for i in cyc])
-    m = len(cyc)
-    mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
-    alpha = geometry.convex_coefficients(mids, np.zeros(2), tol=1e-9)
-    w = 0.5 * (alpha + np.roll(alpha, 1))
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
+        if n == 3:
+            dup = max(range(3), key=lambda i: hull.groups[i].multiplicity)
+            cyc = []
+            for i in range(3):
+                cyc.append(i)
+                if i == dup:
+                    cyc.append(i)
+        else:
+            cyc = [0, 1, 2, 3]
+        pts = np.array([hull.vertices[i].xy for i in cyc])
+        alpha = _varignon_weights(0.5 * (pts + np.roll(pts, -1, axis=0)))
+        w = 0.5 * (alpha + np.roll(alpha, 1))
     taken = [0] * n
-    for pos in range(m):
-        g = cyc[pos]
+    for pos, g in enumerate(cyc):
         orig = hull.groups[g].indices[taken[g]]
         taken[g] += 1
         u[orig] = math.sqrt(w[pos]) * (1.0 if pos % 2 == 0 else 1.0j)
     return u
 
 
-def construct_probe(
-    omega,
-    dedupe_tol: float = 1e-10,
-    achieve_tol: float = 1e-9,
-    concurrence_tol: float = 1e-9,
-    use_fallback: bool = True,
-) -> ProbeState:
+def construct_probe(omega) -> ProbeState:
     """Optimal product probe for the relative phase vector omega.
 
-    The returned state is a product state (concurrence below
-    `concurrence_tol`) whose overlap |<psi|W|psi>| under the rotation W
-    fixed by omega equals the hull minimum within `achieve_tol`.  If the
+    The returned state is a product state (concurrence at most
+    `geometry.VERDICT_TOL`) whose overlap |<psi|W|psi>| under the rotation
+    W fixed by omega equals the hull minimum within the same bound.  If the
     closed-form construction misses, a deterministic numerical search runs
     instead and the result is tagged `via_fallback`; if both miss,
     ConstructionFailedError.
     """
-    om = wrap_angle(np.asarray(omega, dtype=float).ravel())
+    om = np.asarray(omega, dtype=float).ravel()
     if om.shape != (4,):
         raise DomainError(f"omega must have 4 entries, got {om.shape}")
-    hull = geometry.hull_of_phases(wrap_angle(-om), tol=dedupe_tol)
-    first_err = None
+    if not np.all(np.isfinite(om)):
+        raise DomainError(f"omega must be finite, got {om.tolist()}")
+    om = wrap_angle(om)
+    return _probe_for_hull(om, _hull(om))
+
+
+def _probe_for_hull(om, hull: geometry.HullResult) -> ProbeState:
     try:
         probe = _probe_from_amplitudes(_amplitudes_for_hull(hull))
-        _validate_probe(probe, om, hull.min_distance, achieve_tol, concurrence_tol)
+        _validate_probe(probe, om, hull.min_distance)
         return probe
-    except (NotInHullError, ConstructionFailedError, NotProductError) as err:
+    except ConstructionFailedError as err:
         first_err = err
-        if not use_fallback:
-            raise
     from . import oracle  # heavy import kept local; also avoids a cycle
 
     w_gate = canonical.from_magic_phases(om)
@@ -233,7 +254,7 @@ def construct_probe(
     _, probe = oracle.min_over_product_states(np.eye(4, dtype=complex), w_gate, cfg)
     probe = replace(probe, via_fallback=True)
     try:
-        _validate_probe(probe, om, hull.min_distance, achieve_tol, concurrence_tol)
+        _validate_probe(probe, om, hull.min_distance)
     except ConstructionFailedError as err:
         raise ConstructionFailedError(
             f"fallback search also missed tolerance: {err} "
@@ -242,10 +263,11 @@ def construct_probe(
     return probe
 
 
-def _validate_probe(probe, omega, target, achieve_tol, concurrence_tol):
+def _validate_probe(probe, omega, target):
     got = achieved_overlap(probe.u, omega)
     c = concurrence(probe.u)
-    if abs(got - target) > achieve_tol or c > concurrence_tol:
+    # written so that a NaN fails
+    if not (abs(got - target) <= geometry.VERDICT_TOL and c <= geometry.VERDICT_TOL):
         raise ConstructionFailedError(
             f"probe reaches {got!r} against hull minimum {target!r} "
             f"with concurrence {c:.3e}"
@@ -259,14 +281,12 @@ def fidelity(u1, u2, tol: float = 1e-8) -> tuple[float, np.ndarray]:
     e^{-i omega_k}, i.e. min over probes of |<psi| u1^dag u2 |psi>|.
     """
     om = canonical.relative_phases(u1, u2, tol=tol)
-    hull = geometry.hull_of_phases(wrap_angle(-om), tol=1e-10)
-    return hull.min_distance, om
+    return _hull(om).min_distance, om
 
 
 def perfectly_distinguishable(u1, u2, tol: float = 1e-8) -> bool:
     """True when one query separates the gates with certainty."""
-    om = canonical.relative_phases(u1, u2, tol=tol)
-    return geometry.arc_spread(om) >= math.pi - 1e-10
+    return _hull(canonical.relative_phases(u1, u2, tol=tol)).origin_inside
 
 
 def discriminate(u1, u2, p1: float = 0.5, tol: float = 1e-8) -> DiscriminationReport:
@@ -276,18 +296,18 @@ def discriminate(u1, u2, p1: float = 0.5, tol: float = 1e-8) -> DiscriminationRe
     p1 = min(max(p1, 0.0), 1.0)
     p2 = 1.0 - p1
     om = canonical.relative_phases(u1, u2, tol=tol)
-    hull = geometry.hull_of_phases(wrap_angle(-om), tol=1e-10)
-    probe = construct_probe(om)
+    hull = _hull(om)
+    probe = _probe_for_hull(om, hull)
     return DiscriminationReport(
         omega=om,
         fidelity=hull.min_distance,
         p1=p1,
         p2=p2,
         error_probability=error_probability(hull.min_distance, p1, p2),
-        perfectly_distinguishable=geometry.arc_spread(om) >= math.pi - 1e-10,
+        perfectly_distinguishable=hull.origin_inside,
         case=(
             CaseTag.ORIGIN_INSIDE
-            if hull.contains_origin
+            if hull.origin_inside
             else CaseTag.ORIGIN_OUTSIDE
         ),
         probe=probe,

@@ -25,10 +25,6 @@ class NotProductError(GateDiscrimError):
     """A state expected to factor into a tensor product does not."""
 
 
-class NotInHullError(GateDiscrimError):
-    """The target point is not inside the convex hull of the given points."""
-
-
 class DegenerateHullError(GateDiscrimError):
     """Too few distinct vertices for the requested hull operation."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, canonical, numerics
+from . import __version__, canonical, geometry, numerics
 from .errors import DomainError
 
 
@@ -151,8 +151,8 @@ def report_document(report, label1: str, label2: str, tol: float) -> dict:
         "priors": {"p1": float(report.p1), "p2": float(report.p2)},
         "tolerances": {
             "magic_diagonal": float(tol),
-            "probe_achieve": 1e-9,
-            "probe_concurrence": 1e-9,
+            "probe_achieve": geometry.VERDICT_TOL,
+            "probe_concurrence": geometry.VERDICT_TOL,
         },
         "omega": floats(report.omega),
         "fidelity": float(report.fidelity),

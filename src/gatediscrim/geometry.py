@@ -3,9 +3,10 @@
 The distinguishability questions reduce to: how close does the convex hull
 of the points e^{i phi_k} come to the origin?  Distinct unit-circle points
 are automatically in convex position, so the hull is just the points in
-counter-clockwise order and containment is an arc-length statement: the
-origin lies inside (or on the boundary of) the hull exactly when the
-occupied arc spans at least pi.
+counter-clockwise order and the origin distance is an arc-length statement:
+it is cos(min(spread, pi) / 2) for an occupied arc of length `spread`.
+`hull_of_phases` is the one place that turns that distance into the
+inside/outside verdict.
 """
 
 from __future__ import annotations
@@ -15,14 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateHullError, NotInHullError
+from .errors import DegenerateHullError
 from .numerics import wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
-# slack for the inside/boundary decision; keeps exact semicircles "inside"
-# when their phases carry one ulp of rounding
-_BOUNDARY_TOL = 1e-12
+# The verdict rule: the origin is inside the hull when its distance to the
+# hull is at most VERDICT_TOL (criterion 3's bound).  Probes are held to the
+# same bound on their achieved overlap and on their concurrence.
+VERDICT_TOL = 1e-9
+# phases closer than this on the circle are one hull vertex
+DEDUPE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,35 +54,40 @@ class CirclePoint:
 class HullResult:
     vertices: list[CirclePoint]
     groups: list[PhaseGroup]
-    contains_origin: bool
+    origin_inside: bool
     min_distance: float
     nearest_point: np.ndarray
     nearest_edge: tuple[int, int] | None
     spread: float = field(default=0.0)
 
 
-def dedupe_phases(phases, tol: float = 1e-9) -> list[PhaseGroup]:
+def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
     """Merge phases closer than `tol` on the circle; order follows the circle.
 
     Groups are returned sorted by representative phase in (-pi, pi]; each
     keeps the original input indices and a circular-mean representative.
     """
     ph = wrap_angle(np.atleast_1d(np.asarray(phases, dtype=float)))
-    order = np.argsort(ph, kind="stable")
-    runs: list[list[int]] = [[int(order[0])]]
+    vals = ph.tolist()
+    order = np.argsort(ph, kind="stable").tolist()
+    runs: list[list[int]] = [[order[0]]]
     for idx in order[1:]:
-        if ph[idx] - ph[runs[-1][-1]] <= tol:
-            runs[-1].append(int(idx))
+        if vals[idx] - vals[runs[-1][-1]] <= tol:
+            runs[-1].append(idx)
         else:
-            runs.append([int(idx)])
+            runs.append([idx])
     # the circle closes: last run may wrap onto the first
-    if len(runs) > 1 and (ph[runs[0][0]] + TWO_PI) - ph[runs[-1][-1]] <= tol:
+    if len(runs) > 1 and (vals[runs[0][0]] + TWO_PI) - vals[runs[-1][-1]] <= tol:
         runs[0] = runs.pop() + runs[0]
-    groups = []
-    for run in runs:
-        ref = ph[run[0]]
-        rep = wrap_angle(ref + float(np.mean(wrap_angle(ph[run] - ref))))
-        groups.append(PhaseGroup(phase=rep, indices=tuple(sorted(run))))
+    offsets = [
+        float(np.mean(wrap_angle(ph[run] - ph[run[0]]))) if len(run) > 1 else 0.0
+        for run in runs
+    ]
+    reps = wrap_angle(ph[[run[0] for run in runs]] + offsets).tolist()
+    groups = [
+        PhaseGroup(phase=rep, indices=tuple(sorted(run)))
+        for rep, run in zip(reps, runs)
+    ]
     groups.sort(key=lambda g: g.phase)
     return groups
 
@@ -93,18 +102,15 @@ def arc_spread(phases) -> float:
     return float(TWO_PI - max(float(np.max(gaps)), wrap_gap))
 
 
-def contains_origin(phases) -> bool:
-    """True when the hull of the unit-circle points covers the origin."""
-    return arc_spread(phases) >= math.pi - _BOUNDARY_TOL
-
-
-def hull_of_phases(phases, tol: float = 1e-9) -> HullResult:
+def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     """Convex hull of points e^{i phi} with origin distance bookkeeping.
 
-    Vertices come out counter-clockwise.  When the origin is outside, the
-    ordering starts just after the largest empty arc, so vertices[0] and
-    vertices[-1] are the angular extremes and `nearest_edge` is the chord
-    (len-1, 0) that realizes `min_distance`.
+    The origin counts as inside when its distance to the hull,
+    cos(min(spread, pi) / 2), is at most VERDICT_TOL; `min_distance` is 0
+    then.  Inside, vertices come out counter-clockwise from the smallest
+    phase.  Outside, the ordering starts just after the largest empty arc,
+    so vertices[0] and vertices[-1] are the angular extremes and
+    `nearest_edge` is the chord (len-1, 0) that realizes `min_distance`.
     """
     groups = dedupe_phases(phases, tol=tol)
     n = len(groups)
@@ -114,40 +120,40 @@ def hull_of_phases(phases, tol: float = 1e-9) -> HullResult:
         return HullResult(
             vertices=[v],
             groups=[g],
-            contains_origin=False,
+            origin_inside=False,
             min_distance=1.0,
             nearest_point=v.xy,
             nearest_edge=None,
             spread=0.0,
         )
-    ph = np.array([g.phase for g in groups])
-    gaps = np.diff(ph)
-    wrap_gap = (ph[0] + TWO_PI) - ph[-1]
-    all_gaps = np.concatenate([gaps, [wrap_gap]])
+    ph = [g.phase for g in groups]
     # gap i sits between vertex i and vertex i+1 (mod n)
-    imax = int(np.argmax(all_gaps))
-    spread = float(TWO_PI - all_gaps[imax])
-    inside = spread >= math.pi - _BOUNDARY_TOL
-    if inside:
+    gaps = [b - a for a, b in zip(ph, ph[1:])] + [(ph[0] + TWO_PI) - ph[-1]]
+    imax = max(range(n), key=gaps.__getitem__)
+    spread = TWO_PI - gaps[imax]
+    start = (imax + 1) % n
+    # the chord between the angular extremes; its midpoint lies
+    # cos(spread / 2) from the origin
+    chord_mid = 0.5 * (CirclePoint(ph[start]).xy + CirclePoint(ph[imax]).xy)
+    distance = float(np.hypot(*chord_mid)) if spread < math.pi else 0.0
+    if distance <= VERDICT_TOL:
         verts = [CirclePoint(g.phase) for g in groups]
         return HullResult(
             vertices=verts,
             groups=groups,
-            contains_origin=True,
+            origin_inside=True,
             min_distance=0.0,
             nearest_point=np.zeros(2),
             nearest_edge=None,
             spread=spread,
         )
-    start = (imax + 1) % n
     groups = groups[start:] + groups[:start]
     verts = [CirclePoint(g.phase) for g in groups]
-    chord_mid = 0.5 * (verts[0].xy + verts[-1].xy)
     return HullResult(
         vertices=verts,
         groups=groups,
-        contains_origin=False,
-        min_distance=float(np.hypot(*chord_mid)),
+        origin_inside=False,
+        min_distance=distance,
         nearest_point=chord_mid,
         nearest_edge=(n - 1, 0),
         spread=spread,
@@ -161,73 +167,3 @@ def midpoint_quad(hull: HullResult) -> list[np.ndarray]:
         raise DegenerateHullError("midpoints need at least 2 distinct vertices")
     pts = [v.xy for v in hull.vertices]
     return [0.5 * (pts[i] + pts[(i + 1) % n]) for i in range(n)]
-
-
-def convex_coefficients(points, target, tol: float = 1e-10) -> np.ndarray:
-    """Weights w >= 0, sum 1, with sum_i w_i points_i = target.
-
-    `points` must list the vertices of a convex polygon in cyclic order
-    (degenerate polygons -- segments, repeated points -- are fine); that is
-    what the fan triangulation from vertex 0 assumes.  The fan is scanned
-    first, then edges, then single points; the first representation that
-    recombines to `target` within `tol` wins.  Raises NotInHullError when
-    no candidate passes, i.e. the target is outside the polygon by more
-    than `tol`.
-    """
-    pts = np.asarray(points, dtype=float)
-    t = np.asarray(target, dtype=float).ravel()
-    if pts.ndim != 2 or pts.shape[1] != 2 or t.shape != (2,):
-        raise DegenerateHullError("convex_coefficients expects planar points")
-    n = pts.shape[0]
-    neg_slack = 1e-10
-
-    def _finish(w: np.ndarray) -> np.ndarray | None:
-        w = np.clip(w, 0.0, None)
-        s = float(w.sum())
-        if s <= 0.0:
-            return None
-        w = w / s
-        if float(np.hypot(*(w @ pts - t))) <= tol:
-            return w
-        return None
-
-    # triangles of the fan anchored at vertex 0
-    for i in range(1, n - 1):
-        a, b, c = pts[0], pts[i], pts[i + 1]
-        mat = np.column_stack([b - a, c - a])
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if abs(det) < 1e-14:
-            continue
-        beta = np.linalg.solve(mat, t - a)
-        bary = np.array([1.0 - beta[0] - beta[1], beta[0], beta[1]])
-        if np.min(bary) < -neg_slack:
-            continue
-        w = np.zeros(n)
-        w[[0, i, i + 1]] = bary
-        got = _finish(w)
-        if got is not None:
-            return got
-    # edges
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pts[j] - pts[i]
-            dd = float(d @ d)
-            if dd < 1e-28:
-                continue
-            s = float((t - pts[i]) @ d) / dd
-            if s < -neg_slack or s > 1.0 + neg_slack:
-                continue
-            w = np.zeros(n)
-            w[i], w[j] = 1.0 - s, s
-            got = _finish(w)
-            if got is not None:
-                return got
-    # single points
-    for i in range(n):
-        if float(np.hypot(*(pts[i] - t))) <= tol:
-            w = np.zeros(n)
-            w[i] = 1.0
-            return w
-    raise NotInHullError(
-        f"target {t.tolist()} is outside the hull of {n} points"
-    )

@@ -50,7 +50,7 @@ def _text(x, y, s, size=0.11, fill="#222222") -> str:
 def render_hull_svg(omega) -> str:
     """SVG document (text) for the hull picture of a 4-phase vector."""
     om = wrap_angle(np.asarray(omega, dtype=float).ravel())
-    hull = geometry.hull_of_phases(wrap_angle(-om), tol=1e-10)
+    hull = geometry.hull_of_phases(wrap_angle(-om))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_VIEW}" '
@@ -75,7 +75,7 @@ def render_hull_svg(omega) -> str:
         )
         for i, mid in enumerate(geometry.midpoint_quad(hull)):
             lines.append(_circle(mid[0], mid[1], 0.018, "#e3742f"))
-            off = 0.14 if np.hypot(*mid) < 1e-9 else 0.0
+            off = 0.14 if np.hypot(*mid) < geometry.VERDICT_TOL else 0.0
             lines.append(
                 _text(
                     mid[0] * 1.0 + off,
@@ -90,7 +90,7 @@ def render_hull_svg(omega) -> str:
         lines.append(_circle(x, y, 0.025, "#111111"))
         label = ",".join(f"P{k + 1}" for k in g.indices)
         lines.append(_text(x * 1.17, y * 1.17, label))
-    if not hull.contains_origin:
+    if not hull.origin_inside:
         nx, ny = hull.nearest_point
         lines.append(
             f'<line x1="0" y1="0" x2="{_f(nx)}" y2="{_f(-ny)}" '

@@ -78,6 +78,9 @@ def test_check_weyl_rejections():
         (0.3, 0.1, 0.2),
         (1.0, 0.2, 0.1),
         (0.3, 0.2, -0.1),
+        # NaN passes every ordering comparison
+        (math.nan, 0.0, 0.0),
+        (0.3, 0.2, math.nan),
     ]:
         with pytest.raises(DomainError):
             check_weyl(bad)

@@ -236,6 +236,25 @@ def test_figure_inside_and_outside(capsys, tmp_path):
     assert "stroke-dasharray" in outside.read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "--omega", "nan,0,0,0"],
+        ["figure", "--omega", "0,inf,0,0", "--degrees"],
+        ["build-ud", "--alpha", "nan,0,0"],
+        ["build-ud", "--alpha", "0.1,0,-inf"],
+    ],
+)
+def test_non_finite_angles_rejected(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run_main(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
+    assert not out.exists()
+
+
 def test_figure_single_point(capsys, tmp_path):
     path = tmp_path / "single.svg"
     code, _, _ = run_main(capsys, "figure", "--omega", "0,0,0,0", "--out", str(path))

@@ -17,7 +17,6 @@ from gatediscrim.discrimination import (
 from gatediscrim.errors import (
     ConstructionFailedError,
     DomainError,
-    NotInHullError,
     NotNormalizedError,
     NotProductError,
 )
@@ -166,7 +165,7 @@ def test_probe_random_outside(rng):
     while done < 300:
         om = rng.uniform(-PI, PI, size=4)
         h = geometry.hull_of_phases(wrap_angle(-om), tol=1e-10)
-        if h.contains_origin:
+        if h.origin_inside:
             continue
         p = construct_probe(om)
         check_probe(p, om, h.min_distance)
@@ -177,24 +176,22 @@ def test_probe_fallback_path(monkeypatch):
     om = np.array([0.0, PI / 2, PI, -PI / 2])
 
     def boom(*args, **kwargs):
-        raise NotInHullError("forced for the test")
+        raise ConstructionFailedError("forced for the test")
 
-    monkeypatch.setattr(discrimination.geometry, "convex_coefficients", boom)
+    monkeypatch.setattr(discrimination, "_amplitudes_for_hull", boom)
     p = construct_probe(om)
     assert p.via_fallback
     assert discrimination.achieved_overlap(p.u, om) <= 1e-9
     assert concurrence(p.u) <= 1e-9
-    with pytest.raises(NotInHullError):
-        construct_probe(om, use_fallback=False)
 
 
 def test_probe_fallback_failure_reports(monkeypatch):
     om = np.array([0.0, PI / 2, PI, -PI / 2])
 
     def boom(*args, **kwargs):
-        raise NotInHullError("forced for the test")
+        raise ConstructionFailedError("forced for the test")
 
-    monkeypatch.setattr(discrimination.geometry, "convex_coefficients", boom)
+    monkeypatch.setattr(discrimination, "_amplitudes_for_hull", boom)
     # make the fallback unable to reach the optimum as well
     monkeypatch.setattr(
         discrimination, "_validate_probe",
@@ -262,3 +259,72 @@ def test_discriminate_rejects_dressed(rng):
     u = dressed_gate(rng, canonical.random_weyl_vector(rng))
     with pytest.raises(DomainError):
         discriminate(ID4, u)
+
+
+def _boundary_omegas():
+    # omega = (0, pi - 5e-11, 0.5, 0.2) once reported "perfectly
+    # distinguishable" with case OriginOutside
+    yield pytest.param(np.array([0.0, PI - 5e-11, 0.5, 0.2]), id="pi-5e-11")
+    # spreads pi - 10^x on both sides of the verdict rule (cos(s/2) = 1e-9
+    # at a deficit of 2e-9)
+    for x in np.linspace(-12.0, -8.0, 17):
+        om = np.array([0.0, 0.5, 1.9, PI - 10.0**x])
+        yield pytest.param(om, id=f"pi-1e{x:+.2f}")
+    # spreads a few ulp either side of pi
+    for k in range(-4, 5):
+        om = np.array([0.0, 0.5, 1.9, PI + k * math.ulp(PI)])
+        yield pytest.param(om, id=f"pi{k:+d}ulp")
+
+
+@pytest.mark.parametrize("om", list(_boundary_omegas()))
+def test_boundary_verdicts_agree(om):
+    u2 = canonical.from_magic_phases(om)
+    r = discriminate(ID4, u2)
+    inside = r.case is CaseTag.ORIGIN_INSIDE
+    assert r.perfectly_distinguishable == inside == (r.fidelity <= geometry.VERDICT_TOL)
+    assert fidelity(ID4, u2)[0] == r.fidelity
+    assert perfectly_distinguishable(ID4, u2) == r.perfectly_distinguishable
+    if math.cos(geometry.arc_spread(om) / 2) <= 0.9 * geometry.VERDICT_TOL:
+        assert inside
+    assert abs(r.achieved_value - r.fidelity) <= geometry.VERDICT_TOL
+    assert not r.probe.via_fallback
+    p = construct_probe(r.omega)
+    assert abs(discrimination.achieved_overlap(p.u, r.omega) - r.fidelity) <= 1e-9
+    assert concurrence(p.u) <= 1e-9
+    assert not p.via_fallback
+
+
+def test_discriminate_builds_one_hull(monkeypatch):
+    calls = {"hull_of_phases": 0, "relative_phases": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(geometry, "hull_of_phases")
+    counted(canonical, "relative_phases")
+    for alpha in [(PI / 8, 0, 0), (PI / 4, PI / 4, 0.0), (0.5, 0.2, 0.1)]:
+        before = dict(calls)
+        discriminate(ID4, canonical.build_ud(alpha))
+        assert {k: calls[k] - before[k] for k in calls} == {
+            "hull_of_phases": 1,
+            "relative_phases": 1,
+        }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_probe_rejects_non_finite_omega(bad):
+    with pytest.raises(DomainError):
+        construct_probe([0.0, bad, 1.0, 2.0])
+
+
+def test_validate_probe_fails_on_nan():
+    om = np.array([0.0, PI / 2, PI, -PI / 2])
+    p = construct_probe(om)
+    with pytest.raises(ConstructionFailedError):
+        discrimination._validate_probe(p, om, math.nan)

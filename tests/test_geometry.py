@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from gatediscrim import geometry
-from gatediscrim.errors import DegenerateHullError, NotInHullError
+from gatediscrim.errors import DegenerateHullError
 from gatediscrim.geometry import (
     arc_spread,
-    contains_origin,
-    convex_coefficients,
     dedupe_phases,
     hull_of_phases,
     midpoint_quad,
@@ -54,14 +52,13 @@ def test_arc_spread_values():
 def test_contains_iff_spread(rng):
     for _ in range(3000):
         ph = rng.uniform(-PI, PI, size=4)
-        assert contains_origin(ph) == (arc_spread(ph) >= PI - 1e-12)
-        h = hull_of_phases(ph)
-        assert h.contains_origin == contains_origin(ph)
+        distance = math.cos(min(arc_spread(ph), PI) / 2)
+        assert hull_of_phases(ph).origin_inside == (distance <= geometry.VERDICT_TOL)
 
 
 def test_hull_square():
     h = hull_of_phases([0.0, PI / 2, PI, -PI / 2])
-    assert h.contains_origin
+    assert h.origin_inside
     assert h.min_distance == 0.0
     assert h.nearest_edge is None
     np.testing.assert_allclose(h.nearest_point, [0.0, 0.0])
@@ -72,7 +69,7 @@ def test_hull_square():
 
 def test_hull_arc_example():
     h = hull_of_phases([0.0, PI / 3, PI / 6, PI / 4])
-    assert not h.contains_origin
+    assert not h.origin_inside
     assert h.min_distance == pytest.approx(math.cos(PI / 6), abs=1e-12)
     # vertices run counter-clockwise from the arc start; the closing chord
     # between the angular extremes is the nearest edge
@@ -84,7 +81,7 @@ def test_hull_arc_example():
 def test_hull_single_point():
     h = hull_of_phases([0.3, 0.3, 0.3, 0.3])
     assert len(h.vertices) == 1
-    assert not h.contains_origin
+    assert not h.origin_inside
     assert h.min_distance == pytest.approx(1.0)
     assert h.nearest_edge is None
     with pytest.raises(DegenerateHullError):
@@ -97,7 +94,7 @@ def test_hull_min_distance_law(rng):
         ph = rng.uniform(-PI, PI, size=4)
         h = hull_of_phases(ph)
         s = arc_spread(ph)
-        if h.contains_origin:
+        if h.origin_inside:
             assert h.min_distance == 0.0
         else:
             assert h.min_distance == pytest.approx(math.cos(s / 2), abs=1e-12)
@@ -135,56 +132,6 @@ def test_midpoint_quad_parallelogram(rng):
             continue
         m = midpoint_quad(h)
         np.testing.assert_allclose(m[0] + m[2], m[1] + m[3], atol=1e-12)
-
-
-def test_convex_coefficients_recombination(rng):
-    # the solver fans a polygon, so feed it convex vertices in cyclic order
-    for _ in range(300):
-        ang = np.sort(rng.uniform(0.0, 2 * PI, size=4))
-        r = rng.uniform(0.5, 2.0)
-        c = rng.normal(size=2)
-        pts = c + r * np.column_stack([np.cos(ang), np.sin(ang)])
-        w_true = rng.dirichlet(np.ones(4))
-        target = w_true @ pts
-        w = convex_coefficients(pts, target)
-        assert w.shape == (4,)
-        assert np.all(w >= 0)
-        assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(w @ pts, target, atol=1e-9)
-
-
-def test_convex_coefficients_triangle_barycentric(rng):
-    for _ in range(100):
-        pts = rng.normal(size=(3, 2))
-        w_true = rng.dirichlet(np.ones(3))
-        target = w_true @ pts
-        w = convex_coefficients(pts, target)
-        np.testing.assert_allclose(w, w_true, atol=1e-8)
-
-
-def test_convex_coefficients_square_symmetry():
-    s = math.sqrt(0.5)
-    mids = np.array([[s, s], [-s, s], [-s, -s], [s, -s]]) * s
-    w = convex_coefficients(mids, [0.0, 0.0])
-    assert np.all(w >= 0)
-    assert np.sum(w) == pytest.approx(1.0)
-    np.testing.assert_allclose(w @ mids, [0.0, 0.0], atol=1e-12)
-
-
-def test_convex_coefficients_segment_and_point():
-    pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    w = convex_coefficients(pts, [0.25, 0.0])
-    np.testing.assert_allclose(w, [0.625, 0.375], atol=1e-12)
-    w = convex_coefficients(np.array([[0.4, 0.6]]), [0.4, 0.6])
-    np.testing.assert_allclose(w, [1.0])
-
-
-def test_convex_coefficients_outside_raises():
-    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(NotInHullError):
-        convex_coefficients(pts, [2.0, 0.0])
-    with pytest.raises(NotInHullError):
-        convex_coefficients(pts, [0.51, 0.51])
 
 
 def test_hull_vertex_groups_align():
