@@ -1,40 +1,18 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The grid scan over product probe states, the package's one hot loop.
 
-The grid scan over product probe states is the only genuinely hot loop in
-the package.  Set GATEDISCRIM_DISABLE_NUMBA=1 to force the numpy path (it
-is also taken automatically when numba is unavailable).  Both paths walk
-the grid in the same row-major order and break exact ties toward the lower
-linear index.
+The scan walks the grid in row-major order and breaks exact ties toward
+the lower linear index.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-import os
-import warnings
-
 import numpy as np
 
-_DISABLE = os.environ.get("GATEDISCRIM_DISABLE_NUMBA", "").strip() in {
-    "1",
-    "true",
-    "yes",
-}
-
-try:  # pragma: no cover - exercised via the env flag instead
-    if _DISABLE:
-        raise ImportError("numba disabled by GATEDISCRIM_DISABLE_NUMBA")
-    from numba import njit, prange
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-    if not _DISABLE:
-        warnings.warn("numba unavailable; falling back to numpy kernels")
+# There is no compiled route; the benchmark's machine record reads this.
+NUMBA_ENABLED = False
 
 
-def product_scan_numpy(w, ta, pa, tb, pb):
+def product_scan(w, ta, pa, tb, pb):
     """Min of |<psi_a x psi_b| w |psi_a x psi_b>| over the Bloch-angle grid.
 
     Returns (value, linear_index) with the linear index running row-major
@@ -55,83 +33,3 @@ def product_scan_numpy(w, ta, pa, tb, pb):
     vals = np.abs(np.einsum("yj,xjl,yl->xy", b.conj(), t2, b))
     flat = int(np.argmin(vals))  # row-major: ties resolve to lower index
     return float(vals.flat[flat]), flat
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _product_scan_jit(w, ta, pa, tb, pb):  # pragma: no cover - compiled
-        na, ma = ta.shape[0], pa.shape[0]
-        nb, mb = tb.shape[0], pb.shape[0]
-        # single-qubit amplitudes for every grid point of each factor
-        a0 = np.empty(na * ma, np.complex128)
-        a1 = np.empty(na * ma, np.complex128)
-        for i in range(na):
-            ca = math.cos(0.5 * ta[i])
-            sa = math.sin(0.5 * ta[i])
-            for j in range(ma):
-                a0[i * ma + j] = complex(ca, 0.0)
-                a1[i * ma + j] = sa * cmath.exp(1j * pa[j])
-        b0 = np.empty(nb * mb, np.complex128)
-        b1 = np.empty(nb * mb, np.complex128)
-        for k in range(nb):
-            cb = math.cos(0.5 * tb[k])
-            sb = math.sin(0.5 * tb[k])
-            for l in range(mb):
-                b0[k * mb + l] = complex(cb, 0.0)
-                b1[k * mb + l] = sb * cmath.exp(1j * pb[l])
-        ny = nb * mb
-        part_val = np.empty(na * ma)
-        part_idx = np.empty(na * ma, np.int64)
-        for x in prange(na * ma):
-            # contract the A factor once: T[j,l] = sum_{i,k} a_i* w[ij,kl] a_k
-            c0 = a0[x].conjugate()
-            c1 = a1[x].conjugate()
-            t00 = c0 * (w[0, 0] * a0[x] + w[0, 2] * a1[x]) + c1 * (
-                w[2, 0] * a0[x] + w[2, 2] * a1[x]
-            )
-            t01 = c0 * (w[0, 1] * a0[x] + w[0, 3] * a1[x]) + c1 * (
-                w[2, 1] * a0[x] + w[2, 3] * a1[x]
-            )
-            t10 = c0 * (w[1, 0] * a0[x] + w[1, 2] * a1[x]) + c1 * (
-                w[3, 0] * a0[x] + w[3, 2] * a1[x]
-            )
-            t11 = c0 * (w[1, 1] * a0[x] + w[1, 3] * a1[x]) + c1 * (
-                w[3, 1] * a0[x] + w[3, 3] * a1[x]
-            )
-            bv = 1e300
-            bidx = np.int64(-1)
-            for y in range(ny):
-                d0 = b0[y]
-                d1 = b1[y]
-                z = d0.conjugate() * (t00 * d0 + t01 * d1) + d1.conjugate() * (
-                    t10 * d0 + t11 * d1
-                )
-                v = abs(z)
-                if v < bv:
-                    bv = v
-                    bidx = np.int64(x) * ny + y
-            part_val[x] = bv
-            part_idx[x] = bidx
-        best = 1e300
-        bi = np.int64(-1)
-        for x in range(na * ma):
-            if part_val[x] < best or (part_val[x] == best and part_idx[x] < bi):
-                best = part_val[x]
-                bi = part_idx[x]
-        return best, bi
-
-    def product_scan_numba(w, ta, pa, tb, pb):
-        v, i = _product_scan_jit(
-            np.ascontiguousarray(w, dtype=complex),
-            np.ascontiguousarray(ta, dtype=float),
-            np.ascontiguousarray(pa, dtype=float),
-            np.ascontiguousarray(tb, dtype=float),
-            np.ascontiguousarray(pb, dtype=float),
-        )
-        return float(v), int(i)
-
-    product_scan = product_scan_numba
-else:
-    product_scan_numba = None
-    product_scan = product_scan_numpy

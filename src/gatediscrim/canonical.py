@@ -109,6 +109,8 @@ def from_magic_phases(omega) -> np.ndarray:
     om = np.asarray(omega, dtype=float).ravel()
     if om.shape != (4,):
         raise DomainError(f"phase vector must have 4 entries, got {om.shape}")
+    if not np.all(np.isfinite(om)):
+        raise DomainError(f"phase vector must be finite, got {om.tolist()}")
     return (MAGIC_BASIS * np.exp(-1j * om)) @ _MAGIC_DAG
 
 

@@ -36,6 +36,13 @@ def _angles(text: str, count: int, degrees: bool, what: str) -> np.ndarray:
     return vals
 
 
+def _tol(args) -> float:
+    # 0 < tol < inf is False for NaN as well
+    if not (0.0 < args.tol < math.inf):
+        raise DomainError(f"--tol must be finite and > 0, got {args.tol!r}")
+    return args.tol
+
+
 def _cmd_build_ud(args) -> int:
     alpha = _angles(args.alpha, 3, args.degrees, "--alpha")
     matrix = canonical.build_ud(alpha)
@@ -46,7 +53,7 @@ def _cmd_build_ud(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    gate = files.load_matrix_file(args.gate, tol=args.tol)
+    gate = files.load_matrix_file(args.gate, tol=_tol(args))
     dec = canonical.extract_interaction(gate.matrix)
     doc = {
         "kind": "decomposition",
@@ -64,12 +71,13 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_discriminate(args) -> int:
-    g1 = files.load_matrix_file(args.first, tol=args.tol)
-    g2 = files.load_matrix_file(args.second, tol=args.tol)
+    tol = _tol(args)
+    g1 = files.load_matrix_file(args.first, tol=tol)
+    g2 = files.load_matrix_file(args.second, tol=tol)
     report = discrimination.discriminate(
-        g1.matrix, g2.matrix, p1=args.p1, tol=args.tol
+        g1.matrix, g2.matrix, p1=args.p1, tol=tol
     )
-    doc = files.report_document(report, g1.label, g2.label, args.tol)
+    doc = files.report_document(report, g1.label, g2.label, tol)
     sys.stdout.write(files.render_document(doc))
     if args.probe_out:
         probe_doc = {
@@ -86,10 +94,11 @@ def _cmd_discriminate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    g1 = files.load_matrix_file(args.first, tol=args.tol)
-    g2 = files.load_matrix_file(args.second, tol=args.tol)
+    tol = _tol(args)
+    g1 = files.load_matrix_file(args.first, tol=tol)
+    g2 = files.load_matrix_file(args.second, tol=tol)
     report = discrimination.discriminate(
-        g1.matrix, g2.matrix, p1=args.p1, tol=args.tol
+        g1.matrix, g2.matrix, p1=args.p1, tol=tol
     )
     outcome = oracle.helstrom_simulate(
         g1.matrix,

@@ -105,9 +105,11 @@ def factor_product(u, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
 
 def error_probability(fid: float, p1: float, p2: float) -> float:
     """Helstrom bound (1 - sqrt(1 - 4 p1 p2 F^2)) / 2 for overlap F."""
-    if p1 < -1e-12 or p2 < -1e-12 or abs(p1 + p2 - 1.0) > 1e-9:
+    # written as not (lo <= x <= hi) so that NaN fails; the bounds are
+    # finite, so infinities fail too
+    if not (p1 >= -1e-12 and p2 >= -1e-12 and abs(p1 + p2 - 1.0) <= 1e-9):
         raise DomainError(f"priors ({p1!r}, {p2!r}) must be nonnegative and sum to 1")
-    if fid < -1e-9 or fid > 1.0 + 1e-9:
+    if not (-1e-9 <= fid <= 1.0 + 1e-9):
         raise DomainError(f"fidelity {fid!r} outside [0, 1]")
     f = min(max(fid, 0.0), 1.0)
     rad = 1.0 - 4.0 * max(p1, 0.0) * max(p2, 0.0) * f * f

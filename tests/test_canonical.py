@@ -212,6 +212,12 @@ def test_from_magic_phases_round_trip(rng):
     np.testing.assert_allclose(got, wrap_angle(om), atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_magic_phases_rejects_nonfinite(bad):
+    with pytest.raises(DomainError):
+        from_magic_phases([bad, 0.0, 0.0, 0.0])
+
+
 def test_classify_values():
     assert classify((0, 0, 0)) is GateClass.IDENTITY
     assert classify((PI / 4,) * 3) is GateClass.SWAP_LIKE

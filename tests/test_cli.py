@@ -161,6 +161,23 @@ def test_decompose_rejects_nonunitary(capsys):
     assert "not unitary" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tol_is_rejected(capsys, tmp_path, tol):
+    probe, fig = tmp_path / "probe.json", tmp_path / "hull.svg"
+    commands = [
+        ["decompose", g("09")],
+        ["discriminate", g("09"), g("01"), "--probe-out", str(probe),
+         "--svg-out", str(fig)],
+        ["simulate", g("09"), g("01"), "--shots", "100"],
+    ]
+    for argv in commands:
+        code, out, err = run_main(capsys, *argv, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_perfect_pair(capsys):
     code, out, _ = run_main(
         capsys, "simulate", g("01"), g("06"), "--shots", "10000", "--seed", "3"
@@ -305,6 +322,7 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0
+    assert proc.stderr == ""
     assert files.parse_document(proc.stdout)["perfectly_distinguishable"] is True
 
 

@@ -86,7 +86,16 @@ def test_error_probability_monotone(rng):
 
 
 def test_error_probability_domain():
-    for bad in [(-0.1, 0.5, 0.5), (1.2, 0.5, 0.5)]:
+    nan, inf = math.nan, math.inf
+    for bad in [
+        (-0.1, 0.5, 0.5),
+        (1.2, 0.5, 0.5),
+        (nan, 0.5, 0.5),
+        (inf, 0.5, 0.5),
+        (0.5, nan, nan),
+        (0.5, nan, 0.5),
+        (0.5, inf, -inf),
+    ]:
         with pytest.raises(DomainError):
             error_probability(*bad)
     with pytest.raises(DomainError):

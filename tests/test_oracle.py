@@ -147,7 +147,7 @@ def test_helstrom_domain_errors():
 
 
 def grid_overlap(w, axes, lin):
-    # recompute |<ab|w|ab>| at a decoded grid index, independent of either kernel
+    # recompute |<ab|w|ab>| at a decoded grid index, independent of the kernel
     idx = []
     for n in reversed([len(a) for a in axes]):
         idx.append(lin % n)
@@ -160,11 +160,9 @@ def grid_overlap(w, axes, lin):
     return abs(psi.conj() @ w @ psi)
 
 
-def test_kernel_routes_agree(rng):
+def test_kernel_matches_brute_force(rng):
     # exchange-symmetric gates produce exact ties at swapped grid points, so
-    # the two routes may pick different argmins; both must achieve the min
-    if not _kernels.NUMBA_ENABLED:
-        pytest.skip("numba path disabled or unavailable")
+    # only the minimum value is pinned, not which tied index is returned
     ta = np.linspace(0.0, PI, 7)
     pa = np.linspace(0.0, 2 * PI, 9, endpoint=False)
     axes = (ta, pa, ta, pa)
@@ -172,8 +170,7 @@ def test_kernel_routes_agree(rng):
     gates += [random_magic_diag(rng)[0] for _ in range(3)]
     for u2 in gates:
         w = ID4.conj().T @ u2
-        v_np, i_np = _kernels.product_scan_numpy(w, *axes)
-        v_nb, i_nb = _kernels.product_scan_numba(w, *axes)
-        assert v_np == pytest.approx(v_nb, abs=1e-12)
-        assert grid_overlap(w, axes, i_np) == pytest.approx(v_np, abs=1e-12)
-        assert grid_overlap(w, axes, i_nb) == pytest.approx(v_nb, abs=1e-12)
+        val, lin = _kernels.product_scan(w, *axes)
+        assert grid_overlap(w, axes, lin) == pytest.approx(val, abs=1e-12)
+        brute = min(grid_overlap(w, axes, n) for n in range(7 * 9 * 7 * 9))
+        assert val == pytest.approx(brute, abs=1e-12)
