@@ -34,11 +34,22 @@ SWAP = np.array(
     dtype=complex,
 )
 
+# wrap_angle's shift for r <= -pi, for -pi < r <= pi and for r > pi
+_WRAP_EDGES = np.array([-math.pi, math.pi])
+_WRAP_SHIFTS = np.array([TWO_PI, 0.0, -TWO_PI])
+
 
 def wrap_angle(theta):
-    """Map an angle or array of angles to the interval (-pi, pi]."""
-    t = np.asarray(theta, dtype=float)
-    out = -(np.mod(-t + math.pi, TWO_PI) - math.pi)
+    """Map an angle or array of angles to the interval (-pi, pi].
+
+    Exact: an angle already in the interval comes back unchanged (-0.0 as
+    0.0), and any other angle moves by a whole number of turns of TWO_PI.
+    """
+    # fmod is exact, and so is the shift by TWO_PI: the shifted value lies
+    # within a factor of two of TWO_PI (Sterbenz); the zero shift of an
+    # in-range angle turns -0.0 into 0.0
+    r = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
+    out = r + _WRAP_SHIFTS[np.searchsorted(_WRAP_EDGES, r)]
     if out.ndim == 0:
         return float(out)
     return out

@@ -30,12 +30,25 @@ def test_wrap_angle_values():
 
 
 def test_wrap_angle_range(rng):
-    t = rng.uniform(-50, 50, size=2000)
+    # odd multiples of pi and their neighbours a few ulps away sit at the ends
+    odd = (2 * np.arange(-2000, 2000) + 1) * np.pi
+    ends = np.concatenate([odd + d * np.spacing(odd) for d in range(-4, 5)])
+    t = np.concatenate([rng.uniform(-50, 50, size=2000), ends])
     w = wrap_angle(t)
     assert np.all(w > -np.pi) and np.all(w <= np.pi)
     # the wrapped value differs from the input by a multiple of 2 pi
     k = (t - w) / (2 * np.pi)
     np.testing.assert_allclose(k, np.round(k), atol=1e-9)
+
+
+def test_wrap_angle_is_exact_in_range(rng):
+    edges = [np.nextafter(-np.pi, 0.0), np.pi, 0.3, 0.7, 1e-300, -4.6e-41]
+    t = np.concatenate([rng.uniform(-np.pi, np.pi, size=20000), edges])
+    assert np.array_equal(wrap_angle(t), t)
+    for x in edges:
+        assert wrap_angle(x) == x
+    z = wrap_angle(-0.0)
+    assert z == 0.0 and not np.signbit(z)
 
 
 def test_kron_pauli_example():
