@@ -73,7 +73,7 @@ def concurrence(u) -> float:
     if u.shape != (4,):
         raise DomainError(f"magic amplitudes must have 4 entries, got {u.shape}")
     n = float(np.sum(np.abs(u) ** 2))
-    if abs(n - 1.0) > 1e-10:
+    if not (abs(n - 1.0) <= 1e-10):  # written so that NaN fails
         raise NotNormalizedError(
             f"amplitudes have squared norm {n!r}, expected 1 within 1e-10"
         )
@@ -90,7 +90,7 @@ def factor_product(u, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """
     u = np.asarray(u, dtype=complex).ravel()
     c = concurrence(u)
-    if c > tol:
+    if not (c <= tol):  # written so that NaN fails
         raise NotProductError(f"concurrence {c:.3e} exceeds tolerance {tol:g}")
     amp = (canonical.MAGIC_BASIS @ u).reshape(2, 2)
     row = int(np.argmax(np.sum(np.abs(amp) ** 2, axis=1)))
@@ -119,7 +119,7 @@ def error_probability(fid: float, p1: float, p2: float) -> float:
 def _probe_from_amplitudes(u, via_fallback: bool = False) -> ProbeState:
     u = np.asarray(u, dtype=complex).ravel()
     n = float(np.sum(np.abs(u) ** 2))
-    if abs(n - 1.0) > 1e-12:
+    if not (abs(n - 1.0) <= 1e-12):  # written so that NaN fails
         raise NotNormalizedError(f"probe amplitudes squared norm {n!r} != 1")
     psi = canonical.MAGIC_BASIS @ u
     try:

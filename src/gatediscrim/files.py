@@ -10,6 +10,7 @@ parse/render cycle is byte-idempotent and numbers round-trip losslessly.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +116,25 @@ def parse_document(text: str) -> dict:
     return doc
 
 
+def write_text(text: str, path) -> None:
+    """Replace `path` with `text` atomically.
+
+    The text goes to a sibling temp file that is then renamed onto `path`,
+    so a failed write leaves no partial file and an existing file as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_document(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_document(doc))
+    write_text(render_document(doc), path)
 
 
 def matrix_document(matrix, label: str) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateHullError
+from .errors import DegenerateHullError, DomainError
 from .numerics import wrap_angle
 
 TWO_PI = 2.0 * math.pi
@@ -61,13 +61,23 @@ class HullResult:
     spread: float = field(default=0.0)
 
 
+def _finite_phases(phases) -> np.ndarray:
+    """Phases as a wrapped 1-d array; DomainError on NaN or inf."""
+    ph = np.atleast_1d(np.asarray(phases, dtype=float))
+    # a few phases per call: the list check beats the ufunc round trip
+    if not all(map(math.isfinite, ph.tolist())):
+        raise DomainError(f"phases must be finite, got {ph.tolist()}")
+    return wrap_angle(ph)
+
+
 def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
     """Merge phases closer than `tol` on the circle; order follows the circle.
 
     Groups are returned sorted by representative phase in (-pi, pi]; each
     keeps the original input indices and a circular-mean representative.
+    Raises DomainError on a non-finite phase.
     """
-    ph = wrap_angle(np.atleast_1d(np.asarray(phases, dtype=float)))
+    ph = _finite_phases(phases)
     vals = ph.tolist()
     order = np.argsort(ph, kind="stable").tolist()
     runs: list[list[int]] = [[order[0]]]
@@ -93,8 +103,11 @@ def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
 
 
 def arc_spread(phases) -> float:
-    """Angular extent of the smallest closed arc covering all phases."""
-    ph = np.sort(wrap_angle(np.atleast_1d(np.asarray(phases, dtype=float))))
+    """Angular extent of the smallest closed arc covering all phases.
+
+    Raises DomainError on a non-finite phase.
+    """
+    ph = np.sort(_finite_phases(phases))
     if ph.size == 1:
         return 0.0
     gaps = np.diff(ph)

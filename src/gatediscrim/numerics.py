@@ -80,7 +80,7 @@ def require_unitary(m, tol: float = 1e-9, name: str = "matrix"):
 def require_normalized(v, tol: float = 1e-10, name: str = "state"):
     v = np.asarray(v, dtype=complex).ravel()
     n = float(np.sum(np.abs(v) ** 2))
-    if abs(n - 1.0) > tol:
+    if not (abs(n - 1.0) <= tol):  # written so that NaN fails
         raise NotNormalizedError(
             f"{name} has squared norm {n!r}, expected 1 within {tol:g}"
         )

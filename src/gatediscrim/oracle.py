@@ -2,9 +2,9 @@
 
 Nothing here reuses the hull geometry: the product-state search walks a
 Bloch-angle grid with deterministic refinement, the all-states search runs
-a seeded random multistart, and `helstrom_simulate` samples actual
-measurement shots.  These are deliberately brute-force so they can confirm
-(or refute) the analytic pipeline.
+a seeded random multistart, and `helstrom_simulate` samples the
+measurement's confusion counts.  These are deliberately brute-force so
+they can confirm (or refute) the analytic pipeline.
 """
 
 from __future__ import annotations
@@ -175,10 +175,12 @@ def helstrom_simulate(
     Each shot draws the true gate with prior (p1, 1-p1), applies it to the
     probe, and measures the Helstrom projector pair built from the two
     possible outputs.  Orthogonal outputs therefore produce exactly zero
-    errors.  Deterministic for a fixed seed.
+    errors.  The shots are independent, so the confusion counts are drawn
+    as binomials, in memory independent of `shots`.  Deterministic for a
+    fixed seed.
     """
-    if shots < 1:
-        raise DomainError(f"shots must be positive, got {shots}")
+    if not (isinstance(shots, (int, np.integer)) and shots >= 1):
+        raise DomainError(f"shots must be a positive integer, got {shots!r}")
     if not (0.0 <= p1 <= 1.0):
         raise DomainError(f"prior p1 = {p1!r} outside [0, 1]")
     u1 = numerics.require_unitary(u1, name="first gate")
@@ -220,12 +222,11 @@ def helstrom_simulate(
     q1 = float(np.clip((v1.conj() @ proj @ v1).real, 0.0, 1.0))
     q2 = float(np.clip((v2.conj() @ proj @ v2).real, 0.0, 1.0))
     rng = np.random.default_rng(seed)
-    truth_is_1 = rng.random(shots) < p1
-    guess_1 = rng.random(shots) < np.where(truth_is_1, q1, q2)
-    c11 = int(np.sum(truth_is_1 & guess_1))
-    c12 = int(np.sum(truth_is_1 & ~guess_1))
-    c21 = int(np.sum(~truth_is_1 & guess_1))
-    c22 = int(np.sum(~truth_is_1 & ~guess_1))
+    n1 = int(rng.binomial(shots, p1))
+    c11 = int(rng.binomial(n1, q1))
+    c21 = int(rng.binomial(shots - n1, q2))
+    c12 = n1 - c11
+    c22 = shots - n1 - c21
     errors = c12 + c21
     rate = errors / shots
     return ShotOutcome(

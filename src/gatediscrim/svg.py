@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import __version__, geometry
+from . import __version__, files, geometry
 from .numerics import wrap_angle
 
 _W = 2.9
@@ -105,6 +105,4 @@ def render_hull_svg(omega) -> str:
 
 
 def write_hull_svg(omega, path) -> None:
-    text = render_hull_svg(omega)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    files.write_text(render_hull_svg(omega), path)

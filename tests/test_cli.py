@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gatediscrim import cli, files
+from gatediscrim import cli, files, svg
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -333,3 +333,37 @@ def test_console_script_if_installed():
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gatediscrim" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda p: files.write_document({"x": float("nan")}, p),
+        lambda p: svg.write_hull_svg([math.nan, 0.0, 0.0, 0.0], p),
+    ],
+)
+def test_failed_write_leaves_no_partial_file(tmp_path, write):
+    new = tmp_path / "new.out"
+    with pytest.raises(ValueError):
+        write(new)
+    assert list(tmp_path.iterdir()) == []
+    old = tmp_path / "old.out"
+    old.write_text("kept\n")
+    with pytest.raises(ValueError):
+        write(old)
+    assert old.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [old]
+
+
+def test_failed_rename_removes_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text("kept\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(files.os, "replace", fail)
+    with pytest.raises(OSError):
+        files.write_document({"x": 1.0}, path)
+    assert path.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [path]

@@ -337,3 +337,12 @@ def test_validate_probe_fails_on_nan():
     p = construct_probe(om)
     with pytest.raises(ConstructionFailedError):
         discrimination._validate_probe(p, om, math.nan)
+
+
+def test_tolerance_checks_fail_on_nan():
+    with pytest.raises(NotNormalizedError):
+        concurrence([math.nan, 0, 0, 0])
+    with pytest.raises(NotProductError):
+        factor_product([SQ2, 1j * SQ2, 0, 0], tol=math.nan)
+    with pytest.raises(NotNormalizedError, match="probe amplitudes"):
+        discrimination._probe_from_amplitudes([math.nan, 0, 0, 0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatediscrim import geometry
-from gatediscrim.errors import DegenerateHullError
+from gatediscrim.errors import DegenerateHullError, DomainError
 from gatediscrim.geometry import (
     arc_spread,
     dedupe_phases,
@@ -141,3 +141,11 @@ def test_hull_vertex_groups_align():
         assert v.phase == g.phase
     counts = sorted(g.multiplicity for g in h.groups)
     assert counts == [1, 1, 2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [dedupe_phases, hull_of_phases, arc_spread])
+def test_non_finite_phases_rejected(fn, bad):
+    # rejected before wrap_angle, which would warn on inf
+    with pytest.raises(DomainError):
+        fn([bad, 0.0, 0.0, 0.0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gatediscrim import numerics
-from gatediscrim.errors import NotUnitaryError
+from gatediscrim.errors import NotNormalizedError, NotUnitaryError
 from gatediscrim.numerics import (
     ID2,
     ID4,
@@ -163,3 +163,10 @@ def test_random_su2(rng):
         u = numerics.random_su2(rng)
         assert is_unitary(u, tol=1e-12)
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+
+
+def test_require_normalized_rejects_nan():
+    with pytest.raises(NotNormalizedError):
+        numerics.require_normalized([np.nan, 0, 0, 0])
+    with pytest.raises(NotNormalizedError):
+        numerics.require_normalized([1, 0, 0, 0], tol=np.nan)

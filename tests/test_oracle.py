@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,8 +141,9 @@ def test_helstrom_asymmetric_prior_beats_naive():
 
 def test_helstrom_domain_errors():
     probe = construct_probe(np.zeros(4))
-    with pytest.raises(DomainError):
-        oracle.helstrom_simulate(ID4, ID4, probe, shots=0)
+    for shots in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            oracle.helstrom_simulate(ID4, ID4, probe, shots=shots)
     with pytest.raises(DomainError):
         oracle.helstrom_simulate(ID4, ID4, probe, p1=1.2)
 
@@ -160,17 +162,56 @@ def grid_overlap(w, axes, lin):
     return abs(psi.conj() @ w @ psi)
 
 
+def _grid_axes(n_theta_a, n_phi_a, n_theta_b, n_phi_b):
+    return (
+        np.linspace(0.0, PI, n_theta_a),
+        np.linspace(0.0, 2 * PI, n_phi_a, endpoint=False),
+        np.linspace(0.0, PI, n_theta_b),
+        np.linspace(0.0, 2 * PI, n_phi_b, endpoint=False),
+    )
+
+
 def test_kernel_matches_brute_force(rng):
     # exchange-symmetric gates produce exact ties at swapped grid points, so
     # only the minimum value is pinned, not which tied index is returned
-    ta = np.linspace(0.0, PI, 7)
-    pa = np.linspace(0.0, 2 * PI, 9, endpoint=False)
-    axes = (ta, pa, ta, pa)
     gates = [canonical.build_ud((0.7, 0.4, 0.1))]
     gates += [random_magic_diag(rng)[0] for _ in range(3)]
-    for u2 in gates:
-        w = ID4.conj().T @ u2
-        val, lin = _kernels.product_scan(w, *axes)
-        assert grid_overlap(w, axes, lin) == pytest.approx(val, abs=1e-12)
-        brute = min(grid_overlap(w, axes, n) for n in range(7 * 9 * 7 * 9))
-        assert val == pytest.approx(brute, abs=1e-12)
+    # 63 A-grid states fit in one block; 144 span two full blocks and a part
+    for axes in (_grid_axes(7, 9, 7, 9), _grid_axes(9, 16, 5, 6)):
+        size = math.prod(len(a) for a in axes)
+        for u2 in gates:
+            w = ID4.conj().T @ u2
+            val, lin = _kernels.product_scan(w, *axes)
+            assert grid_overlap(w, axes, lin) == pytest.approx(val, abs=1e-12)
+            brute = min(grid_overlap(w, axes, n) for n in range(size))
+            assert val == pytest.approx(brute, abs=1e-12)
+        # every point ties at exactly 0: the lowest index wins across blocks
+        assert _kernels.product_scan(np.zeros((4, 4)), *axes) == (0.0, 0)
+
+
+def test_kernel_memory_stays_one_block():
+    theta = np.linspace(0.0, PI, 48)
+    phi = np.linspace(0.0, 2 * PI, 48, endpoint=False)
+    w = canonical.build_ud((0.7, 0.4, 0.1))
+    tracemalloc.start()
+    try:
+        _kernels.product_scan(w, theta, phi, theta, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full 48^4 grid of complex values would take 85 MB
+    assert peak < 16 * 2**20
+
+
+def test_helstrom_memory_independent_of_shots():
+    u2 = canonical.build_ud((PI / 8, 0, 0))
+    probe = construct_probe(fidelity(ID4, u2)[1])
+    tracemalloc.start()
+    try:
+        out = oracle.helstrom_simulate(ID4, u2, probe, shots=10**7, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert sum(map(sum, out.confusion)) == out.shots == 10**7
+    assert abs(out.empirical_rate - 0.3086583) <= 5 * out.std_error
