@@ -156,12 +156,15 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
     dec = canonical.extract_interaction(u1)
     if float(np.max(np.abs(dec.alpha - d1))) > 1e-8:
         bad.append(f"round trip drifted: {dec.alpha} vs {d1}")
-    cfg = oracle.SearchConfig(grid_steps=20, refinement_rounds=5, seed=seed)
+    cfg = oracle.SearchConfig(grid_steps=20, refinement_rounds=5)
     found, _ = oracle.min_over_product_states(u1, u2, cfg)
     if abs(found - report.fidelity) > 2e-3:
         bad.append(
             f"product search found {found!r} vs analytic {report.fidelity!r}"
         )
+    best, _ = oracle.min_over_all_states(u1, u2)
+    if abs(best - report.fidelity) > geometry.VERDICT_TOL:
+        bad.append(f"global optimum {best!r} vs analytic {report.fidelity!r}")
     outcome = oracle.helstrom_simulate(
         u1, u2, report.probe, p1=0.5, shots=4000, seed=seed
     )

@@ -1,14 +1,17 @@
 """Independent numerical checks for the closed-form results.
 
-Nothing here reuses the hull geometry: the product-state search walks a
-Bloch-angle grid with deterministic refinement, the all-states search runs
-a seeded random multistart, and `helstrom_simulate` samples the
-measurement's confusion counts.  These are deliberately brute-force so
-they can confirm (or refute) the analytic pipeline.
+Nothing here reuses the magic basis or the hull geometry of the phases:
+the product-state search walks a Bloch-angle grid with deterministic
+refinement, the all-states optimum is computed exactly from the
+eigenvalues of u1^dag u2 (the numerical range of a normal matrix is the
+convex hull of its eigenvalues), and `helstrom_simulate` samples the
+measurement's confusion counts.  They can therefore confirm (or refute)
+the analytic pipeline.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,30 +26,27 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the deterministic searches.
+    """Knobs for the deterministic product-state search.
 
     grid_steps:        points per Bloch axis in the coarse product scan
     refinement_rounds: local 9-point refinements after the coarse scan
     shrink_factor:     contraction of the refinement window per round
-    seed:              numpy Generator seed for the randomized search
     """
 
     grid_steps: int = 32
     refinement_rounds: int = 4
     shrink_factor: float = 0.25
-    seed: int = 0
 
     def __post_init__(self):
-        if self.grid_steps < 8:
-            raise DomainError(f"grid_steps must be >= 8, got {self.grid_steps}")
-        if self.refinement_rounds < 0:
-            raise DomainError("refinement_rounds must be >= 0")
+        # written as `not (lo <= x)` so that NaN fails every check
+        for name, lo in (("grid_steps", 8), ("refinement_rounds", 0)):
+            x = getattr(self, name)
+            if not (isinstance(x, (int, np.integer)) and lo <= x):
+                raise DomainError(f"{name} must be an integer >= {lo}, got {x!r}")
         if not (0.0 < self.shrink_factor < 1.0):
             raise DomainError(
-                f"shrink_factor must lie in (0, 1), got {self.shrink_factor}"
+                f"shrink_factor must lie in (0, 1), got {self.shrink_factor!r}"
             )
-        if self.seed < 0:
-            raise DomainError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -120,46 +120,52 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
 
 
 def min_over_all_states(u1, u2, cfg: SearchConfig | None = None):
-    """Minimize |<psi|u1^dag u2|psi>| over arbitrary normalized kets.
+    """Minimize |<psi|u1^dag u2|psi>| over arbitrary normalized kets, exactly.
 
-    Seeded random multistart plus shrinking Gaussian refinement; the start
-    set always includes the best product probe, so the returned value never
-    exceeds the product-search value.  Returns (value, psi).
+    W = u1^dag u2 is normal, so {<psi|W|psi> : |psi| = 1} is the convex hull
+    of its eigenvalues (Toeplitz-Hausdorff for normal matrices; Horn &
+    Johnson, Topics in Matrix Analysis, 1.2).  The minimum is 0 when a
+    non-degenerate triangle of eigenvalues contains the origin, and otherwise
+    the least origin-to-segment distance over the eigenvalue pairs; psi mixes
+    the eigenvectors involved with the square roots of the barycentric or
+    segment weights.  `cfg` is ignored: there is nothing to tune.  Returns
+    (value, psi).
     """
-    cfg = cfg or SearchConfig()
-    prod_val, prod_probe = min_over_product_states(u1, u2, cfg)
-    w = u1.conj().T @ u2
+    u1 = numerics.require_unitary(u1, name="first gate")
+    u2 = numerics.require_unitary(u2, name="second gate")
+    lam, vecs = np.linalg.eig(u1.conj().T @ u2)
+    # eig need not return orthogonal vectors for a repeated eigenvalue; QR
+    # makes them orthonormal and keeps each column in its eigenspace
+    vecs = np.linalg.qr(vecs)[0]
+    z = lam.tolist()
 
-    def batch_vals(states):
-        return np.abs(np.einsum("ni,ij,nj->n", states.conj(), w, states))
+    def cross(p, q):
+        return p.real * q.imag - p.imag * q.real
 
-    rng = np.random.default_rng(cfg.seed)
-    n0 = 2048
-    starts = rng.normal(size=(n0, 4)) + 1j * rng.normal(size=(n0, 4))
-    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    starts = np.vstack([prod_probe.psi_computational[None, :], starts])
-    vals = batch_vals(starts)
-    best = int(np.argmin(vals))
-    best_val = float(vals[best])
-    best_psi = starts[best]
-    rounds = max(24, 6 * cfg.refinement_rounds)
-    n_per = 160
-    sigma = 0.5
-    decay = (2e-7) ** (1.0 / max(rounds - 1, 1))
-    for _ in range(rounds):
-        trial = best_psi[None, :] + sigma * (
-            rng.normal(size=(n_per, 4)) + 1j * rng.normal(size=(n_per, 4))
-        )
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        vals = batch_vals(trial)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_psi = trial[i]
-        sigma *= decay
-    if prod_val < best_val:  # pragma: no cover - defensive
-        best_val, best_psi = prod_val, prod_probe.psi_computational
-    return best_val, best_psi
+    for tri in itertools.combinations(range(4), 3):
+        a, b, c = (z[k] for k in tri)
+        # doubled areas of (0, b, c), (0, c, a), (0, a, b); taken against
+        # the edges, so a tiny triangle of near-equal eigenvalues keeps the
+        # signs of its floating-point vertices rather than rounding noise
+        weights = (cross(b, c - b), cross(c, a - c), cross(a, b - a))
+        area = sum(weights)
+        # collinear triples are skipped: the segment pass covers them
+        if area != 0.0 and all(w * area >= 0.0 for w in weights):
+            return 0.0, _mix(vecs, tri, [w / area for w in weights])
+    value = math.inf
+    for i, j in itertools.combinations(range(4), 2):
+        d = z[j] - z[i]
+        dd = abs(d) ** 2
+        s = min(max(-(z[i].conjugate() * d).real / dd, 0.0), 1.0) if dd else 0.0
+        dist = abs(z[i] + s * d)
+        if dist < value:
+            value, pair, weights = dist, (i, j), (1.0 - s, s)
+    return value, _mix(vecs, pair, weights)
+
+
+def _mix(vecs, cols, weights):
+    psi = vecs[:, list(cols)] @ np.sqrt(weights)
+    return psi / np.linalg.norm(psi)
 
 
 def helstrom_simulate(
@@ -196,29 +202,10 @@ def helstrom_simulate(
     v1 = np.array([1.0, 0.0], dtype=complex)
     v2 = np.array([c, s], dtype=complex)
     gamma = p1 * np.outer(v1, v1.conj()) - p2 * np.outer(v2, v2.conj())
-    # closed-form Hermitian 2x2 eigensystem
-    tr = float(gamma[0, 0].real + gamma[1, 1].real)
-    det = float(
-        (gamma[0, 0] * gamma[1, 1] - gamma[0, 1] * gamma[1, 0]).real
-    )
-    disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    eigs = (0.5 * (tr + disc), 0.5 * (tr - disc))
-    proj = np.zeros((2, 2), dtype=complex)
-    for mu in eigs:
-        if mu < 0.0:
-            continue
-        vec = np.array([gamma[0, 1], mu - gamma[0, 0]], dtype=complex)
-        nrm = float(np.linalg.norm(vec))
-        if nrm < 1e-14:
-            # diagonal gamma; pick the axis whose entry matches mu
-            on_first = abs(gamma[0, 0].real - mu) <= abs(gamma[1, 1].real - mu)
-            vec = np.array([1.0, 0.0] if on_first else [0.0, 1.0], dtype=complex)
-            nrm = 1.0
-        vec /= nrm
-        proj += np.outer(vec, vec.conj())
-    # guard: degenerate gamma (both eigenvalues >= 0 with repeated vectors)
-    if eigs[0] >= 0.0 and eigs[1] >= 0.0 and disc < 1e-15:
-        proj = np.eye(2, dtype=complex)
+    # a 0 eigenvalue counts toward guessing the first gate
+    mu, vecs = np.linalg.eigh(gamma)
+    keep = vecs[:, mu >= 0.0]
+    proj = keep @ keep.conj().T
     q1 = float(np.clip((v1.conj() @ proj @ v1).real, 0.0, 1.0))
     q2 = float(np.clip((v2.conj() @ proj @ v2).real, 0.0, 1.0))
     rng = np.random.default_rng(seed)

@@ -66,12 +66,11 @@ def test_criterion_2_locc_equals_global(capsys):
     rng = np.random.default_rng(202)
     t0 = time.perf_counter()
     worst = 0.0
-    for i in range(200):
+    for _ in range(200):
         u1, u2 = random_diag_pair(rng)
         f, _ = fidelity(u1, u2)
-        cfg = oracle.SearchConfig(seed=i)
-        pv, _ = oracle.min_over_product_states(u1, u2, cfg)
-        av, _ = oracle.min_over_all_states(u1, u2, cfg)
+        pv, _ = oracle.min_over_product_states(u1, u2)
+        av, _ = oracle.min_over_all_states(u1, u2)
         worst = max(worst, abs(pv - f), abs(av - f), abs(av - pv))
     dt = time.perf_counter() - t0
     ok = worst <= 2e-3 and dt < 300.0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gatediscrim import cli, files, svg
+from gatediscrim import cli, files, oracle, svg
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -221,6 +221,19 @@ def test_selfcheck_passes_and_replays(capsys):
     replay = [l for l in out.splitlines() if l.startswith("trial")][0]
     assert "(seed 7)" in replay
     assert replay.split("): ", 1)[1] == target
+
+
+def test_selfcheck_checks_the_global_optimum(capsys, monkeypatch):
+    exact = oracle.min_over_all_states
+
+    def off_by_1e6(u1, u2, cfg=None):
+        val, psi = exact(u1, u2, cfg)
+        return val + 1e-6, psi
+
+    monkeypatch.setattr(oracle, "min_over_all_states", off_by_1e6)
+    code, out, _ = run_main(capsys, "selfcheck", "--trials", "1")
+    assert code == 1
+    assert "trial 0 (seed 0): FAIL global optimum" in out
 
 
 def test_selfcheck_zero_trials(capsys):

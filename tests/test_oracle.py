@@ -14,23 +14,26 @@ from gatediscrim.discrimination import (
 from gatediscrim.errors import DomainError
 from gatediscrim.numerics import ID4
 
-from conftest import random_magic_diag
+from conftest import polygon_origin_distance, random_magic_diag, random_unitary
 
 PI = math.pi
 
 
 def test_search_config_validation():
     oracle.SearchConfig()  # defaults are legal
-    with pytest.raises(DomainError):
-        oracle.SearchConfig(grid_steps=7)
-    with pytest.raises(DomainError):
-        oracle.SearchConfig(refinement_rounds=-1)
-    with pytest.raises(DomainError):
-        oracle.SearchConfig(shrink_factor=1.0)
-    with pytest.raises(DomainError):
-        oracle.SearchConfig(shrink_factor=0.0)
-    with pytest.raises(DomainError):
-        oracle.SearchConfig(seed=-1)
+    oracle.SearchConfig(grid_steps=np.int64(8), refinement_rounds=np.int32(0))
+    bad = [
+        {"grid_steps": 7},
+        {"refinement_rounds": -1},
+        {"shrink_factor": 1.0},
+        {"shrink_factor": 0.0},
+        {"shrink_factor": math.nan},
+    ]
+    for field in ("grid_steps", "refinement_rounds"):
+        bad += [{field: x} for x in (math.nan, math.inf, 8.5)]
+    for kwargs in bad:
+        with pytest.raises(DomainError):
+            oracle.SearchConfig(**kwargs)
 
 
 def test_product_search_matches_analytic_examples():
@@ -39,7 +42,7 @@ def test_product_search_matches_analytic_examples():
     assert abs(val - math.cos(PI / 8)) <= 1e-4
     assert concurrence(probe.u) <= 1e-9
 
-    cfg = oracle.SearchConfig(grid_steps=24, refinement_rounds=10, seed=0)
+    cfg = oracle.SearchConfig(grid_steps=24, refinement_rounds=10)
 
     val, _ = oracle.min_over_product_states(
         ID4, canonical.build_ud((PI / 4, PI / 4, 0.0)), cfg
@@ -51,7 +54,7 @@ def test_product_search_matches_analytic_examples():
 
 
 def test_product_search_matches_analytic_random(rng):
-    cfg = oracle.SearchConfig(grid_steps=20, refinement_rounds=8, seed=0)
+    cfg = oracle.SearchConfig(grid_steps=20, refinement_rounds=8)
     for _ in range(6):
         u1, _ = random_magic_diag(rng)
         u2, _ = random_magic_diag(rng)
@@ -82,17 +85,80 @@ def test_product_search_monotone_in_rounds():
 
 
 def test_all_states_never_beats_product_for_diagonal_pairs(rng):
-    cfg = oracle.SearchConfig(grid_steps=14, refinement_rounds=4, seed=3)
+    cfg = oracle.SearchConfig(grid_steps=14, refinement_rounds=4)
     for _ in range(3):
         u1, _ = random_magic_diag(rng)
         u2, _ = random_magic_diag(rng)
         f, _ = fidelity(u1, u2)
         pv, _ = oracle.min_over_product_states(u1, u2, cfg)
         av, psi = oracle.min_over_all_states(u1, u2, cfg)
-        assert av <= pv + 1e-9  # product probe is in the start set
+        assert av <= pv + 1e-9  # the exact optimum bounds every product probe
         # entanglement buys nothing for these pairs
         assert abs(av - f) <= 2e-3
         assert np.linalg.norm(psi) == pytest.approx(1.0)
+
+
+def _reached(u1, u2, psi) -> float:
+    return abs(psi.conj() @ u1.conj().T @ u2 @ psi)
+
+
+def test_all_states_exact_on_haar_pairs(rng):
+    cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=2)
+    for _ in range(15):
+        u1, u2 = random_unitary(rng), random_unitary(rng)
+        val, psi = oracle.min_over_all_states(u1, u2)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert _reached(u1, u2, psi) == pytest.approx(val, abs=1e-12)
+        # distance from 0 to the eigenvalues' hull, by conftest's own projection
+        lam = np.linalg.eigvals(u1.conj().T @ u2)
+        assert val == pytest.approx(polygon_origin_distance(np.angle(lam)), abs=1e-12)
+        assert val <= oracle.min_over_product_states(u1, u2, cfg)[0] + 1e-12
+
+
+def test_all_states_equals_fidelity_on_magic_diagonal_pairs(rng):
+    for _ in range(30):
+        u1, _ = random_magic_diag(rng)
+        u2, _ = random_magic_diag(rng)
+        val, psi = oracle.min_over_all_states(u1, u2)
+        assert abs(val - fidelity(u1, u2)[0]) <= 1e-9
+        assert _reached(u1, u2, psi) == pytest.approx(val, abs=1e-12)
+
+
+def test_all_states_degenerate_spectra(rng):
+    cases = [
+        (np.eye(4), 1.0),
+        (np.diag([1, -1, 1, -1]), 0.0),  # 0 on a segment; every triangle collinear
+        (np.diag([1, 1j, -1, -1j]), 0.0),
+        (np.exp(0.7j) * np.eye(4), 1.0),
+        # a triple eigenvalue: its tiny rounded triangle must not claim 0
+        (np.diag(np.exp([0.3j, 0.3j, 0.3j, 1j])), math.cos(0.35)),
+    ]
+    for w, expect in cases:
+        w = w.astype(complex)
+        val, psi = oracle.min_over_all_states(ID4, w)
+        assert val == pytest.approx(expect, abs=1e-15)
+        assert _reached(ID4, w, psi) == pytest.approx(expect, abs=1e-15)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
+        # the same spectrum in random eigenbases, which product probes miss;
+        # many bases, as rounding gives the triple eigenvalue a triangle whose
+        # vertex cross products misplace the origin in only about 1% of them
+        for _ in range(500):
+            v = random_unitary(rng)
+            wv = v @ w @ v.conj().T
+            val, psi = oracle.min_over_all_states(ID4, wv)
+            assert val == pytest.approx(expect, abs=1e-12)
+            assert _reached(ID4, wv, psi) == pytest.approx(expect, abs=1e-12)
+            assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_all_states_runs_no_search_and_draws_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact oracle must not search or sample")
+
+    monkeypatch.setattr(_kernels, "product_scan", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    val, _ = oracle.min_over_all_states(ID4, canonical.build_ud((PI / 8, 0, 0)))
+    assert val == pytest.approx(math.cos(PI / 8), abs=1e-12)
 
 
 def test_helstrom_anchor_rate():
@@ -144,8 +210,9 @@ def test_helstrom_domain_errors():
     for shots in (0, 2.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             oracle.helstrom_simulate(ID4, ID4, probe, shots=shots)
-    with pytest.raises(DomainError):
-        oracle.helstrom_simulate(ID4, ID4, probe, p1=1.2)
+    for p1 in (1.2, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            oracle.helstrom_simulate(ID4, ID4, probe, p1=p1)
 
 
 def grid_overlap(w, axes, lin):

@@ -1,4 +1,6 @@
-"""Property tests: fidelity depends only on the set of phases up to a shift and a reflection."""
+"""Property tests: fidelity depends only on the set of phases up to a shift
+and a reflection, and on neither gate's global phase; the interaction vector
+does not see local dressing."""
 
 import math
 
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from gatediscrim import canonical, geometry
 from gatediscrim.discrimination import fidelity
 from gatediscrim.numerics import ID4
+
+from conftest import dressed_gate
 
 PI = math.pi
 
@@ -46,3 +50,30 @@ def test_fidelity_invariant_under_reflection(om):
 @given(phases, st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
 def test_fidelity_invariant_under_common_shift(om, shift):
     assert _same(_fid(om), _fid(om + shift))
+
+
+@cfg
+@given(
+    phases,
+    phases,
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+    st.booleans(),
+)
+def test_fidelity_invariant_under_global_phase(om1, om2, phi, on_first):
+    u1, u2 = canonical.from_magic_phases(om1), canonical.from_magic_phases(om2)
+    f = fidelity(u1, u2)[0]
+    if on_first:
+        u1 = np.exp(1j * phi) * u1
+    else:
+        u2 = np.exp(1j * phi) * u2
+    assert _same(f, fidelity(u1, u2)[0])
+
+
+@cfg
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_interaction_invariant_under_local_dressing(seed):
+    rng = np.random.default_rng(seed)
+    alpha = canonical.random_weyl_vector(rng)
+    bare = canonical.extract_interaction(canonical.build_ud(alpha)).alpha
+    dressed = canonical.extract_interaction(dressed_gate(rng, alpha)).alpha
+    np.testing.assert_allclose(dressed, bare, atol=1e-8)
