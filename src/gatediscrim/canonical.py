@@ -126,7 +126,9 @@ def extract_interaction(u, tol: float = 1e-9) -> InteractionDecomposition:
     """Recover the Weyl-chamber interaction vector of a 4x4 unitary.
 
     Works for any unitary, magic-diagonal or dressed with local factors.
-    Round-trips with `build_ud` to ~1e-9 away from degenerate clusters.
+    Round-trips with `build_ud` to rounding, degenerate spectra such as the
+    identity and SWAP included, because the eigenphases of the unitary Gram
+    matrix are perfectly conditioned.
     """
     u = numerics.require_unitary(u, tol=tol, name="gate")
     det = complex(np.linalg.det(u))

@@ -250,7 +250,7 @@ def _probe_for_hull(om, hull: geometry.HullResult) -> ProbeState:
     from . import oracle  # heavy import kept local; also avoids a cycle
 
     w_gate = canonical.from_magic_phases(om)
-    cfg = oracle.SearchConfig(grid_steps=24, refinement_rounds=18, shrink_factor=0.25)
+    cfg = oracle.SearchConfig(grid_steps=24, refinement_rounds=18)
     _, probe = oracle.min_over_product_states(np.eye(4, dtype=complex), w_gate, cfg)
     probe = replace(probe, via_fallback=True)
     try:

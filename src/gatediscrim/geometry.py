@@ -77,9 +77,13 @@ def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
     keeps the original input indices and a circular-mean representative.
     Raises DomainError on a non-finite phase.
     """
-    ph = _finite_phases(phases)
+    return _dedupe(_finite_phases(phases), tol)[2]
+
+
+def _dedupe(ph: np.ndarray, tol: float):
+    """(values, stable ascending order, merged groups) of wrapped phases."""
     vals = ph.tolist()
-    order = np.argsort(ph, kind="stable").tolist()
+    order = sorted(range(len(vals)), key=vals.__getitem__)
     runs: list[list[int]] = [[order[0]]]
     for idx in order[1:]:
         if vals[idx] - vals[runs[-1][-1]] <= tol:
@@ -99,7 +103,7 @@ def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
         for rep, run in zip(reps, runs)
     ]
     groups.sort(key=lambda g: g.phase)
-    return groups
+    return vals, order, groups
 
 
 def arc_spread(phases) -> float:
@@ -120,12 +124,14 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
 
     The origin counts as inside when its distance to the hull,
     cos(min(spread, pi) / 2), is at most VERDICT_TOL; `min_distance` is 0
-    then.  Inside, vertices come out counter-clockwise from the smallest
-    phase.  Outside, the ordering starts just after the largest empty arc,
-    so vertices[0] and vertices[-1] are the angular extremes and
+    then.  The largest empty arc, the spread and the chord come from the
+    raw phases, so they do not depend on which near-equal phases merge into
+    one group.  Inside, vertices come out counter-clockwise from the
+    smallest phase.  Outside, the ordering starts just after the largest
+    empty arc, so vertices[0] and vertices[-1] are the angular extremes and
     `nearest_edge` is the chord (len-1, 0) that realizes `min_distance`.
     """
-    groups = dedupe_phases(phases, tol=tol)
+    vals, order, groups = _dedupe(_finite_phases(phases), tol)
     n = len(groups)
     if n == 1:
         g = groups[0]
@@ -139,15 +145,16 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
             nearest_edge=None,
             spread=0.0,
         )
-    ph = [g.phase for g in groups]
-    # gap i sits between vertex i and vertex i+1 (mod n)
-    gaps = [b - a for a, b in zip(ph, ph[1:])] + [(ph[0] + TWO_PI) - ph[-1]]
-    imax = max(range(n), key=gaps.__getitem__)
+    raw = [vals[i] for i in order]
+    m = len(raw)
+    # gap i sits between raw phase i and raw phase i+1 (mod m)
+    gaps = [b - a for a, b in zip(raw, raw[1:])] + [(raw[0] + TWO_PI) - raw[-1]]
+    imax = max(range(m), key=gaps.__getitem__)
     spread = TWO_PI - gaps[imax]
-    start = (imax + 1) % n
+    first = (imax + 1) % m
     # the chord between the angular extremes; its midpoint lies
     # cos(spread / 2) from the origin
-    chord_mid = 0.5 * (CirclePoint(ph[start]).xy + CirclePoint(ph[imax]).xy)
+    chord_mid = 0.5 * (CirclePoint(raw[first]).xy + CirclePoint(raw[imax]).xy)
     distance = float(np.hypot(*chord_mid)) if spread < math.pi else 0.0
     if distance <= VERDICT_TOL:
         verts = [CirclePoint(g.phase) for g in groups]
@@ -160,6 +167,8 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
             nearest_edge=None,
             spread=spread,
         )
+    # the group holding the raw phase just after the largest gap opens the arc
+    start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
     groups = groups[start:] + groups[:start]
     verts = [CirclePoint(g.phase) for g in groups]
     return HullResult(

@@ -1,16 +1,12 @@
 """Fixed-size complex linear algebra for two-qubit gates.
 
 Everything operates on plain numpy arrays: 2x2 and 4x4 complex matrices and
-length-4 state vectors.  Eigenphases of unitary matrices are extracted from
-the degree-4 characteristic polynomial (Durand-Kerner iteration followed by
-multiplicity-aware Newton polishing) rather than a general dense eigensolver.
-Accuracy target for the returned phases is 1e-9; exactly degenerate spectra
-are resolved through derivative tests, see `unitary_eigenphases`.
+length-4 state vectors.  Eigenphases of unitary matrices come from LAPACK's
+dense eigenvalue routine, see `unitary_eigenphases`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -97,164 +93,13 @@ def random_su2(rng) -> np.ndarray:
     return np.array([[a, -b.conjugate()], [b, a.conjugate()]], dtype=complex)
 
 
-# --- characteristic polynomial machinery -----------------------------------
-#
-# p(z) = det(z I - m) for a 4x4 matrix, coefficients by Newton's identities
-# from power-sum traces.  Coefficient lists are monic, highest power first.
-
-
-def _char_poly(m) -> list[complex]:
-    m = np.asarray(m, dtype=complex)
-    m2 = m @ m
-    m3 = m2 @ m
-    t1 = complex(np.trace(m))
-    t2 = complex(np.trace(m2))
-    t3 = complex(np.trace(m3))
-    t4 = complex(np.trace(m3 @ m))
-    e1 = t1
-    e2 = (e1 * t1 - t2) / 2.0
-    e3 = (e2 * t1 - e1 * t2 + t3) / 3.0
-    e4 = (e3 * t1 - e2 * t2 + e1 * t3 - t4) / 4.0
-    return [1.0 + 0.0j, -e1, e2, -e3, e4]
-
-
-def _horner(coeffs, z: complex) -> complex:
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * z + c
-    return acc
-
-
-def _derivative(coeffs) -> list[complex]:
-    deg = len(coeffs) - 1
-    return [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
-
-
-def _deflate(coeffs, z: complex) -> list[complex]:
-    # synthetic division by (x - z); remainder discarded
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + z * out[-1])
-    return out
-
-
-def _durand_kerner(coeffs, max_iter: int = 120) -> list[complex]:
-    deg = len(coeffs) - 1
-    # distinct starting points on the unit circle, offset from any symmetry axis
-    roots = [cmath.exp(1j * (0.4 + TWO_PI * k / deg)) for k in range(deg)]
-    for _ in range(max_iter):
-        moved = 0.0
-        for i in range(deg):
-            num = _horner(coeffs, roots[i])
-            den = 1.0 + 0.0j
-            for j in range(deg):
-                if j == i:
-                    continue
-                d = roots[i] - roots[j]
-                if abs(d) < 1e-30:
-                    d = 1e-30
-                den *= d
-            step = num / den
-            roots[i] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e-15:
-            break
-    return roots
-
-
-def _newton(coeffs, z: complex, iters: int = 60) -> complex:
-    dcoeffs = _derivative(coeffs)
-    for _ in range(iters):
-        df = _horner(dcoeffs, z)
-        if abs(df) < 1e-18:
-            break
-        step = _horner(coeffs, z) / df
-        z -= step
-        if abs(step) < 1e-16:
-            break
-    return z
-
-
-def _circular_mean(phases) -> float:
-    s = sum(cmath.exp(1j * p) for p in phases)
-    return cmath.phase(s)
-
-
-# Threshold for "this derivative vanishes": coefficient noise for a
-# unitary-normalized quartic sits near 1e-14, genuinely split roots at
-# distance d leave a residual of order (d/2)^mult.
-_MULT_TOL = 3e-12
-
-
-def _cluster_multiplicity(coeffs, phases) -> tuple[complex, int] | None:
-    """Try to certify the cluster as one multiple root; None if separated."""
-    mc = len(phases)
-    centroid = cmath.exp(1j * _circular_mean(phases))
-    derivs = [coeffs]
-    for _ in range(mc - 1):
-        derivs.append(_derivative(derivs[-1]))
-    for m_try in range(mc, 1, -1):
-        z = _newton(derivs[m_try - 1], centroid)
-        if abs(z) > 0.0:
-            z /= abs(z)
-        if all(abs(_horner(derivs[j], z)) <= _MULT_TOL for j in range(m_try)):
-            return z, m_try
-    return None
-
-
-def _circle_roots(coeffs) -> list[complex]:
-    """Roots of a monic self-inversive polynomial, all on the unit circle."""
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        z = -coeffs[1]
-        return [z / abs(z) if abs(z) > 0 else 1.0 + 0.0j]
-    raw = _durand_kerner(coeffs)
-    phases = sorted(cmath.phase(r) for r in raw)
-    # chain adjacent phases into clusters; 1.5e-3 exceeds the worst
-    # Durand-Kerner stagnation radius eps**(1/4) for an exact quadruple root
-    gap_tol = 1.5e-3
-    clusters = [[phases[0]]]
-    for p in phases[1:]:
-        if p - clusters[-1][-1] <= gap_tol:
-            clusters[-1].append(p)
-        else:
-            clusters.append([p])
-    if len(clusters) > 1 and (phases[0] + TWO_PI) - phases[-1] <= gap_tol:
-        clusters[0] = clusters.pop() + [p + TWO_PI for p in clusters[0]]
-    out: list[complex] = []
-    for cl in clusters:
-        if len(cl) == 1:
-            z = _newton(coeffs, cmath.exp(1j * cl[0]))
-            out.append(z / abs(z))
-            continue
-        cert = _cluster_multiplicity(coeffs, cl)
-        if cert is None:
-            # genuinely separated roots that merely sit close together
-            for p in cl:
-                z = _newton(coeffs, cmath.exp(1j * p))
-                out.append(z / abs(z))
-            continue
-        z, mult = cert
-        out.extend([z] * mult)
-        if mult < len(cl):
-            rest = coeffs
-            for _ in range(mult):
-                rest = _deflate(rest, z)
-            return out + _circle_roots(rest)
-    return out
-
-
 def unitary_eigenphases(m, tol: float = 1e-9) -> np.ndarray:
-    """Eigenphases of a 4x4 unitary, multiplicity counted, sorted ascending.
+    """Eigenphases of a unitary, multiplicity counted, sorted ascending.
 
     Returns phases theta in (-pi, pi] with e^{i theta} running over the
-    eigenvalues of `m`.  The characteristic polynomial at each returned
-    e^{i theta} vanishes to 1e-8 or better; simple and exactly repeated
-    eigenvalues come out to ~1e-9.  Clusters split by less than ~1e-5 are
-    merged, which is the resolution floor of the polynomial route.
+    eigenvalues of `m`.  A unitary is normal, so its eigenvalues are
+    perfectly conditioned (Bauer-Fike): LAPACK's `eigvals` gives them to
+    rounding, repeated and tightly clustered ones included.
     """
     m = require_unitary(m, tol=max(tol, 1e-9))
-    roots = _circle_roots(_char_poly(m))
-    return np.sort(wrap_angle(np.array([cmath.phase(r) for r in roots])))
+    return np.sort(wrap_angle(np.angle(np.linalg.eigvals(m))))

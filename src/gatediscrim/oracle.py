@@ -22,6 +22,8 @@ from .discrimination import ProbeState, probe_from_factors
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+# contraction of the product search's refinement window per round
+SHRINK_FACTOR = 0.25
 
 
 @dataclass(frozen=True)
@@ -29,13 +31,12 @@ class SearchConfig:
     """Knobs for the deterministic product-state search.
 
     grid_steps:        points per Bloch axis in the coarse product scan
-    refinement_rounds: local 9-point refinements after the coarse scan
-    shrink_factor:     contraction of the refinement window per round
+    refinement_rounds: local 9-point refinements after the coarse scan,
+                       each window SHRINK_FACTOR times the last
     """
 
     grid_steps: int = 32
     refinement_rounds: int = 4
-    shrink_factor: float = 0.25
 
     def __post_init__(self):
         # written as `not (lo <= x)` so that NaN fails every check
@@ -43,10 +44,6 @@ class SearchConfig:
             x = getattr(self, name)
             if not (isinstance(x, (int, np.integer)) and lo <= x):
                 raise DomainError(f"{name} must be an integer >= {lo}, got {x!r}")
-        if not (0.0 < self.shrink_factor < 1.0):
-            raise DomainError(
-                f"shrink_factor must lie in (0, 1), got {self.shrink_factor!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,7 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
         ]
     )
     for r in range(cfg.refinement_rounds):
-        h = spacing * cfg.shrink_factor**r
+        h = spacing * SHRINK_FACTOR**r
         axes = []
         for ax in range(4):
             grid = np.linspace(center[ax] - h[ax], center[ax] + h[ax], 9)

@@ -74,8 +74,9 @@ def simplex_min_modulus(phases, step=0.01):
 def polygon_origin_distance(phases):
     """Exact distance from the origin to conv{e^{i phi_k}}.
 
-    Triangle sign tests decide containment; otherwise the minimum over all
-    clamped segment projections.  Independent of the arc-gap route.
+    Triangle sign tests, taken against each triangle's orientation, decide
+    containment; otherwise the minimum over all clamped segment projections.
+    Independent of the arc-gap route.
     """
     z = np.exp(1j * np.asarray(phases, dtype=float).ravel())
     pts = np.column_stack([z.real, z.imag])
@@ -85,8 +86,13 @@ def polygon_origin_distance(phases):
 
     for i, j, k in itertools.combinations(range(m), 3):
         a, b, c = pts[i], pts[j], pts[k]
+        area = cross2(b - a, c - a)
+        # a zero-area triple contains nothing the segment pass below misses
+        if area == 0.0:
+            continue
         crosses = [cross2(b - a, -a), cross2(c - b, -b), cross2(a - c, -c)]
-        if all(x >= -1e-12 for x in crosses) or all(x <= 1e-12 for x in crosses):
+        # inside: the origin lies on the inner side of all three edges
+        if all(x * area >= 0.0 for x in crosses):
             return 0.0
     best = float(np.min(np.linalg.norm(pts, axis=1)))
     for i, j in itertools.combinations(range(m), 2):
@@ -97,3 +103,31 @@ def polygon_origin_distance(phases):
         s = min(max(float(-pts[i] @ d) / dd, 0.0), 1.0)
         best = min(best, float(np.linalg.norm(pts[i] + s * d)))
     return best
+
+
+def char_poly(m) -> list[complex]:
+    """Monic det(z I - m) of a 4x4 matrix, highest power first.
+
+    Coefficients by Newton's identities from the power-sum traces; an
+    eigen-solver-free oracle for eigenvalue routines.
+    """
+    m = np.asarray(m, dtype=complex)
+    m2 = m @ m
+    m3 = m2 @ m
+    t1 = complex(np.trace(m))
+    t2 = complex(np.trace(m2))
+    t3 = complex(np.trace(m3))
+    t4 = complex(np.trace(m3 @ m))
+    e1 = t1
+    e2 = (e1 * t1 - t2) / 2.0
+    e3 = (e2 * t1 - e1 * t2 + t3) / 3.0
+    e4 = (e3 * t1 - e2 * t2 + e1 * t3 - t4) / 4.0
+    return [1.0 + 0.0j, -e1, e2, -e3, e4]
+
+
+def horner(coeffs, z: complex) -> complex:
+    """Value at z of the polynomial with coefficients highest power first."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * z + c
+    return acc

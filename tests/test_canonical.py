@@ -154,6 +154,25 @@ def test_extract_local_invariance(rng):
         np.testing.assert_allclose(dec.alpha, d, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "alpha, cls",
+    [
+        ((PI / 4,) * 3, GateClass.SWAP_LIKE),
+        ((0.0, 0.0, 0.0), GateClass.IDENTITY),
+        ((0.3, 0.3 - 1e-6, 0.1), GateClass.ENTANGLING),
+        ((0.2 + 1e-6, 0.2, 0.2 - 1e-6), GateClass.ENTANGLING),
+    ],
+    ids=["swap", "identity", "split_pair", "split_triple"],
+)
+def test_extract_clustered_spectra(rng, alpha, cls):
+    # repeated magic eigenphases, or ones split by about 1e-6, come back to
+    # rounding under any local dressing
+    for _ in range(200):
+        dec = extract_interaction(dressed_gate(rng, alpha))
+        np.testing.assert_allclose(dec.alpha, alpha, rtol=0.0, atol=1e-9)
+        assert classify(dec.alpha) is cls
+
+
 def test_extract_global_phase_recovery(rng):
     for _ in range(25):
         d = canonical.random_weyl_vector(rng)

@@ -123,6 +123,19 @@ def test_hull_matches_exact_projection(rng):
         assert abs(exact - h.min_distance) <= 1e-9
 
 
+def test_polygon_origin_distance_oracle():
+    # a repeated or nearly repeated triple spans no triangle around the origin
+    assert polygon_origin_distance([0.3, 0.3, 0.3, 1.0]) == pytest.approx(
+        math.cos(0.35), abs=1e-12
+    )
+    assert polygon_origin_distance([0.3, 0.3 + 1e-13, 0.3 - 1e-13, 1.0]) == (
+        pytest.approx(math.cos(0.35), abs=1e-12)
+    )
+    assert polygon_origin_distance([0.0, 2.0, -2.0, 0.5]) == 0.0
+    # an origin on a segment is found by the segment pass
+    assert polygon_origin_distance([0.0, PI, 0.0, PI]) <= 1e-15
+
+
 def test_midpoint_quad_parallelogram(rng):
     # midpoints of a quadrilateral always form a parallelogram
     for _ in range(50):

@@ -22,13 +22,7 @@ PI = math.pi
 def test_search_config_validation():
     oracle.SearchConfig()  # defaults are legal
     oracle.SearchConfig(grid_steps=np.int64(8), refinement_rounds=np.int32(0))
-    bad = [
-        {"grid_steps": 7},
-        {"refinement_rounds": -1},
-        {"shrink_factor": 1.0},
-        {"shrink_factor": 0.0},
-        {"shrink_factor": math.nan},
-    ]
+    bad = [{"grid_steps": 7}, {"refinement_rounds": -1}]
     for field in ("grid_steps", "refinement_rounds"):
         bad += [{field: x} for x in (math.nan, math.inf, 8.5)]
     for kwargs in bad:
