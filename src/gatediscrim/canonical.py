@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DomainError, NotMagicDiagonalError
+from .errors import DomainError, NotMagicDiagonalError, NotUnitaryError
 from .numerics import wrap_angle
 
 PI = math.pi
@@ -35,6 +35,8 @@ MAGIC_BASIS = _SQ2 * np.array(
     dtype=complex,
 )
 _MAGIC_DAG = MAGIC_BASIS.conj().T
+_NAN44 = np.full((4, 4), np.nan, dtype=complex)
+_OFF_DIAG = 1.0 - np.eye(4)
 
 
 class GateClass(enum.Enum):
@@ -160,22 +162,40 @@ def relative_phases(u1, u2, tol: float = 1e-8) -> np.ndarray:
 
     Both operators must be diagonal in the magic basis within `tol`; W then
     acts as e^{-i omega_k} on magic vector k.  Entries are wrapped to
-    (-pi, pi] and kept in magic-basis order (not sorted).
+    (-pi, pi] and kept in magic-basis order (not sorted).  `tol` must be
+    finite and > 0 (DomainError).  The first gate is checked before the
+    second, each for shape and unitarity (NotUnitaryError, at tolerance
+    max(tol, 1e-9)) before magic-diagonality (NotMagicDiagonalError).
     """
-    mats = []
-    for name, u in (("first gate", u1), ("second gate", u2)):
-        u = numerics.require_unitary(u, tol=max(tol, 1e-9), name=name)
-        m = magic_rep(u)
-        off = m - np.diag(np.diag(m))
-        worst = float(np.max(np.abs(off)))
-        if worst > tol:
+    if not (0.0 < tol < math.inf):  # written so that NaN fails
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    gates = [np.asarray(u, dtype=complex) for u in (u1, u2)]
+    # both gates go through each check as one (2, 4, 4) stack; a gate of
+    # the wrong shape enters as NaN, which fails every check
+    stack = np.array([g if g.shape == (4, 4) else _NAN44 for g in gates])
+    gram = stack.conj().transpose(0, 2, 1) @ stack
+    resid = np.abs(gram - numerics.ID4).max(axis=(1, 2))
+    m = _MAGIC_DAG @ stack @ MAGIC_BASIS
+    worst = np.abs(m * _OFF_DIAG).max(axis=(1, 2))
+    unit_tol = max(tol, 1e-9)
+    names = ("first gate", "second gate")
+    for name, g, r, w in zip(names, gates, resid.tolist(), worst.tolist()):
+        if g.shape != (4, 4):
+            raise NotUnitaryError(f"{name} must be a 4x4 matrix, got shape {g.shape}")
+        if not (r <= unit_tol):  # written so that NaN fails
+            raise NotUnitaryError(
+                f"{name} is not unitary within tolerance {unit_tol:g}"
+            )
+        if w > tol:
             raise NotMagicDiagonalError(
-                f"{name} has off-diagonal magic-basis weight {worst:.3e} "
+                f"{name} has off-diagonal magic-basis weight {w:.3e} "
                 f"(tolerance {tol:g}); decompose it and strip the local "
                 f"factors first"
             )
-        mats.append(np.diag(m))
-    return wrap_angle(-np.angle(mats[0].conj() * mats[1]))
+    d = np.diagonal(m, axis1=1, axis2=2)
+    w = d[0].conj() * d[1]
+    # np.angle(w), without its wrapper
+    return wrap_angle(-np.arctan2(w.imag, w.real))
 
 
 def classify(alpha, tol: float = 1e-10) -> GateClass:

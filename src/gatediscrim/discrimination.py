@@ -72,12 +72,12 @@ def concurrence(u) -> float:
     u = np.asarray(u, dtype=complex).ravel()
     if u.shape != (4,):
         raise DomainError(f"magic amplitudes must have 4 entries, got {u.shape}")
-    n = float(np.sum(np.abs(u) ** 2))
+    n = float((np.abs(u) ** 2).sum())
     if not (abs(n - 1.0) <= 1e-10):  # written so that NaN fails
         raise NotNormalizedError(
             f"amplitudes have squared norm {n!r}, expected 1 within 1e-10"
         )
-    return float(abs(np.sum(u * u)))
+    return float(abs((u * u).sum()))
 
 
 def factor_product(u, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
@@ -90,17 +90,27 @@ def factor_product(u, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """
     u = np.asarray(u, dtype=complex).ravel()
     c = concurrence(u)
+    return _factor(canonical.MAGIC_BASIS @ u, c, tol)
+
+
+def _factor(psi, c: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`factor_product` given the ket psi and the concurrence c of its amplitudes."""
     if not (c <= tol):  # written so that NaN fails
         raise NotProductError(f"concurrence {c:.3e} exceeds tolerance {tol:g}")
-    amp = (canonical.MAGIC_BASIS @ u).reshape(2, 2)
-    row = int(np.argmax(np.sum(np.abs(amp) ** 2, axis=1)))
-    b = amp[row] / np.linalg.norm(amp[row])
+    amp = psi.reshape(2, 2)
+    row = int((np.abs(amp) ** 2).sum(axis=1).argmax())
+    b = amp[row] / _norm(amp[row])
     a = amp @ b.conj()
-    a = a / np.linalg.norm(a)
+    a = a / _norm(a)
     # gauge: rotate the first significant component of `a` to the real axis
-    lead = int(np.argmax(np.abs(a) > 1e-9))
+    lead = int((np.abs(a) > 1e-9).argmax())
     phase = a[lead] / abs(a[lead])
     return a * phase.conjugate(), b * phase
+
+
+def _norm(v) -> float:
+    """np.linalg.norm of a complex vector: its dot products, not its overhead."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def error_probability(fid: float, p1: float, p2: float) -> float:
@@ -118,12 +128,12 @@ def error_probability(fid: float, p1: float, p2: float) -> float:
 
 def _probe_from_amplitudes(u, via_fallback: bool = False) -> ProbeState:
     u = np.asarray(u, dtype=complex).ravel()
-    n = float(np.sum(np.abs(u) ** 2))
+    n = float((np.abs(u) ** 2).sum())
     if not (abs(n - 1.0) <= 1e-12):  # written so that NaN fails
         raise NotNormalizedError(f"probe amplitudes squared norm {n!r} != 1")
     psi = canonical.MAGIC_BASIS @ u
     try:
-        a, b = factor_product(u)
+        a, b = _factor(psi, concurrence(u), 1e-8)
     except NotProductError:
         a = b = None
     return ProbeState(
@@ -145,19 +155,35 @@ def probe_from_factors(psi_a, psi_b, via_fallback: bool = False) -> ProbeState:
     return _probe_from_amplitudes(u, via_fallback=via_fallback)
 
 
-def achieved_overlap(u, omega) -> float:
-    """|sum_k |u_k|^2 e^{-i omega_k}| actually reached by amplitudes u."""
-    w = np.abs(np.asarray(u, dtype=complex).ravel()) ** 2
+def _phase_vector(omega) -> np.ndarray:
+    """omega as a float array of 4 entries; DomainError otherwise or on NaN/inf."""
     om = np.asarray(omega, dtype=float).ravel()
-    return float(abs(np.sum(w * np.exp(-1j * om))))
+    if om.shape != (4,):
+        raise DomainError(f"omega must have 4 entries, got {om.shape}")
+    if not all(map(math.isfinite, om.tolist())):
+        raise DomainError(f"omega must be finite, got {om.tolist()}")
+    return om
+
+
+def achieved_overlap(u, omega) -> float:
+    """|sum_k |u_k|^2 e^{-i omega_k}| actually reached by amplitudes u.
+
+    Raises DomainError unless u and omega have 4 entries and omega is finite.
+    """
+    u = np.asarray(u, dtype=complex).ravel()
+    if u.shape != (4,):
+        raise DomainError(f"magic amplitudes must have 4 entries, got {u.shape}")
+    om = _phase_vector(omega)
+    return float(abs((np.abs(u) ** 2 * np.exp(-1j * om)).sum()))
 
 
 def _hull(om) -> geometry.HullResult:
     """Hull of the points e^{-i omega_k}; it decides every verdict here."""
-    return geometry.hull_of_phases(wrap_angle(-om))
+    # the hull wraps -omega itself
+    return geometry.hull_of_phases(-om)
 
 
-def _varignon_weights(mids) -> np.ndarray:
+def _varignon_weights(mids) -> list[float]:
     """Convex weights alpha over a midpoint cycle M0..M3 with sum alpha_k M_k = 0.
 
     Edge midpoints of any quadrilateral form a parallelogram (Varignon), so
@@ -167,22 +193,26 @@ def _varignon_weights(mids) -> np.ndarray:
     regular because the sides are half the quadrilateral's diagonals, which
     cross (or, for a padded triangle, share one vertex).  An origin within
     the verdict tolerance outside the parallelogram gets clipped weights.
+    `mids` holds four (x, y) pairs; the sums run in the order numpy's
+    reductions use, so the weights match the array formulas bit for bit.
     """
-    c = mids.mean(axis=0)
-    (p, q), (r, s) = mids[0] - c, mids[1] - c
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = mids
+    cx = (((x0 + x1) + x2) + x3) / 4
+    cy = (((y0 + y1) + y2) + y3) / 4
+    p, q, r, s = x0 - cx, y0 - cy, x1 - cx, y1 - cy
     det = p * s - q * r
-    a = (r * c[1] - s * c[0]) / det
-    b = (q * c[0] - p * c[1]) / det
-    alpha = np.array(
-        [(1.0 - abs(b) + a) / 2, max(b, 0.0), (1.0 - abs(b) - a) / 2, max(-b, 0.0)]
-    )
-    alpha = np.clip(alpha, 0.0, None)
-    return alpha / alpha.sum()
+    a = (r * cy - s * cx) / det
+    b = (q * cx - p * cy) / det
+    raw = ((1.0 - abs(b) + a) / 2, b, (1.0 - abs(b) - a) / 2, -b)
+    # clipped at 0 the way np.clip does it: -0.0 becomes 0.0
+    alpha = [x if x > 0.0 else 0.0 for x in raw]
+    total = ((alpha[0] + alpha[1]) + alpha[2]) + alpha[3]
+    return [x / total for x in alpha]
 
 
 def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
     n = len(hull.vertices)
-    u = np.zeros(4, dtype=complex)
+    u = [0j] * 4
     if not hull.origin_inside:
         # the chord between the angular extremes realizes the minimum; put
         # equal weight on one representative of each end with a 90 degree
@@ -192,14 +222,14 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
         else:
             ia = hull.groups[0].indices[0]
             ib = hull.groups[-1].indices[0]
-        u[ia] = _SQ2
+        u[ia] = complex(_SQ2)
         u[ib] = 1j * _SQ2
-        return u
+        return np.array(u)
     # origin inside: vertex weight w_k is the mean of the weights of the two
     # midpoints on vertex k, walked around an even cycle so the
     # alternating-phase trick cancels sum(u^2)
     if n == 2:
-        cyc, w = [0, 1], np.array([0.5, 0.5])
+        cyc, w = [0, 1], [0.5, 0.5]
     else:
         if n == 3:
             dup = max(range(3), key=lambda i: hull.groups[i].multiplicity)
@@ -210,15 +240,22 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
                     cyc.append(i)
         else:
             cyc = [0, 1, 2, 3]
-        pts = np.array([hull.vertices[i].xy for i in cyc])
-        alpha = _varignon_weights(0.5 * (pts + np.roll(pts, -1, axis=0)))
-        w = 0.5 * (alpha + np.roll(alpha, 1))
+        pts = [
+            (math.cos(hull.vertices[i].phase), math.sin(hull.vertices[i].phase))
+            for i in cyc
+        ]
+        mids = [
+            (0.5 * (x + x1), 0.5 * (y + y1))
+            for (x, y), (x1, y1) in zip(pts, pts[1:] + pts[:1])
+        ]
+        alpha = _varignon_weights(mids)
+        w = [0.5 * (alpha[k] + alpha[k - 1]) for k in range(4)]
     taken = [0] * n
     for pos, g in enumerate(cyc):
         orig = hull.groups[g].indices[taken[g]]
         taken[g] += 1
         u[orig] = math.sqrt(w[pos]) * (1.0 if pos % 2 == 0 else 1.0j)
-    return u
+    return np.array(u)
 
 
 def construct_probe(omega) -> ProbeState:
@@ -231,20 +268,15 @@ def construct_probe(omega) -> ProbeState:
     instead and the result is tagged `via_fallback`; if both miss,
     ConstructionFailedError.
     """
-    om = np.asarray(omega, dtype=float).ravel()
-    if om.shape != (4,):
-        raise DomainError(f"omega must have 4 entries, got {om.shape}")
-    if not np.all(np.isfinite(om)):
-        raise DomainError(f"omega must be finite, got {om.tolist()}")
-    om = wrap_angle(om)
-    return _probe_for_hull(om, _hull(om))
+    om = wrap_angle(_phase_vector(omega))
+    return _probe_for_hull(om, _hull(om))[0]
 
 
-def _probe_for_hull(om, hull: geometry.HullResult) -> ProbeState:
+def _probe_for_hull(om, hull: geometry.HullResult) -> tuple[ProbeState, float]:
+    """(probe, the overlap it achieves) for the hull of -om."""
     try:
         probe = _probe_from_amplitudes(_amplitudes_for_hull(hull))
-        _validate_probe(probe, om, hull.min_distance)
-        return probe
+        return probe, _validate_probe(probe, om, hull.min_distance)[0]
     except ConstructionFailedError as err:
         first_err = err
     from . import oracle  # heavy import kept local; also avoids a cycle
@@ -254,16 +286,16 @@ def _probe_for_hull(om, hull: geometry.HullResult) -> ProbeState:
     _, probe = oracle.min_over_product_states(np.eye(4, dtype=complex), w_gate, cfg)
     probe = replace(probe, via_fallback=True)
     try:
-        _validate_probe(probe, om, hull.min_distance)
+        return probe, _validate_probe(probe, om, hull.min_distance)[0]
     except ConstructionFailedError as err:
         raise ConstructionFailedError(
             f"fallback search also missed tolerance: {err} "
             f"(construction error was: {first_err})"
         ) from err
-    return probe
 
 
-def _validate_probe(probe, omega, target):
+def _validate_probe(probe, omega, target) -> tuple[float, float]:
+    """(achieved overlap, concurrence) of `probe`, both held to VERDICT_TOL."""
     got = achieved_overlap(probe.u, omega)
     c = concurrence(probe.u)
     # written so that a NaN fails
@@ -272,6 +304,7 @@ def _validate_probe(probe, omega, target):
             f"probe reaches {got!r} against hull minimum {target!r} "
             f"with concurrence {c:.3e}"
         )
+    return got, c
 
 
 def fidelity(u1, u2, tol: float = 1e-8) -> tuple[float, np.ndarray]:
@@ -297,7 +330,7 @@ def discriminate(u1, u2, p1: float = 0.5, tol: float = 1e-8) -> DiscriminationRe
     p2 = 1.0 - p1
     om = canonical.relative_phases(u1, u2, tol=tol)
     hull = _hull(om)
-    probe = _probe_for_hull(om, hull)
+    probe, achieved = _probe_for_hull(om, hull)
     return DiscriminationReport(
         omega=om,
         fidelity=hull.min_distance,
@@ -311,5 +344,5 @@ def discriminate(u1, u2, p1: float = 0.5, tol: float = 1e-8) -> DiscriminationRe
             else CaseTag.ORIGIN_OUTSIDE
         ),
         probe=probe,
-        achieved_value=achieved_overlap(probe.u, om),
+        achieved_value=achieved,
     )

@@ -61,13 +61,15 @@ class HullResult:
     spread: float = field(default=0.0)
 
 
-def _finite_phases(phases) -> np.ndarray:
-    """Phases as a wrapped 1-d array; DomainError on NaN or inf."""
-    ph = np.atleast_1d(np.asarray(phases, dtype=float))
-    # a few phases per call: the list check beats the ufunc round trip
-    if not all(map(math.isfinite, ph.tolist())):
-        raise DomainError(f"phases must be finite, got {ph.tolist()}")
-    return wrap_angle(ph)
+def _finite_phases(phases) -> list[float]:
+    """Phases as a list of wrapped floats; DomainError if empty, NaN or inf."""
+    vals = np.asarray(phases, dtype=float).ravel().tolist()
+    if not vals:
+        raise DomainError("phases must not be empty")
+    # a few phases per call: scalar checks and wraps beat the ufunc round trip
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"phases must be finite, got {vals}")
+    return [wrap_angle(x) for x in vals]
 
 
 def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
@@ -75,14 +77,16 @@ def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
 
     Groups are returned sorted by representative phase in (-pi, pi]; each
     keeps the original input indices and a circular-mean representative.
-    Raises DomainError on a non-finite phase.
+    Raises DomainError on empty input, a non-finite phase, or a `tol` that
+    is negative or not finite.
     """
-    return _dedupe(_finite_phases(phases), tol)[2]
+    return _dedupe(_finite_phases(phases), tol)[1]
 
 
-def _dedupe(ph: np.ndarray, tol: float):
-    """(values, stable ascending order, merged groups) of wrapped phases."""
-    vals = ph.tolist()
+def _dedupe(vals: list[float], tol: float):
+    """(stable ascending order, merged groups) of wrapped phases."""
+    if not (0.0 <= tol < math.inf):  # written so that NaN fails
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     order = sorted(range(len(vals)), key=vals.__getitem__)
     runs: list[list[int]] = [[order[0]]]
     for idx in order[1:]:
@@ -93,30 +97,35 @@ def _dedupe(ph: np.ndarray, tol: float):
     # the circle closes: last run may wrap onto the first
     if len(runs) > 1 and (vals[runs[0][0]] + TWO_PI) - vals[runs[-1][-1]] <= tol:
         runs[0] = runs.pop() + runs[0]
-    offsets = [
-        float(np.mean(wrap_angle(ph[run] - ph[run[0]]))) if len(run) > 1 else 0.0
-        for run in runs
-    ]
-    reps = wrap_angle(ph[[run[0] for run in runs]] + offsets).tolist()
-    groups = [
-        PhaseGroup(phase=rep, indices=tuple(sorted(run)))
-        for rep, run in zip(reps, runs)
-    ]
+    groups = []
+    for run in runs:
+        rep = vals[run[0]]
+        if len(run) > 1:
+            # circular mean of the run, taken about its first phase
+            offsets = wrap_angle(np.array([vals[i] for i in run]) - rep)
+            rep = wrap_angle(rep + float(np.mean(offsets)))
+        groups.append(PhaseGroup(phase=rep, indices=tuple(sorted(run))))
     groups.sort(key=lambda g: g.phase)
-    return vals, order, groups
+    return order, groups
+
+
+def _largest_gap(raw: list[float]) -> tuple[int, float]:
+    """(i, spread) for ascending phases: the largest empty arc runs from
+    raw[i] to raw[i+1] (mod len), and the rest of the circle is `spread`."""
+    gaps = [b - a for a, b in zip(raw, raw[1:])] + [(raw[0] + TWO_PI) - raw[-1]]
+    imax = max(range(len(raw)), key=gaps.__getitem__)
+    return imax, TWO_PI - gaps[imax]
 
 
 def arc_spread(phases) -> float:
     """Angular extent of the smallest closed arc covering all phases.
 
-    Raises DomainError on a non-finite phase.
+    Raises DomainError on empty input or a non-finite phase.
     """
-    ph = np.sort(_finite_phases(phases))
-    if ph.size == 1:
+    raw = sorted(_finite_phases(phases))
+    if len(raw) == 1:
         return 0.0
-    gaps = np.diff(ph)
-    wrap_gap = (ph[0] + TWO_PI) - ph[-1]
-    return float(TWO_PI - max(float(np.max(gaps)), wrap_gap))
+    return _largest_gap(raw)[1]
 
 
 def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
@@ -130,8 +139,11 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     smallest phase.  Outside, the ordering starts just after the largest
     empty arc, so vertices[0] and vertices[-1] are the angular extremes and
     `nearest_edge` is the chord (len-1, 0) that realizes `min_distance`.
+    Raises DomainError on empty input, a non-finite phase, or a `tol` that
+    is negative or not finite.
     """
-    vals, order, groups = _dedupe(_finite_phases(phases), tol)
+    vals = _finite_phases(phases)
+    order, groups = _dedupe(vals, tol)
     n = len(groups)
     if n == 1:
         g = groups[0]
@@ -145,21 +157,17 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
             nearest_edge=None,
             spread=0.0,
         )
-    raw = [vals[i] for i in order]
-    m = len(raw)
-    # gap i sits between raw phase i and raw phase i+1 (mod m)
-    gaps = [b - a for a, b in zip(raw, raw[1:])] + [(raw[0] + TWO_PI) - raw[-1]]
-    imax = max(range(m), key=gaps.__getitem__)
-    spread = TWO_PI - gaps[imax]
-    first = (imax + 1) % m
+    imax, spread = _largest_gap([vals[i] for i in order])
+    first = (imax + 1) % len(order)
     # the chord between the angular extremes; its midpoint lies
     # cos(spread / 2) from the origin
-    chord_mid = 0.5 * (CirclePoint(raw[first]).xy + CirclePoint(raw[imax]).xy)
-    distance = float(np.hypot(*chord_mid)) if spread < math.pi else 0.0
+    lo, hi = vals[order[first]], vals[order[imax]]
+    mid_x = 0.5 * (math.cos(lo) + math.cos(hi))
+    mid_y = 0.5 * (math.sin(lo) + math.sin(hi))
+    distance = float(np.hypot(mid_x, mid_y)) if spread < math.pi else 0.0
     if distance <= VERDICT_TOL:
-        verts = [CirclePoint(g.phase) for g in groups]
         return HullResult(
-            vertices=verts,
+            vertices=[CirclePoint(g.phase) for g in groups],
             groups=groups,
             origin_inside=True,
             min_distance=0.0,
@@ -170,13 +178,12 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     # the group holding the raw phase just after the largest gap opens the arc
     start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
     groups = groups[start:] + groups[:start]
-    verts = [CirclePoint(g.phase) for g in groups]
     return HullResult(
-        vertices=verts,
+        vertices=[CirclePoint(g.phase) for g in groups],
         groups=groups,
         origin_inside=False,
         min_distance=distance,
-        nearest_point=chord_mid,
+        nearest_point=np.array([mid_x, mid_y]),
         nearest_edge=(n - 1, 0),
         spread=spread,
     )

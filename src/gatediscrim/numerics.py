@@ -44,6 +44,11 @@ def wrap_angle(theta):
     # fmod is exact, and so is the shift by TWO_PI: the shifted value lies
     # within a factor of two of TWO_PI (Sterbenz); the zero shift of an
     # in-range angle turns -0.0 into 0.0
+    if isinstance(theta, float):
+        # one angle: the same steps in scalar arithmetic, without numpy's
+        # per-call cost; fmod of an infinity is NaN, as in numpy
+        r = math.fmod(theta, TWO_PI) if math.isfinite(theta) else math.nan
+        return r + (TWO_PI if r <= -math.pi else -TWO_PI if r > math.pi else 0.0)
     r = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
     out = r + _WRAP_SHIFTS[np.searchsorted(_WRAP_EDGES, r)]
     if out.ndim == 0:

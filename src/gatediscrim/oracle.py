@@ -26,6 +26,11 @@ TWO_PI = 2.0 * math.pi
 SHRINK_FACTOR = 0.25
 
 
+def _is_count(x, lo: int) -> bool:
+    """An integer >= lo; a bool is not a count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= lo
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the deterministic product-state search.
@@ -39,10 +44,9 @@ class SearchConfig:
     refinement_rounds: int = 4
 
     def __post_init__(self):
-        # written as `not (lo <= x)` so that NaN fails every check
         for name, lo in (("grid_steps", 8), ("refinement_rounds", 0)):
             x = getattr(self, name)
-            if not (isinstance(x, (int, np.integer)) and lo <= x):
+            if not _is_count(x, lo):
                 raise DomainError(f"{name} must be an integer >= {lo}, got {x!r}")
 
 
@@ -180,10 +184,13 @@ def helstrom_simulate(
     possible outputs.  Orthogonal outputs therefore produce exactly zero
     errors.  The shots are independent, so the confusion counts are drawn
     as binomials, in memory independent of `shots`.  Deterministic for a
-    fixed seed.
+    fixed seed.  `shots` must be an integer >= 1 and `seed` an integer >= 0
+    (a bool is neither), else DomainError.
     """
-    if not (isinstance(shots, (int, np.integer)) and shots >= 1):
+    if not _is_count(shots, 1):
         raise DomainError(f"shots must be a positive integer, got {shots!r}")
+    if not _is_count(seed, 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not (0.0 <= p1 <= 1.0):
         raise DomainError(f"prior p1 = {p1!r} outside [0, 1]")
     u1 = numerics.require_unitary(u1, name="first gate")

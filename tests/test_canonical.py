@@ -15,7 +15,7 @@ from gatediscrim.canonical import (
     lambda_phases,
     relative_phases,
 )
-from gatediscrim.errors import DomainError, NotMagicDiagonalError
+from gatediscrim.errors import DomainError, NotMagicDiagonalError, NotUnitaryError
 from gatediscrim.numerics import ID4, SWAP, kron, wrap_angle
 
 from conftest import dressed_gate, phases_close, random_unitary
@@ -221,6 +221,48 @@ def test_relative_phases_rejects_dressed(rng):
     with pytest.raises(NotMagicDiagonalError) as exc:
         relative_phases(ID4, u)
     assert "decompose" in str(exc.value)
+
+
+IX = kron(numerics.ID2, numerics.PAULI_X)
+
+
+@pytest.mark.parametrize(
+    "u1, u2, name",
+    [
+        (np.eye(3), np.eye(3), "first gate"),
+        (ID4, np.eye(3), "second gate"),
+        (ID4, np.eye(8), "second gate"),
+        (np.ones(4), ID4, "first gate"),
+    ],
+    ids=["eye3", "eye3_second", "eye8_second", "vector_first"],
+)
+def test_relative_phases_rejects_non_4x4(u1, u2, name):
+    with pytest.raises(NotUnitaryError, match=name):
+        relative_phases(u1, u2)
+
+
+def test_relative_phases_error_order():
+    # first gate before second; within a gate, unitarity before the magic check
+    cases = [
+        (2 * ID4, 2 * ID4, NotUnitaryError, "first gate"),
+        (2 * ID4, IX, NotUnitaryError, "first gate"),
+        (IX, 2 * ID4, NotMagicDiagonalError, "first gate"),
+        (IX, np.eye(3), NotMagicDiagonalError, "first gate"),
+        (2 * ID4, np.eye(3), NotUnitaryError, "first gate"),
+        (ID4, 2 * IX, NotUnitaryError, "second gate"),
+        (ID4, IX, NotMagicDiagonalError, "second gate"),
+    ]
+    for u1, u2, err, name in cases:
+        with pytest.raises(err, match=name):
+            relative_phases(u1, u2)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0, -math.inf])
+def test_relative_phases_tol_domain(tol):
+    # tol = inf used to accept I x X (off-diagonal magic weight 1) as omega = 0
+    for u2 in (IX, ID4):
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
+            relative_phases(ID4, u2, tol=tol)
 
 
 def test_from_magic_phases_round_trip(rng):

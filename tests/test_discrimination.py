@@ -19,6 +19,7 @@ from gatediscrim.errors import (
     DomainError,
     NotNormalizedError,
     NotProductError,
+    NotUnitaryError,
 )
 from gatediscrim.numerics import ID4, kron, wrap_angle
 
@@ -346,3 +347,54 @@ def test_tolerance_checks_fail_on_nan():
         factor_product([SQ2, 1j * SQ2, 0, 0], tol=math.nan)
     with pytest.raises(NotNormalizedError, match="probe amplitudes"):
         discrimination._probe_from_amplitudes([math.nan, 0, 0, 0])
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_gate_pair_entry_points_check_tol(tol):
+    ix = kron(numerics.ID2, numerics.PAULI_X)
+    for fn in (fidelity, perfectly_distinguishable, discriminate):
+        with pytest.raises(DomainError, match="tol"):
+            fn(ID4, ix, tol=tol)
+
+
+def test_gate_pair_entry_points_reject_non_4x4():
+    for fn in (fidelity, perfectly_distinguishable, discriminate):
+        with pytest.raises(NotUnitaryError, match="second gate"):
+            fn(ID4, np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "u, om",
+    [
+        ([1.0, 0.0, 0.0], np.zeros(4)),
+        ([1.0, 0.0, 0.0, 0.0, 0.0], np.zeros(4)),
+        ([1.0, 0.0, 0.0, 0.0], np.zeros(3)),
+        ([1.0, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0, 0.0]),
+        ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, math.inf, 0.0]),
+        ([1.0, 0.0, 0.0, 0.0], [-math.inf, 0.0, 0.0, 0.0]),
+    ],
+    ids=["u3", "u5", "omega3", "omega_nan", "omega_inf", "omega_minus_inf"],
+)
+def test_achieved_overlap_rejects_bad_input(u, om):
+    with pytest.raises(DomainError):
+        discrimination.achieved_overlap(u, om)
+
+
+def test_achieved_overlap_and_construct_probe_share_messages():
+    # one validator: the same omega fails both with the same message
+    for om in ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0, 2.0]):
+        with pytest.raises(DomainError) as a:
+            discrimination.achieved_overlap([1.0, 0.0, 0.0, 0.0], om)
+        with pytest.raises(DomainError) as b:
+            construct_probe(om)
+        assert str(a.value) == str(b.value)
+
+
+def test_validate_probe_returns_overlap_and_concurrence():
+    om = np.array([0.3, 1.1, -0.4, 0.9])
+    p = construct_probe(om)
+    r = discriminate(ID4, canonical.from_magic_phases(om))
+    got, c = discrimination._validate_probe(p, wrap_angle(om), r.fidelity)
+    assert got == discrimination.achieved_overlap(p.u, om)
+    assert c == concurrence(p.u)
+    assert r.achieved_value == discrimination.achieved_overlap(r.probe.u, r.omega)

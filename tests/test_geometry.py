@@ -162,3 +162,24 @@ def test_non_finite_phases_rejected(fn, bad):
     # rejected before wrap_angle, which would warn on inf
     with pytest.raises(DomainError):
         fn([bad, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("fn", [dedupe_phases, hull_of_phases, arc_spread])
+@pytest.mark.parametrize("empty", [[], np.zeros(0), ()])
+def test_empty_phases_rejected(fn, empty):
+    with pytest.raises(DomainError, match="empty"):
+        fn(empty)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+@pytest.mark.parametrize("fn", [dedupe_phases, hull_of_phases])
+def test_merge_tol_domain(fn, tol):
+    # tol = nan used to merge nothing, silently
+    with pytest.raises(DomainError, match="tol"):
+        fn([0.0, 1e-12, 2.0], tol=tol)
+
+
+def test_merge_tol_zero_merges_only_equal_phases():
+    groups = dedupe_phases([0.5, 0.5, 0.5 + 1e-15, 2.0], tol=0.0)
+    assert [g.indices for g in groups] == [(0, 1), (2,), (3,)]
+    assert hull_of_phases([0.5, 0.5, 2.0], tol=0.0).groups[0].multiplicity == 2

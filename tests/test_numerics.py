@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,22 @@ def test_wrap_angle_is_exact_in_range(rng):
         assert wrap_angle(x) == x
     z = wrap_angle(-0.0)
     assert z == 0.0 and not np.signbit(z)
+
+
+def test_wrap_angle_scalar_matches_array(rng):
+    # a float goes through math.fmod, an array through np.fmod: same bits
+    odd = (2 * np.arange(-200, 200) + 1) * np.pi
+    ends = np.concatenate([odd + d * np.spacing(odd) for d in range(-4, 5)])
+    t = np.concatenate(
+        [rng.uniform(-50, 50, size=5000), ends, [0.0, -0.0, 1e300, -1e300, 5e-324]]
+    )
+    w = wrap_angle(t)
+    for x, expect in zip(t.tolist(), w.tolist()):
+        got = wrap_angle(x)
+        assert type(got) is float
+        assert got == expect and np.signbit(got) == np.signbit(expect)
+    for bad in (math.nan, math.inf, -math.inf):
+        assert math.isnan(wrap_angle(bad))
 
 
 def test_kron_pauli_example():

@@ -30,6 +30,26 @@ def test_search_config_validation():
             oracle.SearchConfig(**kwargs)
 
 
+def test_search_config_rejects_bool_counts():
+    for field in ("grid_steps", "refinement_rounds"):
+        for x in (True, False, np.bool_(True)):
+            with pytest.raises(DomainError):
+                oracle.SearchConfig(**{field: x})
+
+
+def test_helstrom_rejects_bool_shots_and_bad_seeds():
+    probe = construct_probe(np.zeros(4))
+    for shots in (True, False, np.bool_(True)):
+        with pytest.raises(DomainError, match="shots"):
+            oracle.helstrom_simulate(ID4, ID4, probe, shots=shots)
+    for seed in (-1, 1.5, 2.0, math.nan, True, None, "3"):
+        with pytest.raises(DomainError, match="seed"):
+            oracle.helstrom_simulate(ID4, ID4, probe, seed=seed)
+    # numpy integers and large seeds stay legal
+    for seed in (np.int64(3), 0, 2**70):
+        oracle.helstrom_simulate(ID4, ID4, probe, shots=10, seed=seed)
+
+
 def test_product_search_matches_analytic_examples():
     # default configuration must land within grid-refinement resolution
     val, probe = oracle.min_over_product_states(ID4, canonical.build_ud((PI / 8, 0, 0)))
