@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DomainError, NotMagicDiagonalError, NotUnitaryError
+from .errors import DomainError, NotMagicDiagonalError
 from .numerics import wrap_angle
 
 PI = math.pi
@@ -35,7 +35,6 @@ MAGIC_BASIS = _SQ2 * np.array(
     dtype=complex,
 )
 _MAGIC_DAG = MAGIC_BASIS.conj().T
-_NAN44 = np.full((4, 4), np.nan, dtype=complex)
 _OFF_DIAG = 1.0 - np.eye(4)
 
 
@@ -61,12 +60,8 @@ class InteractionDecomposition:
 
 def check_weyl(alpha, tol: float = 1e-12) -> np.ndarray:
     """Validate ordering and bounds of an interaction vector."""
-    a = np.asarray(alpha, dtype=float).ravel()
-    if a.shape != (3,):
-        raise DomainError(f"interaction vector must have 3 entries, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"interaction vector must be finite, got {a.tolist()}")
-    ax, ay, az = (float(x) for x in a)
+    a = numerics.require_finite(alpha, "interaction vector", 3)
+    ax, ay, az = a.tolist()
     if az < -tol:
         raise DomainError(f"alpha_z >= 0 violated: alpha_z = {az!r}")
     if ay < az - tol:
@@ -108,11 +103,7 @@ def build_ud(alpha) -> np.ndarray:
 
 def from_magic_phases(omega) -> np.ndarray:
     """Unitary acting as e^{-i omega_k} on magic vector k, any phase vector."""
-    om = np.asarray(omega, dtype=float).ravel()
-    if om.shape != (4,):
-        raise DomainError(f"phase vector must have 4 entries, got {om.shape}")
-    if not np.all(np.isfinite(om)):
-        raise DomainError(f"phase vector must be finite, got {om.tolist()}")
+    om = numerics.require_finite(omega, "phase vector", 4)
     return (MAGIC_BASIS * np.exp(-1j * om)) @ _MAGIC_DAG
 
 
@@ -130,14 +121,16 @@ def extract_interaction(u, tol: float = 1e-9) -> InteractionDecomposition:
     Works for any unitary, magic-diagonal or dressed with local factors.
     Round-trips with `build_ud` to rounding, degenerate spectra such as the
     identity and SWAP included, because the eigenphases of the unitary Gram
-    matrix are perfectly conditioned.
+    matrix are perfectly conditioned.  NotUnitaryError unless `u` is a 4x4
+    matrix unitary within `tol`.
     """
-    u = numerics.require_unitary(u, tol=tol, name="gate")
+    u = numerics.require_gates([u], tol, ["gate"])[0]
     det = complex(np.linalg.det(u))
     global_phase = cmath.phase(det) / 4.0
     v = magic_rep(u) * cmath.exp(-1j * global_phase)
     gram = v.T @ v
-    theta = numerics.unitary_eigenphases(gram)
+    # gram is unitary because u is: no second check, at another tolerance
+    theta = numerics.eigenphases(gram)
     lam = wrap_angle(-0.5 * theta)
     # halving each phase can flip the parity of the sum; legal branch moves
     # only come in pairs, so restore sum(lam) = 0 (mod 2 pi) explicitly
@@ -167,25 +160,14 @@ def relative_phases(u1, u2, tol: float = 1e-8) -> np.ndarray:
     second, each for shape and unitarity (NotUnitaryError, at tolerance
     max(tol, 1e-9)) before magic-diagonality (NotMagicDiagonalError).
     """
-    if not (0.0 < tol < math.inf):  # written so that NaN fails
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    gates = [np.asarray(u, dtype=complex) for u in (u1, u2)]
-    # both gates go through each check as one (2, 4, 4) stack; a gate of
-    # the wrong shape enters as NaN, which fails every check
-    stack = np.array([g if g.shape == (4, 4) else _NAN44 for g in gates])
-    gram = stack.conj().transpose(0, 2, 1) @ stack
-    resid = np.abs(gram - numerics.ID4).max(axis=(1, 2))
+    numerics.require_positive(tol)
+    # both gates go through each check as one (2, 4, 4) stack
+    stack, errors = numerics.check_gates((u1, u2), max(tol, 1e-9))
     m = _MAGIC_DAG @ stack @ MAGIC_BASIS
     worst = np.abs(m * _OFF_DIAG).max(axis=(1, 2))
-    unit_tol = max(tol, 1e-9)
-    names = ("first gate", "second gate")
-    for name, g, r, w in zip(names, gates, resid.tolist(), worst.tolist()):
-        if g.shape != (4, 4):
-            raise NotUnitaryError(f"{name} must be a 4x4 matrix, got shape {g.shape}")
-        if not (r <= unit_tol):  # written so that NaN fails
-            raise NotUnitaryError(
-                f"{name} is not unitary within tolerance {unit_tol:g}"
-            )
+    for name, err, w in zip(numerics.PAIR_NAMES, errors, worst.tolist()):
+        if err is not None:
+            raise err
         if w > tol:
             raise NotMagicDiagonalError(
                 f"{name} has off-diagonal magic-basis weight {w:.3e} "

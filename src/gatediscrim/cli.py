@@ -18,29 +18,16 @@ import numpy as np
 
 from . import __version__, canonical, discrimination, files, geometry, oracle, svg
 from .errors import DomainError, GateDiscrimError
-from .numerics import wrap_angle
+from .numerics import require_finite, require_positive, wrap_angle
 
 
 def _angles(text: str, count: int, degrees: bool, what: str) -> np.ndarray:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
-        raise DomainError(f"{what} needs {count} comma-separated numbers")
     try:
-        vals = np.array([float(p) for p in parts])
+        vals = [float(p) for p in text.split(",")]
     except ValueError as err:
         raise DomainError(f"{what}: {err}") from err
-    if not np.all(np.isfinite(vals)):
-        raise DomainError(f"{what} needs finite numbers, got {text!r}")
-    if degrees:
-        vals = np.deg2rad(vals)
-    return vals
-
-
-def _tol(args) -> float:
-    # 0 < tol < inf is False for NaN as well
-    if not (0.0 < args.tol < math.inf):
-        raise DomainError(f"--tol must be finite and > 0, got {args.tol!r}")
-    return args.tol
+    vals = require_finite(vals, what, count)
+    return np.deg2rad(vals) if degrees else vals
 
 
 def _cmd_build_ud(args) -> int:
@@ -53,8 +40,9 @@ def _cmd_build_ud(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    gate = files.load_matrix_file(args.gate, tol=_tol(args))
-    dec = canonical.extract_interaction(gate.matrix)
+    tol = require_positive(args.tol, "--tol")
+    gate = files.load_matrix_file(args.gate, tol=tol)
+    dec = canonical.extract_interaction(gate.matrix, tol=tol)
     doc = {
         "kind": "decomposition",
         "tool": "gatediscrim",
@@ -71,7 +59,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_discriminate(args) -> int:
-    tol = _tol(args)
+    tol = require_positive(args.tol, "--tol")
     g1 = files.load_matrix_file(args.first, tol=tol)
     g2 = files.load_matrix_file(args.second, tol=tol)
     report = discrimination.discriminate(
@@ -94,7 +82,7 @@ def _cmd_discriminate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    tol = _tol(args)
+    tol = require_positive(args.tol, "--tol")
     g1 = files.load_matrix_file(args.first, tol=tol)
     g2 = files.load_matrix_file(args.second, tol=tol)
     report = discrimination.discriminate(
@@ -148,7 +136,7 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
             f"probe reaches {report.achieved_value!r} vs fidelity "
             f"{report.fidelity!r}"
         )
-    conc = discrimination.concurrence(report.probe.u)
+    conc = report.probe.concurrence
     if conc > geometry.VERDICT_TOL:
         bad.append(f"probe concurrence {conc:.3e}")
     if report.perfectly_distinguishable != (report.fidelity <= geometry.VERDICT_TOL):

@@ -16,13 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import canonical, geometry
-from .errors import (
-    ConstructionFailedError,
-    DomainError,
-    NotNormalizedError,
-    NotProductError,
-)
+from . import canonical, geometry, numerics
+from .errors import ConstructionFailedError, DomainError, NotProductError
 from .numerics import wrap_angle
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -40,13 +35,15 @@ class ProbeState:
     `u` holds the magic-basis amplitudes, `psi_computational` the same state
     in the computational basis.  For product states the single-qubit factors
     are attached with a fixed gauge (first significant component of
-    `local_a` real nonnegative); entangled states carry None.
+    `local_a` real nonnegative); entangled states carry None.  `concurrence`
+    is that of `u`, see `concurrence`.
     """
 
     u: np.ndarray
     psi_computational: np.ndarray
     local_a: np.ndarray | None
     local_b: np.ndarray | None
+    concurrence: float
     via_fallback: bool = False
 
     @property
@@ -69,14 +66,7 @@ class DiscriminationReport:
 
 def concurrence(u) -> float:
     """|sum_k u_k^2| for normalized magic amplitudes; 0 iff product state."""
-    u = np.asarray(u, dtype=complex).ravel()
-    if u.shape != (4,):
-        raise DomainError(f"magic amplitudes must have 4 entries, got {u.shape}")
-    n = float((np.abs(u) ** 2).sum())
-    if not (abs(n - 1.0) <= 1e-10):  # written so that NaN fails
-        raise NotNormalizedError(
-            f"amplitudes have squared norm {n!r}, expected 1 within 1e-10"
-        )
+    u = numerics.require_normalized(u, name="magic amplitudes")
     return float(abs((u * u).sum()))
 
 
@@ -126,54 +116,37 @@ def error_probability(fid: float, p1: float, p2: float) -> float:
     return 0.5 * (1.0 - math.sqrt(max(rad, 0.0)))
 
 
-def _probe_from_amplitudes(u, via_fallback: bool = False) -> ProbeState:
-    u = np.asarray(u, dtype=complex).ravel()
-    n = float((np.abs(u) ** 2).sum())
-    if not (abs(n - 1.0) <= 1e-12):  # written so that NaN fails
-        raise NotNormalizedError(f"probe amplitudes squared norm {n!r} != 1")
+def _probe_from_amplitudes(u) -> ProbeState:
+    u = numerics.require_normalized(u, 1e-12, "probe amplitudes")
     psi = canonical.MAGIC_BASIS @ u
+    c = concurrence(u)
     try:
-        a, b = _factor(psi, concurrence(u), 1e-8)
+        a, b = _factor(psi, c, 1e-8)
     except NotProductError:
         a = b = None
     return ProbeState(
-        u=u,
-        psi_computational=psi,
-        local_a=a,
-        local_b=b,
-        via_fallback=via_fallback,
+        u=u, psi_computational=psi, local_a=a, local_b=b, concurrence=c
     )
 
 
-def probe_from_factors(psi_a, psi_b, via_fallback: bool = False) -> ProbeState:
+def probe_from_factors(psi_a, psi_b) -> ProbeState:
     """ProbeState for an explicit product ket psi_a x psi_b."""
     a = np.asarray(psi_a, dtype=complex).ravel()
     b = np.asarray(psi_b, dtype=complex).ravel()
     a = a / np.linalg.norm(a)
     b = b / np.linalg.norm(b)
     u = canonical.MAGIC_BASIS.conj().T @ np.kron(a, b)
-    return _probe_from_amplitudes(u, via_fallback=via_fallback)
-
-
-def _phase_vector(omega) -> np.ndarray:
-    """omega as a float array of 4 entries; DomainError otherwise or on NaN/inf."""
-    om = np.asarray(omega, dtype=float).ravel()
-    if om.shape != (4,):
-        raise DomainError(f"omega must have 4 entries, got {om.shape}")
-    if not all(map(math.isfinite, om.tolist())):
-        raise DomainError(f"omega must be finite, got {om.tolist()}")
-    return om
+    return _probe_from_amplitudes(u)
 
 
 def achieved_overlap(u, omega) -> float:
     """|sum_k |u_k|^2 e^{-i omega_k}| actually reached by amplitudes u.
 
-    Raises DomainError unless u and omega have 4 entries and omega is finite.
+    Raises DomainError unless u holds 4 amplitudes of unit norm (within
+    1e-10, else NotNormalizedError) and omega 4 finite phases.
     """
-    u = np.asarray(u, dtype=complex).ravel()
-    if u.shape != (4,):
-        raise DomainError(f"magic amplitudes must have 4 entries, got {u.shape}")
-    om = _phase_vector(omega)
+    u = numerics.require_normalized(u, name="magic amplitudes")
+    om = numerics.require_finite(omega, "omega", 4)
     return float(abs((np.abs(u) ** 2 * np.exp(-1j * om)).sum()))
 
 
@@ -268,7 +241,7 @@ def construct_probe(omega) -> ProbeState:
     instead and the result is tagged `via_fallback`; if both miss,
     ConstructionFailedError.
     """
-    om = wrap_angle(_phase_vector(omega))
+    om = wrap_angle(numerics.require_finite(omega, "omega", 4))
     return _probe_for_hull(om, _hull(om))[0]
 
 
@@ -297,7 +270,7 @@ def _probe_for_hull(om, hull: geometry.HullResult) -> tuple[ProbeState, float]:
 def _validate_probe(probe, omega, target) -> tuple[float, float]:
     """(achieved overlap, concurrence) of `probe`, both held to VERDICT_TOL."""
     got = achieved_overlap(probe.u, omega)
-    c = concurrence(probe.u)
+    c = probe.concurrence
     # written so that a NaN fails
     if not (abs(got - target) <= geometry.VERDICT_TOL and c <= geometry.VERDICT_TOL):
         raise ConstructionFailedError(

@@ -23,8 +23,6 @@ from .errors import DomainError
 class LoadedGate:
     matrix: np.ndarray
     label: str
-    kind: str
-    alpha: np.ndarray | None = None
 
 
 def _pair(z) -> list[float]:
@@ -46,12 +44,15 @@ def floats(v) -> list[float]:
 
 
 def _as_complex_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != 4:
-        raise DomainError("matrix file needs exactly 4 rows")
-    out = np.empty((4, 4), dtype=complex)
+    """`rows` as a complex matrix of any shape; the gate check judges that."""
+    if (
+        not isinstance(rows, list)
+        or not rows
+        or not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
+    ):
+        raise DomainError("matrix file needs a list of rows of equal length")
+    out = np.empty((len(rows), len(rows[0])), dtype=complex)
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 4:
-            raise DomainError(f"matrix row {i} must have exactly 4 entries")
         for j, cell in enumerate(row):
             if (
                 not isinstance(cell, list)
@@ -67,10 +68,12 @@ def _as_complex_matrix(rows) -> np.ndarray:
 
 def load_matrix_file(path, tol: float = 1e-8) -> LoadedGate:
     """Read a gate file; raises DomainError with a specific message on any
-    malformed content, non-unitary matrix, or out-of-chamber alpha."""
+    malformed content or out-of-chamber alpha, and NotUnitaryError for a
+    matrix that is not a 4x4 unitary within `tol`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            # integers as floats: one too large for a float becomes inf
+            doc = json.load(fh, parse_int=float)
     except OSError as err:
         raise DomainError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
@@ -83,22 +86,14 @@ def load_matrix_file(path, tol: float = 1e-8) -> LoadedGate:
         raise DomainError(f"{path}: label must be a string")
     if kind == "matrix":
         m = _as_complex_matrix(doc.get("rows"))
-        if not numerics.is_unitary(m, tol=tol):
-            raise DomainError(
-                f"{path}: matrix is not unitary within tolerance {tol:g}"
-            )
-        return LoadedGate(matrix=m, label=label, kind="matrix")
+        m = numerics.require_gates([m], tol, [f"{path}: matrix"])[0]
+        return LoadedGate(matrix=m, label=label)
     if kind == "alpha":
         a = doc.get("alpha")
-        if (
-            not isinstance(a, list)
-            or len(a) != 3
-            or not all(isinstance(x, (int, float)) for x in a)
-        ):
+        if not isinstance(a, list) or not all(isinstance(x, (int, float)) for x in a):
             raise DomainError(f"{path}: alpha must be a list of 3 numbers")
-        alpha = np.asarray(a, dtype=float)
-        matrix = canonical.build_ud(alpha)  # validates the chamber
-        return LoadedGate(matrix=matrix, label=label, kind="alpha", alpha=alpha)
+        # build_ud checks the entry count, finiteness and the chamber
+        return LoadedGate(matrix=canonical.build_ud(a), label=label)
     raise DomainError(
         f"{path}: kind must be 'matrix' or 'alpha', got {kind!r}"
     )
@@ -146,15 +141,13 @@ def matrix_document(matrix, label: str) -> dict:
 
 
 def probe_block(probe) -> dict:
-    from .discrimination import concurrence
-
     return {
         "magic_amplitudes": vector_pairs(probe.u),
         "computational": vector_pairs(probe.psi_computational),
         "weights": floats(probe.weights),
         "local_a": None if probe.local_a is None else vector_pairs(probe.local_a),
         "local_b": None if probe.local_b is None else vector_pairs(probe.local_b),
-        "concurrence": float(concurrence(probe.u)),
+        "concurrence": float(probe.concurrence),
         "via_fallback": bool(probe.via_fallback),
     }
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateHullError, DomainError
-from .numerics import wrap_angle
+from .numerics import require_finite, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,13 +63,8 @@ class HullResult:
 
 def _finite_phases(phases) -> list[float]:
     """Phases as a list of wrapped floats; DomainError if empty, NaN or inf."""
-    vals = np.asarray(phases, dtype=float).ravel().tolist()
-    if not vals:
-        raise DomainError("phases must not be empty")
-    # a few phases per call: scalar checks and wraps beat the ufunc round trip
-    if not all(map(math.isfinite, vals)):
-        raise DomainError(f"phases must be finite, got {vals}")
-    return [wrap_angle(x) for x in vals]
+    # a few phases per call: scalar wraps beat the ufunc round trip
+    return [wrap_angle(x) for x in require_finite(phases, "phases").tolist()]
 
 
 def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:

@@ -1,8 +1,11 @@
-"""Fixed-size complex linear algebra for two-qubit gates.
+"""Fixed-size complex linear algebra for two-qubit gates, and the input checks.
 
 Everything operates on plain numpy arrays: 2x2 and 4x4 complex matrices and
 length-4 state vectors.  Eigenphases of unitary matrices come from LAPACK's
-dense eigenvalue routine, see `unitary_eigenphases`.
+dense eigenvalue routine, see `unitary_eigenphases`.  This module is also
+the one home of the input checks, one per input kind: gates, finite vectors,
+unit-norm amplitudes and positive tolerances.  NaN fails each of them, and
+each raises a `DomainError` subclass, never a numpy error or warning.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import NotUnitaryError, NotNormalizedError
+from .errors import DomainError, NotNormalizedError, NotUnitaryError
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,6 +32,9 @@ SWAP = np.array(
     ],
     dtype=complex,
 )
+# stands in for a failing gate: numpy carries NaN through without a warning
+_NAN44 = np.full((4, 4), np.nan, dtype=complex)
+PAIR_NAMES = ("first gate", "second gate")
 
 # wrap_angle's shift for r <= -pi, for -pi < r <= pi and for r > pi
 _WRAP_EDGES = np.array([-math.pi, math.pi])
@@ -61,12 +67,23 @@ def kron(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def unitarity_residual(m) -> np.ndarray:
+    """max |m^dag m - I| of a square matrix, or of each in a (k, n, n) stack.
+
+    NaN and inf entries, and products that overflow, give a NaN or inf
+    residual, which fails every `r <= tol` test, and no numpy warning.
+    """
+    n = m.shape[-1]
+    with np.errstate(all="ignore"):
+        gram = m.conj().swapaxes(-1, -2) @ m
+        return np.abs(gram - (ID4 if n == 4 else np.eye(n))).max(axis=(-2, -1))
+
+
 def is_unitary(m, tol: float = 1e-9) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    d = m.conj().T @ m - np.eye(m.shape[0])
-    return bool(np.max(np.abs(d)) <= tol)
+    return bool(unitarity_residual(m) <= tol)
 
 
 def require_unitary(m, tol: float = 1e-9, name: str = "matrix"):
@@ -78,14 +95,71 @@ def require_unitary(m, tol: float = 1e-9, name: str = "matrix"):
     return m
 
 
+def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
+    """(stack, errors) for two-qubit gates, checked in one stacked pass.
+
+    `stack` is a (k, 4, 4) complex array; errors[i] is the NotUnitaryError
+    that gates[i], called names[i], fails with (not a 4x4 matrix, or not
+    unitary within `tol`), else None.  A failing gate enters `stack` as NaN.
+    """
+    arrs = [np.asarray(g, dtype=complex) for g in gates]
+    stack = np.array([a if a.shape == (4, 4) else _NAN44 for a in arrs])
+    errors = [None] * len(arrs)
+    for i, r in enumerate(unitarity_residual(stack).tolist()):
+        if not (r <= tol):  # a gate of another shape has a NaN residual
+            shape = arrs[i].shape
+            errors[i] = NotUnitaryError(
+                f"{names[i]} must be a 4x4 matrix, got shape {shape}"
+                if shape != (4, 4)
+                else f"{names[i]} is not unitary within tolerance {tol:g}"
+            )
+            stack[i] = _NAN44
+    return stack, errors
+
+
+def require_gates(gates, tol: float = 1e-9, names=PAIR_NAMES) -> np.ndarray:
+    """`check_gates`' stack; raises the first gate's error, if any."""
+    stack, errors = check_gates(gates, tol, names)
+    if any(errors):
+        raise next(err for err in errors if err is not None)
+    return stack
+
+
+def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
+    """`v` flattened to floats; DomainError unless it holds `size` entries
+    (at least one when `size` is None) and every one is finite."""
+    a = np.asarray(v, dtype=float).ravel()
+    if size is None and a.size == 0:
+        raise DomainError(f"{what} must not be empty")
+    if size is not None and a.shape != (size,):
+        raise DomainError(f"{what} must have {size} entries, got {a.shape}")
+    # a few entries per call: scalar checks beat the ufunc round trip
+    vals = a.tolist()
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"{what} must be finite, got {vals}")
+    return a
+
+
 def require_normalized(v, tol: float = 1e-10, name: str = "state"):
+    """`v` as 4 complex amplitudes; DomainError for another entry count,
+    NotNormalizedError unless the squared norm is 1 within `tol`."""
     v = np.asarray(v, dtype=complex).ravel()
-    n = float(np.sum(np.abs(v) ** 2))
-    if not (abs(n - 1.0) <= tol):  # written so that NaN fails
+    if v.shape != (4,):
+        raise DomainError(f"{name} must have 4 entries, got {v.shape}")
+    # scalar products overflow to inf without a warning
+    n = sum(z.real * z.real + z.imag * z.imag for z in v.tolist())
+    if not (abs(n - 1.0) <= tol):
         raise NotNormalizedError(
             f"{name} has squared norm {n!r}, expected 1 within {tol:g}"
         )
     return v
+
+
+def require_positive(tol: float, what: str = "tol") -> float:
+    """`tol` itself; DomainError unless it is finite and > 0."""
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"{what} must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def random_su2(rng) -> np.ndarray:
@@ -106,5 +180,9 @@ def unitary_eigenphases(m, tol: float = 1e-9) -> np.ndarray:
     perfectly conditioned (Bauer-Fike): LAPACK's `eigvals` gives them to
     rounding, repeated and tightly clustered ones included.
     """
-    m = require_unitary(m, tol=max(tol, 1e-9))
+    return eigenphases(require_unitary(m, tol=max(tol, 1e-9)))
+
+
+def eigenphases(m) -> np.ndarray:
+    """`unitary_eigenphases` of a matrix its caller has already checked."""
     return np.sort(wrap_angle(np.angle(np.linalg.eigvals(m))))

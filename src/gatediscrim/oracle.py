@@ -69,14 +69,6 @@ def _angle_axes(cfg: SearchConfig):
     return theta, phi
 
 
-def _unpack(lin: int, shapes) -> tuple[int, ...]:
-    out = []
-    for s in reversed(shapes):
-        out.append(lin % s)
-        lin //= s
-    return tuple(reversed(out))
-
-
 def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     """Grid-minimize |<psi|u1^dag u2|psi>| over product probes psi.
 
@@ -86,12 +78,11 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     (value, ProbeState of the best product probe found).
     """
     cfg = cfg or SearchConfig()
-    u1 = numerics.require_unitary(u1, name="first gate")
-    u2 = numerics.require_unitary(u2, name="second gate")
+    u1, u2 = numerics.require_gates((u1, u2))
     w = u1.conj().T @ u2
     theta, phi = _angle_axes(cfg)
     val, lin = _kernels.product_scan(w, theta, phi, theta, phi)
-    i, j, k, l = _unpack(lin, (len(theta), len(phi), len(theta), len(phi)))
+    i, j, k, l = np.unravel_index(lin, (len(theta), len(phi), len(theta), len(phi)))
     center = np.array([theta[i], phi[j], theta[k], phi[l]])
     spacing = np.array(
         [
@@ -112,7 +103,7 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
         v2, lin2 = _kernels.product_scan(w, *axes)
         if v2 < val:
             val = v2
-            idx = _unpack(lin2, tuple(len(a) for a in axes))
+            idx = np.unravel_index(lin2, tuple(len(a) for a in axes))
             center = np.array([axes[ax][idx[ax]] for ax in range(4)])
     ta, pa, tb, pb = center
     a = np.array([math.cos(0.5 * ta), math.sin(0.5 * ta) * np.exp(1j * pa)])
@@ -132,8 +123,7 @@ def min_over_all_states(u1, u2, cfg: SearchConfig | None = None):
     segment weights.  `cfg` is ignored: there is nothing to tune.  Returns
     (value, psi).
     """
-    u1 = numerics.require_unitary(u1, name="first gate")
-    u2 = numerics.require_unitary(u2, name="second gate")
+    u1, u2 = numerics.require_gates((u1, u2))
     lam, vecs = np.linalg.eig(u1.conj().T @ u2)
     # eig need not return orthogonal vectors for a repeated eigenvalue; QR
     # makes them orthonormal and keeps each column in its eigenspace
@@ -193,8 +183,7 @@ def helstrom_simulate(
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not (0.0 <= p1 <= 1.0):
         raise DomainError(f"prior p1 = {p1!r} outside [0, 1]")
-    u1 = numerics.require_unitary(u1, name="first gate")
-    u2 = numerics.require_unitary(u2, name="second gate")
+    u1, u2 = numerics.require_gates((u1, u2))
     p2 = 1.0 - p1
     psi = numerics.require_normalized(probe.psi_computational, name="probe")
     out1 = u1 @ psi

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import __version__, files, geometry
-from .numerics import wrap_angle
+from .numerics import require_finite, wrap_angle
 
 _W = 2.9
 _VIEW = f"-{_W / 2} -{_W / 2} {_W} {_W}"
@@ -49,7 +49,7 @@ def _text(x, y, s, size=0.11, fill="#222222") -> str:
 
 def render_hull_svg(omega) -> str:
     """SVG document (text) for the hull picture of a 4-phase vector."""
-    om = wrap_angle(np.asarray(omega, dtype=float).ravel())
+    om = wrap_angle(require_finite(omega, "omega", 4))
     hull = geometry.hull_of_phases(wrap_angle(-om))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

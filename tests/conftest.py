@@ -287,7 +287,7 @@ def _ref_probe_for_hull(om, hull):
     a = b = None
     if _ref_concurrence(u) <= 1e-8:
         a, b = _ref_factor_product(u)
-    probe = ProbeState(u, canonical.MAGIC_BASIS @ u, a, b, False)
+    probe = ProbeState(u, canonical.MAGIC_BASIS @ u, a, b, _ref_concurrence(u), False)
     # the closed form must not miss: the reference has no fallback
     assert abs(ref_achieved_overlap(u, om) - hull.min_distance) <= geometry.VERDICT_TOL
     assert _ref_concurrence(u) <= geometry.VERDICT_TOL

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gatediscrim import cli, files, oracle, svg
@@ -159,6 +160,53 @@ def test_decompose_rejects_nonunitary(capsys):
     code, _, err = run_main(capsys, "decompose", g("09"))
     assert code == 2
     assert "not unitary" in err
+
+
+def test_decompose_tol_reaches_the_analysis(capsys, tmp_path):
+    # unitarity residual 4e-7: the file check and the analysis both use --tol
+    path = tmp_path / "near.json"
+    files.write_document(files.matrix_document((1.0 + 2e-7) * np.eye(4), "near"), path)
+    code, _, err = run_main(capsys, "decompose", str(path))
+    assert code == 2 and "not unitary within tolerance 1e-08" in err
+    code, text, err = run_main(capsys, "decompose", str(path), "--tol", "1e-6")
+    assert (code, err) == (0, "")
+    assert files.parse_document(text)["class"] == "Identity"
+
+
+def _identity_rows_with(entry: str) -> str:
+    rows = files.matrix_pairs(np.eye(4))
+    rows[1][2] = [12345.0, 0.0]
+    return json.dumps({"kind": "matrix", "rows": rows}).replace("12345.0", entry)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: _write(tmp / "inf.json", _identity_rows_with("Infinity")),
+        lambda tmp: _write(tmp / "1e400.json", _identity_rows_with("1e400")),
+        lambda tmp: _write(tmp / "int400.json", _identity_rows_with("1" + "0" * 400)),
+        lambda tmp: g("09"),
+        lambda tmp: g("10"),
+        lambda tmp: g("11"),
+    ],
+    ids=["infinity", "1e400", "int400", "09", "10", "11"],
+)
+def test_rejected_gate_file_gives_one_line(tmp_path, make):
+    # a cold run with Python's default warning filters: a numpy warning or a
+    # traceback would add lines to stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "gatediscrim.cli", "decompose", make(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def _write(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
@@ -353,6 +401,7 @@ def test_console_script_if_installed():
     [
         lambda p: files.write_document({"x": float("nan")}, p),
         lambda p: svg.write_hull_svg([math.nan, 0.0, 0.0, 0.0], p),
+        lambda p: svg.write_hull_svg([0.0, math.inf, 0.0, 0.0], p),
     ],
 )
 def test_failed_write_leaves_no_partial_file(tmp_path, write):

@@ -1,9 +1,11 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from gatediscrim import numerics
+from gatediscrim import canonical, discrimination, files, numerics, oracle
 from gatediscrim.errors import NotNormalizedError, NotUnitaryError
 from gatediscrim.numerics import (
     ID2,
@@ -187,3 +189,75 @@ def test_require_normalized_rejects_nan():
         numerics.require_normalized([np.nan, 0, 0, 0])
     with pytest.raises(NotNormalizedError):
         numerics.require_normalized([1, 0, 0, 0], tol=np.nan)
+
+
+def _with_entry(x):
+    m = ID4.copy()
+    m[1, 2] = x
+    return m
+
+
+# gates every entry point must reject: wrong shapes, then 4x4 matrices whose
+# unitarity residual is NaN, inf (inf - inf) or overflows
+BAD_GATES = {
+    "eye2": np.eye(2),
+    "eye3": np.eye(3),
+    "vector4": np.ones(4),
+    "nan": _with_entry(math.nan),
+    "inf": _with_entry(math.inf),
+    "1e200": _with_entry(1e200),
+}
+
+
+def _gate_file(path, g):
+    # a vector is stored as a one-row matrix; json writes NaN and Infinity
+    rows = files.matrix_pairs(np.atleast_2d(g))
+    path.write_text(json.dumps({"kind": "matrix", "rows": rows}))
+    return str(path)
+
+
+_PROBE = discrimination.construct_probe(np.zeros(4))
+
+# (call with the bad gate g, the name the error must carry)
+GATE_ENTRY_POINTS = {
+    "relative_phases": (lambda g, p: canonical.relative_phases(ID4, g), "second gate"),
+    "fidelity": (lambda g, p: discrimination.fidelity(g, ID4), "first gate"),
+    "perfectly_distinguishable": (
+        lambda g, p: discrimination.perfectly_distinguishable(ID4, g),
+        "second gate",
+    ),
+    "discriminate": (lambda g, p: discrimination.discriminate(g, g), "first gate"),
+    "extract_interaction": (lambda g, p: canonical.extract_interaction(g), "gate"),
+    "min_over_product_states": (
+        lambda g, p: oracle.min_over_product_states(ID4, g),
+        "second gate",
+    ),
+    "min_over_all_states": (lambda g, p: oracle.min_over_all_states(g, ID4), "first gate"),
+    "helstrom_simulate": (
+        lambda g, p: oracle.helstrom_simulate(ID4, g, _PROBE),
+        "second gate",
+    ),
+    "load_matrix_file": (lambda g, p: files.load_matrix_file(_gate_file(p, g)), "gate.json"),
+}
+
+
+@pytest.mark.parametrize("entry", list(GATE_ENTRY_POINTS))
+def test_gate_entry_points_reject_bad_gates(entry, tmp_path):
+    call, name = GATE_ENTRY_POINTS[entry]
+    for label, g in BAD_GATES.items():
+        # pytest turns a numpy warning into an error that fails the match
+        with pytest.raises(NotUnitaryError, match=re.escape(name)):
+            call(g, tmp_path / "gate.json")
+        if g.ndim != 2 or g.shape == (4, 4):
+            # the identities of other sizes are unitary
+            assert not is_unitary(g), label
+
+
+def test_extract_interaction_keeps_its_tolerance():
+    # residual 4e-7: accepted at tol=1e-6, and its derived Gram matrix with it
+    u = (1.0 + 2e-7) * ID4
+    assert 3.9e-7 < np.abs(u.conj().T @ u - ID4).max() < 4.1e-7
+    dec = canonical.extract_interaction(u, tol=1e-6)
+    np.testing.assert_allclose(dec.alpha, np.zeros(3), atol=1e-12)
+    with pytest.raises(NotUnitaryError, match="gate is not unitary within tolerance 1e-07"):
+        canonical.extract_interaction(u, tol=1e-7)

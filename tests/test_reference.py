@@ -38,7 +38,7 @@ def same(a, b) -> bool:
 
 
 def assert_same_probe(p, q):
-    for name in ("u", "psi_computational", "local_a", "local_b", "via_fallback"):
+    for name in ("u", "psi_computational", "local_a", "local_b", "concurrence", "via_fallback"):
         assert same(getattr(p, name), getattr(q, name)), name
 
 
