@@ -173,6 +173,11 @@ def test_decompose_tol_reaches_the_analysis(capsys, tmp_path):
     assert files.parse_document(text)["class"] == "Identity"
 
 
+def _write(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
 def _identity_rows_with(entry: str) -> str:
     rows = files.matrix_pairs(np.eye(4))
     rows[1][2] = [12345.0, 0.0]
@@ -202,11 +207,6 @@ def test_rejected_gate_file_gives_one_line(tmp_path, make):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-
-
-def _write(path, text: str) -> str:
-    path.write_text(text)
-    return str(path)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
