@@ -95,6 +95,7 @@ def _cmd_simulate(args) -> int:
         p1=args.p1,
         shots=args.shots,
         seed=args.seed,
+        tol=tol,
     )
     analytic = report.error_probability
     diff = outcome.empirical_rate - analytic

@@ -297,9 +297,7 @@ def perfectly_distinguishable(u1, u2, tol: float = 1e-8) -> bool:
 
 def discriminate(u1, u2, p1: float = 0.5, tol: float = 1e-8) -> DiscriminationReport:
     """Full single-query analysis of a magic-diagonal gate pair."""
-    if not (-1e-12 <= p1 <= 1.0 + 1e-12):
-        raise DomainError(f"prior p1 = {p1!r} outside [0, 1]")
-    p1 = min(max(p1, 0.0), 1.0)
+    p1 = numerics.require_prior(p1)
     p2 = 1.0 - p1
     om = canonical.relative_phases(u1, u2, tol=tol)
     hull = _hull(om)

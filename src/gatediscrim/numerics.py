@@ -4,8 +4,9 @@ Everything operates on plain numpy arrays: 2x2 and 4x4 complex matrices and
 length-4 state vectors.  Eigenphases of unitary matrices come from LAPACK's
 dense eigenvalue routine, see `unitary_eigenphases`.  This module is also
 the one home of the input checks, one per input kind: gates, finite vectors,
-unit-norm amplitudes and positive tolerances.  NaN fails each of them, and
-each raises a `DomainError` subclass, never a numpy error or warning.
+unit-norm amplitudes, positive tolerances and priors.  NaN fails each of
+them, and each raises a `DomainError` subclass, never a numpy error or
+warning.
 """
 
 from __future__ import annotations
@@ -160,6 +161,14 @@ def require_positive(tol: float, what: str = "tol") -> float:
     if not (0.0 < tol < math.inf):
         raise DomainError(f"{what} must be finite and > 0, got {tol!r}")
     return tol
+
+
+def require_prior(p1: float) -> float:
+    """The prior `p1` clamped to [0, 1]; DomainError for NaN, inf or a value
+    more than 1e-12 outside [0, 1]."""
+    if not (-1e-12 <= p1 <= 1.0 + 1e-12):
+        raise DomainError(f"prior p1 = {p1!r} outside [0, 1]")
+    return min(max(p1, 0.0), 1.0)
 
 
 def random_su2(rng) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Nothing here reuses the magic basis or the hull geometry of the phases:
 the product-state search walks a Bloch-angle grid with deterministic
-refinement, the all-states optimum is computed exactly from the
+refinement (each scan two real matrix products in the Pauli basis, see
+`_kernels`), the all-states optimum is computed exactly from the
 eigenvalues of u1^dag u2 (the numerical range of a normal matrix is the
 convex hull of its eigenvalues), and `helstrom_simulate` samples the
 measurement's confusion counts.  They can therefore confirm (or refute)
@@ -166,6 +167,7 @@ def helstrom_simulate(
     p1: float = 0.5,
     shots: int = 10_000,
     seed: int = 0,
+    tol: float = 1e-9,
 ) -> ShotOutcome:
     """Sample the optimal two-outcome measurement for u1-vs-u2 on `probe`.
 
@@ -175,15 +177,16 @@ def helstrom_simulate(
     errors.  The shots are independent, so the confusion counts are drawn
     as binomials, in memory independent of `shots`.  Deterministic for a
     fixed seed.  `shots` must be an integer >= 1 and `seed` an integer >= 0
-    (a bool is neither), else DomainError.
+    (a bool is neither), `p1` a prior as `numerics.require_prior` takes it
+    and `tol`, the gates' unitarity tolerance, finite and > 0, else
+    DomainError.
     """
     if not _is_count(shots, 1):
         raise DomainError(f"shots must be a positive integer, got {shots!r}")
     if not _is_count(seed, 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    if not (0.0 <= p1 <= 1.0):
-        raise DomainError(f"prior p1 = {p1!r} outside [0, 1]")
-    u1, u2 = numerics.require_gates((u1, u2))
+    p1 = numerics.require_prior(p1)
+    u1, u2 = numerics.require_gates((u1, u2), numerics.require_positive(tol))
     p2 = 1.0 - p1
     psi = numerics.require_normalized(probe.psi_computational, name="probe")
     out1 = u1 @ psi

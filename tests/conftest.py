@@ -318,3 +318,40 @@ def ref_discriminate(u1, u2, p1=0.5, tol=1e-8):
         probe=probe,
         achieved_value=ref_achieved_overlap(probe.u, om),
     )
+
+
+# --- reference product scan --------------------------------------------------
+# The product-grid scan as it stood before it moved to the real Bloch form:
+# complex outer-product rows, one complex matmul per block and a modulus
+# pass.  tests/test_oracle.py holds the Bloch-form kernel to it.
+
+_REF_BLOCK = 64
+
+
+def _ref_outer_rows(theta, phi) -> np.ndarray:
+    """Rows conj(s_i) s_k over (i, k) for the states s(theta, phi), grid-major."""
+    h = 0.5 * np.asarray(theta, dtype=float)
+    n_phi = len(phi)
+    c = np.repeat(np.cos(h), n_phi)
+    s = np.repeat(np.sin(h), n_phi) * np.tile(np.exp(1j * np.asarray(phi)), len(h))
+    return np.stack([c * c, c * s, c * s.conj(), s.conj() * s], axis=1)
+
+
+def ref_product_scan(w, ta, pa, tb, pb):
+    """Min of |<psi_a x psi_b| w |psi_a x psi_b>| over the Bloch-angle grid.
+
+    Returns (value, linear_index) with the linear index running row-major
+    over (i_ta, j_pa, k_tb, l_pb).
+    """
+    w = np.asarray(w, dtype=complex).reshape(2, 2, 2, 2)
+    # w[(i, j), (k, l)] regrouped as W[(i, k), (j, l)]
+    aw = _ref_outer_rows(ta, pa) @ w.transpose(0, 2, 1, 3).reshape(4, 4)
+    bt = np.ascontiguousarray(_ref_outer_rows(tb, pb).T)
+    n_b = bt.shape[1]
+    best_val, best_lin = np.inf, 0
+    for start in range(0, aw.shape[0], _REF_BLOCK):
+        vals = np.abs(aw[start : start + _REF_BLOCK] @ bt)
+        flat = int(np.argmin(vals))  # row-major: ties resolve to lower index
+        if vals.flat[flat] < best_val:  # strict: earlier blocks win ties
+            best_val, best_lin = float(vals.flat[flat]), start * n_b + flat
+    return best_val, best_lin

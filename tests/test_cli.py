@@ -250,6 +250,28 @@ def test_simulate_anchor_pair(capsys):
     assert sum(map(sum, doc["confusion"])) == 100000
 
 
+def test_simulate_tol_reaches_the_simulator(capsys, tmp_path):
+    # unitarity residual 4e-7, as in the decompose case: --tol 1e-6 must hold
+    # for the file check, the analysis and the shot simulator alike
+    path = tmp_path / "near.json"
+    files.write_document(files.matrix_document((1.0 + 2e-7) * np.eye(4), "near"), path)
+    code, _, err = run_main(capsys, "simulate", str(path), str(path), "--shots", "100")
+    assert code == 2 and "not unitary within tolerance 1e-08" in err
+    code, out, err = run_main(
+        capsys, "simulate", str(path), str(path), "--shots", "100", "--tol", "1e-6"
+    )
+    assert code in (0, 1) and err == ""
+    assert files.parse_document(out)["shots"] == 100
+
+
+def test_simulate_prior_rounded_past_one(capsys):
+    code, out, err = run_main(
+        capsys, "simulate", g("01"), g("04"), "--shots", "1000", "--p1", "1.0000000000001"
+    )
+    assert code in (0, 1) and err == ""
+    assert files.parse_document(out)["priors"] == {"p1": 1.0, "p2": 0.0}
+
+
 def test_simulate_bad_shots(capsys):
     code, _, err = run_main(capsys, "simulate", g("01"), g("04"), "--shots", "0")
     assert code == 2

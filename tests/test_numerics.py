@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gatediscrim import canonical, discrimination, files, numerics, oracle
-from gatediscrim.errors import NotNormalizedError, NotUnitaryError
+from gatediscrim.errors import DomainError, NotNormalizedError, NotUnitaryError
 from gatediscrim.numerics import (
     ID2,
     ID4,
@@ -191,6 +191,15 @@ def test_require_normalized_rejects_nan():
         numerics.require_normalized([1, 0, 0, 0], tol=np.nan)
 
 
+def test_require_prior_clamps_rounding_and_rejects_the_rest():
+    assert numerics.require_prior(0.3) == 0.3
+    assert numerics.require_prior(1.0 + 1e-13) == 1.0
+    assert numerics.require_prior(-1e-13) == 0.0
+    for p1 in (1.0 + 1e-11, -1e-11, 1.2, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="prior p1"):
+            numerics.require_prior(p1)
+
+
 def _with_entry(x):
     m = ID4.copy()
     m[1, 2] = x
@@ -261,3 +270,15 @@ def test_extract_interaction_keeps_its_tolerance():
     np.testing.assert_allclose(dec.alpha, np.zeros(3), atol=1e-12)
     with pytest.raises(NotUnitaryError, match="gate is not unitary within tolerance 1e-07"):
         canonical.extract_interaction(u, tol=1e-7)
+
+
+def test_helstrom_simulate_takes_a_tolerance():
+    # the same residual-4e-7 gate: rejected at the default, accepted at 1e-6
+    u = (1.0 + 2e-7) * ID4
+    with pytest.raises(NotUnitaryError, match="first gate is not unitary"):
+        oracle.helstrom_simulate(u, u, _PROBE, shots=100)
+    out = oracle.helstrom_simulate(u, u, _PROBE, shots=100, tol=1e-6)
+    assert out.shots == 100
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
+            oracle.helstrom_simulate(ID4, ID4, _PROBE, shots=100, tol=tol)

@@ -14,7 +14,12 @@ from gatediscrim.discrimination import (
 from gatediscrim.errors import DomainError
 from gatediscrim.numerics import ID4
 
-from conftest import polygon_origin_distance, random_magic_diag, random_unitary
+from conftest import (
+    polygon_origin_distance,
+    random_magic_diag,
+    random_unitary,
+    ref_product_scan,
+)
 
 PI = math.pi
 
@@ -229,6 +234,14 @@ def test_helstrom_domain_errors():
             oracle.helstrom_simulate(ID4, ID4, probe, p1=p1)
 
 
+def test_helstrom_clamps_a_prior_rounded_past_one():
+    # the same slack as discriminate: p1 = 1 + 1e-13 is the prior 1
+    u2 = canonical.build_ud((PI / 8, 0, 0))
+    probe = construct_probe(fidelity(ID4, u2)[1])
+    got = oracle.helstrom_simulate(ID4, u2, probe, p1=1.0 + 1e-13, shots=1000, seed=3)
+    assert got == oracle.helstrom_simulate(ID4, u2, probe, p1=1.0, shots=1000, seed=3)
+
+
 def grid_overlap(w, axes, lin):
     # recompute |<ab|w|ab>| at a decoded grid index, independent of the kernel
     idx = []
@@ -268,6 +281,40 @@ def test_kernel_matches_brute_force(rng):
             assert val == pytest.approx(brute, abs=1e-12)
         # every point ties at exactly 0: the lowest index wins across blocks
         assert _kernels.product_scan(np.zeros((4, 4)), *axes) == (0.0, 0)
+
+
+def test_kernel_matches_reference_scan(rng):
+    # the Bloch-form kernel against the complex outer-product scan it
+    # replaced; symmetric near-ties may resolve to another grid point, so
+    # the index is pinned through the value it decodes to
+    cases = []
+    for axes in (_grid_axes(7, 9, 7, 9), _grid_axes(9, 16, 5, 6)):
+        cases += [(random_unitary(rng), axes) for _ in range(4)]
+        cases += [(random_magic_diag(rng)[0], axes) for _ in range(4)]
+    cases.append((random_unitary(rng), _grid_axes(32, 32, 32, 32)))
+    cases.append((random_magic_diag(rng)[0], _grid_axes(32, 32, 32, 32)))
+    for w, axes in cases:
+        val, lin = _kernels.product_scan(w, *axes)
+        assert isinstance(val, float) and isinstance(lin, int)
+        assert abs(val - ref_product_scan(w, *axes)[0]) <= 1e-15
+        assert abs(grid_overlap(w, axes, lin) - val) <= 1e-15
+        i, j, k, l = np.unravel_index(lin, [len(a) for a in axes])
+        # the theta = 0 rows repeat one state: the lowest phi index wins
+        assert j == 0 or axes[0][i] != 0.0
+        assert l == 0 or axes[2][k] != 0.0
+    # diag(1, 0, 1, 1) gives 1 - cos^2(ta/2) sin^2(tb/2), which vanishes on
+    # the whole (ta, tb) = (0, pi) pole pair, first in A and last in B;
+    # diag(1, 1, 0, 1) gives 1 - sin^2(ta/2) cos^2(tb/2), zero at (pi, 0)
+    for axes in (_grid_axes(7, 9, 7, 9), _grid_axes(9, 16, 5, 6)):
+        n_ta, n_pa, n_tb, n_pb = (len(a) for a in axes)
+        for d, first in (
+            ([1.0, 0.0, 1.0, 1.0], (n_tb - 1) * n_pb),
+            ([1.0, 1.0, 0.0, 1.0], (n_ta - 1) * n_pa * n_tb * n_pb),
+        ):
+            w = np.diag(d)
+            assert _kernels.product_scan(w, *axes) == (0.0, first)
+            val, lin = ref_product_scan(w, *axes)
+            assert val <= 1e-15 and lin == first
 
 
 def test_kernel_memory_stays_one_block():
