@@ -35,7 +35,6 @@ from .discrimination import (
     perfectly_distinguishable,
 )
 from .geometry import (
-    CirclePoint,
     HullResult,
     PhaseGroup,
     arc_spread,
@@ -78,7 +77,6 @@ __all__ = [
     "factor_product",
     "fidelity",
     "perfectly_distinguishable",
-    "CirclePoint",
     "HullResult",
     "PhaseGroup",
     "arc_spread",

@@ -173,6 +173,8 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
 def _cmd_selfcheck(args) -> int:
     if args.trials < 1:
         raise DomainError(f"--trials must be positive, got {args.trials}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
     failures = 0
     for t in range(args.trials):
         bad = _selfcheck_trial(t, args.seed)

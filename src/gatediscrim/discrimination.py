@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,9 @@ class ProbeState:
     in the computational basis.  For product states the single-qubit factors
     are attached with a fixed gauge (first significant component of
     `local_a` real nonnegative); entangled states carry None.  `concurrence`
-    is that of `u`, see `concurrence`.
+    is that of `u`, see `concurrence`.  `via_fallback` is always False:
+    the closed form is the only route, and the field stays for the JSON
+    probe block and the benchmark's reader.
     """
 
     u: np.ndarray
@@ -184,7 +186,7 @@ def _varignon_weights(mids) -> list[float]:
 
 
 def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
-    n = len(hull.vertices)
+    n = len(hull.groups)
     u = [0j] * 4
     if not hull.origin_inside:
         # the chord between the angular extremes realizes the minimum; put
@@ -214,7 +216,7 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
         else:
             cyc = [0, 1, 2, 3]
         pts = [
-            (math.cos(hull.vertices[i].phase), math.sin(hull.vertices[i].phase))
+            (math.cos(hull.groups[i].phase), math.sin(hull.groups[i].phase))
             for i in cyc
         ]
         mids = [
@@ -234,12 +236,12 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
 def construct_probe(omega) -> ProbeState:
     """Optimal product probe for the relative phase vector omega.
 
-    The returned state is a product state (concurrence at most
-    `geometry.VERDICT_TOL`) whose overlap |<psi|W|psi>| under the rotation
-    W fixed by omega equals the hull minimum within the same bound.  If the
-    closed-form construction misses, a deterministic numerical search runs
-    instead and the result is tagged `via_fallback`; if both miss,
-    ConstructionFailedError.
+    The closed form: a 90 degree phased chord between the angular extremes
+    when the origin lies outside the hull, Varignon midpoint weights when
+    it lies inside.  The returned state is a product state (concurrence at
+    most `geometry.VERDICT_TOL`) whose overlap |<psi|W|psi>| under the
+    rotation W fixed by omega equals the hull minimum within the same
+    bound; a miss raises ConstructionFailedError.
     """
     om = wrap_angle(numerics.require_finite(omega, "omega", 4))
     return _probe_for_hull(om, _hull(om))[0]
@@ -247,24 +249,8 @@ def construct_probe(omega) -> ProbeState:
 
 def _probe_for_hull(om, hull: geometry.HullResult) -> tuple[ProbeState, float]:
     """(probe, the overlap it achieves) for the hull of -om."""
-    try:
-        probe = _probe_from_amplitudes(_amplitudes_for_hull(hull))
-        return probe, _validate_probe(probe, om, hull.min_distance)[0]
-    except ConstructionFailedError as err:
-        first_err = err
-    from . import oracle  # heavy import kept local; also avoids a cycle
-
-    w_gate = canonical.from_magic_phases(om)
-    cfg = oracle.SearchConfig(grid_steps=24, refinement_rounds=18)
-    _, probe = oracle.min_over_product_states(np.eye(4, dtype=complex), w_gate, cfg)
-    probe = replace(probe, via_fallback=True)
-    try:
-        return probe, _validate_probe(probe, om, hull.min_distance)[0]
-    except ConstructionFailedError as err:
-        raise ConstructionFailedError(
-            f"fallback search also missed tolerance: {err} "
-            f"(construction error was: {first_err})"
-        ) from err
+    probe = _probe_from_amplitudes(_amplitudes_for_hull(hull))
+    return probe, _validate_probe(probe, om, hull.min_distance)[0]
 
 
 def _validate_probe(probe, omega, target) -> tuple[float, float]:

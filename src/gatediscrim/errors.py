@@ -30,4 +30,4 @@ class DegenerateHullError(GateDiscrimError):
 
 
 class ConstructionFailedError(GateDiscrimError):
-    """Probe construction and its numerical fallback both missed tolerance."""
+    """The closed-form probe missed its tolerance; a bug."""

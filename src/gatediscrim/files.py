@@ -57,7 +57,7 @@ def _as_complex_matrix(rows) -> np.ndarray:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
+                or not all(isinstance(x, float) for x in cell)
             ):
                 raise DomainError(
                     f"matrix entry ({i},{j}) must be a [re, im] pair"
@@ -72,7 +72,7 @@ def load_matrix_file(path, tol: float = 1e-8) -> LoadedGate:
     matrix that is not a 4x4 unitary within `tol`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # integers as floats: one too large for a float becomes inf
+            # integers as floats (too large ones become inf); a bool is no float
             doc = json.load(fh, parse_int=float)
     except OSError as err:
         raise DomainError(f"cannot read {path}: {err}") from err
@@ -90,7 +90,7 @@ def load_matrix_file(path, tol: float = 1e-8) -> LoadedGate:
         return LoadedGate(matrix=m, label=label)
     if kind == "alpha":
         a = doc.get("alpha")
-        if not isinstance(a, list) or not all(isinstance(x, (int, float)) for x in a):
+        if not isinstance(a, list) or not all(isinstance(x, float) for x in a):
             raise DomainError(f"{path}: alpha must be a list of 3 numbers")
         # build_ud checks the entry count, finiteness and the chamber
         return LoadedGate(matrix=canonical.build_ud(a), label=label)

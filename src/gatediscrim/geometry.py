@@ -42,22 +42,11 @@ class PhaseGroup:
 
 
 @dataclass(frozen=True)
-class CirclePoint:
-    phase: float
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([math.cos(self.phase), math.sin(self.phase)])
-
-
-@dataclass(frozen=True)
 class HullResult:
-    vertices: list[CirclePoint]
     groups: list[PhaseGroup]
     origin_inside: bool
     min_distance: float
     nearest_point: np.ndarray
-    nearest_edge: tuple[int, int] | None
     spread: float = field(default=0.0)
 
 
@@ -130,26 +119,22 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     cos(min(spread, pi) / 2), is at most VERDICT_TOL; `min_distance` is 0
     then.  The largest empty arc, the spread and the chord come from the
     raw phases, so they do not depend on which near-equal phases merge into
-    one group.  Inside, vertices come out counter-clockwise from the
-    smallest phase.  Outside, the ordering starts just after the largest
-    empty arc, so vertices[0] and vertices[-1] are the angular extremes and
-    `nearest_edge` is the chord (len-1, 0) that realizes `min_distance`.
+    one group.  Inside, the groups (the hull's vertices) come out
+    counter-clockwise from the smallest phase.  Outside, the ordering
+    starts just after the largest empty arc, so groups[0] and groups[-1]
+    are the angular extremes, whose chord realizes `min_distance`.
     Raises DomainError on empty input, a non-finite phase, or a `tol` that
     is negative or not finite.
     """
     vals = _finite_phases(phases)
     order, groups = _dedupe(vals, tol)
-    n = len(groups)
-    if n == 1:
+    if len(groups) == 1:
         g = groups[0]
-        v = CirclePoint(g.phase)
         return HullResult(
-            vertices=[v],
             groups=[g],
             origin_inside=False,
             min_distance=1.0,
-            nearest_point=v.xy,
-            nearest_edge=None,
+            nearest_point=np.array([math.cos(g.phase), math.sin(g.phase)]),
             spread=0.0,
         )
     imax, spread = _largest_gap([vals[i] for i in order])
@@ -162,32 +147,28 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     distance = float(np.hypot(mid_x, mid_y)) if spread < math.pi else 0.0
     if distance <= VERDICT_TOL:
         return HullResult(
-            vertices=[CirclePoint(g.phase) for g in groups],
             groups=groups,
             origin_inside=True,
             min_distance=0.0,
             nearest_point=np.zeros(2),
-            nearest_edge=None,
             spread=spread,
         )
     # the group holding the raw phase just after the largest gap opens the arc
     start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
     groups = groups[start:] + groups[:start]
     return HullResult(
-        vertices=[CirclePoint(g.phase) for g in groups],
         groups=groups,
         origin_inside=False,
         min_distance=distance,
         nearest_point=np.array([mid_x, mid_y]),
-        nearest_edge=(n - 1, 0),
         spread=spread,
     )
 
 
 def midpoint_quad(hull: HullResult) -> list[np.ndarray]:
     """Midpoints of consecutive hull edges, cyclic; needs >= 2 vertices."""
-    n = len(hull.vertices)
+    n = len(hull.groups)
     if n < 2:
         raise DegenerateHullError("midpoints need at least 2 distinct vertices")
-    pts = [v.xy for v in hull.vertices]
+    pts = [np.array([math.cos(g.phase), math.sin(g.phase)]) for g in hull.groups]
     return [0.5 * (pts[i] + pts[(i + 1) % n]) for i in range(n)]

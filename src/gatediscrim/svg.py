@@ -66,9 +66,8 @@ def render_hull_svg(omega) -> str:
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" '
         'stroke-width="0.012" />',
     ]
-    verts = [v.xy for v in hull.vertices]
-    if len(verts) >= 2:
-        pts = " ".join(_pt(p[0], p[1]) for p in verts)
+    if len(hull.groups) >= 2:
+        pts = " ".join(_pt(math.cos(g.phase), math.sin(g.phase)) for g in hull.groups)
         lines.append(
             f'<polygon points="{pts}" fill="#1f6feb" fill-opacity="0.10" '
             'stroke="#1f6feb" stroke-width="0.014" />'

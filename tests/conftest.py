@@ -193,10 +193,8 @@ def ref_hull(phases, tol=geometry.DEDUPE_TOL):
 
     ph = ref_wrap(np.atleast_1d(np.asarray(phases, dtype=float)))
     vals, order, groups = _ref_dedupe(ph, tol)
-    n = len(groups)
-    if n == 1:
-        v = geometry.CirclePoint(groups[0].phase)
-        return geometry.HullResult([v], groups, False, 1.0, xy(v.phase), None, 0.0)
+    if len(groups) == 1:
+        return geometry.HullResult(groups, False, 1.0, xy(groups[0].phase), 0.0)
     raw = [vals[i] for i in order]
     m = len(raw)
     gaps = [b - a for a, b in zip(raw, raw[1:])] + [(raw[0] + 2 * np.pi) - raw[-1]]
@@ -206,12 +204,10 @@ def ref_hull(phases, tol=geometry.DEDUPE_TOL):
     chord_mid = 0.5 * (xy(raw[first]) + xy(raw[imax]))
     distance = float(np.hypot(*chord_mid)) if spread < np.pi else 0.0
     if distance <= geometry.VERDICT_TOL:
-        verts = [geometry.CirclePoint(g.phase) for g in groups]
-        return geometry.HullResult(verts, groups, True, 0.0, np.zeros(2), None, spread)
+        return geometry.HullResult(groups, True, 0.0, np.zeros(2), spread)
     start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
     groups = groups[start:] + groups[:start]
-    verts = [geometry.CirclePoint(g.phase) for g in groups]
-    return geometry.HullResult(verts, groups, False, distance, chord_mid, (n - 1, 0), spread)
+    return geometry.HullResult(groups, False, distance, chord_mid, spread)
 
 
 def _ref_varignon_weights(mids):
@@ -228,7 +224,7 @@ def _ref_varignon_weights(mids):
 
 
 def _ref_amplitudes(hull):
-    n = len(hull.vertices)
+    n = len(hull.groups)
     u = np.zeros(4, dtype=complex)
     if not hull.origin_inside:
         if n == 1:
@@ -246,7 +242,8 @@ def _ref_amplitudes(hull):
             cyc = [j for i in range(3) for j in ([i, i] if i == dup else [i])]
         else:
             cyc = [0, 1, 2, 3]
-        pts = np.array([hull.vertices[i].xy for i in cyc])
+        phases = [hull.groups[i].phase for i in cyc]
+        pts = np.array([[math.cos(p), math.sin(p)] for p in phases])
         alpha = _ref_varignon_weights(0.5 * (pts + np.roll(pts, -1, axis=0)))
         w = 0.5 * (alpha + np.roll(alpha, 1))
     taken = [0] * n

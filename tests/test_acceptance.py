@@ -202,12 +202,12 @@ def test_criterion_6_concurrence_definitions_agree(capsys):
 
 
 def test_criterion_7_midpoint_containment_at_scale(capsys):
-    # 1e5 random origin-inside phase sets: every probe construction (closed
-    # form or flagged fallback) meets criterion 1's tolerances
+    # 1e5 random origin-inside phase sets: every probe construction meets
+    # criterion 1's tolerances
     rng = np.random.default_rng(707)
     t0 = time.perf_counter()
     needed = 100_000
-    done = fallbacks = failures = 0
+    done = failures = 0
     worst_gap = worst_conc = 0.0
     while done < needed:
         batch = rng.uniform(-PI, PI, size=(40_000, 4))
@@ -224,14 +224,13 @@ def test_criterion_7_midpoint_containment_at_scale(capsys):
             except Exception:
                 failures += 1
                 continue
-            fallbacks += probe.via_fallback
             worst_gap = max(worst_gap, achieved_overlap(probe.u, om))
             worst_conc = max(worst_conc, concurrence(probe.u))
     dt = time.perf_counter() - t0
     ok = failures == 0 and worst_gap <= 1e-9 and worst_conc <= 1e-9
     report(
         capsys, 7, ok,
-        f"{done} inside sets, {failures} failures, {fallbacks} fallbacks, "
+        f"{done} inside sets, {failures} failures, "
         f"worst overlap {worst_gap:.2e}, worst concurrence {worst_conc:.2e}, "
         f"{dt:.1f}s",
     )

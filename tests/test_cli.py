@@ -184,6 +184,13 @@ def _identity_rows_with(entry: str) -> str:
     return json.dumps({"kind": "matrix", "rows": rows}).replace("12345.0", entry)
 
 
+def _identity_rows_with_bools() -> str:
+    # the (0, 0) entry as [true, false], which a bool-as-int reading takes
+    # for 1 + 0j
+    text = json.dumps({"kind": "matrix", "rows": files.matrix_pairs(np.eye(4))})
+    return text.replace("[1.0, 0.0]", "[true, false]", 1)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -193,8 +200,12 @@ def _identity_rows_with(entry: str) -> str:
         lambda tmp: g("09"),
         lambda tmp: g("10"),
         lambda tmp: g("11"),
+        lambda tmp: _write(tmp / "bool_cell.json", _identity_rows_with_bools()),
+        lambda tmp: _write(
+            tmp / "bool_alpha.json", '{"kind": "alpha", "alpha": [0.3, 0.0, false]}'
+        ),
     ],
-    ids=["infinity", "1e400", "int400", "09", "10", "11"],
+    ids=["infinity", "1e400", "int400", "09", "10", "11", "bool_cell", "bool_alpha"],
 )
 def test_rejected_gate_file_gives_one_line(tmp_path, make):
     # a cold run with Python's default warning filters: a numpy warning or a
@@ -310,6 +321,13 @@ def test_selfcheck_zero_trials(capsys):
     code, _, err = run_main(capsys, "selfcheck", "--trials", "0")
     assert code == 2
     assert "trials" in err
+
+
+def test_selfcheck_negative_seed(capsys):
+    code, out, err = run_main(capsys, "selfcheck", "--trials", "1", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --seed") and err.count("\n") == 1
 
 
 def test_figure_inside_and_outside(capsys, tmp_path):

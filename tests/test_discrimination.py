@@ -1,9 +1,11 @@
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from gatediscrim import canonical, discrimination, geometry, numerics
+from gatediscrim import canonical, discrimination, geometry, numerics, oracle
 from gatediscrim.discrimination import (
     CaseTag,
     concurrence,
@@ -182,33 +184,35 @@ def test_probe_random_outside(rng):
         done += 1
 
 
-def test_probe_fallback_path(monkeypatch):
+def test_probe_forced_miss_raises(monkeypatch):
+    # a normalized product vector that misses the hull minimum: the closed
+    # form is the only route, so the miss surfaces and no search runs
     om = np.array([0.0, PI / 2, PI, -PI / 2])
+    wrong = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    monkeypatch.setattr(discrimination, "_amplitudes_for_hull", lambda hull: wrong)
 
-    def boom(*args, **kwargs):
-        raise ConstructionFailedError("forced for the test")
+    def no_search(*args, **kwargs):
+        raise AssertionError("the probe route ran a grid search")
 
-    monkeypatch.setattr(discrimination, "_amplitudes_for_hull", boom)
-    p = construct_probe(om)
-    assert p.via_fallback
-    assert discrimination.achieved_overlap(p.u, om) <= 1e-9
-    assert concurrence(p.u) <= 1e-9
-
-
-def test_probe_fallback_failure_reports(monkeypatch):
-    om = np.array([0.0, PI / 2, PI, -PI / 2])
-
-    def boom(*args, **kwargs):
-        raise ConstructionFailedError("forced for the test")
-
-    monkeypatch.setattr(discrimination, "_amplitudes_for_hull", boom)
-    # make the fallback unable to reach the optimum as well
-    monkeypatch.setattr(
-        discrimination, "_validate_probe",
-        lambda *a, **k: (_ for _ in ()).throw(ConstructionFailedError("nope")),
-    )
+    monkeypatch.setattr(oracle, "min_over_product_states", no_search)
     with pytest.raises(ConstructionFailedError):
         construct_probe(om)
+    with pytest.raises(ConstructionFailedError):
+        discriminate(ID4, canonical.from_magic_phases(om))
+
+
+def test_discrimination_imports_no_search():
+    # oracle depends on discrimination, not the reverse
+    tree = ast.parse(inspect.getsource(discrimination))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    modules = {part for name in names for part in name.split(".")}
+    assert not modules & {"oracle", "_kernels"}
 
 
 def test_probe_rejects_bad_omega():

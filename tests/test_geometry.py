@@ -60,9 +60,8 @@ def test_hull_square():
     h = hull_of_phases([0.0, PI / 2, PI, -PI / 2])
     assert h.origin_inside
     assert h.min_distance == 0.0
-    assert h.nearest_edge is None
     np.testing.assert_allclose(h.nearest_point, [0.0, 0.0])
-    assert [v.phase for v in h.vertices] == pytest.approx(
+    assert [g.phase for g in h.groups] == pytest.approx(
         [-PI / 2, 0.0, PI / 2, PI]
     )
 
@@ -71,19 +70,17 @@ def test_hull_arc_example():
     h = hull_of_phases([0.0, PI / 3, PI / 6, PI / 4])
     assert not h.origin_inside
     assert h.min_distance == pytest.approx(math.cos(PI / 6), abs=1e-12)
-    # vertices run counter-clockwise from the arc start; the closing chord
-    # between the angular extremes is the nearest edge
-    assert h.nearest_edge == (3, 0)
-    assert h.vertices[0].phase == pytest.approx(0.0)
-    assert h.vertices[-1].phase == pytest.approx(PI / 3)
+    # groups run counter-clockwise from the arc start, so the first and the
+    # last are the angular extremes
+    assert h.groups[0].phase == pytest.approx(0.0)
+    assert h.groups[-1].phase == pytest.approx(PI / 3)
 
 
 def test_hull_single_point():
     h = hull_of_phases([0.3, 0.3, 0.3, 0.3])
-    assert len(h.vertices) == 1
+    assert len(h.groups) == 1
     assert not h.origin_inside
     assert h.min_distance == pytest.approx(1.0)
-    assert h.nearest_edge is None
     with pytest.raises(DegenerateHullError):
         midpoint_quad(h)
 
@@ -141,7 +138,7 @@ def test_midpoint_quad_parallelogram(rng):
     for _ in range(50):
         ph = np.sort(rng.uniform(-PI, PI, size=4))
         h = hull_of_phases(ph)
-        if len(h.vertices) != 4:
+        if len(h.groups) != 4:
             continue
         m = midpoint_quad(h)
         np.testing.assert_allclose(m[0] + m[2], m[1] + m[3], atol=1e-12)
@@ -149,9 +146,8 @@ def test_midpoint_quad_parallelogram(rng):
 
 def test_hull_vertex_groups_align():
     h = hull_of_phases([0.5, -2.0, 0.5, 1.0])
-    assert len(h.vertices) == 3
-    for v, g in zip(h.vertices, h.groups):
-        assert v.phase == g.phase
+    assert len(h.groups) == 3
+    assert [g.phase for g in h.groups] == pytest.approx([-2.0, 0.5, 1.0])
     counts = sorted(g.multiplicity for g in h.groups)
     assert counts == [1, 1, 2]
 
