@@ -65,8 +65,8 @@ def _cmd_discriminate(args) -> int:
     report = discrimination.discriminate(
         g1.matrix, g2.matrix, p1=args.p1, tol=tol
     )
-    doc = files.report_document(report, g1.label, g2.label, tol)
-    sys.stdout.write(files.render_document(doc))
+    text = files.render_document(files.report_document(report, g1.label, g2.label, tol))
+    # the files go first, so a failed write prints only the error line
     if args.probe_out:
         probe_doc = {
             "kind": "probe_state",
@@ -78,6 +78,7 @@ def _cmd_discriminate(args) -> int:
         files.write_document(probe_doc, args.probe_out)
     if args.svg_out:
         svg.write_hull_svg(report.omega, args.svg_out)
+    sys.stdout.write(text)
     return 0 if report.perfectly_distinguishable else 1
 
 

@@ -25,6 +25,9 @@ from .errors import DomainError
 TWO_PI = 2.0 * math.pi
 # contraction of the product search's refinement window per round
 SHRINK_FACTOR = 0.25
+# a refinement window's 9 points, in half-widths from its center
+_STEPS = np.linspace(-1.0, 1.0, 9)
+_AXES = np.arange(4)
 
 
 def _is_count(x, lo: int) -> bool:
@@ -85,27 +88,15 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     val, lin = _kernels.product_scan(w, theta, phi, theta, phi)
     i, j, k, l = np.unravel_index(lin, (len(theta), len(phi), len(theta), len(phi)))
     center = np.array([theta[i], phi[j], theta[k], phi[l]])
-    spacing = np.array(
-        [
-            math.pi / (cfg.grid_steps - 1),
-            TWO_PI / cfg.grid_steps,
-            math.pi / (cfg.grid_steps - 1),
-            TWO_PI / cfg.grid_steps,
-        ]
-    )
+    spacing = np.array([math.pi / (cfg.grid_steps - 1), TWO_PI / cfg.grid_steps] * 2)
     for r in range(cfg.refinement_rounds):
-        h = spacing * SHRINK_FACTOR**r
-        axes = []
-        for ax in range(4):
-            grid = np.linspace(center[ax] - h[ax], center[ax] + h[ax], 9)
-            if ax % 2 == 0:
-                grid = np.clip(grid, 0.0, math.pi)
-            axes.append(grid)
-        v2, lin2 = _kernels.product_scan(w, *axes)
+        # row ax is the 9-point window on axis ax; theta rows stay in [0, pi]
+        window = center[:, None] + (spacing * SHRINK_FACTOR**r)[:, None] * _STEPS
+        np.clip(window[::2], 0.0, math.pi, out=window[::2])
+        v2, lin2 = _kernels.product_scan(w, *window)
         if v2 < val:
             val = v2
-            idx = np.unravel_index(lin2, tuple(len(a) for a in axes))
-            center = np.array([axes[ax][idx[ax]] for ax in range(4)])
+            center = window[_AXES, np.unravel_index(lin2, _STEPS.shape * 4)]
     ta, pa, tb, pb = center
     a = np.array([math.cos(0.5 * ta), math.sin(0.5 * ta) * np.exp(1j * pa)])
     b = np.array([math.cos(0.5 * tb), math.sin(0.5 * tb) * np.exp(1j * pb)])

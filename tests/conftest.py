@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gatediscrim import canonical, geometry, numerics
+from gatediscrim import _kernels, canonical, geometry, numerics
 from gatediscrim.numerics import wrap_angle
 
 
@@ -320,7 +320,7 @@ def ref_discriminate(u1, u2, p1=0.5, tol=1e-8):
 # --- reference product scan --------------------------------------------------
 # The product-grid scan as it stood before it moved to the real Bloch form:
 # complex outer-product rows, one complex matmul per block and a modulus
-# pass.  tests/test_oracle.py holds the Bloch-form kernel to it.
+# pass.  tests/test_oracle.py holds the kernel to it.
 
 _REF_BLOCK = 64
 
@@ -352,3 +352,33 @@ def ref_product_scan(w, ta, pa, tb, pb):
         if vals.flat[flat] < best_val:  # strict: earlier blocks win ties
             best_val, best_lin = float(vals.flat[flat]), start * n_b + flat
     return best_val, best_lin
+
+
+# --- reference Bloch-form scan -----------------------------------------------
+# The Bloch-form scan as it stood before the screen: every block of 64
+# A-grid rows scored with two real 4-column matmuls and a squared modulus.
+# tests/test_oracle.py holds the screened kernel to it, index for index.
+
+
+def ref_bloch_scan(w, ta, pa, tb, pb):
+    """Min of |<psi_a x psi_b| w |psi_a x psi_b>| over the Bloch-angle grid.
+
+    Returns (value, linear_index) with the linear index running row-major
+    over (i_ta, j_pa, k_tb, l_pb).
+    """
+    t = _kernels._pauli_form(w)
+    rows_a = _kernels._bloch_rows(ta, pa)
+    a_re, a_im = rows_a @ t.real, rows_a @ t.imag
+    rb = np.ascontiguousarray(_kernels._bloch_rows(tb, pb).T)
+    n_a, n_b = rows_a.shape[0], rb.shape[1]
+    best_sq, best_lin = math.inf, 0
+    for start in range(0, n_a, _REF_BLOCK):
+        sq = a_re[start : start + _REF_BLOCK] @ rb
+        im_sq = a_im[start : start + _REF_BLOCK] @ rb
+        sq *= sq
+        im_sq *= im_sq
+        sq += im_sq
+        flat = int(sq.argmin())  # row-major: ties resolve to lower index
+        if sq.flat[flat] < best_sq:  # strict: earlier blocks win ties
+            best_sq, best_lin = float(sq.flat[flat]), start * n_b + flat
+    return math.sqrt(best_sq), best_lin

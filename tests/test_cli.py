@@ -237,6 +237,18 @@ def test_bad_tol_is_rejected(capsys, tmp_path, tol):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--probe-out", "--svg-out"])
+def test_discriminate_unwritable_output_prints_one_line(capsys, tmp_path, flag):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run_main(
+        capsys, "discriminate", g("01"), g("04"), flag, str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_perfect_pair(capsys):
     code, out, _ = run_main(
         capsys, "simulate", g("01"), g("06"), "--shots", "10000", "--seed", "3"

@@ -12,12 +12,14 @@ from gatediscrim.discrimination import (
     fidelity,
 )
 from gatediscrim.errors import DomainError
-from gatediscrim.numerics import ID4
+from gatediscrim.numerics import ID4, SWAP
 
 from conftest import (
+    dressed_gate,
     polygon_origin_distance,
     random_magic_diag,
     random_unitary,
+    ref_bloch_scan,
     ref_product_scan,
 )
 
@@ -329,6 +331,62 @@ def test_kernel_memory_stays_one_block():
         tracemalloc.stop()
     # the full 48^4 grid of complex values would take 85 MB
     assert peak < 16 * 2**20
+
+
+def test_kernel_matches_bloch_scan(rng):
+    # the screened kernel against the full Bloch-form scan: every row that
+    # can hold the minimum is scored with the same arithmetic, so the index
+    # agrees exactly, rounding-level near-ties and exact ties included
+    gates = [
+        random_unitary(rng),
+        random_magic_diag(rng)[0],
+        dressed_gate(rng, (0.7, 0.4, 0.1)),
+        # at 32^4 identity, SWAP, U_d(pi/8, 0, 0) and zero reach the minimum
+        # in all 1024 A rows; the rest in 64 or 32 rows
+        ID4,
+        SWAP,
+        canonical.build_ud((PI / 8, 0, 0)),
+        canonical.build_ud((PI / 4, PI / 4, 0)),
+        np.diag([1.0, 0.0, 1.0, 1.0]),
+        np.diag([1.0, 1.0, 0.0, 1.0]),
+        np.zeros((4, 4)),
+    ]
+    # a refinement window at the theta = 0 and pi poles: clipping repeats
+    # states, so whole rows and columns tie exactly
+    center, h = np.array([0.05, 1.0, 3.1, 5.0]), np.array([0.2, 0.3, 0.1, 0.4])
+    window = center[:, None] + h[:, None] * np.linspace(-1.0, 1.0, 9)
+    np.clip(window[::2], 0.0, PI, out=window[::2])
+    grids = [
+        _grid_axes(32, 32, 32, 32),
+        # partial blocks: 63 and 144 A rows
+        _grid_axes(7, 9, 7, 9),
+        _grid_axes(9, 16, 5, 6),
+        # 4096 B states, 8 rows a block; 20480 B states, one row a block
+        _grid_axes(3, 5, 64, 64),
+        _grid_axes(3, 5, 128, 160),
+        tuple(window),
+    ]
+    for axes in grids:
+        for w in gates:
+            val, lin = _kernels.product_scan(w, *axes)
+            ref_val, ref_lin = ref_bloch_scan(w, *axes)
+            assert isinstance(val, float) and isinstance(lin, int)
+            assert lin == ref_lin
+            assert abs(val - ref_val) <= 1e-15
+
+
+def test_kernel_memory_bounded_by_block_states():
+    # 9216 states in each B row, so a block is 3 A rows; a 64-row block of
+    # real and imaginary parts alone would take 9.4 MB
+    axes = _grid_axes(8, 8, 96, 96)
+    w = canonical.build_ud((0.7, 0.4, 0.1))
+    tracemalloc.start()
+    try:
+        _kernels.product_scan(w, *axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_helstrom_memory_independent_of_shots():
