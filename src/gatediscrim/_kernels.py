@@ -1,4 +1,9 @@
-"""The grid scan over product probe states, the package's one hot loop.
+"""The scans over product probe states, the package's hot loops.
+
+`alice_scan` serves the product oracle: it walks a grid of Alice's states
+only and solves Bob's side exactly (see the section below).  `product_scan`,
+the 4-D Bloch-angle grid scan described next, no longer serves the oracle;
+it stays as the 4-D reference that the benchmark times and the tests pin.
 
 A single-qubit state s = (cos t/2, e^{ip} sin t/2) has s s^dag =
 sum_mu r_mu sigma_mu with the real Bloch row r = (1, sin t cos p,
@@ -139,3 +144,199 @@ def product_scan(w, ta, pa, tb, pb):
             best_sq = float(sq.flat[flat])
             best_lin = int(cand[start + flat // n_b]) * n_b + flat % n_b
     return math.sqrt(best_sq), best_lin
+
+
+# --- the 2-D scan: Alice's grid, Bob's side in closed form --------------------
+#
+# With Alice's Bloch vector a fixed, <a x b| w |a x b> = p + M n_b, read as a
+# point of the plane: p = (x_0, y_0) and the 2 x 3 matrix M = [x_1:3; y_1:3]
+# come from x + i y = r_a T / 2, and n_b is Bob's unit Bloch vector.  A
+# linear map of rank <= 2 takes the unit sphere of R^3 onto the same set as
+# the unit ball (add a null-space component), so Bob's best response is the
+# distance from c = -p to the filled ellipse M Ball.  With s_1 >= s_2 the
+# eigenvalues of the Gram matrix G = M M^T and q_i the coordinates of c in
+# its eigenbasis, that distance is
+#   0                                  if q_1^2 / s_1 + q_2^2 / s_2 <= 1,
+#   sqrt(q_2^2 + max(|q_1| - sqrt(s_1), 0)^2)
+#                                      if s_2 = 0 (a segment, or M = 0),
+#   mu sqrt(sum q_i^2 / (s_i + mu)^2)  otherwise,
+# where mu > 0 solves S(mu) = sum s_i q_i^2 / (s_i + mu)^2 = 1; the closest
+# point is G (G + mu I)^-1 c and n_b = M^T (G + mu I)^-1 c.  S^-1/2 is
+# concave and increasing (Cauchy-Schwarz), so Newton on S^-1/2 - 1 started
+# below the root climbs to it monotonically; each term alone gives the lower
+# bracket mu >= sqrt(s_i q_i^2) - s_i.
+
+# Alice states per block of the 2-D scan, unless one theta row alone holds more
+_ALICE_BLOCK = 2**10
+# Newton stops once no step exceeds this fraction of s_1 + mu (rounding keeps
+# steps near 4e-16 of it; real gates need 4 to 9 steps), or after
+# _NEWTON_CAP steps, where a value still low is a lower bound
+_NEWTON_TOL = 1e-12
+_NEWTON_CAP = 64
+_TINY = float(np.finfo(float).smallest_subnormal)
+# row k * 4 + mu of this map applied to w.ravel() is T_{mu nu_k} / 2 with
+# nu = (0, 1, 2, 3, 1, 2): p, then M's row with its first two entries
+# repeated, so that cyclic shifts of M's rows are plain slices
+_RESPONSE_MAP = (
+    _PAULI_PAIRS[[4 * mu + nu for nu in (0, 1, 2, 3, 1, 2) for mu in range(4)]] / 2
+)
+# Newton's stand-in (square roots of s q^2) for the columns it does not solve
+_STAND_IN = np.array([[2.0], [0.0]])
+
+
+def _response_form(w) -> np.ndarray:
+    """(12, 4) real map from Alice's Bloch row r_a to (p, M) as described above.
+
+    Its rows are x_0:3, x_1:2, y_0:3, y_1:2 for x + i y = r_a T / 2.
+    """
+    t = _RESPONSE_MAP @ np.asarray(w, dtype=complex).ravel()
+    return np.concatenate([t.real, t.imag]).reshape(12, 4)
+
+
+def _bob_minima(xy):
+    """Per column of xy = response form @ Alice's Bloch rows^T: (min, mu).
+
+    mu is 0 inside the ellipse and the root above outside it (on a segment,
+    the lower bracket, which is the root there); `bob_response` builds n_b
+    from it.  Every column goes through the same array operations: in the
+    columns that need no root, Newton runs on a stand-in whose start is its
+    root (s = (1, 1), s q^2 = (4, 0)).
+    """
+    p = xy[::6]
+    m3 = xy.reshape(2, 6, -1)[:, 1:4]
+    (a, b), (_, d) = np.einsum("ikn,jkn->ijn", m3, m3)
+    # s_1 s_2 = det G = |m_x x m_y|^2 (Lagrange), with no cancellation
+    cross = xy[2:5] * xy[9:12]
+    cross -= xy[3:6] * xy[8:11]
+    s = np.empty((2, len(a)))
+    h = 0.5 * (a - d)
+    r = np.sqrt(h * h + b * b)
+    s[0] = 0.5 * (a + d) + r
+    s[1] = np.einsum("ij,ij->j", cross, cross) / np.maximum(s[0], _TINY)
+    # the major axis is (1, beta) for h >= 0 and (beta, 1) otherwise, with
+    # beta = b / (r + |h|), the tangent of G's half-angle, in [-1, 1];
+    # swapping c's coordinates for h < 0 reads both cases as the first.
+    # r + |h| = 0 means G = s_1 I, where any axis is an eigenvector
+    beta = b / np.maximum(r + np.abs(h), _TINY)
+    u = np.where(h >= 0.0, p, p[::-1])
+    q = np.empty_like(s)
+    q[0] = u[0] + u[1] * beta
+    q[1] = u[0] * beta - u[1]
+    q *= q
+    q /= 1.0 + beta * beta
+    root = np.sqrt(s * q)
+    mu = root - s
+    mu = np.maximum(mu[0], mu[1])
+    np.maximum(mu, 0.0, out=mu)
+    rank2 = s[1] > 0.0
+    inside = q[0] * s[1] + q[1] * s[0] <= s[0] * s[1]
+    inside &= rank2
+    todo = rank2 ^ inside
+    mu[inside] = 0.0
+    ss = np.where(todo, s, 1.0)
+    root = np.where(todo, root, _STAND_IN)
+    m = np.where(todo, mu, 1.0)
+    for _ in range(_NEWTON_CAP):
+        t = 1.0 / (ss + m)
+        v = root * t
+        v *= v
+        total = v[0] + v[1]
+        v *= t
+        step = total * (np.sqrt(total) - 1.0) / (v[0] + v[1])
+        m += step
+        if (step * t[0]).max() <= _NEWTON_TOL:
+            break
+    # the distance sqrt(sum q_i (mu / (s_i + mu))^2), q holding the squared
+    # coordinates; mu / (s_i + mu) <= 1 cannot overflow
+    t = m / (ss + m)
+    t *= t
+    t *= q
+    out = np.where(todo, np.sqrt(t[0] + t[1]), 0.0)
+    if not rank2.all():
+        # s_2 = 0: the distance to the segment (a point when M = 0)
+        seg = np.sqrt(q[0]) - np.sqrt(s[0])
+        np.maximum(seg, 0.0, out=seg)
+        seg *= seg
+        seg += q[1]
+        out = np.where(rank2, out, np.sqrt(seg))
+    return out, np.where(todo, m, mu)
+
+
+def alice_scan(w, theta, phi):
+    """Min over Alice's grid of Bob's exact best response to each state.
+
+    Returns (value, linear_index, mu) with the linear index running
+    row-major over (i_theta, j_phi) and mu the winning state's root, which
+    `bob_response` takes; exact ties go to the lowest index.  A block holds
+    at most _ALICE_BLOCK states and always at least one whole theta row.
+    """
+    form = _response_form(w)
+    theta = np.asarray(theta, dtype=float)
+    n_phi = len(phi)
+    per_block = max(1, _ALICE_BLOCK // n_phi)
+    best, best_lin, best_mu = math.inf, 0, 0.0
+    for start in range(0, len(theta), per_block):
+        rows = _bloch_rows(theta[start : start + per_block], phi)
+        vals, mu = _bob_minima(form @ rows.T)
+        k = int(vals.argmin())  # ties resolve to the lower index
+        if vals[k] < best:  # strict: earlier blocks win ties
+            best, best_lin, best_mu = float(vals[k]), start * n_phi + k, float(mu[k])
+    return best, best_lin, best_mu
+
+
+def bob_response(w, theta, phi, mu) -> np.ndarray:
+    """Bob's unit Bloch vector minimizing |<a x b| w |a x b>|, a = s(theta, phi).
+
+    mu is the state's root from `alice_scan`; see `_bob_vector`.
+    """
+    return _bob_vector(_response_form(w) @ _bloch_rows([theta], [phi])[0], mu)
+
+
+def _cross(u, v) -> np.ndarray:
+    return np.array(
+        [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+    )
+
+
+def _bob_vector(xy, mu) -> np.ndarray:
+    """Bob's unit Bloch vector for one column xy of `_bob_minima` and its mu.
+
+    With G's eigenpairs (s_i, e_i), read as in `_bob_minima`, and the right
+    singular vectors v_i = M^T e_i / sqrt(s_i), n_b = sum_i y_i v_i + t v_3
+    where y_i = sqrt(s_i) (c . e_i) / (s_i + mu): M^T (M M^T + mu I)^-1 c
+    where mu > 0 (outside the ellipse, or past a segment's end) and M^+ c
+    where mu = 0 (inside it, on a segment, or M = 0).  The null vector v_3
+    takes up t = sqrt(1 - |y|^2).  With v_3 along m_x x m_y and e_2 = e_1
+    turned by +90 degrees, (m_x x m_y) x M^T e_1 = s_1 M^T e_2, so
+    v_2 = v_3 x v_1 and no vector is divided by a small sqrt(s_2).  Below
+    s_2 = (8 eps)^2 s_1 the map counts as rank 1, which moves M n_b by at
+    most 8 eps sqrt(s_1) and keeps rounding noise in s_2 out of y_2.
+    """
+    c = -xy[::6]
+    mx, my = xy[1:4], xy[7:10]
+    a, b, d = mx @ mx, mx @ my, my @ my
+    if a + d == 0.0:
+        return np.array([0.0, 0.0, 1.0])  # M = 0: every n_b gives |p|
+    h = 0.5 * (a - d)
+    r = math.hypot(h, b)
+    s1 = 0.5 * (a + d) + r
+    beta = b / (r + abs(h)) if r > 0.0 else 0.0
+    e1 = np.array([1.0, beta] if h >= 0.0 else [beta, 1.0]) / math.hypot(1.0, beta)
+    e2 = np.array([-e1[1], e1[0]])
+    v1 = (e1[0] * mx + e1[1] * my) / math.sqrt(s1)
+    cross = _cross(mx, my)
+    s2 = float(cross @ cross) / s1
+    if s2 > (8.0 * _EPS) ** 2 * s1:
+        # cross has absolute errors near eps s_1, so its direction leans
+        # off the null space by about eps sqrt(s_1 / s_2); the lean along
+        # v_1 would cost sqrt(s_1) times that in M n_b, the rest sqrt(s_2)
+        v3 = cross - (cross @ v1) * v1
+    else:
+        s2 = 0.0
+        v3 = _cross(v1, np.eye(3)[np.argmin(np.abs(v1))])
+    v3 /= np.linalg.norm(v3)
+    v2 = _cross(v3, v1)
+    y1 = math.sqrt(s1) * float(c @ e1) / (s1 + mu)
+    y2 = math.sqrt(s2) * float(c @ e2) / (s2 + mu) if s2 + mu > 0.0 else 0.0
+    n = y1 * v1 + y2 * v2 + math.sqrt(max(0.0, 1.0 - y1 * y1 - y2 * y2)) * v3
+    return n / np.linalg.norm(n)

@@ -148,7 +148,7 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
         bad.append(f"round trip drifted: {dec.alpha} vs {d1}")
     cfg = oracle.SearchConfig(grid_steps=20, refinement_rounds=5)
     found, _ = oracle.min_over_product_states(u1, u2, cfg)
-    if abs(found - report.fidelity) > 2e-3:
+    if abs(found - report.fidelity) > geometry.VERDICT_TOL:
         bad.append(
             f"product search found {found!r} vs analytic {report.fidelity!r}"
         )

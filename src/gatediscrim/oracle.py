@@ -1,13 +1,14 @@
 """Independent numerical checks for the closed-form results.
 
-Nothing here reuses the magic basis or the hull geometry of the phases:
-the product-state search walks a Bloch-angle grid with deterministic
-refinement (each scan two real matrix products in the Pauli basis, see
-`_kernels`), the all-states optimum is computed exactly from the
-eigenvalues of u1^dag u2 (the numerical range of a normal matrix is the
-convex hull of its eigenvalues), and `helstrom_simulate` samples the
-measurement's confusion counts.  They can therefore confirm (or refute)
-the analytic pipeline.
+Nothing here reuses the magic basis or the hull geometry of the phases.
+The product-state search fixes Alice's factor on a Bloch-angle grid with
+deterministic refinement and solves Bob's factor exactly for each of her
+states: <a x b|W|a x b> is affine in Bob's Bloch vector, so his best
+response is a point-to-ellipse distance (see `_kernels`).  The all-states
+optimum is computed exactly from the eigenvalues of u1^dag u2 (the
+numerical range of a normal matrix is the convex hull of its eigenvalues),
+and `helstrom_simulate` samples the measurement's confusion counts.  They
+can therefore confirm (or refute) the analytic pipeline.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, numerics
+from . import numerics
 from .discrimination import ProbeState, probe_from_factors
 from .errors import DomainError
 
@@ -27,7 +28,7 @@ TWO_PI = 2.0 * math.pi
 SHRINK_FACTOR = 0.25
 # a refinement window's 9 points, in half-widths from its center
 _STEPS = np.linspace(-1.0, 1.0, 9)
-_AXES = np.arange(4)
+_AXES = np.arange(2)
 
 
 def _is_count(x, lo: int) -> bool:
@@ -39,9 +40,19 @@ def _is_count(x, lo: int) -> bool:
 class SearchConfig:
     """Knobs for the deterministic product-state search.
 
-    grid_steps:        points per Bloch axis in the coarse product scan
-    refinement_rounds: local 9-point refinements after the coarse scan,
-                       each window SHRINK_FACTOR times the last
+    grid_steps:        points per axis of Alice's Bloch sphere in the coarse
+                       scan: grid_steps thetas in [0, pi] by grid_steps phis
+                       in [0, 2 pi); Bob's factor is solved exactly
+    refinement_rounds: local 9 x 9 refinements of Alice's angles after the
+                       coarse scan, each window SHRINK_FACTOR times the last
+
+    The coarse minimum is within sqrt(2) h of the product optimum, h being
+    the grid's covering radius on Alice's sphere (chordal; at most half a
+    theta step plus half a phi step): |<a x b|W|a x b>| = |r_a^T T r_b| is
+    sqrt(2)-Lipschitz in Alice's Bloch vector, since ||T||_F = 4 for a
+    unitary W and |r_b| = 1/sqrt(2), and a minimum over Bob keeps that
+    constant.  That bounds the coarse scan only; the refinements, which
+    search near the coarse winner, carry no such certificate.
     """
 
     grid_steps: int = 32
@@ -74,33 +85,49 @@ def _angle_axes(cfg: SearchConfig):
 
 
 def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
-    """Grid-minimize |<psi|u1^dag u2|psi>| over product probes psi.
+    """Minimize |<psi|u1^dag u2|psi>| over product probes psi = a x b.
 
-    Coarse scan over (theta_a, phi_a, theta_b, phi_b), then shrinking
-    9-point refinements around the incumbent; the incumbent only improves,
-    and exact ties resolve toward the lower row-major grid index.  Returns
-    (value, ProbeState of the best product probe found).
+    Bob's side is solved exactly for each of Alice's states (see
+    `_kernels.alice_scan`), so only Alice's Bloch sphere is searched: a
+    coarse (theta, phi) grid, then shrinking 9 x 9 refinements around the
+    incumbent; the incumbent only improves, and exact ties resolve toward
+    the lower row-major grid index.  Bob's factor is his exact best response
+    to the winning state.  Returns (value, ProbeState), the value being the
+    overlap that this probe reaches.
     """
+    # imported on first use, so that `import gatediscrim` and the CLI's
+    # other commands do not load the kernels
+    from . import _kernels
+
     cfg = cfg or SearchConfig()
     u1, u2 = numerics.require_gates((u1, u2))
     w = u1.conj().T @ u2
     theta, phi = _angle_axes(cfg)
-    val, lin = _kernels.product_scan(w, theta, phi, theta, phi)
-    i, j, k, l = np.unravel_index(lin, (len(theta), len(phi), len(theta), len(phi)))
-    center = np.array([theta[i], phi[j], theta[k], phi[l]])
-    spacing = np.array([math.pi / (cfg.grid_steps - 1), TWO_PI / cfg.grid_steps] * 2)
+    val, lin, mu = _kernels.alice_scan(w, theta, phi)
+    i, j = divmod(lin, len(phi))
+    center = np.array([theta[i], phi[j]])
+    spacing = np.array([math.pi / (cfg.grid_steps - 1), TWO_PI / cfg.grid_steps])
     for r in range(cfg.refinement_rounds):
-        # row ax is the 9-point window on axis ax; theta rows stay in [0, pi]
+        # row 0 is the theta window, kept in [0, pi]; row 1 the phi window
         window = center[:, None] + (spacing * SHRINK_FACTOR**r)[:, None] * _STEPS
-        np.clip(window[::2], 0.0, math.pi, out=window[::2])
-        v2, lin2 = _kernels.product_scan(w, *window)
+        np.clip(window[0], 0.0, math.pi, out=window[0])
+        v2, lin2, mu2 = _kernels.alice_scan(w, *window)
         if v2 < val:
-            val = v2
-            center = window[_AXES, np.unravel_index(lin2, _STEPS.shape * 4)]
-    ta, pa, tb, pb = center
+            val, mu = v2, mu2
+            center = window[_AXES, divmod(lin2, len(_STEPS))]
+    ta, pa = center
     a = np.array([math.cos(0.5 * ta), math.sin(0.5 * ta) * np.exp(1j * pa)])
-    b = np.array([math.cos(0.5 * tb), math.sin(0.5 * tb) * np.exp(1j * pb)])
-    return val, probe_from_factors(a, b)
+    b = _ket(_kernels.bob_response(w, ta, pa, mu))
+    psi = np.kron(a, b)
+    return float(abs(psi.conj() @ w @ psi)), probe_from_factors(a, b)
+
+
+def _ket(n) -> np.ndarray:
+    """A unit ket with Bloch vector n, from the better-conditioned column."""
+    x, y, z = n
+    if z >= 0.0:
+        return np.array([1.0 + z, x + 1j * y]) / math.sqrt(2.0 * (1.0 + z))
+    return np.array([x - 1j * y, 1.0 - z]) / math.sqrt(2.0 * (1.0 - z))
 
 
 def min_over_all_states(u1, u2, cfg: SearchConfig | None = None):

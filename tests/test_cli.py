@@ -329,6 +329,20 @@ def test_selfcheck_checks_the_global_optimum(capsys, monkeypatch):
     assert "trial 0 (seed 0): FAIL global optimum" in out
 
 
+def test_selfcheck_checks_the_product_search(capsys, monkeypatch):
+    # the product oracle is exact, so it is held to the verdict tolerance
+    exact = oracle.min_over_product_states
+
+    def off_by_1e6(u1, u2, cfg=None):
+        val, probe = exact(u1, u2, cfg)
+        return val + 1e-6, probe
+
+    monkeypatch.setattr(oracle, "min_over_product_states", off_by_1e6)
+    code, out, _ = run_main(capsys, "selfcheck", "--trials", "1")
+    assert code == 1
+    assert "trial 0 (seed 0): FAIL product search found" in out
+
+
 def test_selfcheck_zero_trials(capsys):
     code, _, err = run_main(capsys, "selfcheck", "--trials", "0")
     assert code == 2

@@ -11,7 +11,7 @@ from gatediscrim.discrimination import (
     error_probability,
     fidelity,
 )
-from gatediscrim.errors import DomainError
+from gatediscrim.errors import DomainError, NotUnitaryError
 from gatediscrim.numerics import ID4, SWAP
 
 from conftest import (
@@ -177,6 +177,7 @@ def test_all_states_runs_no_search_and_draws_nothing(monkeypatch):
         raise AssertionError("the exact oracle must not search or sample")
 
     monkeypatch.setattr(_kernels, "product_scan", forbidden)
+    monkeypatch.setattr(_kernels, "alice_scan", forbidden)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     val, _ = oracle.min_over_all_states(ID4, canonical.build_ud((PI / 8, 0, 0)))
     assert val == pytest.approx(math.cos(PI / 8), abs=1e-12)
@@ -401,3 +402,212 @@ def test_helstrom_memory_independent_of_shots():
     assert peak < 4 * 2**20
     assert sum(map(sum, out.confusion)) == out.shots == 10**7
     assert abs(out.empirical_rate - 0.3086583) <= 5 * out.std_error
+
+
+# --- the 2-D scan: Alice's grid, Bob's side exact ----------------------------
+
+_SIGMAS = (
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]]),
+)
+
+
+def _ket(theta, phi):
+    return np.array([math.cos(0.5 * theta), math.sin(0.5 * theta) * np.exp(1j * phi)])
+
+
+def _bob_affine(w, theta, phi):
+    # <a x b| w |a x b> = tr(w_a rho_b) = p + m . n_b with w_a = <a| w |a>
+    # on Alice's factor; built from w directly, without the kernel's form
+    a = _ket(theta, phi)
+    w_a = np.einsum("i,ijkl,k->jl", a.conj(), np.asarray(w).reshape(2, 2, 2, 2), a)
+    return 0.5 * np.trace(w_a), np.array([0.5 * np.trace(w_a @ s) for s in _SIGMAS])
+
+
+def _row_gates(rng):
+    return {
+        "identity": ID4,  # M = 0 in every row
+        "swap": SWAP,  # rank-1 M in every row: the segment case
+        "ud_pi4_pi4": canonical.build_ud((PI / 4, PI / 4, 0.0)),  # the origin reached
+        "ud_pi8": canonical.build_ud((PI / 8, 0.0, 0.0)),
+        "dressed": dressed_gate(rng, (0.7, 0.4, 0.1)),
+        "haar": random_unitary(rng),
+    }
+
+
+def test_bob_minima_rows_against_the_bloch_grid(rng):
+    # each Alice row's exact value against ref_bloch_scan over that row's
+    # B grid: never above it, and below it by at most the Lipschitz constant
+    # sqrt(s_1) = ||M||_2 of n_b -> |p + M n_b| times the grid's covering
+    # radius; Bob's response built from each row reaches the row's value
+    ta = np.linspace(0.0, PI, 7)
+    pa = np.linspace(0.0, 2 * PI, 9, endpoint=False)
+    tb = np.linspace(0.0, PI, 16)
+    pb = np.linspace(0.0, 2 * PI, 16, endpoint=False)
+    # a point is within half a step of a grid point along each angle, and
+    # the chord is at most the path along the meridian and then the parallel
+    radius = 0.5 * (tb[1] - tb[0]) + 0.5 * (pb[1] - pb[0])
+    for name, w in _row_gates(rng).items():
+        vals, mu = _kernels._bob_minima(
+            _kernels._response_form(w) @ _kernels._bloch_rows(ta, pa).T
+        )
+        assert vals.shape == mu.shape == (63,)
+        for k, (t, f) in enumerate((t, f) for t in ta for f in pa):
+            grid_min, _ = ref_bloch_scan(w, [t], [f], tb, pb)
+            p, m = _bob_affine(w, t, f)
+            lipschitz = np.linalg.norm(np.stack([m.real, m.imag]), 2)
+            assert vals[k] <= grid_min + 1e-15, (name, k)
+            assert vals[k] >= grid_min - lipschitz * radius - 1e-15, (name, k)
+            n = _kernels.bob_response(w, t, f, mu[k])
+            assert abs(np.linalg.norm(n) - 1.0) <= 1e-15
+            assert abs(abs(p + m @ n) - vals[k]) <= 1e-12, (name, k)
+        if name == "identity":
+            assert np.all(vals == 1.0)
+        if name == "ud_pi4_pi4":
+            assert vals.min() <= 1e-15
+
+
+def _rotation(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def test_bob_minima_keep_thin_ellipses(rng):
+    # M = R2 diag(s1, s2) R3^T with s2 / s1 down to 1e-18.  With -p on the
+    # minor axis, outside, the nearest point is the minor vertex, so the
+    # value is |p| - s2 exactly; s2 taken as the difference of two
+    # eigenvalue-sized numbers would lose it entirely.  With -p strictly
+    # inside the value is 0.  Bob's vector reaches the value in both
+    cols, expect = [], []
+    for k in range(600):
+        s1 = rng.uniform(0.3, 1.0)
+        s2 = s1 * 10.0 ** rng.uniform(-18, -4)
+        r2, r3 = _rotation(rng, 2), _rotation(rng, 3)
+        m = r2 @ np.array([[s1, 0.0, 0.0], [0.0, s2, 0.0]]) @ r3.T
+        if k % 2:
+            gap = 10.0 ** rng.uniform(-3, -0.5)
+            p = r2 @ np.array([0.0, rng.choice([-1.0, 1.0]) * (s2 + gap)])
+        else:
+            t, u = rng.uniform(-1.0, 1.0, 2) / math.sqrt(2.0)
+            p, gap = r2 @ np.array([t * s1, u * s2]), 0.0
+        cols.append([p[0], *m[0], *m[0, :2], p[1], *m[1], *m[1, :2]])
+        expect.append(gap)
+    xy = np.array(cols).T
+    vals, mu = _kernels._bob_minima(xy)
+    np.testing.assert_allclose(vals, expect, rtol=0.0, atol=1e-14)
+    for k in range(xy.shape[1]):
+        n = _kernels._bob_vector(xy[:, k], mu[k])
+        z = complex(xy[0, k], xy[6, k]) + complex(xy[1:4, k] @ n, xy[7:10, k] @ n)
+        assert abs(np.linalg.norm(n) - 1.0) <= 1e-15
+        assert abs(abs(z) - vals[k]) <= 1e-14
+
+
+def test_alice_scan_never_above_the_4d_grid(rng):
+    # on the same Alice axes the 2-D scan's value is at most the 4-D scan's
+    theta = np.linspace(0.0, PI, 32)
+    phi = np.linspace(0.0, 2 * PI, 32, endpoint=False)
+    for w in _row_gates(rng).values():
+        val, lin, _ = _kernels.alice_scan(w, theta, phi)
+        assert val <= _kernels.product_scan(w, theta, phi, theta, phi)[0] + 1e-15
+        # the index decodes to a state whose exact value is the one returned
+        i, j = divmod(lin, len(phi))
+        vals, _ = _kernels._bob_minima(
+            _kernels._response_form(w) @ _kernels._bloch_rows([theta[i]], [phi[j]]).T
+        )
+        assert vals[0] == val
+
+
+def test_alice_scan_blocks_keep_the_lowest_index(rng, monkeypatch):
+    # any block size gives the first minimum of the full per-row array:
+    # U_d(pi/8, 0, 0) ties every row at cos(pi/8) (a segment that never
+    # reaches the origin), identity at exactly 1 and zero at exactly 0
+    theta = np.linspace(0.0, PI, 11)
+    phi = np.linspace(0.0, 2 * PI, 13, endpoint=False)
+    gates = [canonical.build_ud((PI / 8, 0.0, 0.0)), ID4, np.zeros((4, 4))]
+    gates += [random_unitary(rng), random_magic_diag(rng)[0], SWAP]
+    for w in gates:
+        vals, _ = _kernels._bob_minima(
+            _kernels._response_form(w) @ _kernels._bloch_rows(theta, phi).T
+        )
+        first = int(np.argmin(vals))
+        for block in (1, 13, 20, 40, 2**10):
+            monkeypatch.setattr(_kernels, "_ALICE_BLOCK", block)
+            val, lin, _ = _kernels.alice_scan(w, theta, phi)
+            assert (val, lin) == (float(vals[first]), first)
+    assert _kernels.alice_scan(ID4, theta, phi)[:2] == (1.0, 0)
+    assert _kernels.alice_scan(np.zeros((4, 4)), theta, phi)[:2] == (0.0, 0)
+
+
+def test_product_oracle_exact_on_criterion_2_pairs(rng):
+    # criterion 2's 200 pairs (seed 202, default config): the product value
+    # is the fidelity; there and on Haar pairs the returned product probe
+    # reaches the returned value
+    draw = np.random.default_rng(202)
+    pairs = []
+    for _ in range(200):
+        u1 = canonical.from_magic_phases(draw.uniform(-PI, PI, 4))
+        u2 = canonical.from_magic_phases(draw.uniform(-PI, PI, 4))
+        pv, probe = oracle.min_over_product_states(u1, u2)
+        assert abs(pv - fidelity(u1, u2)[0]) <= 1e-12
+        pairs.append((u1, u2, pv, probe))
+    for _ in range(30):
+        u1, u2 = random_unitary(rng), random_unitary(rng)
+        pv, probe = oracle.min_over_product_states(u1, u2)
+        assert pv >= oracle.min_over_all_states(u1, u2)[0] - 1e-12
+        pairs.append((u1, u2, pv, probe))
+    for u1, u2, pv, probe in pairs:
+        assert abs(_reached(u1, u2, probe.psi_computational) - pv) <= 1e-12
+        assert probe.concurrence <= 1e-12
+        assert concurrence(probe.u) <= 1e-12
+
+
+def test_product_search_memory_bounded_in_grid_steps():
+    # Alice's rows are built block by block: 16x the rows, about the same peak
+    w2 = canonical.build_ud((0.7, 0.4, 0.1))
+    peaks = []
+    for g in (128, 512):
+        tracemalloc.start()
+        try:
+            oracle.min_over_product_states(ID4, w2, oracle.SearchConfig(grid_steps=g))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_product_search_windows_stay_on_the_sphere(monkeypatch):
+    # identity vs U_d(pi/8, 0, 0) ties every Alice state, so the search
+    # stays at the theta = 0 pole and each window's thetas are clipped there
+    seen = []
+    scan = _kernels.alice_scan
+
+    def recording(w, theta, phi):
+        seen.append(np.array(theta))
+        return scan(w, theta, phi)
+
+    monkeypatch.setattr(_kernels, "alice_scan", recording)
+    cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=3)
+    val, _ = oracle.min_over_product_states(ID4, canonical.build_ud((PI / 8, 0, 0)), cfg)
+    assert abs(val - math.cos(PI / 8)) <= 1e-15
+    assert len(seen) == 4
+    for theta in seen[1:]:
+        assert theta.min() == 0.0 and theta.max() <= PI
+        assert np.all(np.diff(theta) >= 0.0)
+
+
+def test_product_search_checks_gates_before_scanning(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a gate must be checked before any scan")
+
+    monkeypatch.setattr(_kernels, "alice_scan", forbidden)
+    monkeypatch.setattr(_kernels, "bob_response", forbidden)
+    bad = [ID4.copy() for _ in range(3)]
+    bad[0][1, 2] = math.nan
+    bad[1][0, 0] = math.inf
+    bad[2] = 1.001 * ID4
+    for g in bad:
+        with pytest.raises(NotUnitaryError, match="second gate"):
+            oracle.min_over_product_states(ID4, g)
+        with pytest.raises(NotUnitaryError, match="first gate"):
+            oracle.min_over_product_states(g, ID4)
