@@ -76,8 +76,10 @@ def load_matrix_file(path, tol: float = 1e-8) -> LoadedGate:
             doc = json.load(fh, parse_int=float)
     except OSError as err:
         raise DomainError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise DomainError(f"{path} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise DomainError(f"{path} is nested too deeply") from err
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: top level must be a JSON object")
     kind = doc.get("kind")

@@ -194,13 +194,16 @@ def helstrom_simulate(
     possible outputs.  Orthogonal outputs therefore produce exactly zero
     errors.  The shots are independent, so the confusion counts are drawn
     as binomials, in memory independent of `shots`.  Deterministic for a
-    fixed seed.  `shots` must be an integer >= 1 and `seed` an integer >= 0
-    (a bool is neither), `p1` a prior as `numerics.require_prior` takes it
-    and `tol`, the gates' unitarity tolerance, finite and > 0, else
-    DomainError.
+    fixed seed.  `shots` must be an integer in [1, 2**63 - 1] and `seed` an
+    integer >= 0 (a bool is neither), `p1` a prior as
+    `numerics.require_prior` takes it and `tol`, the gates' unitarity
+    tolerance, finite and > 0, else DomainError.
     """
-    if not _is_count(shots, 1):
-        raise DomainError(f"shots must be a positive integer, got {shots!r}")
+    # numpy's binomial takes counts up to the int64 maximum
+    if not _is_count(shots, 1) or shots > np.iinfo(np.int64).max:
+        raise DomainError(
+            f"shots must be an integer in [1, 2**63 - 1], got {shots!r}"
+        )
     if not _is_count(seed, 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     p1 = numerics.require_prior(p1)

@@ -355,9 +355,9 @@ def ref_product_scan(w, ta, pa, tb, pb):
 
 
 # --- reference Bloch-form scan -----------------------------------------------
-# The Bloch-form scan as it stood before the screen: every block of 64
-# A-grid rows scored with two real 4-column matmuls and a squared modulus.
-# tests/test_oracle.py holds the screened kernel to it, index for index.
+# The Bloch-form scan in fixed blocks of 64 A-grid rows: two real 4-column
+# matmuls and a squared modulus per block.  tests/test_oracle.py holds the
+# kernel, whose blocks follow the B-grid size, to it index for index.
 
 
 def ref_bloch_scan(w, ta, pa, tb, pb):

@@ -178,6 +178,11 @@ def _write(path, text: str) -> str:
     return str(path)
 
 
+def _write_bytes(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
 def _identity_rows_with(entry: str) -> str:
     rows = files.matrix_pairs(np.eye(4))
     rows[1][2] = [12345.0, 0.0]
@@ -204,8 +209,13 @@ def _identity_rows_with_bools() -> str:
         lambda tmp: _write(
             tmp / "bool_alpha.json", '{"kind": "alpha", "alpha": [0.3, 0.0, false]}'
         ),
+        lambda tmp: _write_bytes(tmp / "not_utf8.json", b"\xff\xfe\x00bad"),
+        lambda tmp: _write(tmp / "deep.json", "[" * 100000 + "]" * 100000),
     ],
-    ids=["infinity", "1e400", "int400", "09", "10", "11", "bool_cell", "bool_alpha"],
+    ids=[
+        "infinity", "1e400", "int400", "09", "10", "11", "bool_cell", "bool_alpha",
+        "not_utf8", "deep",
+    ],
 )
 def test_rejected_gate_file_gives_one_line(tmp_path, make):
     # a cold run with Python's default warning filters: a numpy warning or a
@@ -296,9 +306,15 @@ def test_simulate_prior_rounded_past_one(capsys):
 
 
 def test_simulate_bad_shots(capsys):
-    code, _, err = run_main(capsys, "simulate", g("01"), g("04"), "--shots", "0")
-    assert code == 2
-    assert "shots" in err
+    # 10**23 lies past the int64 maximum, the largest count numpy's binomial
+    # takes
+    for shots in ("0", str(10**23)):
+        code, out, err = run_main(
+            capsys, "simulate", g("01"), g("04"), "--shots", shots
+        )
+        assert code == 2
+        assert out == ""
+        assert "shots" in err and err.count("\n") == 1
 
 
 def test_selfcheck_passes_and_replays(capsys):

@@ -229,9 +229,12 @@ def test_helstrom_asymmetric_prior_beats_naive():
 
 def test_helstrom_domain_errors():
     probe = construct_probe(np.zeros(4))
-    for shots in (0, 2.5, math.nan, math.inf):
+    for shots in (0, 2.5, math.nan, math.inf, 10**23):
         with pytest.raises(DomainError):
             oracle.helstrom_simulate(ID4, ID4, probe, shots=shots)
+    # the largest count numpy's binomial takes still runs
+    most = 2**63 - 1
+    assert oracle.helstrom_simulate(ID4, ID4, probe, shots=most).shots == most
     for p1 in (1.2, -0.1, math.nan):
         with pytest.raises(DomainError):
             oracle.helstrom_simulate(ID4, ID4, probe, p1=p1)
@@ -284,6 +287,10 @@ def test_kernel_matches_brute_force(rng):
             assert val == pytest.approx(brute, abs=1e-12)
         # every point ties at exactly 0: the lowest index wins across blocks
         assert _kernels.product_scan(np.zeros((4, 4)), *axes) == (0.0, 0)
+        # NaN in w scores no grid point
+        w_with_nan = np.eye(4)
+        w_with_nan[1, 2] = math.nan
+        assert _kernels.product_scan(w_with_nan, *axes) == (math.inf, 0)
 
 
 def test_kernel_matches_reference_scan(rng):
@@ -335,8 +342,8 @@ def test_kernel_memory_stays_one_block():
 
 
 def test_kernel_matches_bloch_scan(rng):
-    # the screened kernel against the full Bloch-form scan: every row that
-    # can hold the minimum is scored with the same arithmetic, so the index
+    # the kernel against the reference Bloch-form scan: every grid state is
+    # scored with the same arithmetic, only the blocks differ, so the index
     # agrees exactly, rounding-level near-ties and exact ties included
     gates = [
         random_unitary(rng),

@@ -1,7 +1,6 @@
 """Property tests: fidelity depends only on the set of phases up to a shift
 and a reflection, and on neither gate's global phase; the interaction vector
-does not see local dressing; the product scan's screen stays within its
-rounding bound of the Bloch form."""
+does not see local dressing."""
 
 import math
 
@@ -11,11 +10,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from gatediscrim import _kernels, canonical, geometry
+from gatediscrim import canonical, geometry
 from gatediscrim.discrimination import fidelity
 from gatediscrim.numerics import ID4
 
-from conftest import dressed_gate, random_unitary
+from conftest import dressed_gate
 
 PI = math.pi
 
@@ -23,12 +22,6 @@ phases = st.lists(
     st.floats(min_value=-PI, max_value=PI, allow_nan=False), min_size=4, max_size=4
 ).map(np.array)
 cfg = settings(deadline=None, database=None)
-
-
-def _angle_axis(hi):
-    return st.lists(
-        st.floats(min_value=0.0, max_value=hi, allow_nan=False), min_size=1, max_size=6
-    ).map(np.array)
 
 
 def _fid(om) -> float:
@@ -86,23 +79,3 @@ def test_interaction_invariant_under_local_dressing(seed):
     bare = canonical.extract_interaction(canonical.build_ud(alpha)).alpha
     dressed = canonical.extract_interaction(dressed_gate(rng, alpha)).alpha
     np.testing.assert_allclose(dressed, bare, atol=1e-8)
-
-
-@cfg
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    _angle_axis(PI),
-    _angle_axis(2 * PI),
-    _angle_axis(PI),
-    _angle_axis(2 * PI),
-)
-def test_screen_within_half_rounding_bound(seed, ta, pa, tb, pb):
-    # the kernel keeps every row within 2 tau of the least screened minimum;
-    # that is safe while screen and Bloch form differ by at most tau
-    t = _kernels._pauli_form(random_unitary(np.random.default_rng(seed)))
-    rows_a = _kernels._bloch_rows(ta, pa)
-    a_re, a_im = rows_a @ t.real, rows_a @ t.imag
-    rb = np.ascontiguousarray(_kernels._bloch_rows(tb, pb).T)
-    q, m = _kernels._screen_factors(a_re, a_im, rb)
-    bloch = (a_re @ rb) ** 2 + (a_im @ rb) ** 2
-    assert np.abs(q @ m - bloch).max() <= _kernels._rounding_bound(t) / 2
