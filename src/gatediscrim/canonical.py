@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DomainError, NotMagicDiagonalError
-from .numerics import wrap_angle
+from .numerics import GATE_TOL, wrap_angle
 
 PI = math.pi
 QUARTER_PI = math.pi / 4.0
@@ -36,6 +36,10 @@ MAGIC_BASIS = _SQ2 * np.array(
 )
 _MAGIC_DAG = MAGIC_BASIS.conj().T
 _OFF_DIAG = 1.0 - np.eye(4)
+# an alpha computed from pi/4 may overshoot a chamber wall by a few ulps
+_CHAMBER_SLACK = 1e-12
+# an alpha this near the identity or SWAP corner is it (round trip errs ~1e-15)
+_CLASS_TOL = 1e-10
 
 
 class GateClass(enum.Enum):
@@ -58,17 +62,17 @@ class InteractionDecomposition:
     global_phase: float
 
 
-def check_weyl(alpha, tol: float = 1e-12) -> np.ndarray:
+def check_weyl(alpha) -> np.ndarray:
     """Validate ordering and bounds of an interaction vector."""
     a = numerics.require_finite(alpha, "interaction vector", 3)
     ax, ay, az = a.tolist()
-    if az < -tol:
+    if az < -_CHAMBER_SLACK:
         raise DomainError(f"alpha_z >= 0 violated: alpha_z = {az!r}")
-    if ay < az - tol:
+    if ay < az - _CHAMBER_SLACK:
         raise DomainError(f"alpha_y >= alpha_z violated: {ay!r} < {az!r}")
-    if ax < ay - tol:
+    if ax < ay - _CHAMBER_SLACK:
         raise DomainError(f"alpha_x >= alpha_y violated: {ax!r} < {ay!r}")
-    if ax > QUARTER_PI + tol:
+    if ax > QUARTER_PI + _CHAMBER_SLACK:
         raise DomainError(f"alpha_x <= pi/4 violated: alpha_x = {ax!r}")
     return a
 
@@ -97,8 +101,7 @@ def magic_rep(u) -> np.ndarray:
 
 def build_ud(alpha) -> np.ndarray:
     """Interaction core exp(-i(ax XX + ay YY + az ZZ)) as a 4x4 unitary."""
-    lam = lambda_phases(alpha)
-    return (MAGIC_BASIS * np.exp(-1j * lam)) @ _MAGIC_DAG
+    return from_magic_phases(lambda_phases(alpha))
 
 
 def from_magic_phases(omega) -> np.ndarray:
@@ -115,14 +118,14 @@ def _fold_chamber(a: np.ndarray) -> np.ndarray:
     return np.sort(a)[::-1]
 
 
-def extract_interaction(u, tol: float = 1e-9) -> InteractionDecomposition:
+def extract_interaction(u, tol: float = GATE_TOL) -> InteractionDecomposition:
     """Recover the Weyl-chamber interaction vector of a 4x4 unitary.
 
     Works for any unitary, magic-diagonal or dressed with local factors.
     Round-trips with `build_ud` to rounding, degenerate spectra such as the
     identity and SWAP included, because the eigenphases of the unitary Gram
     matrix are perfectly conditioned.  NotUnitaryError unless `u` is a 4x4
-    matrix unitary within `tol`.
+    matrix unitary within `tol`, DomainError unless `tol` is finite and > 0.
     """
     u = numerics.require_gates([u], tol, ["gate"])[0]
     det = complex(np.linalg.det(u))
@@ -150,20 +153,19 @@ def extract_interaction(u, tol: float = 1e-9) -> InteractionDecomposition:
     )
 
 
-def relative_phases(u1, u2, tol: float = 1e-8) -> np.ndarray:
+def relative_phases(u1, u2, tol: float = GATE_TOL) -> np.ndarray:
     """Phase vector omega of W = u1^dag u2 for magic-diagonal inputs.
 
-    Both operators must be diagonal in the magic basis within `tol`; W then
-    acts as e^{-i omega_k} on magic vector k.  Entries are wrapped to
-    (-pi, pi] and kept in magic-basis order (not sorted).  `tol` must be
-    finite and > 0 (DomainError).  The first gate is checked before the
-    second, each for shape and unitarity (NotUnitaryError, at tolerance
-    max(tol, 1e-9)) before magic-diagonality (NotMagicDiagonalError).
+    Both operators must be unitary and diagonal in the magic basis within
+    `tol`, which must be finite and > 0 (DomainError); W then acts as
+    e^{-i omega_k} on magic vector k.  Entries are wrapped to (-pi, pi] and
+    kept in magic-basis order (not sorted).  The first gate is checked
+    before the second, each for shape and unitarity (NotUnitaryError)
+    before magic-diagonality (NotMagicDiagonalError).
     """
-    numerics.require_positive(tol)
     # both gates go through each check as one (2, 4, 4) stack
-    stack, errors = numerics.check_gates((u1, u2), max(tol, 1e-9))
-    m = _MAGIC_DAG @ stack @ MAGIC_BASIS
+    stack, errors = numerics.check_gates((u1, u2), tol)
+    m = magic_rep(stack)
     worst = np.abs(m * _OFF_DIAG).max(axis=(1, 2))
     for name, err, w in zip(numerics.PAIR_NAMES, errors, worst.tolist()):
         if err is not None:
@@ -180,12 +182,12 @@ def relative_phases(u1, u2, tol: float = 1e-8) -> np.ndarray:
     return wrap_angle(-np.arctan2(w.imag, w.real))
 
 
-def classify(alpha, tol: float = 1e-10) -> GateClass:
+def classify(alpha) -> GateClass:
     """Identity, swap-like, or entangling, by chamber position."""
     a = check_weyl(alpha)
-    if np.max(np.abs(a)) <= tol:
+    if np.max(np.abs(a)) <= _CLASS_TOL:
         return GateClass.IDENTITY
-    if np.max(np.abs(a - QUARTER_PI)) <= tol:
+    if np.max(np.abs(a - QUARTER_PI)) <= _CLASS_TOL:
         return GateClass.SWAP_LIKE
     return GateClass.ENTANGLING
 

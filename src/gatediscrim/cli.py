@@ -16,9 +16,11 @@ import sys
 
 import numpy as np
 
-from . import __version__, canonical, discrimination, files, geometry, oracle, svg
+from . import __version__, canonical, discrimination, files, oracle, svg
 from .errors import DomainError, GateDiscrimError
-from .numerics import require_finite, require_positive, wrap_angle
+from .numerics import GATE_TOL, VERDICT_TOL, require_finite, require_positive, wrap_angle
+
+_TOL_HELP = "max unitarity (and magic-diagonal) residual of a gate (default %(default)g)"
 
 
 def _angles(text: str, count: int, degrees: bool, what: str) -> np.ndarray:
@@ -58,14 +60,18 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_discriminate(args) -> int:
+def _analyse_pair(args):
+    """(first gate, second gate, report) for the gate files named in `args`."""
     tol = require_positive(args.tol, "--tol")
     g1 = files.load_matrix_file(args.first, tol=tol)
     g2 = files.load_matrix_file(args.second, tol=tol)
-    report = discrimination.discriminate(
-        g1.matrix, g2.matrix, p1=args.p1, tol=tol
-    )
-    text = files.render_document(files.report_document(report, g1.label, g2.label, tol))
+    return g1, g2, discrimination.discriminate(g1.matrix, g2.matrix, p1=args.p1, tol=tol)
+
+
+def _cmd_discriminate(args) -> int:
+    g1, g2, report = _analyse_pair(args)
+    doc = files.report_document(report, g1.label, g2.label, args.tol)
+    text = files.render_document(doc)
     # the files go first, so a failed write prints only the error line
     if args.probe_out:
         probe_doc = {
@@ -83,12 +89,7 @@ def _cmd_discriminate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    tol = require_positive(args.tol, "--tol")
-    g1 = files.load_matrix_file(args.first, tol=tol)
-    g2 = files.load_matrix_file(args.second, tol=tol)
-    report = discrimination.discriminate(
-        g1.matrix, g2.matrix, p1=args.p1, tol=tol
-    )
+    g1, g2, report = _analyse_pair(args)
     outcome = oracle.helstrom_simulate(
         g1.matrix,
         g2.matrix,
@@ -96,7 +97,7 @@ def _cmd_simulate(args) -> int:
         p1=args.p1,
         shots=args.shots,
         seed=args.seed,
-        tol=tol,
+        tol=args.tol,
     )
     analytic = report.error_probability
     diff = outcome.empirical_rate - analytic
@@ -133,27 +134,25 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
     u1 = canonical.build_ud(d1)
     u2 = canonical.build_ud(d2)
     report = discrimination.discriminate(u1, u2)
-    if abs(report.achieved_value - report.fidelity) > geometry.VERDICT_TOL:
+    if abs(report.achieved_value - report.fidelity) > VERDICT_TOL:
         bad.append(
             f"probe reaches {report.achieved_value!r} vs fidelity "
             f"{report.fidelity!r}"
         )
     conc = report.probe.concurrence
-    if conc > geometry.VERDICT_TOL:
+    if conc > VERDICT_TOL:
         bad.append(f"probe concurrence {conc:.3e}")
-    if report.perfectly_distinguishable != (report.fidelity <= geometry.VERDICT_TOL):
+    if report.perfectly_distinguishable != (report.fidelity <= VERDICT_TOL):
         bad.append("verdict disagrees with fidelity")
     dec = canonical.extract_interaction(u1)
     if float(np.max(np.abs(dec.alpha - d1))) > 1e-8:
         bad.append(f"round trip drifted: {dec.alpha} vs {d1}")
     cfg = oracle.SearchConfig(grid_steps=20, refinement_rounds=5)
     found, _ = oracle.min_over_product_states(u1, u2, cfg)
-    if abs(found - report.fidelity) > geometry.VERDICT_TOL:
-        bad.append(
-            f"product search found {found!r} vs analytic {report.fidelity!r}"
-        )
+    if abs(found - report.fidelity) > VERDICT_TOL:
+        bad.append(f"product search found {found!r} vs analytic {report.fidelity!r}")
     best, _ = oracle.min_over_all_states(u1, u2)
-    if abs(best - report.fidelity) > geometry.VERDICT_TOL:
+    if abs(best - report.fidelity) > VERDICT_TOL:
         bad.append(f"global optimum {best!r} vs analytic {report.fidelity!r}")
     outcome = oracle.helstrom_simulate(
         u1, u2, report.probe, p1=0.5, shots=4000, seed=seed
@@ -161,7 +160,7 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
     gap = abs(outcome.empirical_rate - report.error_probability)
     limit = 5.0 * outcome.std_error + 1e-12
     if outcome.std_error == 0.0:
-        if gap > geometry.VERDICT_TOL:
+        if gap > VERDICT_TOL:
             bad.append("zero-variance simulation missed the analytic rate")
     elif gap > limit:
         bad.append(
@@ -195,10 +194,7 @@ def _cmd_selfcheck(args) -> int:
 
 def _cmd_figure(args) -> int:
     omega = wrap_angle(_angles(args.omega, 4, args.degrees, "--omega"))
-    try:
-        svg.write_hull_svg(omega, args.out)
-    except OSError as err:
-        raise DomainError(f"cannot write {args.out}: {err}") from err
+    svg.write_hull_svg(omega, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -225,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="canonical interaction vector of a gate file")
     p.add_argument("gate", help="gate file (JSON)")
-    p.add_argument("--tol", type=float, default=1e-8, help="unitarity tolerance")
+    p.add_argument("--tol", type=float, default=GATE_TOL, help=_TOL_HELP)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser(
@@ -236,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first", help="gate file for hypothesis 1")
     p.add_argument("second", help="gate file for hypothesis 2")
     p.add_argument("--p1", type=float, default=0.5, help="prior of hypothesis 1")
-    p.add_argument("--tol", type=float, default=1e-8, help="magic-diagonal tolerance")
+    p.add_argument("--tol", type=float, default=GATE_TOL, help=_TOL_HELP)
     p.add_argument("--probe-out", default=None, help="write the probe state here")
     p.add_argument("--svg-out", default=None, help="write the hull figure here")
     p.set_defaults(func=_cmd_discriminate)
@@ -251,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=0.5)
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=GATE_TOL, help=_TOL_HELP)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -280,10 +276,7 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except GateDiscrimError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (GateDiscrimError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import canonical, geometry, numerics
 from .errors import ConstructionFailedError, DomainError, NotProductError
-from .numerics import wrap_angle
+from .numerics import GATE_TOL, wrap_angle
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -72,23 +72,23 @@ def concurrence(u) -> float:
     return float(abs((u * u).sum()))
 
 
-def factor_product(u, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def factor_product(u) -> tuple[np.ndarray, np.ndarray]:
     """Split a product state given by magic amplitudes into qubit factors.
 
     Returns normalized (local_a, local_b) with kron(local_a, local_b) equal
     to the computational ket up to the stored gauge.  Raises NotProductError
-    when the concurrence exceeds `tol`, which signals a construction bug in
-    the caller rather than a user input problem.
+    when the concurrence exceeds `GATE_TOL`, which signals a construction
+    bug in the caller rather than a user input problem.
     """
     u = np.asarray(u, dtype=complex).ravel()
     c = concurrence(u)
-    return _factor(canonical.MAGIC_BASIS @ u, c, tol)
+    return _factor(canonical.MAGIC_BASIS @ u, c)
 
 
-def _factor(psi, c: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _factor(psi, c: float) -> tuple[np.ndarray, np.ndarray]:
     """`factor_product` given the ket psi and the concurrence c of its amplitudes."""
-    if not (c <= tol):  # written so that NaN fails
-        raise NotProductError(f"concurrence {c:.3e} exceeds tolerance {tol:g}")
+    if not (c <= GATE_TOL):  # written so that NaN fails
+        raise NotProductError(f"concurrence {c:.3e} exceeds tolerance {GATE_TOL:g}")
     amp = psi.reshape(2, 2)
     row = int((np.abs(amp) ** 2).sum(axis=1).argmax())
     b = amp[row] / _norm(amp[row])
@@ -119,11 +119,12 @@ def error_probability(fid: float, p1: float, p2: float) -> float:
 
 
 def _probe_from_amplitudes(u) -> ProbeState:
+    # amplitudes built from unit-norm formulas: a few ulps from norm 1
     u = numerics.require_normalized(u, 1e-12, "probe amplitudes")
     psi = canonical.MAGIC_BASIS @ u
     c = concurrence(u)
     try:
-        a, b = _factor(psi, c, 1e-8)
+        a, b = _factor(psi, c)
     except NotProductError:
         a = b = None
     return ProbeState(
@@ -145,7 +146,7 @@ def achieved_overlap(u, omega) -> float:
     """|sum_k |u_k|^2 e^{-i omega_k}| actually reached by amplitudes u.
 
     Raises DomainError unless u holds 4 amplitudes of unit norm (within
-    1e-10, else NotNormalizedError) and omega 4 finite phases.
+    NORM_TOL, else NotNormalizedError) and omega 4 finite phases.
     """
     u = numerics.require_normalized(u, name="magic amplitudes")
     om = numerics.require_finite(omega, "omega", 4)
@@ -239,7 +240,7 @@ def construct_probe(omega) -> ProbeState:
     The closed form: a 90 degree phased chord between the angular extremes
     when the origin lies outside the hull, Varignon midpoint weights when
     it lies inside.  The returned state is a product state (concurrence at
-    most `geometry.VERDICT_TOL`) whose overlap |<psi|W|psi>| under the
+    most `numerics.VERDICT_TOL`) whose overlap |<psi|W|psi>| under the
     rotation W fixed by omega equals the hull minimum within the same
     bound; a miss raises ConstructionFailedError.
     """
@@ -258,7 +259,7 @@ def _validate_probe(probe, omega, target) -> tuple[float, float]:
     got = achieved_overlap(probe.u, omega)
     c = probe.concurrence
     # written so that a NaN fails
-    if not (abs(got - target) <= geometry.VERDICT_TOL and c <= geometry.VERDICT_TOL):
+    if not (abs(got - target) <= numerics.VERDICT_TOL and c <= numerics.VERDICT_TOL):
         raise ConstructionFailedError(
             f"probe reaches {got!r} against hull minimum {target!r} "
             f"with concurrence {c:.3e}"
@@ -266,7 +267,7 @@ def _validate_probe(probe, omega, target) -> tuple[float, float]:
     return got, c
 
 
-def fidelity(u1, u2, tol: float = 1e-8) -> tuple[float, np.ndarray]:
+def fidelity(u1, u2, tol: float = GATE_TOL) -> tuple[float, np.ndarray]:
     """Worst-case single-query overlap of two magic-diagonal gates.
 
     Returns (F, omega); F is the origin distance of the hull of the points
@@ -276,12 +277,12 @@ def fidelity(u1, u2, tol: float = 1e-8) -> tuple[float, np.ndarray]:
     return _hull(om).min_distance, om
 
 
-def perfectly_distinguishable(u1, u2, tol: float = 1e-8) -> bool:
+def perfectly_distinguishable(u1, u2, tol: float = GATE_TOL) -> bool:
     """True when one query separates the gates with certainty."""
     return _hull(canonical.relative_phases(u1, u2, tol=tol)).origin_inside
 
 
-def discriminate(u1, u2, p1: float = 0.5, tol: float = 1e-8) -> DiscriminationReport:
+def discriminate(u1, u2, p1: float = 0.5, tol: float = GATE_TOL) -> DiscriminationReport:
     """Full single-query analysis of a magic-diagonal gate pair."""
     p1 = numerics.require_prior(p1)
     p2 = 1.0 - p1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, canonical, geometry, numerics
+from . import __version__, canonical, numerics
 from .errors import DomainError
 
 
@@ -66,10 +66,10 @@ def _as_complex_matrix(rows) -> np.ndarray:
     return out
 
 
-def load_matrix_file(path, tol: float = 1e-8) -> LoadedGate:
+def load_matrix_file(path, tol: float = numerics.GATE_TOL) -> LoadedGate:
     """Read a gate file; raises DomainError with a specific message on any
-    malformed content or out-of-chamber alpha, and NotUnitaryError for a
-    matrix that is not a 4x4 unitary within `tol`."""
+    malformed content, out-of-chamber alpha or bad `tol`, and NotUnitaryError
+    for a gate that is not a 4x4 unitary within `tol`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # integers as floats (too large ones become inf); a bool is no float
@@ -88,17 +88,16 @@ def load_matrix_file(path, tol: float = 1e-8) -> LoadedGate:
         raise DomainError(f"{path}: label must be a string")
     if kind == "matrix":
         m = _as_complex_matrix(doc.get("rows"))
-        m = numerics.require_gates([m], tol, [f"{path}: matrix"])[0]
-        return LoadedGate(matrix=m, label=label)
-    if kind == "alpha":
+    elif kind == "alpha":
         a = doc.get("alpha")
         if not isinstance(a, list) or not all(isinstance(x, float) for x in a):
             raise DomainError(f"{path}: alpha must be a list of 3 numbers")
         # build_ud checks the entry count, finiteness and the chamber
-        return LoadedGate(matrix=canonical.build_ud(a), label=label)
-    raise DomainError(
-        f"{path}: kind must be 'matrix' or 'alpha', got {kind!r}"
-    )
+        m = canonical.build_ud(a)
+    else:
+        raise DomainError(f"{path}: kind must be 'matrix' or 'alpha', got {kind!r}")
+    m = numerics.require_gates([m], tol, [f"{path}: {kind}"])[0]
+    return LoadedGate(matrix=m, label=label)
 
 
 def render_document(doc: dict) -> str:
@@ -118,16 +117,19 @@ def write_text(text: str, path) -> None:
 
     The text goes to a sibling temp file that is then renamed onto `path`,
     so a failed write leaves no partial file and an existing file as it was.
+    An OSError becomes a DomainError that names `path`, not the temp file.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as err:
+        raise DomainError(f"cannot write {path}: {err.strerror or err}") from err
+    finally:
+        # gone after a successful rename
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise
 
 
 def write_document(doc: dict, path) -> None:
@@ -163,8 +165,8 @@ def report_document(report, label1: str, label2: str, tol: float) -> dict:
         "priors": {"p1": float(report.p1), "p2": float(report.p2)},
         "tolerances": {
             "magic_diagonal": float(tol),
-            "probe_achieve": geometry.VERDICT_TOL,
-            "probe_concurrence": geometry.VERDICT_TOL,
+            "probe_achieve": numerics.VERDICT_TOL,
+            "probe_concurrence": numerics.VERDICT_TOL,
         },
         "omega": floats(report.omega),
         "fidelity": float(report.fidelity),

@@ -17,15 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateHullError, DomainError
-from .numerics import require_finite, wrap_angle
+from .numerics import VERDICT_TOL, require_finite, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
-# The verdict rule: the origin is inside the hull when its distance to the
-# hull is at most VERDICT_TOL (criterion 3's bound).  Probes are held to the
-# same bound on their achieved overlap and on their concurrence.
-VERDICT_TOL = 1e-9
-# phases closer than this on the circle are one hull vertex
+# phases closer than this on the circle are one hull vertex; rounding is ~1e-16
 DEDUPE_TOL = 1e-10
 
 

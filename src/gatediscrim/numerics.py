@@ -6,7 +6,7 @@ dense eigenvalue routine, see `unitary_eigenphases`.  This module is also
 the one home of the input checks, one per input kind: gates, finite vectors,
 unit-norm amplitudes, positive tolerances and priors.  NaN fails each of
 them, and each raises a `DomainError` subclass, never a numpy error or
-warning.
+warning.  It names the tolerances other modules read: GATE_TOL, VERDICT_TOL.
 """
 
 from __future__ import annotations
@@ -18,6 +18,15 @@ import numpy as np
 from .errors import DomainError, NotNormalizedError, NotUnitaryError
 
 TWO_PI = 2.0 * math.pi
+
+# How far an input gate may be from unitary and, where the theorem needs it,
+# from magic-diagonal: the default of every gate `tol` and of the CLI's --tol
+GATE_TOL = 1e-8
+# the origin is inside the hull when its distance to it is at most this
+# (criterion 3's bound); probes are held to it on overlap and concurrence
+VERDICT_TOL = 1e-9
+# how far a unit vector's squared norm may be from 1: room for rounding only
+NORM_TOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -80,19 +89,19 @@ def unitarity_residual(m) -> np.ndarray:
         return np.abs(gram - (ID4 if n == 4 else np.eye(n))).max(axis=(-2, -1))
 
 
-def is_unitary(m, tol: float = 1e-9) -> bool:
+def is_unitary(m, tol: float = GATE_TOL) -> bool:
+    """True for a square `m` within `tol` of unitary; `tol` finite and > 0."""
+    require_positive(tol)
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return bool(unitarity_residual(m) <= tol)
 
 
-def require_unitary(m, tol: float = 1e-9, name: str = "matrix"):
+def require_unitary(m, tol: float = GATE_TOL, name: str = "matrix"):
     m = np.asarray(m, dtype=complex)
     if not is_unitary(m, tol):
-        raise NotUnitaryError(
-            f"{name} is not unitary within tolerance {tol:g}"
-        )
+        raise NotUnitaryError(f"{name} is not unitary within tolerance {tol:g}")
     return m
 
 
@@ -102,7 +111,9 @@ def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
     `stack` is a (k, 4, 4) complex array; errors[i] is the NotUnitaryError
     that gates[i], called names[i], fails with (not a 4x4 matrix, or not
     unitary within `tol`), else None.  A failing gate enters `stack` as NaN.
+    `tol` must be finite and > 0 (DomainError).
     """
+    require_positive(tol)
     arrs = [np.asarray(g, dtype=complex) for g in gates]
     stack = np.array([a if a.shape == (4, 4) else _NAN44 for a in arrs])
     errors = [None] * len(arrs)
@@ -118,7 +129,7 @@ def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
     return stack, errors
 
 
-def require_gates(gates, tol: float = 1e-9, names=PAIR_NAMES) -> np.ndarray:
+def require_gates(gates, tol: float = GATE_TOL, names=PAIR_NAMES) -> np.ndarray:
     """`check_gates`' stack; raises the first gate's error, if any."""
     stack, errors = check_gates(gates, tol, names)
     if any(errors):
@@ -141,7 +152,7 @@ def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
     return a
 
 
-def require_normalized(v, tol: float = 1e-10, name: str = "state"):
+def require_normalized(v, tol: float = NORM_TOL, name: str = "state"):
     """`v` as 4 complex amplitudes; DomainError for another entry count,
     NotNormalizedError unless the squared norm is 1 within `tol`."""
     v = np.asarray(v, dtype=complex).ravel()
@@ -165,7 +176,7 @@ def require_positive(tol: float, what: str = "tol") -> float:
 
 def require_prior(p1: float) -> float:
     """The prior `p1` clamped to [0, 1]; DomainError for NaN, inf or a value
-    more than 1e-12 outside [0, 1]."""
+    more than 1e-12, room for rounding, outside [0, 1]."""
     if not (-1e-12 <= p1 <= 1.0 + 1e-12):
         raise DomainError(f"prior p1 = {p1!r} outside [0, 1]")
     return min(max(p1, 0.0), 1.0)
@@ -181,15 +192,16 @@ def random_su2(rng) -> np.ndarray:
     return np.array([[a, -b.conjugate()], [b, a.conjugate()]], dtype=complex)
 
 
-def unitary_eigenphases(m, tol: float = 1e-9) -> np.ndarray:
+def unitary_eigenphases(m) -> np.ndarray:
     """Eigenphases of a unitary, multiplicity counted, sorted ascending.
 
     Returns phases theta in (-pi, pi] with e^{i theta} running over the
     eigenvalues of `m`.  A unitary is normal, so its eigenvalues are
     perfectly conditioned (Bauer-Fike): LAPACK's `eigvals` gives them to
-    rounding, repeated and tightly clustered ones included.
+    rounding, repeated and tightly clustered ones included.  NotUnitaryError
+    unless `m` is square and unitary within GATE_TOL.
     """
-    return eigenphases(require_unitary(m, tol=max(tol, 1e-9)))
+    return eigenphases(require_unitary(m))
 
 
 def eigenphases(m) -> np.ndarray:

@@ -77,13 +77,6 @@ class ShotOutcome:
     confusion: tuple[tuple[int, int], tuple[int, int]]
 
 
-def _angle_axes(cfg: SearchConfig):
-    g = cfg.grid_steps
-    theta = np.linspace(0.0, math.pi, g)
-    phi = np.linspace(0.0, TWO_PI, g, endpoint=False)
-    return theta, phi
-
-
 def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     """Minimize |<psi|u1^dag u2|psi>| over product probes psi = a x b.
 
@@ -102,7 +95,8 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     cfg = cfg or SearchConfig()
     u1, u2 = numerics.require_gates((u1, u2))
     w = u1.conj().T @ u2
-    theta, phi = _angle_axes(cfg)
+    theta = np.linspace(0.0, math.pi, cfg.grid_steps)
+    phi = np.linspace(0.0, TWO_PI, cfg.grid_steps, endpoint=False)
     val, lin, mu = _kernels.alice_scan(w, theta, phi)
     i, j = divmod(lin, len(phi))
     center = np.array([theta[i], phi[j]])
@@ -185,7 +179,7 @@ def helstrom_simulate(
     p1: float = 0.5,
     shots: int = 10_000,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = numerics.GATE_TOL,
 ) -> ShotOutcome:
     """Sample the optimal two-outcome measurement for u1-vs-u2 on `probe`.
 
@@ -207,7 +201,7 @@ def helstrom_simulate(
     if not _is_count(seed, 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     p1 = numerics.require_prior(p1)
-    u1, u2 = numerics.require_gates((u1, u2), numerics.require_positive(tol))
+    u1, u2 = numerics.require_gates((u1, u2), tol)
     p2 = 1.0 - p1
     psi = numerics.require_normalized(probe.psi_computational, name="probe")
     out1 = u1 @ psi

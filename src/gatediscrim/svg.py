@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import __version__, files, geometry
-from .numerics import require_finite, wrap_angle
+from .numerics import VERDICT_TOL, require_finite, wrap_angle
 
 _W = 2.9
 _VIEW = f"-{_W / 2} -{_W / 2} {_W} {_W}"
@@ -74,7 +74,7 @@ def render_hull_svg(omega) -> str:
         )
         for i, mid in enumerate(geometry.midpoint_quad(hull)):
             lines.append(_circle(mid[0], mid[1], 0.018, "#e3742f"))
-            off = 0.14 if np.hypot(*mid) < geometry.VERDICT_TOL else 0.0
+            off = 0.14 if np.hypot(*mid) < VERDICT_TOL else 0.0
             lines.append(
                 _text(
                     mid[0] * 1.0 + off,

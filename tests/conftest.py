@@ -156,7 +156,7 @@ def ref_relative_phases(u1, u2, tol=1e-8):
     for u in (u1, u2):
         u = np.asarray(u, dtype=complex)
         resid = np.max(np.abs(u.conj().T @ u - np.eye(4)))
-        assert resid <= max(tol, 1e-9)
+        assert resid <= tol
         m = canonical._MAGIC_DAG @ u @ canonical.MAGIC_BASIS
         assert np.max(np.abs(m - np.diag(np.diag(m)))) <= tol
         diags.append(np.diag(m))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gatediscrim import cli, files, oracle, svg
+from gatediscrim.errors import DomainError
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -256,6 +257,26 @@ def test_discriminate_unwritable_output_prints_one_line(capsys, tmp_path, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-ud", "--alpha", "0.3,0.2,0.1", "--out"],
+        ["discriminate", g("01"), g("04"), "--probe-out"],
+        ["discriminate", g("01"), g("04"), "--svg-out"],
+        ["figure", "--omega", "0,1,2,3", "--out"],
+    ],
+)
+def test_unwritable_output_names_the_given_path(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run_main(capsys, *argv, str(target))
+    assert code == 2
+    assert out == ""
+    # the path as given, not the writer's temp file, so stderr is repeatable
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -507,7 +528,7 @@ def test_failed_rename_removes_temp_file(tmp_path, monkeypatch):
         raise OSError("rename failed")
 
     monkeypatch.setattr(files.os, "replace", fail)
-    with pytest.raises(OSError):
+    with pytest.raises(DomainError, match="cannot write .*doc.json: rename failed$"):
         files.write_document({"x": 1.0}, path)
     assert path.read_text() == "kept\n"
     assert list(tmp_path.iterdir()) == [path]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gatediscrim import canonical, discrimination, geometry, numerics, oracle
+from gatediscrim import canonical, discrimination, files, geometry, numerics, oracle
 from gatediscrim.discrimination import (
     CaseTag,
     concurrence,
@@ -347,18 +347,31 @@ def test_validate_probe_fails_on_nan():
 def test_tolerance_checks_fail_on_nan():
     with pytest.raises(NotNormalizedError):
         concurrence([math.nan, 0, 0, 0])
-    with pytest.raises(NotProductError):
-        factor_product([SQ2, 1j * SQ2, 0, 0], tol=math.nan)
     with pytest.raises(NotNormalizedError, match="probe amplitudes"):
         discrimination._probe_from_amplitudes([math.nan, 0, 0, 0])
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
-def test_gate_pair_entry_points_check_tol(tol):
+def test_gate_pair_entry_points_check_tol(tol, tmp_path):
     ix = kron(numerics.ID2, numerics.PAULI_X)
+    probe = construct_probe(np.zeros(4))
+    paths = [tmp_path / "matrix.json", tmp_path / "alpha.json"]
+    files.write_document(files.matrix_document(ID4, "I"), paths[0])
+    files.write_document({"kind": "alpha", "alpha": [0.3, 0.2, 0.1]}, paths[1])
+    calls = [
+        lambda: numerics.is_unitary(ID4, tol=tol),
+        lambda: numerics.require_unitary(ID4, tol=tol),
+        lambda: canonical.extract_interaction(ID4, tol=tol),
+        lambda: files.load_matrix_file(paths[0], tol=tol),
+        lambda: files.load_matrix_file(paths[1], tol=tol),
+        lambda: oracle.helstrom_simulate(ID4, ix, probe, shots=100, tol=tol),
+    ]
     for fn in (fidelity, perfectly_distinguishable, discriminate):
-        with pytest.raises(DomainError, match="tol"):
-            fn(ID4, ix, tol=tol)
+        calls.append(lambda fn=fn: fn(ID4, ix, tol=tol))
+    for call in calls:
+        # a DomainError about `tol`, not a NotUnitaryError about the gate
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
+            call()
 
 
 def test_gate_pair_entry_points_reject_non_4x4():

@@ -1,11 +1,16 @@
+import argparse
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
-from gatediscrim import canonical, discrimination, files, numerics, oracle
+import gatediscrim
+from gatediscrim import canonical, cli, discrimination, files, geometry, numerics, oracle
 from gatediscrim.errors import DomainError, NotNormalizedError, NotUnitaryError
 from gatediscrim.numerics import (
     ID2,
@@ -282,3 +287,62 @@ def test_helstrom_simulate_takes_a_tolerance():
     for tol in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(DomainError, match="tol must be finite and > 0"):
             oracle.helstrom_simulate(ID4, ID4, _PROBE, shots=100, tol=tol)
+
+
+def _tol_defaults() -> dict:
+    """{module.function: default} for every public function of the package
+    whose `tol` parameter has a default."""
+    out = {}
+    for info in pkgutil.iter_modules(gatediscrim.__path__):
+        mod = importlib.import_module(f"gatediscrim.{info.name}")
+        for name, fn in vars(mod).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            if fn.__module__ != mod.__name__:
+                continue
+            p = inspect.signature(fn).parameters.get("tol")
+            if p is not None and p.default is not inspect.Parameter.empty:
+                out[f"{info.name}.{name}"] = p.default
+    return out
+
+
+def test_every_tol_default_is_a_named_tolerance():
+    defaults = _tol_defaults()
+    others = {
+        "geometry.hull_of_phases": geometry.DEDUPE_TOL,
+        "geometry.dedupe_phases": geometry.DEDUPE_TOL,
+        "numerics.require_normalized": numerics.NORM_TOL,
+    }
+    for name, default in defaults.items():
+        # `is`: a literal of the same value is another float object
+        assert default is others.get(name, numerics.GATE_TOL), name
+    gate_entry_points = {
+        "canonical.relative_phases",
+        "canonical.extract_interaction",
+        "discrimination.fidelity",
+        "discrimination.perfectly_distinguishable",
+        "discrimination.discriminate",
+        "files.load_matrix_file",
+        "numerics.is_unitary",
+        "numerics.require_unitary",
+        "numerics.require_gates",
+        "oracle.helstrom_simulate",
+    }
+    assert gate_entry_points | set(others) == set(defaults)
+    # fixed tolerances, not knobs
+    for fn in (
+        canonical.classify,
+        canonical.check_weyl,
+        discrimination.factor_product,
+        numerics.unitary_eigenphases,
+    ):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    (sub,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    flags = {
+        cmd: a for cmd, p in sub.choices.items() for a in p._actions if a.dest == "tol"
+    }
+    assert sorted(flags) == ["decompose", "discriminate", "simulate"]
+    assert all(a.default is numerics.GATE_TOL for a in flags.values())
+    assert len({a.help for a in flags.values()}) == 1

@@ -1,8 +1,11 @@
 """Property tests: fidelity depends only on the set of phases up to a shift
 and a reflection, and on neither gate's global phase; the interaction vector
-does not see local dressing."""
+does not see local dressing; every gate-taking entry point accepts a gate
+exactly when `numerics.check_gates` does."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from gatediscrim import canonical, geometry
+from gatediscrim import canonical, discrimination, files, geometry, numerics, oracle
 from gatediscrim.discrimination import fidelity
+from gatediscrim.errors import NotUnitaryError
 from gatediscrim.numerics import ID4
 
 from conftest import dressed_gate
@@ -79,3 +83,57 @@ def test_interaction_invariant_under_local_dressing(seed):
     bare = canonical.extract_interaction(canonical.build_ud(alpha)).alpha
     dressed = canonical.extract_interaction(dressed_gate(rng, alpha)).alpha
     np.testing.assert_allclose(dressed, bare, atol=1e-8)
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except NotUnitaryError:
+        return False
+    return True
+
+
+_SMALL_SEARCH = oracle.SearchConfig(grid_steps=8, refinement_rounds=0)
+_PROBE = discrimination.construct_probe(np.zeros(4))
+_UD = canonical.build_ud((0.3, 0.2, 0.1))
+# squared scale 1 + r gives a unitarity residual of about |r|
+residual = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(min_value=0.0, max_value=2.0))
+
+
+@cfg
+@given(phases, phases, residual, residual, st.sampled_from([None, 1e-10, 1e-6]))
+# residual 8e-9: inside the default, and once rejected by the oracles at 1e-9
+@example(np.zeros(4), canonical.lambda_phases((0.3, 0.2, 0.1)), (1.0, 0.8), (1.0, 0.0), None)
+def test_entry_points_accept_exactly_when_check_gates_does(om1, om2, r1, r2, tol):
+    t = numerics.GATE_TOL if tol is None else tol
+    kw = {} if tol is None else {"tol": tol}
+    gates = [
+        math.sqrt(1.0 + sign * size * t) * canonical.from_magic_phases(om)
+        for om, (sign, size) in zip((om1, om2), (r1, r2))
+    ]
+    errors = numerics.check_gates(gates, t)[1]
+    pair_ok = not any(errors)
+    u1, u2 = gates
+    pair_calls = [
+        lambda: canonical.relative_phases(u1, u2, **kw),
+        lambda: fidelity(u1, u2, **kw),
+        lambda: discrimination.perfectly_distinguishable(u1, u2, **kw),
+        lambda: discrimination.discriminate(u1, u2, **kw),
+        lambda: oracle.helstrom_simulate(u1, u2, _PROBE, shots=10, **kw),
+    ]
+    if tol is None:
+        # the oracles take no tol: they check at GATE_TOL
+        pair_calls.append(lambda: oracle.min_over_product_states(u1, u2, _SMALL_SEARCH))
+        pair_calls.append(lambda: oracle.min_over_all_states(u1, u2))
+    for call in pair_calls:
+        assert _accepts(call) == pair_ok
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (u, err) in enumerate(zip(gates, errors)):
+            path = Path(tmp) / f"gate{i}.json"
+            files.write_document(files.matrix_document(u, "g"), path)
+            for call in (
+                lambda: canonical.extract_interaction(u, **kw),
+                lambda: numerics.require_unitary(u, **kw),
+                lambda: files.load_matrix_file(path, **kw),
+            ):
+                assert _accepts(call) == (err is None)
