@@ -153,8 +153,9 @@ def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
 
 
 def require_normalized(v, tol: float = NORM_TOL, name: str = "state"):
-    """`v` as 4 complex amplitudes; DomainError for another entry count,
-    NotNormalizedError unless the squared norm is 1 within `tol`."""
+    """`v` as 4 complex amplitudes; DomainError for another entry count or
+    a `tol` not finite and > 0, NotNormalizedError unless |v|^2 = 1 +- tol."""
+    require_positive(tol)
     v = np.asarray(v, dtype=complex).ravel()
     if v.shape != (4,):
         raise DomainError(f"{name} must have 4 entries, got {v.shape}")

@@ -5,9 +5,9 @@ The product-state search fixes Alice's factor on a Bloch-angle grid with
 deterministic refinement and solves Bob's factor exactly for each of her
 states: <a x b|W|a x b> is affine in Bob's Bloch vector, so his best
 response is a point-to-ellipse distance (see `_kernels`).  The all-states
-optimum is computed exactly from the eigenvalues of u1^dag u2 (the
-numerical range of a normal matrix is the convex hull of its eigenvalues),
-and `helstrom_simulate` samples the measurement's confusion counts.  They
+optimum, exact from the eigenvalues of u1^dag u2 (a normal matrix's
+numerical range is their convex hull), ends the refinement once reached;
+`helstrom_simulate` samples the measurement's confusion counts.  They
 can therefore confirm (or refute) the analytic pipeline.
 """
 
@@ -29,6 +29,9 @@ SHRINK_FACTOR = 0.25
 # a refinement window's 9 points, in half-widths from its center
 _STEPS = np.linspace(-1.0, 1.0, 9)
 _AXES = np.arange(2)
+# the product search stops once within this of the all-states optimum: both
+# are at most 1 and good to a few ulps, but come from different arithmetic
+_FLOOR_SLACK = 8.0 * float(np.finfo(float).eps)
 
 
 def _is_count(x, lo: int) -> bool:
@@ -43,16 +46,16 @@ class SearchConfig:
     grid_steps:        points per axis of Alice's Bloch sphere in the coarse
                        scan: grid_steps thetas in [0, pi] by grid_steps phis
                        in [0, 2 pi); Bob's factor is solved exactly
-    refinement_rounds: local 9 x 9 refinements of Alice's angles after the
-                       coarse scan, each window SHRINK_FACTOR times the last
+    refinement_rounds: at most this many local 9 x 9 refinements of Alice's
+                       angles, each window SHRINK_FACTOR times the last
 
     The coarse minimum is within sqrt(2) h of the product optimum, h being
     the grid's covering radius on Alice's sphere (chordal; at most half a
     theta step plus half a phi step): |<a x b|W|a x b>| = |r_a^T T r_b| is
     sqrt(2)-Lipschitz in Alice's Bloch vector, since ||T||_F = 4 for a
     unitary W and |r_b| = 1/sqrt(2), and a minimum over Bob keeps that
-    constant.  That bounds the coarse scan only; the refinements, which
-    search near the coarse winner, carry no such certificate.
+    constant.  That bounds the coarse scan only; the refinements carry no
+    such certificate, but stop at the all-states optimum, a proven floor.
     """
 
     grid_steps: int = 32
@@ -82,9 +85,11 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
 
     Bob's side is solved exactly for each of Alice's states (see
     `_kernels.alice_scan`), so only Alice's Bloch sphere is searched: a
-    coarse (theta, phi) grid, then shrinking 9 x 9 refinements around the
-    incumbent; the incumbent only improves, and exact ties resolve toward
-    the lower row-major grid index.  Bob's factor is his exact best response
+    coarse (theta, phi) grid, then up to `refinement_rounds` shrinking 9 x 9
+    refinements around the incumbent, which stop once it is within
+    _FLOOR_SLACK of the exact all-states optimum, a floor for every product
+    probe; the incumbent only improves, and exact ties resolve toward the
+    lower row-major grid index.  Bob's factor is his exact best response
     to the winning state.  Returns (value, ProbeState), the value being the
     overlap that this probe reaches.
     """
@@ -101,7 +106,10 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     i, j = divmod(lin, len(phi))
     center = np.array([theta[i], phi[j]])
     spacing = np.array([math.pi / (cfg.grid_steps - 1), TWO_PI / cfg.grid_steps])
+    floor = _range_min(np.linalg.eigvals(w).tolist())[0] if val > 0.0 else 0.0
     for r in range(cfg.refinement_rounds):
+        if val <= floor + _FLOOR_SLACK:
+            break
         # row 0 is the theta window, kept in [0, pi]; row 1 the phi window
         window = center[:, None] + (spacing * SHRINK_FACTOR**r)[:, None] * _STEPS
         np.clip(window[0], 0.0, math.pi, out=window[0])
@@ -141,12 +149,18 @@ def min_over_all_states(u1, u2, cfg: SearchConfig | None = None):
     # eig need not return orthogonal vectors for a repeated eigenvalue; QR
     # makes them orthonormal and keeps each column in its eigenspace
     vecs = np.linalg.qr(vecs)[0]
-    z = lam.tolist()
+    value, cols, weights = _range_min(lam.tolist())
+    return value, _mix(vecs, cols, weights)
+
+
+def _range_min(z):
+    """(value, cols, weights) of the least |x| over the hull of the points z:
+    0 and a triangle holding the origin, else the nearest segment."""
 
     def cross(p, q):
         return p.real * q.imag - p.imag * q.real
 
-    for tri in itertools.combinations(range(4), 3):
+    for tri in itertools.combinations(range(len(z)), 3):
         a, b, c = (z[k] for k in tri)
         # doubled areas of (0, b, c), (0, c, a), (0, a, b); taken against
         # the edges, so a tiny triangle of near-equal eigenvalues keeps the
@@ -155,16 +169,16 @@ def min_over_all_states(u1, u2, cfg: SearchConfig | None = None):
         area = sum(weights)
         # collinear triples are skipped: the segment pass covers them
         if area != 0.0 and all(w * area >= 0.0 for w in weights):
-            return 0.0, _mix(vecs, tri, [w / area for w in weights])
+            return 0.0, tri, [w / area for w in weights]
     value = math.inf
-    for i, j in itertools.combinations(range(4), 2):
+    for i, j in itertools.combinations(range(len(z)), 2):
         d = z[j] - z[i]
         dd = abs(d) ** 2
         s = min(max(-(z[i].conjugate() * d).real / dd, 0.0), 1.0) if dd else 0.0
         dist = abs(z[i] + s * d)
         if dist < value:
             value, pair, weights = dist, (i, j), (1.0 - s, s)
-    return value, _mix(vecs, pair, weights)
+    return value, pair, weights
 
 
 def _mix(vecs, cols, weights):

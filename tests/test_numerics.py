@@ -192,8 +192,14 @@ def test_random_su2(rng):
 def test_require_normalized_rejects_nan():
     with pytest.raises(NotNormalizedError):
         numerics.require_normalized([np.nan, 0, 0, 0])
-    with pytest.raises(NotNormalizedError):
-        numerics.require_normalized([1, 0, 0, 0], tol=np.nan)
+
+
+def test_require_normalized_checks_its_tol():
+    # an infinite tol would pass any norm, a NaN one fail every norm
+    for tol in (np.nan, math.inf, 0.0, -1.0):
+        for v in ([1, 0, 0, 0], [5, 0, 0, 0]):
+            with pytest.raises(DomainError, match="tol must be finite and > 0"):
+                numerics.require_normalized(v, tol=tol)
 
 
 def test_require_prior_clamps_rounding_and_rejects_the_rest():

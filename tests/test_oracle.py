@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -58,9 +59,9 @@ def test_helstrom_rejects_bool_shots_and_bad_seeds():
 
 
 def test_product_search_matches_analytic_examples():
-    # default configuration must land within grid-refinement resolution
     val, probe = oracle.min_over_product_states(ID4, canonical.build_ud((PI / 8, 0, 0)))
-    assert abs(val - math.cos(PI / 8)) <= 1e-4
+    # every Alice state ties, so the coarse scan already sits on the floor
+    assert abs(val - math.cos(PI / 8)) <= 1e-15
     assert concurrence(probe.u) <= 1e-9
 
     cfg = oracle.SearchConfig(grid_steps=24, refinement_rounds=10)
@@ -94,15 +95,43 @@ def test_product_search_deterministic():
     np.testing.assert_array_equal(p1.u, p2.u)
 
 
-def test_product_search_monotone_in_rounds():
-    u2 = canonical.build_ud((0.6, 0.3, 0.1))
-    vals = [
-        oracle.min_over_product_states(
-            ID4, u2, oracle.SearchConfig(grid_steps=12, refinement_rounds=r)
-        )[0]
-        for r in (0, 2, 5)
-    ]
+def _gap_pair():
+    # Haar pair 3 of seed 202, outside the paper's class, with a
+    # product-vs-global gap of 0.1, as the single gate W turned by R x I
+    # with R|0> = Alice's winning factor: the coarse winner then sits at the
+    # theta = 0 pole (linear index 0) and no round reaches the floor
+    draw = np.random.default_rng(202)
+    for _ in range(4):
+        u1, u2 = random_unitary(draw), random_unitary(draw)
+    a0, a1 = oracle.min_over_product_states(u1, u2)[1].local_a
+    r = np.kron(np.array([[a0, -np.conj(a1)], [a1, np.conj(a0)]]), np.eye(2))
+    return r.conj().T @ u1.conj().T @ u2 @ r
+
+
+def _record_scans(monkeypatch) -> list:
+    """The theta axes of every later `alice_scan` call, in call order."""
+    seen = []
+    scan = _kernels.alice_scan
+
+    def recording(w, theta, phi):
+        seen.append(np.array(theta))
+        return scan(w, theta, phi)
+
+    monkeypatch.setattr(_kernels, "alice_scan", recording)
+    return seen
+
+
+def test_product_search_monotone_in_rounds(monkeypatch):
+    w = _gap_pair()
+    seen = _record_scans(monkeypatch)
+    vals = []
+    for r in (0, 2, 5):
+        seen.clear()
+        cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=r)
+        vals.append(oracle.min_over_product_states(ID4, w, cfg)[0])
+        assert len(seen) == 1 + r  # the gap keeps every round running
     assert vals[0] >= vals[1] >= vals[2]
+    assert vals[2] >= oracle.min_over_all_states(ID4, w)[0] + 0.1
 
 
 def test_all_states_never_beats_product_for_diagonal_pairs(rng):
@@ -584,23 +613,73 @@ def test_product_search_memory_bounded_in_grid_steps():
 
 
 def test_product_search_windows_stay_on_the_sphere(monkeypatch):
-    # identity vs U_d(pi/8, 0, 0) ties every Alice state, so the search
-    # stays at the theta = 0 pole and each window's thetas are clipped there
-    seen = []
-    scan = _kernels.alice_scan
-
-    def recording(w, theta, phi):
-        seen.append(np.array(theta))
-        return scan(w, theta, phi)
-
-    monkeypatch.setattr(_kernels, "alice_scan", recording)
+    # the gap pair's winner stays at the theta = 0 pole, so each window's
+    # thetas are clipped there
+    w = _gap_pair()
+    seen = _record_scans(monkeypatch)
     cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=3)
-    val, _ = oracle.min_over_product_states(ID4, canonical.build_ud((PI / 8, 0, 0)), cfg)
-    assert abs(val - math.cos(PI / 8)) <= 1e-15
+    oracle.min_over_product_states(ID4, w, cfg)
     assert len(seen) == 4
     for theta in seen[1:]:
         assert theta.min() == 0.0 and theta.max() <= PI
         assert np.all(np.diff(theta) >= 0.0)
+
+
+def _full_refinement(w, cfg) -> list:
+    # the search without its early stop, every round run: the incumbent's
+    # value after the coarse scan and after each round
+    theta = np.linspace(0.0, PI, cfg.grid_steps)
+    phi = np.linspace(0.0, 2 * PI, cfg.grid_steps, endpoint=False)
+    val, lin, _ = _kernels.alice_scan(w, theta, phi)
+    center = np.array([theta[lin // len(phi)], phi[lin % len(phi)]])
+    spacing = np.array([PI / (cfg.grid_steps - 1), 2 * PI / cfg.grid_steps])
+    steps = np.linspace(-1.0, 1.0, 9)
+    vals = [val]
+    for r in range(cfg.refinement_rounds):
+        window = center[:, None] + (spacing * oracle.SHRINK_FACTOR**r)[:, None] * steps
+        window[0] = np.clip(window[0], 0.0, PI)
+        v2, lin2, _ = _kernels.alice_scan(w, *window)
+        if v2 < val:
+            val, center = v2, window[[0, 1], [lin2 // 9, lin2 % 9]]
+        vals.append(val)
+    return vals
+
+
+def test_product_search_early_stop_keeps_the_full_answer(rng, monkeypatch):
+    # criterion 2's 200 pairs and 30 Haar pairs: stopping at the all-states
+    # floor gives the full search's value, and skips exactly the rounds
+    # after the incumbent first reaches the floor
+    cfg = oracle.SearchConfig()
+    slack = oracle._FLOOR_SLACK
+    draw = np.random.default_rng(202)
+    pairs = []
+    for _ in range(200):
+        u1 = canonical.from_magic_phases(draw.uniform(-PI, PI, 4))
+        u2 = canonical.from_magic_phases(draw.uniform(-PI, PI, 4))
+        pairs.append((u1, u2, fidelity(u1, u2)[0]))
+    pairs += [(random_unitary(rng), random_unitary(rng), None) for _ in range(30)]
+    seen = _record_scans(monkeypatch)
+    kinds = collections.Counter()
+    for u1, u2, f in pairs:
+        w = u1.conj().T @ u2
+        vals = _full_refinement(w, cfg)
+        floor = oracle._range_min(np.linalg.eigvals(w).tolist())[0]
+        seen.clear()
+        val, _ = oracle.min_over_product_states(u1, u2, cfg)
+        assert abs(val - vals[-1]) <= 1e-15
+        assert val >= floor - slack
+        reached = [v <= floor + slack for v in vals[:-1]]
+        assert len(seen) == 1 + (reached.index(True) if any(reached) else len(reached))
+        if f is None:
+            gap = vals[-1] > floor + slack
+            kinds["gap" if gap else "Haar, no gap"] += 1
+            assert len(seen) == (1 + cfg.refinement_rounds if gap else 1)
+        else:
+            # a coarse 0 needs no round; the paper's class needs one at most
+            hit = f == vals[0] == 0.0
+            kinds["F = 0, coarse 0" if hit else "paper class"] += 1
+            assert len(seen) <= (1 if hit else 2)
+    assert min(kinds.values()) >= 1 and len(kinds) == 4, kinds
 
 
 def test_product_search_checks_gates_before_scanning(monkeypatch):
