@@ -2,7 +2,7 @@
 
 Every exit-0/1 row of the `discriminate` table is stored as its stdout,
 its `--probe-out` file and its `--svg-out` file; every valid corpus gate is
-stored as its `decompose` stdout.  Regenerate the expected bytes with
+stored as its `decompose` stdout, and two seeded `simulate` runs as theirs.  Regenerate the expected bytes with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff: a change
 to these files is a change to the program's output.
 """
@@ -25,6 +25,8 @@ EXPECTED = GOLDEN / "expected"
 DISCRIMINATE_PAIRS = [(a, b) for a, b, code in DISCRIMINATE_TABLE if code != 2]
 # corpus gates `decompose` accepts
 DECOMPOSE_GATES = ["01", "02", "03", "04", "05", "06", "07", "08", "12"]
+# (first, second, shots, seed) of the seeded runs the CLI tests make
+SIMULATE_RUNS = [("01", "04", "100000", "42"), ("01", "06", "10000", "3")]
 
 
 def _gate(prefix: str) -> str:
@@ -59,12 +61,21 @@ def render_decompose(gate: str) -> dict[str, bytes]:
     return {f"decompose_{gate}.stdout.json": _stdout(["decompose", _gate(gate)])}
 
 
+def render_simulate(first: str, second: str, shots: str, seed: str) -> dict[str, bytes]:
+    out = _stdout([
+        "simulate", _gate(first), _gate(second), "--shots", shots, "--seed", seed,
+    ])
+    return {f"simulate_{first}_{second}_seed{seed}.stdout.json": out}
+
+
 def render_all() -> dict[str, bytes]:
     blobs: dict[str, bytes] = {}
     for first, second in DISCRIMINATE_PAIRS:
         blobs.update(render_discriminate(first, second))
     for gate in DECOMPOSE_GATES:
         blobs.update(render_decompose(gate))
+    for run in SIMULATE_RUNS:
+        blobs.update(render_simulate(*run))
     return blobs
 
 
@@ -77,6 +88,12 @@ def test_discriminate_matches_snapshot(first, second):
 @pytest.mark.parametrize("gate", DECOMPOSE_GATES)
 def test_decompose_matches_snapshot(gate):
     for name, got in render_decompose(gate).items():
+        assert got == (EXPECTED / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("first,second,shots,seed", SIMULATE_RUNS)
+def test_simulate_matches_snapshot(first, second, shots, seed):
+    for name, got in render_simulate(first, second, shots, seed).items():
         assert got == (EXPECTED / name).read_bytes(), name
 
 
