@@ -25,15 +25,15 @@ import math
 
 import numpy as np
 
+from .numerics import ID2, PAULI_X, PAULI_Y, PAULI_Z
+
 # There is no compiled route; the benchmark's machine record reads this.
 NUMBA_ENABLED = False
 
 # grid states per block, unless one A row alone holds more
 _BLOCK_STATES = 2**15
 
-_PAULIS = np.array(
-    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
-)
+_PAULIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
 # entry [(mu, nu), (i, j, k, l)] is (sigma_mu x sigma_nu)[(k, l), (i, j)], so
 # _PAULI_PAIRS @ w.ravel() lists tr(w (sigma_mu x sigma_nu)) row-major
 _PAULI_PAIRS = np.einsum("mki,nlj->mnijkl", _PAULIS, _PAULIS).reshape(16, 16)

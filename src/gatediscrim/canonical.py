@@ -18,14 +18,13 @@ import numpy as np
 
 from . import numerics
 from .errors import DomainError, NotMagicDiagonalError
-from .numerics import GATE_TOL, wrap_angle
+from .numerics import GATE_TOL, SQRT_HALF, wrap_angle
 
 PI = math.pi
 QUARTER_PI = math.pi / 4.0
-_SQ2 = 1.0 / math.sqrt(2.0)
 
 # Columns: |00>+|11>, -i(|00>-|11>), |01>-|10>, -i(|01>+|10>), all over sqrt(2).
-MAGIC_BASIS = _SQ2 * np.array(
+MAGIC_BASIS = SQRT_HALF * np.array(
     [
         [1.0, -1.0j, 0.0, 0.0],
         [0.0, 0.0, 1.0, -1.0j],

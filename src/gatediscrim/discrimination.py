@@ -18,9 +18,7 @@ import numpy as np
 
 from . import canonical, geometry, numerics
 from .errors import ConstructionFailedError, DomainError, NotProductError
-from .numerics import GATE_TOL, wrap_angle
-
-_SQ2 = 1.0 / math.sqrt(2.0)
+from .numerics import GATE_TOL, SQRT_HALF, VERDICT_TOL, wrap_angle
 
 
 class CaseTag(enum.Enum):
@@ -30,21 +28,22 @@ class CaseTag(enum.Enum):
 
 @dataclass(frozen=True)
 class ProbeState:
-    """A two-qubit probe, stored both as magic amplitudes and a ket.
+    """A two-qubit product probe, stored as magic amplitudes, a ket and its
+    two single-qubit factors.
 
     `u` holds the magic-basis amplitudes, `psi_computational` the same state
-    in the computational basis.  For product states the single-qubit factors
-    are attached with a fixed gauge (first significant component of
-    `local_a` real nonnegative); entangled states carry None.  `concurrence`
-    is that of `u`, see `concurrence`.  `via_fallback` is always False:
-    the closed form is the only route, and the field stays for the JSON
-    probe block and the benchmark's reader.
+    in the computational basis, and kron(`local_a`, `local_b`) equals that
+    ket, with a fixed gauge (first significant component of `local_a` real
+    nonnegative).  `concurrence` is that of `u`, see `concurrence`, and at
+    most `numerics.VERDICT_TOL`: an entangled state is never a probe.
+    `via_fallback` is always False: the closed form is the only route, and
+    the field stays for the JSON probe block and the benchmark's reader.
     """
 
     u: np.ndarray
     psi_computational: np.ndarray
-    local_a: np.ndarray | None
-    local_b: np.ndarray | None
+    local_a: np.ndarray
+    local_b: np.ndarray
     concurrence: float
     via_fallback: bool = False
 
@@ -82,13 +81,13 @@ def factor_product(u) -> tuple[np.ndarray, np.ndarray]:
     """
     u = np.asarray(u, dtype=complex).ravel()
     c = concurrence(u)
-    return _factor(canonical.MAGIC_BASIS @ u, c)
-
-
-def _factor(psi, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """`factor_product` given the ket psi and the concurrence c of its amplitudes."""
     if not (c <= GATE_TOL):  # written so that NaN fails
         raise NotProductError(f"concurrence {c:.3e} exceeds tolerance {GATE_TOL:g}")
+    return _factor(canonical.MAGIC_BASIS @ u)
+
+
+def _factor(psi) -> tuple[np.ndarray, np.ndarray]:
+    """`factor_product` of the ket psi of a product state."""
     amp = psi.reshape(2, 2)
     row = int((np.abs(amp) ** 2).sum(axis=1).argmax())
     b = amp[row] / _norm(amp[row])
@@ -106,27 +105,31 @@ def _norm(v) -> float:
 
 
 def error_probability(fid: float, p1: float, p2: float) -> float:
-    """Helstrom bound (1 - sqrt(1 - 4 p1 p2 F^2)) / 2 for overlap F."""
+    """Helstrom bound (1 - sqrt(1 - 4 p1 p2 F^2)) / 2 for overlap F; each
+    prior as `numerics.require_prior` takes it, the two summing to 1."""
+    p1 = numerics.require_prior(p1)
+    p2 = numerics.require_prior(p2, "p2")
+    if abs(p1 + p2 - 1.0) > 1e-9:
+        raise DomainError(f"priors ({p1!r}, {p2!r}) must sum to 1")
     # written as not (lo <= x <= hi) so that NaN fails; the bounds are
     # finite, so infinities fail too
-    if not (p1 >= -1e-12 and p2 >= -1e-12 and abs(p1 + p2 - 1.0) <= 1e-9):
-        raise DomainError(f"priors ({p1!r}, {p2!r}) must be nonnegative and sum to 1")
     if not (-1e-9 <= fid <= 1.0 + 1e-9):
         raise DomainError(f"fidelity {fid!r} outside [0, 1]")
     f = min(max(fid, 0.0), 1.0)
-    rad = 1.0 - 4.0 * max(p1, 0.0) * max(p2, 0.0) * f * f
+    rad = 1.0 - 4.0 * p1 * p2 * f * f
     return 0.5 * (1.0 - math.sqrt(max(rad, 0.0)))
 
 
 def _probe_from_amplitudes(u) -> ProbeState:
+    """The one ProbeState builder; ConstructionFailedError for amplitudes
+    with concurrence above VERDICT_TOL, which no probe route produces."""
     # amplitudes built from unit-norm formulas: a few ulps from norm 1
     u = numerics.require_normalized(u, 1e-12, "probe amplitudes")
-    psi = canonical.MAGIC_BASIS @ u
     c = concurrence(u)
-    try:
-        a, b = _factor(psi, c)
-    except NotProductError:
-        a = b = None
+    if not (c <= VERDICT_TOL):  # written so that NaN fails
+        raise ConstructionFailedError(f"probe concurrence {c:.3e} above {VERDICT_TOL:g}")
+    psi = canonical.MAGIC_BASIS @ u
+    a, b = _factor(psi)
     return ProbeState(
         u=u, psi_computational=psi, local_a=a, local_b=b, concurrence=c
     )
@@ -198,8 +201,8 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
         else:
             ia = hull.groups[0].indices[0]
             ib = hull.groups[-1].indices[0]
-        u[ia] = complex(_SQ2)
-        u[ib] = 1j * _SQ2
+        u[ia] = complex(SQRT_HALF)
+        u[ib] = 1j * SQRT_HALF
         return np.array(u)
     # origin inside: vertex weight w_k is the mean of the weights of the two
     # midpoints on vertex k, walked around an even cycle so the
@@ -249,22 +252,13 @@ def construct_probe(omega) -> ProbeState:
 
 
 def _probe_for_hull(om, hull: geometry.HullResult) -> tuple[ProbeState, float]:
-    """(probe, the overlap it achieves) for the hull of -om."""
+    """(probe, the overlap it achieves) for the hull of -om; an overlap more
+    than VERDICT_TOL from the hull minimum raises ConstructionFailedError."""
     probe = _probe_from_amplitudes(_amplitudes_for_hull(hull))
-    return probe, _validate_probe(probe, om, hull.min_distance)[0]
-
-
-def _validate_probe(probe, omega, target) -> tuple[float, float]:
-    """(achieved overlap, concurrence) of `probe`, both held to VERDICT_TOL."""
-    got = achieved_overlap(probe.u, omega)
-    c = probe.concurrence
-    # written so that a NaN fails
-    if not (abs(got - target) <= numerics.VERDICT_TOL and c <= numerics.VERDICT_TOL):
-        raise ConstructionFailedError(
-            f"probe reaches {got!r} against hull minimum {target!r} "
-            f"with concurrence {c:.3e}"
-        )
-    return got, c
+    got, target = achieved_overlap(probe.u, om), hull.min_distance
+    if not (abs(got - target) <= VERDICT_TOL):  # written so that NaN fails
+        raise ConstructionFailedError(f"probe reaches {got!r}, hull minimum {target!r}")
+    return probe, got
 
 
 def fidelity(u1, u2, tol: float = GATE_TOL) -> tuple[float, np.ndarray]:

@@ -30,4 +30,4 @@ class DegenerateHullError(GateDiscrimError):
 
 
 class ConstructionFailedError(GateDiscrimError):
-    """The closed-form probe missed its tolerance; a bug."""
+    """A probe missed its tolerance on overlap or concurrence; a bug."""

@@ -5,6 +5,7 @@ Gate inputs come in two kinds: an explicit matrix ({"kind": "matrix",
 "alpha", "alpha": [ax, ay, az]}) that is expanded through `build_ud`.
 Documents written here serialize floats with Python repr semantics, so a
 parse/render cycle is byte-idempotent and numbers round-trip losslessly.
+`header` builds the kind/tool/version keys that open every report written.
 """
 
 from __future__ import annotations
@@ -144,13 +145,18 @@ def matrix_document(matrix, label: str) -> dict:
     }
 
 
+def header(kind: str) -> dict:
+    """The opening keys of every report the tools write."""
+    return {"kind": kind, "tool": "gatediscrim", "version": __version__}
+
+
 def probe_block(probe) -> dict:
     return {
         "magic_amplitudes": vector_pairs(probe.u),
         "computational": vector_pairs(probe.psi_computational),
         "weights": floats(probe.weights),
-        "local_a": None if probe.local_a is None else vector_pairs(probe.local_a),
-        "local_b": None if probe.local_b is None else vector_pairs(probe.local_b),
+        "local_a": vector_pairs(probe.local_a),
+        "local_b": vector_pairs(probe.local_b),
         "concurrence": float(probe.concurrence),
         "via_fallback": bool(probe.via_fallback),
     }
@@ -158,9 +164,7 @@ def probe_block(probe) -> dict:
 
 def report_document(report, label1: str, label2: str, tol: float) -> dict:
     return {
-        "kind": "discrimination_report",
-        "tool": "gatediscrim",
-        "version": __version__,
+        **header("discrimination_report"),
         "inputs": {"first": label1, "second": label2},
         "priors": {"p1": float(report.p1), "p2": float(report.p2)},
         "tolerances": {

@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateHullError, DomainError
-from .numerics import VERDICT_TOL, require_finite, wrap_angle
-
-TWO_PI = 2.0 * math.pi
+from .numerics import TWO_PI, VERDICT_TOL, require_finite, wrap_angle
 
 # phases closer than this on the circle are one hull vertex; rounding is ~1e-16
 DEDUPE_TOL = 1e-10

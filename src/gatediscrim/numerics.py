@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, NotNormalizedError, NotUnitaryError
 
 TWO_PI = 2.0 * math.pi
+SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # How far an input gate may be from unitary and, where the theorem needs it,
 # from magic-diagonal: the default of every gate `tol` and of the CLI's --tol
@@ -175,12 +176,14 @@ def require_positive(tol: float, what: str = "tol") -> float:
     return tol
 
 
-def require_prior(p1: float) -> float:
-    """The prior `p1` clamped to [0, 1]; DomainError for NaN, inf or a value
-    more than 1e-12, room for rounding, outside [0, 1]."""
-    if not (-1e-12 <= p1 <= 1.0 + 1e-12):
-        raise DomainError(f"prior p1 = {p1!r} outside [0, 1]")
-    return min(max(p1, 0.0), 1.0)
+def require_prior(p: float, what: str = "p1") -> float:
+    """The prior `p`, called `what`, as a float clamped to [0, 1] (-0.0 as
+    0.0); DomainError for a bool, NaN, inf or a value more than 1e-12, room
+    for rounding, outside [0, 1]."""
+    if isinstance(p, (bool, np.bool_)) or not (-1e-12 <= p <= 1.0 + 1e-12):
+        raise DomainError(f"prior {what} = {p!r} outside [0, 1]")
+    # adding 0.0 turns -0.0 into 0.0
+    return min(max(float(p), 0.0), 1.0) + 0.0
 
 
 def random_su2(rng) -> np.ndarray:

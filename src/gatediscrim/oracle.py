@@ -22,8 +22,8 @@ import numpy as np
 from . import numerics
 from .discrimination import ProbeState, probe_from_factors
 from .errors import DomainError
+from .numerics import TWO_PI
 
-TWO_PI = 2.0 * math.pi
 # contraction of the product search's refinement window per round
 SHRINK_FACTOR = 0.25
 # a refinement window's 9 points, in half-widths from its center
@@ -90,8 +90,8 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     _FLOOR_SLACK of the exact all-states optimum, a floor for every product
     probe; the incumbent only improves, and exact ties resolve toward the
     lower row-major grid index.  Bob's factor is his exact best response
-    to the winning state.  Returns (value, ProbeState), the value being the
-    overlap that this probe reaches.
+    to the winning state.  Returns (value, ProbeState), the value being
+    |<psi|u1^dag u2|psi>| of that probe's own ket psi.
     """
     # imported on first use, so that `import gatediscrim` and the CLI's
     # other commands do not load the kernels
@@ -119,9 +119,9 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
             center = window[_AXES, divmod(lin2, len(_STEPS))]
     ta, pa = center
     a = np.array([math.cos(0.5 * ta), math.sin(0.5 * ta) * np.exp(1j * pa)])
-    b = _ket(_kernels.bob_response(w, ta, pa, mu))
-    psi = np.kron(a, b)
-    return float(abs(psi.conj() @ w @ psi)), probe_from_factors(a, b)
+    probe = probe_from_factors(a, _ket(_kernels.bob_response(w, ta, pa, mu)))
+    psi = probe.psi_computational
+    return float(abs(psi.conj() @ w @ psi)), probe
 
 
 def _ket(n) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import shutil
@@ -260,6 +261,46 @@ def test_discriminate_unwritable_output_prints_one_line(capsys, tmp_path, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_discriminate_rejects_one_file_for_probe_and_svg(capsys, tmp_path, monkeypatch):
+    # the same file under two spellings: rejected before anything is written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(
+        capsys, "discriminate", g("01"), g("04"),
+        "--probe-out", "same.out", "--svg-out", "./same.out",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --probe-out and --svg-out") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_document_opens_with_one_header(capsys, tmp_path):
+    probe = tmp_path / "probe.json"
+    runs = [
+        ["discriminate", g("01"), g("04"), "--probe-out", str(probe)],
+        ["simulate", g("01"), g("04"), "--shots", "100"],
+        ["decompose", g("04")],
+    ]
+    docs = []
+    for argv in runs:
+        code, out, _ = run_main(capsys, *argv)
+        assert code in (0, 1)
+        docs.append(out)
+    docs.append(probe.read_text())
+    for text in docs:
+        assert list(json.loads(text))[:3] == ["kind", "tool", "version"]
+    # files.header is the one place that spells the header
+    src = Path(cli.__file__).parent
+    users = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "tool" for k in node.keys
+            ):
+                users.add(path.name)
+    assert users == {"files.py"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -324,6 +365,12 @@ def test_simulate_prior_rounded_past_one(capsys):
     )
     assert code in (0, 1) and err == ""
     assert files.parse_document(out)["priors"] == {"p1": 1.0, "p2": 0.0}
+    # -0.0 is printed as the prior 0.0
+    for cmd, *flags in (["simulate", "--shots", "1000"], ["discriminate"]):
+        code, out, err = run_main(capsys, cmd, g("01"), g("04"), *flags, "--p1", "-0.0")
+        assert code in (0, 1) and err == ""
+        p1 = files.parse_document(out)["priors"]["p1"]
+        assert p1 == 0.0 and math.copysign(1.0, p1) == 1.0
 
 
 def test_simulate_bad_shots(capsys):

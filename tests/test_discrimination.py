@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 
@@ -105,6 +106,17 @@ def test_error_probability_domain():
         error_probability(0.5, 0.7, 0.7)
     with pytest.raises(DomainError):
         error_probability(0.5, -0.1, 1.1)
+    # each prior passes require_prior: no bool, no p1 past its 1e-12 slack
+    # even where the 1e-9 sum slack would take it
+    for p1, p2 in [(True, False), (0.5, True), (1.0 + 5e-10, 0.0)]:
+        with pytest.raises(DomainError, match="prior p"):
+            error_probability(0.5, p1, p2)
+    with pytest.raises(DomainError, match="prior p2"):
+        error_probability(0.5, 0.5, math.nan)
+    with pytest.raises(DomainError, match="prior p1"):
+        discriminate(ID4, canonical.build_ud((PI / 8, 0, 0)), p1=True)
+    r = discriminate(ID4, canonical.build_ud((PI / 8, 0, 0)), p1=np.float32(0.25))
+    assert type(r.p1) is float and type(r.p2) is float and r.p1 == 0.25
 
 
 def check_probe(probe, omega, expect_value, tol=1e-9):
@@ -185,8 +197,9 @@ def test_probe_random_outside(rng):
 
 
 def test_probe_forced_miss_raises(monkeypatch):
-    # a normalized product vector that misses the hull minimum: the closed
-    # form is the only route, so the miss surfaces and no search runs
+    # a normalized vector that is no probe: [1, 0, 0, 0] is a Bell state
+    # with concurrence 1, so the constructor raises; the closed form is the
+    # only route, so the miss surfaces and no search runs
     om = np.array([0.0, PI / 2, PI, -PI / 2])
     wrong = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     monkeypatch.setattr(discrimination, "_amplitudes_for_hull", lambda hull: wrong)
@@ -337,11 +350,11 @@ def test_probe_rejects_non_finite_omega(bad):
         construct_probe([0.0, bad, 1.0, 2.0])
 
 
-def test_validate_probe_fails_on_nan():
+def test_probe_for_hull_fails_on_nan():
     om = np.array([0.0, PI / 2, PI, -PI / 2])
-    p = construct_probe(om)
+    hull = dataclasses.replace(geometry.hull_of_phases(-om), min_distance=math.nan)
     with pytest.raises(ConstructionFailedError):
-        discrimination._validate_probe(p, om, math.nan)
+        discrimination._probe_for_hull(om, hull)
 
 
 def test_tolerance_checks_fail_on_nan():
@@ -407,11 +420,11 @@ def test_achieved_overlap_and_construct_probe_share_messages():
         assert str(a.value) == str(b.value)
 
 
-def test_validate_probe_returns_overlap_and_concurrence():
-    om = np.array([0.3, 1.1, -0.4, 0.9])
-    p = construct_probe(om)
+def test_probe_for_hull_returns_overlap_and_concurrence():
+    om = wrap_angle(np.array([0.3, 1.1, -0.4, 0.9]))
     r = discriminate(ID4, canonical.from_magic_phases(om))
-    got, c = discrimination._validate_probe(p, wrap_angle(om), r.fidelity)
+    p, got = discrimination._probe_for_hull(om, geometry.hull_of_phases(-om))
     assert got == discrimination.achieved_overlap(p.u, om)
-    assert c == concurrence(p.u)
+    assert abs(got - r.fidelity) <= numerics.VERDICT_TOL
+    assert p.concurrence == concurrence(p.u) <= numerics.VERDICT_TOL
     assert r.achieved_value == discrimination.achieved_overlap(r.probe.u, r.omega)

@@ -2,7 +2,8 @@
 
 Every exit-0/1 row of the `discriminate` table is stored as its stdout,
 its `--probe-out` file and its `--svg-out` file; every valid corpus gate is
-stored as its `decompose` stdout, and two seeded `simulate` runs as theirs.  Regenerate the expected bytes with
+stored as its `decompose` stdout, and two seeded `simulate` runs as theirs.
+Regenerate the expected bytes with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff: a change
 to these files is a change to the program's output.
 """

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gatediscrim import _kernels, canonical, oracle
+from gatediscrim import _kernels, canonical, geometry, oracle
 from gatediscrim.discrimination import (
     concurrence,
     construct_probe,
@@ -593,9 +593,28 @@ def test_product_oracle_exact_on_criterion_2_pairs(rng):
         assert pv >= oracle.min_over_all_states(u1, u2)[0] - 1e-12
         pairs.append((u1, u2, pv, probe))
     for u1, u2, pv, probe in pairs:
-        assert abs(_reached(u1, u2, probe.psi_computational) - pv) <= 1e-12
+        psi = probe.psi_computational
+        assert abs(_reached(u1, u2, psi) - pv) <= 1e-12
+        # the value is the returned probe's own overlap, bit for bit
+        assert pv == abs(psi.conj() @ (u1.conj().T @ u2) @ psi)
         assert probe.concurrence <= 1e-12
         assert concurrence(probe.u) <= 1e-12
+        _assert_factors_give_ket(probe)
+    # the closed-form probes of criterion 7's origin-inside draw carry their
+    # factors too
+    draw = np.random.default_rng(707)
+    inside = [om for om in draw.uniform(-PI, PI, (400, 4))
+              if geometry.hull_of_phases(-om).origin_inside]
+    assert len(inside) >= 100
+    for om in inside:
+        _assert_factors_give_ket(construct_probe(om))
+
+
+def _assert_factors_give_ket(probe):
+    np.testing.assert_allclose(
+        np.kron(probe.local_a, probe.local_b), probe.psi_computational,
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_product_search_memory_bounded_in_grid_steps():
