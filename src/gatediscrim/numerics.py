@@ -12,6 +12,7 @@ warning.  It names the tolerances other modules read: GATE_TOL, VERDICT_TOL.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -178,9 +179,11 @@ def require_positive(tol: float, what: str = "tol") -> float:
 
 def require_prior(p: float, what: str = "p1") -> float:
     """The prior `p`, called `what`, as a float clamped to [0, 1] (-0.0 as
-    0.0); DomainError for a bool, NaN, inf or a value more than 1e-12, room
-    for rounding, outside [0, 1]."""
-    if isinstance(p, (bool, np.bool_)) or not (-1e-12 <= p <= 1.0 + 1e-12):
+    0.0); DomainError for anything but a real number (a bool is none), and
+    for NaN, inf or a value more than 1e-12, room for rounding, outside
+    [0, 1]."""
+    real = isinstance(p, numbers.Real) and not isinstance(p, bool)
+    if not (real and -1e-12 <= p <= 1.0 + 1e-12):
         raise DomainError(f"prior {what} = {p!r} outside [0, 1]")
     # adding 0.0 turns -0.0 into 0.0
     return min(max(float(p), 0.0), 1.0) + 0.0

@@ -209,12 +209,12 @@ def test_require_prior_clamps_rounding_and_rejects_the_rest():
     for p1 in (1.0 + 1e-11, -1e-11, 1.2, -0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="prior p1"):
             numerics.require_prior(p1)
-    # a plain float, -0.0 as 0.0; a bool is no prior
+    # a plain float, -0.0 as 0.0; a bool or another non-real is no prior
     for p1, want in [(-0.0, 0.0), (np.float32(0.25), 0.25), (-1e-13, 0.0)]:
         got = numerics.require_prior(p1)
         assert type(got) is float and got == want
         assert math.copysign(1.0, got) == 1.0
-    for p1 in (True, False, np.True_):
+    for p1 in (True, False, np.True_, "0.5", None, 0.5 + 0j, np.array([0.5])):
         with pytest.raises(DomainError, match="prior p1"):
             numerics.require_prior(p1)
 
