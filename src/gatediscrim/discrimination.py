@@ -208,20 +208,15 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
     # midpoints on vertex k, walked around an even cycle so the
     # alternating-phase trick cancels sum(u^2)
     if n == 2:
-        cyc, w = [0, 1], [0.5, 0.5]
+        verts, w = [g.indices[0] for g in hull.groups], [0.5, 0.5]
     else:
-        if n == 3:
-            dup = max(range(3), key=lambda i: hull.groups[i].multiplicity)
-            cyc = []
-            for i in range(3):
-                cyc.append(i)
-                if i == dup:
-                    cyc.append(i)
-        else:
-            cyc = [0, 1, 2, 3]
+        # each vertex once per index it holds: a triangle's double vertex
+        # pads it to a quadrilateral
+        verts = [i for g in hull.groups for i in g.indices]
         pts = [
-            (math.cos(hull.groups[i].phase), math.sin(hull.groups[i].phase))
-            for i in cyc
+            (math.cos(g.phase), math.sin(g.phase))
+            for g in hull.groups
+            for _ in g.indices
         ]
         mids = [
             (0.5 * (x + x1), 0.5 * (y + y1))
@@ -229,11 +224,8 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
         ]
         alpha = _varignon_weights(mids)
         w = [0.5 * (alpha[k] + alpha[k - 1]) for k in range(4)]
-    taken = [0] * n
-    for pos, g in enumerate(cyc):
-        orig = hull.groups[g].indices[taken[g]]
-        taken[g] += 1
-        u[orig] = math.sqrt(w[pos]) * (1.0 if pos % 2 == 0 else 1.0j)
+    for pos, i in enumerate(verts):
+        u[i] = math.sqrt(w[pos]) * (1.0 if pos % 2 == 0 else 1.0j)
     return np.array(u)
 
 

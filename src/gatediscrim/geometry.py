@@ -12,7 +12,7 @@ inside/outside verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +37,14 @@ class PhaseGroup:
 
 @dataclass(frozen=True)
 class HullResult:
+    """The hull's vertices (`groups`), whether it holds the origin, and the
+    origin's distance to it with the nearest hull point; the arc spread
+    behind that distance is `arc_spread`'s to report."""
+
     groups: list[PhaseGroup]
     origin_inside: bool
     min_distance: float
     nearest_point: np.ndarray
-    spread: float = field(default=0.0)
 
 
 def _finite_phases(phases) -> list[float]:
@@ -129,7 +132,6 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
             origin_inside=False,
             min_distance=1.0,
             nearest_point=np.array([math.cos(g.phase), math.sin(g.phase)]),
-            spread=0.0,
         )
     imax, spread = _largest_gap([vals[i] for i in order])
     first = (imax + 1) % len(order)
@@ -145,7 +147,6 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
             origin_inside=True,
             min_distance=0.0,
             nearest_point=np.zeros(2),
-            spread=spread,
         )
     # the group holding the raw phase just after the largest gap opens the arc
     start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
@@ -155,7 +156,6 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
         origin_inside=False,
         min_distance=distance,
         nearest_point=np.array([mid_x, mid_y]),
-        spread=spread,
     )
 
 

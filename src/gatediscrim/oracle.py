@@ -1,7 +1,8 @@
 """Independent numerical checks for the closed-form results.
 
-Nothing here reuses the magic basis or the hull geometry of the phases.
-The product-state search fixes Alice's factor on a Bloch-angle grid with
+The searches use neither the magic basis nor the arc spread of the phases;
+only the product search's probe record goes through
+`discrimination.probe_from_factors`.  The product-state search fixes Alice's factor on a Bloch-angle grid with
 deterministic refinement and solves Bob's factor exactly for each of her
 states: <a x b|W|a x b> is affine in Bob's Bloch vector, so his best
 response is a point-to-ellipse distance (see `_kernels`).  The all-states
@@ -245,7 +246,7 @@ def helstrom_simulate(
         shots=shots,
         errors=errors,
         empirical_rate=rate,
-        std_error=math.sqrt(max(rate * (1.0 - rate), 0.0) / shots),
+        std_error=math.sqrt(rate * (1.0 - rate) / shots),
         seed=seed,
         confusion=((c11, c12), (c21, c22)),
     )

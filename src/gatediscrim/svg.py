@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import __version__, files, geometry
-from .numerics import VERDICT_TOL, require_finite, wrap_angle
+from .numerics import VERDICT_TOL, require_finite
 
 _W = 2.9
 _VIEW = f"-{_W / 2} -{_W / 2} {_W} {_W}"
@@ -48,9 +48,12 @@ def _text(x, y, s, size=0.11, fill="#222222") -> str:
 
 
 def render_hull_svg(omega) -> str:
-    """SVG document (text) for the hull picture of a 4-phase vector."""
-    om = wrap_angle(require_finite(omega, "omega", 4))
-    hull = geometry.hull_of_phases(wrap_angle(-om))
+    """SVG document (text) for the hull picture of a 4-phase vector.
+
+    `omega` may hold any finite angles: `geometry.hull_of_phases` wraps the
+    points -omega, and wrapping is exact, so angles a whole number of turns
+    apart draw the same figure."""
+    hull = geometry.hull_of_phases(-require_finite(omega, "omega", 4))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_VIEW}" '

@@ -194,7 +194,7 @@ def ref_hull(phases, tol=geometry.DEDUPE_TOL):
     ph = ref_wrap(np.atleast_1d(np.asarray(phases, dtype=float)))
     vals, order, groups = _ref_dedupe(ph, tol)
     if len(groups) == 1:
-        return geometry.HullResult(groups, False, 1.0, xy(groups[0].phase), 0.0)
+        return geometry.HullResult(groups, False, 1.0, xy(groups[0].phase))
     raw = [vals[i] for i in order]
     m = len(raw)
     gaps = [b - a for a, b in zip(raw, raw[1:])] + [(raw[0] + 2 * np.pi) - raw[-1]]
@@ -204,10 +204,10 @@ def ref_hull(phases, tol=geometry.DEDUPE_TOL):
     chord_mid = 0.5 * (xy(raw[first]) + xy(raw[imax]))
     distance = float(np.hypot(*chord_mid)) if spread < np.pi else 0.0
     if distance <= geometry.VERDICT_TOL:
-        return geometry.HullResult(groups, True, 0.0, np.zeros(2), spread)
+        return geometry.HullResult(groups, True, 0.0, np.zeros(2))
     start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
     groups = groups[start:] + groups[:start]
-    return geometry.HullResult(groups, False, distance, chord_mid, spread)
+    return geometry.HullResult(groups, False, distance, chord_mid)
 
 
 def _ref_varignon_weights(mids):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gatediscrim import cli, files, oracle, svg
+from gatediscrim import canonical, cli, files, oracle, svg
 from gatediscrim.errors import DomainError
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -301,6 +302,31 @@ def test_every_document_opens_with_one_header(capsys, tmp_path):
     assert users == {"files.py"}
 
 
+def test_simulated_rates_share_one_test():
+    # simulate and selfcheck both judge a rate by _z_score, and the empirical
+    # std_error is only printed, never compared
+    tree = ast.parse(Path(cli.__file__).read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("_cmd_simulate", "_selfcheck_trial"):
+        calls = {
+            n.func.id
+            for n in ast.walk(funcs[name])
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        }
+        assert "_z_score" in calls, name
+    reads = [
+        n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "std_error"
+    ]
+    docs = [
+        n
+        for n in ast.walk(funcs["_cmd_simulate"])
+        if isinstance(n, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value == "std_error" for k in n.keys)
+    ]
+    assert len(reads) == 1 and len(docs) == 1
+    assert any(node is reads[0] for node in ast.walk(docs[0]))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -343,6 +369,31 @@ def test_simulate_anchor_pair(capsys):
     assert abs(doc["z_score"]) <= 4.0
     assert doc["shots"] == 100000
     assert sum(map(sum, doc["confusion"])) == 100000
+
+
+def test_simulate_z_uses_the_analytic_rate(capsys, tmp_path):
+    # an analytic rate of 2.5e-7 predicts 0.025 errors in 100000 shots: a
+    # run that sees none lies well within 4 sigma of it
+    first, second = tmp_path / "id.json", tmp_path / "near.json"
+    files.write_document(files.matrix_document(np.eye(4), "id"), first)
+    near = canonical.from_magic_phases([0.0, math.pi - 2e-3, 0.0, 0.0])
+    files.write_document(files.matrix_document(near, "near"), second)
+    code, out, _ = run_main(capsys, "simulate", str(first), str(second))
+    doc = files.parse_document(out)
+    assert doc["analytic_error_probability"] == pytest.approx(2.5e-7, rel=1e-3)
+    assert doc["errors"] == 0 and doc["std_error"] == 0.0
+    # z = -rate / sqrt(rate / shots) = -sqrt(0.025)
+    assert doc["z_score"] == pytest.approx(-math.sqrt(0.025), rel=1e-3)
+    assert code == 0
+    # one shot lands within 4 sigma of a rate of 0.31 whichever way it falls
+    seen = set()
+    for seed in range(8):
+        code, out, _ = run_main(
+            capsys, "simulate", g("01"), g("04"), "--shots", "1", "--seed", str(seed)
+        )
+        assert code == 0
+        seen.add(files.parse_document(out)["errors"])
+    assert seen == {0, 1}
 
 
 def test_simulate_tol_reaches_the_simulator(capsys, tmp_path):
@@ -427,6 +478,43 @@ def test_selfcheck_checks_the_product_search(capsys, monkeypatch):
     assert "trial 0 (seed 0): FAIL product search found" in out
 
 
+def test_selfcheck_checks_the_simulated_rate(capsys, monkeypatch):
+    # trial 0's pair has an analytic rate near 0.2; a rate 6 binomial sigma
+    # above it fails, as measured at the analytic rate
+    sample = oracle.helstrom_simulate
+
+    def six_sigma_high(u1, u2, probe, p1=0.5, shots=10_000, seed=0, tol=1e-8):
+        out = sample(u1, u2, probe, p1=p1, shots=shots, seed=seed, tol=tol)
+        fid = oracle.min_over_all_states(u1, u2)[0]
+        pe = (1.0 - math.sqrt(1.0 - fid * fid)) / 2
+        errors = math.ceil((pe + 6.0 * math.sqrt(pe * (1.0 - pe) / shots)) * shots)
+        return dataclasses.replace(out, errors=errors, empirical_rate=errors / shots)
+
+    monkeypatch.setattr(oracle, "helstrom_simulate", six_sigma_high)
+    code, out, _ = run_main(capsys, "selfcheck", "--trials", "1")
+    assert code == 1
+    assert "trial 0 (seed 0): FAIL simulation rate" in out and "(> 5 sigma)" in out
+
+
+def test_selfcheck_passes_no_errors_at_a_tiny_rate(capsys, monkeypatch):
+    # identity vs a core whose hull misses the origin by 6.3e-4: an analytic
+    # rate near 1e-7, and 4000 shots that see no error
+    pair = iter([np.zeros(3), np.array([math.pi / 4, math.pi / 4 - 6.3e-4, 0.0])])
+    monkeypatch.setattr(canonical, "random_weyl_vector", lambda rng: next(pair))
+    sample = oracle.helstrom_simulate
+    outcomes = []
+
+    def recorded(*args, **kwargs):
+        outcomes.append(sample(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(oracle, "helstrom_simulate", recorded)
+    code, out, _ = run_main(capsys, "selfcheck", "--trials", "1")
+    assert [o.errors for o in outcomes] == [0]
+    assert out.startswith("trial 0 (seed 0): ok")
+    assert code == 0
+
+
 def test_selfcheck_zero_trials(capsys):
     code, _, err = run_main(capsys, "selfcheck", "--trials", "0")
     assert code == 2
@@ -462,6 +550,20 @@ def test_figure_inside_and_outside(capsys, tmp_path):
         str(outside),
     )
     assert "stroke-dasharray" in outside.read_text()
+
+    # angles a whole turn away draw the same figure, byte for byte
+    def figure(omega, *flags):
+        path = tmp_path / "shifted.svg"
+        assert run_main(capsys, "figure", f"--omega={omega}", *flags, "--out", str(path))[0] == 0
+        return path.read_bytes()
+
+    inside_deg = [20.0, 110.0, -160.0, -70.0]
+    outside_rad = [0.0, 1.0471975511965976, 0.5235987755982988, 0.7853981633974483]
+    for angles, turn, flags in ((inside_deg, 360.0, ["--degrees"]), (outside_rad, 2 * math.pi, [])):
+        want = figure(",".join(map(repr, angles)), *flags)
+        for sign in (1.0, -1.0):
+            shifted = ",".join(repr(a + sign * turn) for a in angles)
+            assert figure(shifted, *flags) == want
 
 
 @pytest.mark.parametrize(
