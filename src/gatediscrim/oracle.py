@@ -1,15 +1,16 @@
 """Independent numerical checks for the closed-form results.
 
-The searches use neither the magic basis nor the arc spread of the phases;
-only the product search's probe record goes through
-`discrimination.probe_from_factors`.  The product-state search fixes Alice's factor on a Bloch-angle grid with
-deterministic refinement and solves Bob's factor exactly for each of her
-states: <a x b|W|a x b> is affine in Bob's Bloch vector, so his best
-response is a point-to-ellipse distance (see `_kernels`).  The all-states
-optimum, exact from the eigenvalues of u1^dag u2 (a normal matrix's
-numerical range is their convex hull), ends the refinement once reached;
-`helstrom_simulate` samples the measurement's confusion counts.  They
-can therefore confirm (or refute) the analytic pipeline.
+The searches use neither the magic basis nor the arc spread of the
+phases; only the product search's probe record goes through
+`discrimination.probe_from_factors`.  The product-state search fixes
+Alice's factor on a Bloch-angle grid with deterministic refinement and
+solves Bob's factor exactly for each of her states: <a x b|W|a x b> is
+affine in Bob's Bloch vector, so his best response is a point-to-ellipse
+distance (see `_kernels`).  The all-states optimum, exact from the
+eigenvalues of u1^dag u2 (a normal matrix's numerical range is their
+convex hull), ends the refinement once reached; `helstrom_simulate`
+samples the measurement's confusion counts.  They can therefore confirm
+(or refute) the analytic pipeline.
 """
 
 from __future__ import annotations

@@ -51,8 +51,7 @@ def render_hull_svg(omega) -> str:
     """SVG document (text) for the hull picture of a 4-phase vector.
 
     `omega` may hold any finite angles: `geometry.hull_of_phases` wraps the
-    points -omega, and wrapping is exact, so angles a whole number of turns
-    apart draw the same figure."""
+    points -omega itself, and wrapping is exact, so none is wrapped first."""
     hull = geometry.hull_of_phases(-require_finite(omega, "omega", 4))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -315,7 +315,9 @@ def test_simulated_rates_share_one_test():
         }
         assert "_z_score" in calls, name
     reads = [
-        n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "std_error"
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "std_error"
     ]
     docs = [
         n
@@ -483,12 +485,12 @@ def test_selfcheck_checks_the_simulated_rate(capsys, monkeypatch):
     # above it fails, as measured at the analytic rate
     sample = oracle.helstrom_simulate
 
-    def six_sigma_high(u1, u2, probe, p1=0.5, shots=10_000, seed=0, tol=1e-8):
-        out = sample(u1, u2, probe, p1=p1, shots=shots, seed=seed, tol=tol)
+    def six_sigma_high(u1, u2, probe, **kwargs):
+        out = sample(u1, u2, probe, **kwargs)
         fid = oracle.min_over_all_states(u1, u2)[0]
-        pe = (1.0 - math.sqrt(1.0 - fid * fid)) / 2
-        errors = math.ceil((pe + 6.0 * math.sqrt(pe * (1.0 - pe) / shots)) * shots)
-        return dataclasses.replace(out, errors=errors, empirical_rate=errors / shots)
+        pe, n = (1.0 - math.sqrt(1.0 - fid * fid)) / 2, out.shots
+        errors = math.ceil((pe + 6.0 * math.sqrt(pe * (1.0 - pe) / n)) * n)
+        return dataclasses.replace(out, errors=errors, empirical_rate=errors / n)
 
     monkeypatch.setattr(oracle, "helstrom_simulate", six_sigma_high)
     code, out, _ = run_main(capsys, "selfcheck", "--trials", "1")
@@ -552,18 +554,20 @@ def test_figure_inside_and_outside(capsys, tmp_path):
     assert "stroke-dasharray" in outside.read_text()
 
     # angles a whole turn away draw the same figure, byte for byte
-    def figure(omega, *flags):
+    def figure(angles, *flags):
         path = tmp_path / "shifted.svg"
-        assert run_main(capsys, "figure", f"--omega={omega}", *flags, "--out", str(path))[0] == 0
+        omega = "--omega=" + ",".join(map(repr, angles))
+        assert run_main(capsys, "figure", omega, *flags, "--out", str(path))[0] == 0
         return path.read_bytes()
 
-    inside_deg = [20.0, 110.0, -160.0, -70.0]
     outside_rad = [0.0, 1.0471975511965976, 0.5235987755982988, 0.7853981633974483]
-    for angles, turn, flags in ((inside_deg, 360.0, ["--degrees"]), (outside_rad, 2 * math.pi, [])):
-        want = figure(",".join(map(repr, angles)), *flags)
+    for angles, turn, flags in (
+        ([20.0, 110.0, -160.0, -70.0], 360.0, ["--degrees"]),
+        (outside_rad, 2 * math.pi, []),
+    ):
+        want = figure(angles, *flags)
         for sign in (1.0, -1.0):
-            shifted = ",".join(repr(a + sign * turn) for a in angles)
-            assert figure(shifted, *flags) == want
+            assert figure([a + sign * turn for a in angles], *flags) == want
 
 
 @pytest.mark.parametrize(
