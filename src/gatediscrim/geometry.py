@@ -38,8 +38,8 @@ class PhaseGroup:
 @dataclass(frozen=True)
 class HullResult:
     """The hull's vertices (`groups`), whether it holds the origin, and the
-    origin's distance to it with the nearest hull point; the arc spread
-    behind that distance is `arc_spread`'s to report."""
+    origin's distance to it with the nearest hull point.  The arc spread
+    behind that distance is not kept: `arc_spread` computes it."""
 
     groups: list[PhaseGroup]
     origin_inside: bool
