@@ -30,7 +30,6 @@ from .discrimination import (
     construct_probe,
     discriminate,
     error_probability,
-    factor_product,
     fidelity,
     perfectly_distinguishable,
 )
@@ -44,7 +43,6 @@ from .geometry import (
 )
 from .numerics import (
     is_unitary,
-    kron,
     unitary_eigenphases,
     wrap_angle,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "construct_probe",
     "discriminate",
     "error_probability",
-    "factor_product",
     "fidelity",
     "perfectly_distinguishable",
     "HullResult",
@@ -84,7 +81,6 @@ __all__ = [
     "hull_of_phases",
     "midpoint_quad",
     "is_unitary",
-    "kron",
     "unitary_eigenphases",
     "wrap_angle",
     "SearchConfig",

@@ -112,9 +112,11 @@ def product_scan(w, ta, pa, tb, pb):
 
 # Alice states per block of the 2-D scan, unless one theta row alone holds more
 _ALICE_BLOCK = 2**10
-# Newton stops once no step exceeds this fraction of s_1 + mu (rounding keeps
-# steps near 4e-16 of it; real gates need 4 to 9 steps), or after
-# _NEWTON_CAP steps, where a value still low is a lower bound
+# Newton stops once S(mu) <= 1 + _NEWTON_TOL, after taking that step, or after
+# _NEWTON_CAP steps, where a value still low is a lower bound.  Each term of S
+# falls at least as fast as ((s_1 + mu) / (s_1 + mu'))^2, so the root is then
+# within _NEWTON_TOL / 2 (s_1 + mu) of mu; the size of a step bounds nothing:
+# near a thin ellipse's vertex mu grows by about half itself per step
 _NEWTON_TOL = 1e-12
 _NEWTON_CAP = 64
 _TINY = float(np.finfo(float).smallest_subnormal)
@@ -188,7 +190,7 @@ def _bob_minima(xy):
         v *= t
         step = total * (np.sqrt(total) - 1.0) / (v[0] + v[1])
         m += step
-        if (step * t[0]).max() <= _NEWTON_TOL:
+        if total.max() <= 1.0 + _NEWTON_TOL:
             break
     # the distance sqrt(sum q_i (mu / (s_i + mu))^2), q holding the squared
     # coordinates; mu / (s_i + mu) <= 1 cannot overflow
@@ -282,5 +284,10 @@ def _bob_vector(xy, mu) -> np.ndarray:
     v2 = _cross(v3, v1)
     y1 = math.sqrt(s1) * float(c @ e1) / (s1 + mu)
     y2 = math.sqrt(s2) * float(c @ e2) / (s2 + mu) if s2 + mu > 0.0 else 0.0
+    # |y| = sqrt(S(mu)) exceeds 1 by the root's residual and by rounding,
+    # which sits mostly in c . e_2 when s_2 << s_1.  Scaling y down would
+    # move M n_b by sqrt(s_1) times the excess; trimming y_2 moves it by
+    # sqrt(s_2) times the cut
+    y2 = math.copysign(min(abs(y2), math.sqrt(max(0.0, 1.0 - y1 * y1))), y2)
     n = y1 * v1 + y2 * v2 + math.sqrt(max(0.0, 1.0 - y1 * y1 - y2 * y2)) * v3
     return n / np.linalg.norm(n)

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, canonical, discrimination, files, oracle, svg
+from . import __version__, canonical, discrimination, files, numerics, oracle, svg
 from .errors import DomainError, GateDiscrimError
 from .numerics import GATE_TOL, VERDICT_TOL, require_finite, require_positive
 
@@ -163,10 +163,8 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
 
 
 def _cmd_selfcheck(args) -> int:
-    if args.trials < 1:
-        raise DomainError(f"--trials must be positive, got {args.trials}")
-    if args.seed < 0:
-        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
+    numerics.require_count(args.trials, 1, "--trials")
+    numerics.require_count(args.seed, 0, "--seed")
     failures = 0
     for t in range(args.trials):
         bad = _selfcheck_trial(t, args.seed)
@@ -259,6 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-1,0,1,2" for an option: an angle list that opens with
+    # a minus sign is joined to its flag, as in "--omega=-1,0,1,2"
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1 : i + 1]
+        if flag in ("--omega", "--alpha") and value[:1] == "-" and value[:2] != "--":
+            argv[i - 1 : i + 1] = [f"{flag}={value}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

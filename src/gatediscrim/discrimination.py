@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canonical, geometry, numerics
-from .errors import ConstructionFailedError, DomainError, NotProductError
+from .errors import ConstructionFailedError, DomainError
 from .numerics import GATE_TOL, SQRT_HALF, VERDICT_TOL, wrap_angle
 
 
@@ -60,9 +60,15 @@ class DiscriminationReport:
     p2: float
     error_probability: float
     perfectly_distinguishable: bool
-    case: CaseTag
     probe: ProbeState
     achieved_value: float
+
+    @property
+    def case(self) -> CaseTag:
+        """The hull case, read off the verdict so the two always agree."""
+        if self.perfectly_distinguishable:
+            return CaseTag.ORIGIN_INSIDE
+        return CaseTag.ORIGIN_OUTSIDE
 
 
 def concurrence(u) -> float:
@@ -71,23 +77,10 @@ def concurrence(u) -> float:
     return float(abs((u * u).sum()))
 
 
-def factor_product(u) -> tuple[np.ndarray, np.ndarray]:
-    """Split a product state given by magic amplitudes into qubit factors.
-
-    Returns normalized (local_a, local_b) with kron(local_a, local_b) equal
-    to the computational ket up to the stored gauge.  Raises NotProductError
-    when the concurrence exceeds `GATE_TOL`, which signals a construction
-    bug in the caller rather than a user input problem.
-    """
-    u = np.asarray(u, dtype=complex).ravel()
-    c = concurrence(u)
-    if not (c <= GATE_TOL):  # written so that NaN fails
-        raise NotProductError(f"concurrence {c:.3e} exceeds tolerance {GATE_TOL:g}")
-    return _factor(canonical.MAGIC_BASIS @ u)
-
-
 def _factor(psi) -> tuple[np.ndarray, np.ndarray]:
-    """`factor_product` of the ket psi of a product state."""
+    """Normalized qubit factors (a, b) of the ket psi of a product state,
+    with kron(a, b) equal to psi in the gauge that makes the first
+    significant component of `a` real and nonnegative."""
     amp = psi.reshape(2, 2)
     row = int((np.abs(amp) ** 2).sum(axis=1).argmax())
     b = amp[row] / _norm(amp[row])
@@ -282,11 +275,6 @@ def discriminate(u1, u2, p1: float = 0.5, tol: float = GATE_TOL) -> Discriminati
         p2=p2,
         error_probability=error_probability(hull.min_distance, p1, p2),
         perfectly_distinguishable=hull.origin_inside,
-        case=(
-            CaseTag.ORIGIN_INSIDE
-            if hull.origin_inside
-            else CaseTag.ORIGIN_OUTSIDE
-        ),
         probe=probe,
         achieved_value=achieved,
     )

@@ -21,10 +21,6 @@ class NotNormalizedError(DomainError):
     """A state vector is not normalized to within tolerance."""
 
 
-class NotProductError(GateDiscrimError):
-    """A state expected to factor into a tensor product does not."""
-
-
 class DegenerateHullError(GateDiscrimError):
     """Too few distinct vertices for the requested hull operation."""
 

@@ -30,10 +30,6 @@ class PhaseGroup:
     phase: float
     indices: tuple[int, ...]
 
-    @property
-    def multiplicity(self) -> int:
-        return len(self.indices)
-
 
 @dataclass(frozen=True)
 class HullResult:

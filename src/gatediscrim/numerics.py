@@ -4,9 +4,10 @@ Everything operates on plain numpy arrays: 2x2 and 4x4 complex matrices and
 length-4 state vectors.  Eigenphases of unitary matrices come from LAPACK's
 dense eigenvalue routine, see `unitary_eigenphases`.  This module is also
 the one home of the input checks, one per input kind: gates, finite vectors,
-unit-norm amplitudes, positive tolerances and priors.  NaN fails each of
-them, and each raises a `DomainError` subclass, never a numpy error or
-warning.  It names the tolerances other modules read: GATE_TOL, VERDICT_TOL.
+unit-norm amplitudes, positive tolerances, priors and counts.  NaN fails
+each of them, and each raises a `DomainError` subclass, never a numpy error
+or warning.  It names the tolerances other modules read: GATE_TOL,
+VERDICT_TOL.
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ def wrap_angle(theta):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def kron(a, b):
-    """Kronecker product; (2,2)x(2,2) -> (4,4) with row-major qubit order."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def unitarity_residual(m) -> np.ndarray:
@@ -187,6 +183,13 @@ def require_prior(p: float, what: str = "p1") -> float:
         raise DomainError(f"prior {what} = {p!r} outside [0, 1]")
     # adding 0.0 turns -0.0 into 0.0
     return min(max(float(p), 0.0), 1.0) + 0.0
+
+
+def require_count(x, lo: int, what: str) -> int:
+    """`x` itself; DomainError unless it is an integer >= lo (a bool is none)."""
+    if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= lo):
+        raise DomainError(f"{what} must be an integer >= {lo}, got {x!r}")
+    return x
 
 
 def random_su2(rng) -> np.ndarray:

@@ -36,11 +36,6 @@ _AXES = np.arange(2)
 _FLOOR_SLACK = 8.0 * float(np.finfo(float).eps)
 
 
-def _is_count(x, lo: int) -> bool:
-    """An integer >= lo; a bool is not a count."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= lo
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the deterministic product-state search.
@@ -64,10 +59,8 @@ class SearchConfig:
     refinement_rounds: int = 4
 
     def __post_init__(self):
-        for name, lo in (("grid_steps", 8), ("refinement_rounds", 0)):
-            x = getattr(self, name)
-            if not _is_count(x, lo):
-                raise DomainError(f"{name} must be an integer >= {lo}, got {x!r}")
+        numerics.require_count(self.grid_steps, 8, "grid_steps")
+        numerics.require_count(self.refinement_rounds, 0, "refinement_rounds")
 
 
 @dataclass(frozen=True)
@@ -169,8 +162,11 @@ def _range_min(z):
         # signs of its floating-point vertices rather than rounding noise
         weights = (cross(b, c - b), cross(c, a - c), cross(a, b - a))
         area = sum(weights)
-        # collinear triples are skipped: the segment pass covers them
-        if area != 0.0 and all(w * area >= 0.0 for w in weights):
+        # collinear triples are skipped: the segment pass covers them.  The
+        # signs are compared, not multiplied: w * area underflows to +-0.0
+        # for a triangle of eigenvalues a few ulps apart
+        inside = all(w == 0.0 or (w > 0.0) == (area > 0.0) for w in weights)
+        if area != 0.0 and inside:
             return 0.0, tri, [w / area for w in weights]
     value = math.inf
     for i, j in itertools.combinations(range(len(z)), 2):
@@ -210,12 +206,9 @@ def helstrom_simulate(
     tolerance, finite and > 0, else DomainError.
     """
     # numpy's binomial takes counts up to the int64 maximum
-    if not _is_count(shots, 1) or shots > np.iinfo(np.int64).max:
-        raise DomainError(
-            f"shots must be an integer in [1, 2**63 - 1], got {shots!r}"
-        )
-    if not _is_count(seed, 0):
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    if numerics.require_count(shots, 1, "shots") > np.iinfo(np.int64).max:
+        raise DomainError(f"shots must be at most 2**63 - 1, got {shots!r}")
+    numerics.require_count(seed, 0, "seed")
     p1 = numerics.require_prior(p1)
     u1, u2 = numerics.require_gates((u1, u2), tol)
     p2 = 1.0 - p1

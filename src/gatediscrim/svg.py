@@ -79,8 +79,8 @@ def render_hull_svg(omega) -> str:
             off = 0.14 if np.hypot(*mid) < VERDICT_TOL else 0.0
             lines.append(
                 _text(
-                    mid[0] * 1.0 + off,
-                    mid[1] * 1.0 + 0.16,
+                    mid[0] + off,
+                    mid[1] + 0.16,
                     f"M{i + 1}",
                     size=0.09,
                     fill="#e3742f",

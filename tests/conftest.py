@@ -34,7 +34,7 @@ def random_magic_diag(rng):
 def dressed_gate(rng, alpha):
     a, b, c, d = (numerics.random_su2(rng) for _ in range(4))
     return (
-        numerics.kron(a, b) @ canonical.build_ud(alpha) @ numerics.kron(c, d)
+        np.kron(a, b) @ canonical.build_ud(alpha) @ np.kron(c, d)
     )
 
 
@@ -238,7 +238,7 @@ def _ref_amplitudes(hull):
         cyc, w = [0, 1], np.array([0.5, 0.5])
     else:
         if n == 3:
-            dup = max(range(3), key=lambda i: hull.groups[i].multiplicity)
+            dup = max(range(3), key=lambda i: len(hull.groups[i].indices))
             cyc = [j for i in range(3) for j in ([i, i] if i == dup else [i])]
         else:
             cyc = [0, 1, 2, 3]
@@ -311,7 +311,6 @@ def ref_discriminate(u1, u2, p1=0.5, tol=1e-8):
         p2=p2,
         error_probability=d.error_probability(hull.min_distance, p1, p2),
         perfectly_distinguishable=hull.origin_inside,
-        case=d.CaseTag.ORIGIN_INSIDE if hull.origin_inside else d.CaseTag.ORIGIN_OUTSIDE,
         probe=probe,
         achieved_value=ref_achieved_overlap(probe.u, om),
     )

@@ -19,7 +19,7 @@ from gatediscrim.discrimination import (
     fidelity,
     perfectly_distinguishable,
 )
-from gatediscrim.numerics import ID4, kron, wrap_angle
+from gatediscrim.numerics import ID4, wrap_angle
 
 from test_cli import DISCRIMINATE_TABLE, g
 
@@ -163,9 +163,9 @@ def test_criterion_5_decomposition_roundtrip(capsys):
         got = canonical.extract_interaction(canonical.build_ud(d)).alpha
         worst_plain = max(worst_plain, float(np.max(np.abs(got - d))))
         dressed = (
-            kron(numerics.random_su2(rng), numerics.random_su2(rng))
+            np.kron(numerics.random_su2(rng), numerics.random_su2(rng))
             @ canonical.build_ud(d)
-            @ kron(numerics.random_su2(rng), numerics.random_su2(rng))
+            @ np.kron(numerics.random_su2(rng), numerics.random_su2(rng))
         )
         got = canonical.extract_interaction(dressed).alpha
         worst_dressed = max(worst_dressed, float(np.max(np.abs(got - d))))
@@ -183,7 +183,7 @@ def test_criterion_6_concurrence_definitions_agree(capsys):
     # 1e-10 on 1e4 states; the antisymmetric-support state is exactly 0
     rng = np.random.default_rng(606)
     t0 = time.perf_counter()
-    yy = kron(numerics.PAULI_Y, numerics.PAULI_Y)
+    yy = np.kron(numerics.PAULI_Y, numerics.PAULI_Y)
     worst = 0.0
     for _ in range(10_000):
         u = rng.normal(size=4) + 1j * rng.normal(size=4)

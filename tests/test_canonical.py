@@ -16,7 +16,7 @@ from gatediscrim.canonical import (
     relative_phases,
 )
 from gatediscrim.errors import DomainError, NotMagicDiagonalError, NotUnitaryError
-from gatediscrim.numerics import ID4, SWAP, kron, wrap_angle
+from gatediscrim.numerics import ID4, SWAP, wrap_angle
 
 from conftest import dressed_gate, phases_close, random_unitary
 
@@ -37,7 +37,7 @@ def test_magic_basis_is_unitary():
 def test_magic_basis_carries_locals_to_real(rng):
     # product of SU(2) factors becomes a real orthogonal matrix
     for _ in range(20):
-        g = kron(numerics.random_su2(rng), numerics.random_su2(rng))
+        g = np.kron(numerics.random_su2(rng), numerics.random_su2(rng))
         r = canonical.magic_rep(g)
         assert np.max(np.abs(r.imag)) <= 1e-12
         assert np.max(np.abs(r @ r.T - np.eye(4))) <= 1e-12
@@ -111,9 +111,9 @@ def test_build_ud_is_magic_diagonal_unitary(rng):
 def test_build_ud_matches_pauli_exponential(rng):
     # independent route: XX, YY, ZZ commute, so the exponential factors into
     # cos(a) I - i sin(a) G terms multiplied together
-    xx = kron(numerics.PAULI_X, numerics.PAULI_X)
-    yy = kron(numerics.PAULI_Y, numerics.PAULI_Y)
-    zz = kron(numerics.PAULI_Z, numerics.PAULI_Z)
+    xx = np.kron(numerics.PAULI_X, numerics.PAULI_X)
+    yy = np.kron(numerics.PAULI_Y, numerics.PAULI_Y)
+    zz = np.kron(numerics.PAULI_Z, numerics.PAULI_Z)
     for _ in range(25):
         a = canonical.random_weyl_vector(rng)
         direct = ID4.copy()
@@ -223,7 +223,7 @@ def test_relative_phases_rejects_dressed(rng):
     assert "decompose" in str(exc.value)
 
 
-IX = kron(numerics.ID2, numerics.PAULI_X)
+IX = np.kron(numerics.ID2, numerics.PAULI_X)
 
 
 @pytest.mark.parametrize(

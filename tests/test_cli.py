@@ -589,6 +589,13 @@ def test_non_finite_angles_rejected(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+def test_figure_takes_a_negative_first_angle(capsys, tmp_path):
+    outs = [tmp_path / "split.svg", tmp_path / "joined.svg"]
+    for out, omega in zip(outs, (["--omega", "-1,0,1,2"], ["--omega=-1,0,1,2"])):
+        assert run_main(capsys, "figure", *omega, "--out", str(out))[0] == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_figure_single_point(capsys, tmp_path):
     path = tmp_path / "single.svg"
     code, _, _ = run_main(capsys, "figure", "--omega", "0,0,0,0", "--out", str(path))

@@ -13,7 +13,6 @@ from gatediscrim.discrimination import (
     construct_probe,
     discriminate,
     error_probability,
-    factor_product,
     fidelity,
     perfectly_distinguishable,
 )
@@ -21,10 +20,9 @@ from gatediscrim.errors import (
     ConstructionFailedError,
     DomainError,
     NotNormalizedError,
-    NotProductError,
     NotUnitaryError,
 )
-from gatediscrim.numerics import ID4, kron, wrap_angle
+from gatediscrim.numerics import ID4, wrap_angle
 
 from conftest import random_state
 
@@ -61,18 +59,14 @@ def test_factor_product_recovers_factors(rng):
     for _ in range(100):
         a = random_state(rng, 2)
         b = random_state(rng, 2)
-        u = canonical.MAGIC_BASIS.conj().T @ kron(a, b)
-        fa, fb = factor_product(u)
+        probe = discrimination.probe_from_factors(a, b)
+        fa, fb = probe.local_a, probe.local_b
         # same product state up to the stored gauge
-        np.testing.assert_allclose(kron(fa, fb), magic_ket(u), atol=1e-9)
+        np.testing.assert_allclose(np.kron(fa, fb), np.kron(a, b), atol=1e-9)
+        np.testing.assert_allclose(probe.psi_computational, np.kron(a, b), atol=1e-12)
         lead = np.flatnonzero(np.abs(fa) > 1e-9)[0]
         assert abs(fa[lead].imag) <= 1e-12
         assert fa[lead].real > 0
-
-
-def test_factor_product_rejects_entangled():
-    with pytest.raises(NotProductError):
-        factor_product([1.0, 0.0, 0.0, 0.0])
 
 
 def test_error_probability_values():
@@ -125,7 +119,7 @@ def check_probe(probe, omega, expect_value, tol=1e-9):
     assert concurrence(probe.u) <= tol
     assert probe.local_a is not None and probe.local_b is not None
     np.testing.assert_allclose(
-        kron(probe.local_a, probe.local_b),
+        np.kron(probe.local_a, probe.local_b),
         probe.psi_computational,
         atol=1e-9,
     )
@@ -366,7 +360,7 @@ def test_tolerance_checks_fail_on_nan():
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
 def test_gate_pair_entry_points_check_tol(tol, tmp_path):
-    ix = kron(numerics.ID2, numerics.PAULI_X)
+    ix = np.kron(numerics.ID2, numerics.PAULI_X)
     probe = construct_probe(np.zeros(4))
     paths = [tmp_path / "matrix.json", tmp_path / "alpha.json"]
     files.write_document(files.matrix_document(ID4, "I"), paths[0])

@@ -23,7 +23,7 @@ def test_dedupe_groups_and_indices():
     assert groups[0].phase == pytest.approx(0.0)
     assert groups[0].indices == (0, 2)
     assert groups[1].indices == (1, 3)
-    assert groups[1].multiplicity == 2
+    assert len(groups[1].indices) == 2
 
 
 def test_dedupe_tolerance_merges():
@@ -38,7 +38,7 @@ def test_dedupe_tolerance_merges():
 def test_dedupe_wraps_across_pi():
     groups = dedupe_phases([PI - 1e-12, -PI + 1e-12, 0.5], tol=1e-9)
     assert len(groups) == 2
-    merged = [g for g in groups if g.multiplicity == 2][0]
+    merged = [g for g in groups if len(g.indices) == 2][0]
     assert merged.indices == (0, 1)
 
 
@@ -148,7 +148,7 @@ def test_hull_vertex_groups_align():
     h = hull_of_phases([0.5, -2.0, 0.5, 1.0])
     assert len(h.groups) == 3
     assert [g.phase for g in h.groups] == pytest.approx([-2.0, 0.5, 1.0])
-    counts = sorted(g.multiplicity for g in h.groups)
+    counts = sorted(len(g.indices) for g in h.groups)
     assert counts == [1, 1, 2]
 
 
@@ -178,4 +178,4 @@ def test_merge_tol_domain(fn, tol):
 def test_merge_tol_zero_merges_only_equal_phases():
     groups = dedupe_phases([0.5, 0.5, 0.5 + 1e-15, 2.0], tol=0.0)
     assert [g.indices for g in groups] == [(0, 1), (2,), (3,)]
-    assert hull_of_phases([0.5, 0.5, 2.0], tol=0.0).groups[0].multiplicity == 2
+    assert len(hull_of_phases([0.5, 0.5, 2.0], tol=0.0).groups[0].indices) == 2

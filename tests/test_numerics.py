@@ -20,7 +20,6 @@ from gatediscrim.numerics import (
     PAULI_Z,
     SWAP,
     is_unitary,
-    kron,
     unitary_eigenphases,
     wrap_angle,
 )
@@ -74,29 +73,6 @@ def test_wrap_angle_scalar_matches_array(rng):
         assert got == expect and np.signbit(got) == np.signbit(expect)
     for bad in (math.nan, math.inf, -math.inf):
         assert math.isnan(wrap_angle(bad))
-
-
-def test_kron_pauli_example():
-    xx = kron(PAULI_X, PAULI_X)
-    expect = np.zeros((4, 4), dtype=complex)
-    expect[0, 3] = expect[1, 2] = expect[2, 1] = expect[3, 0] = 1.0
-    np.testing.assert_allclose(xx, expect)
-    np.testing.assert_allclose(kron(ID2, ID2), ID4)
-
-
-def test_kron_mixed_product(rng):
-    for _ in range(20):
-        a, b, c, d = (random_unitary(rng, 2) for _ in range(4))
-        np.testing.assert_allclose(
-            kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12
-        )
-
-
-def test_kron_bilinear(rng):
-    a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    s = complex(rng.normal(), rng.normal())
-    np.testing.assert_allclose(kron(a + s * b, c), kron(a, c) + s * kron(b, c), atol=1e-12)
-    np.testing.assert_allclose(kron(c, a + s * b), kron(c, a) + s * kron(c, b), atol=1e-12)
 
 
 def test_is_unitary():
@@ -217,6 +193,15 @@ def test_require_prior_clamps_rounding_and_rejects_the_rest():
     for p1 in (True, False, np.True_, "0.5", None, 0.5 + 0j, np.array([0.5])):
         with pytest.raises(DomainError, match="prior p1"):
             numerics.require_prior(p1)
+
+
+def test_require_count_takes_integers_only():
+    for x in (0, np.int64(3), 2**70):
+        assert numerics.require_count(x, 0, "widgets") is x
+    bad = (True, False, np.bool_(True), 1.5, 2.0, math.nan, math.inf, None, "3", -1)
+    for x, lo in [(x, 0) for x in bad] + [(4, 5)]:
+        with pytest.raises(DomainError, match=f"widgets must be an integer >= {lo}"):
+            numerics.require_count(x, lo, "widgets")
 
 
 def _with_entry(x):
@@ -347,7 +332,6 @@ def test_every_tol_default_is_a_named_tolerance():
     for fn in (
         canonical.classify,
         canonical.check_weyl,
-        discrimination.factor_product,
         numerics.unitary_eigenphases,
     ):
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__

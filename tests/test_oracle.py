@@ -201,6 +201,17 @@ def test_all_states_degenerate_spectra(rng):
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_all_states_keeps_a_tiny_triangle_outside():
+    # eig puts three eigenvalues within 1.1e-15 of 1 and 3.7e-224 apart;
+    # the products of their barycentric weights and area underflow to 0
+    u1 = canonical.from_magic_phases(np.zeros(4))
+    u2 = canonical.from_magic_phases([0.0, 7.324809469923222e-224, 0.0, 0.5])
+    value, psi = oracle.min_over_all_states(u1, u2)
+    assert abs(value - math.cos(0.25)) <= 1e-15
+    assert np.isfinite(psi).all()
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-15
+
+
 def test_all_states_runs_no_search_and_draws_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the exact oracle must not search or sample")
@@ -533,10 +544,29 @@ def test_bob_minima_keep_thin_ellipses(rng):
     vals, mu = _kernels._bob_minima(xy)
     np.testing.assert_allclose(vals, expect, rtol=0.0, atol=1e-14)
     for k in range(xy.shape[1]):
-        n = _kernels._bob_vector(xy[:, k], mu[k])
-        z = complex(xy[0, k], xy[6, k]) + complex(xy[1:4, k] @ n, xy[7:10, k] @ n)
-        assert abs(np.linalg.norm(n) - 1.0) <= 1e-15
-        assert abs(abs(z) - vals[k]) <= 1e-14
+        _assert_bob_vector_reaches(xy[:, k], vals[k], mu[k])
+    # -p outside, off both axes, solved one column at a time: in a batch the
+    # other columns keep Newton running past a stop that came too early.  A
+    # realized point is never nearer than the ellipse, and a value short of
+    # the root is below it, so agreeing pins both to the distance
+    for _ in range(2000):
+        s1 = rng.uniform(0.3, 1.0)
+        s2 = s1 * 10.0 ** rng.uniform(-15, -4)
+        r2, r3 = _rotation(rng, 2), _rotation(rng, 3)
+        m = r2 @ np.array([[s1, 0.0, 0.0], [0.0, s2, 0.0]]) @ r3.T
+        t = rng.uniform(0.0, 2.0 * PI)
+        rho = 1.0 + 10.0 ** rng.uniform(-3, 0)
+        p = r2 @ (rho * np.array([s1 * math.cos(t), s2 * math.sin(t)]))
+        col = np.array([p[0], *m[0], *m[0, :2], p[1], *m[1], *m[1, :2]])
+        (val,), (mu,) = _kernels._bob_minima(col[:, None])
+        _assert_bob_vector_reaches(col, val, mu)
+
+
+def _assert_bob_vector_reaches(col, val, mu):
+    n = _kernels._bob_vector(col, mu)
+    z = complex(col[0], col[6]) + complex(col[1:4] @ n, col[7:10] @ n)
+    assert abs(np.linalg.norm(n) - 1.0) <= 1e-15
+    assert abs(abs(z) - val) <= 1e-14
 
 
 def test_alice_scan_never_above_the_4d_grid(rng):
@@ -608,6 +638,31 @@ def test_product_oracle_exact_on_criterion_2_pairs(rng):
     assert len(inside) >= 100
     for om in inside:
         _assert_factors_give_ket(construct_probe(om))
+
+
+def test_product_oracle_returns_its_best_scan_near_swap(monkeypatch):
+    # W = SWAP e^{i eps H}: near SWAP the winning Bob maps are thin ellipses
+    # with -p near a vertex, where Newton's root climbs by about half itself
+    # per step.  The returned value is the probe's own overlap, so a Bob
+    # vector built from a root stopped short lands above the scanned value
+    draw = np.random.default_rng(2020)
+    scanned = []
+    scan = _kernels.alice_scan
+
+    def recording_scan(w, theta, phi):
+        out = scan(w, theta, phi)
+        scanned.append(out[0])
+        return out
+
+    monkeypatch.setattr(_kernels, "alice_scan", recording_scan)
+    for _ in range(300):
+        a = draw.normal(size=(4, 4)) + 1j * draw.normal(size=(4, 4))
+        eps = 10.0 ** draw.uniform(-8, -2)
+        lam, v = np.linalg.eigh(a + a.conj().T)
+        w = SWAP @ (v * np.exp(1j * eps * lam)) @ v.conj().T
+        scanned.clear()
+        val, _ = oracle.min_over_product_states(ID4, w)
+        assert val <= min(scanned) + 1e-12
 
 
 def _assert_factors_give_ket(probe):

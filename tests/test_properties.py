@@ -104,6 +104,9 @@ residual = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(min_value=0.0, max_
 @given(phases, phases, residual, residual, st.sampled_from([None, 1e-10, 1e-6]))
 # residual 8e-9: inside the default, and once rejected by the oracles at 1e-9
 @example(np.zeros(4), canonical.lambda_phases((0.3, 0.2, 0.1)), (1.0, 0.8), (1.0, 0.0), None)
+# three eigenvalues 3.7e-224 apart: the all-states oracle's triangle test once
+# took their tiny triangle for one around the origin
+@example(np.zeros(4), np.array([0.0, 7.324809469923222e-224, 0.0, 0.5]), (1.0, 0.0), (1.0, 0.0), None)
 def test_entry_points_accept_exactly_when_check_gates_does(om1, om2, r1, r2, tol):
     t = numerics.GATE_TOL if tol is None else tol
     kw = {} if tol is None else {"tol": tol}
