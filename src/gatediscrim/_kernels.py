@@ -1,7 +1,8 @@
 """The scans over product probe states, the package's hot loops.
 
 `alice_scan` serves the product oracle: it walks a grid of Alice's states
-only and solves Bob's side exactly (see the section below).  `product_scan`,
+only and solves Bob's side exactly (see the section below); `bob_response`
+then builds the winner's Bob vector from one SVD.  `product_scan`,
 the 4-D Bloch-angle grid scan described next, no longer serves the oracle;
 it stays as the 4-D reference that the benchmark times and the tests pin.
 
@@ -233,61 +234,39 @@ def alice_scan(w, theta, phi):
 def bob_response(w, theta, phi, mu) -> np.ndarray:
     """Bob's unit Bloch vector minimizing |<a x b| w |a x b>|, a = s(theta, phi).
 
-    mu is the state's root from `alice_scan`; see `_bob_vector`.
+    mu is the state's root from `alice_scan`; `_bob_vector` builds the
+    vector from one SVD of Bob's map.
     """
     return _bob_vector(_response_form(w) @ _bloch_rows([theta], [phi])[0], mu)
-
-
-def _cross(u, v) -> np.ndarray:
-    return np.array(
-        [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-    )
 
 
 def _bob_vector(xy, mu) -> np.ndarray:
     """Bob's unit Bloch vector for one column xy of `_bob_minima` and its mu.
 
-    With G's eigenpairs (s_i, e_i), read as in `_bob_minima`, and the right
-    singular vectors v_i = M^T e_i / sqrt(s_i), n_b = sum_i y_i v_i + t v_3
-    where y_i = sqrt(s_i) (c . e_i) / (s_i + mu): M^T (M M^T + mu I)^-1 c
-    where mu > 0 (outside the ellipse, or past a segment's end) and M^+ c
-    where mu = 0 (inside it, on a segment, or M = 0).  The null vector v_3
-    takes up t = sqrt(1 - |y|^2).  With v_3 along m_x x m_y and e_2 = e_1
-    turned by +90 degrees, (m_x x m_y) x M^T e_1 = s_1 M^T e_2, so
-    v_2 = v_3 x v_1 and no vector is divided by a small sqrt(s_2).  Below
-    s_2 = (8 eps)^2 s_1 the map counts as rank 1, which moves M n_b by at
-    most 8 eps sqrt(s_1) and keeps rounding noise in s_2 out of y_2.
+    With M = [m_x; m_y] = U diag(sigma) V^T from one SVD and c = -p,
+    n_b = y_1 V_1 + y_2 V_2 + t V_3 where y_i = sigma_i (U^T c)_i /
+    (sigma_i^2 + mu), read as 0 where that denominator is 0:
+    M^T (M M^T + mu I)^-1 c where mu > 0 (outside the ellipse, or past a
+    segment's end) and M^+ c where mu = 0 (inside it, on a segment, or
+    M = 0).  The null vector V_3 takes up t = sqrt(1 - |y|^2).  Below
+    sigma_2 = 8 eps sigma_1 the map counts as rank 1, which moves M n_b by
+    at most 8 eps sigma_1 and keeps rounding noise in sigma_2 out of y_2.
     """
     c = -xy[::6]
-    mx, my = xy[1:4], xy[7:10]
-    a, b, d = mx @ mx, mx @ my, my @ my
-    if a + d == 0.0:
-        return np.array([0.0, 0.0, 1.0])  # M = 0: every n_b gives |p|
-    h = 0.5 * (a - d)
-    r = math.hypot(h, b)
-    s1 = 0.5 * (a + d) + r
-    beta = b / (r + abs(h)) if r > 0.0 else 0.0
-    e1 = np.array([1.0, beta] if h >= 0.0 else [beta, 1.0]) / math.hypot(1.0, beta)
-    e2 = np.array([-e1[1], e1[0]])
-    v1 = (e1[0] * mx + e1[1] * my) / math.sqrt(s1)
-    cross = _cross(mx, my)
-    s2 = float(cross @ cross) / s1
-    if s2 > (8.0 * _EPS) ** 2 * s1:
-        # cross has absolute errors near eps s_1, so its direction leans
-        # off the null space by about eps sqrt(s_1 / s_2); the lean along
-        # v_1 would cost sqrt(s_1) times that in M n_b, the rest sqrt(s_2)
-        v3 = cross - (cross @ v1) * v1
-    else:
+    u, sigma, vt = np.linalg.svd(np.array([xy[1:4], xy[7:10]]))
+    s1, s2 = sigma.tolist()
+    if s1 * s1 == 0.0:
+        # M = 0, or so small that M M^T underflows: every n_b gives |p|
+        return np.array([0.0, 0.0, 1.0])
+    if s2 <= 8.0 * _EPS * s1:
         s2 = 0.0
-        v3 = _cross(v1, np.eye(3)[np.argmin(np.abs(v1))])
-    v3 /= np.linalg.norm(v3)
-    v2 = _cross(v3, v1)
-    y1 = math.sqrt(s1) * float(c @ e1) / (s1 + mu)
-    y2 = math.sqrt(s2) * float(c @ e2) / (s2 + mu) if s2 + mu > 0.0 else 0.0
+    q1, q2 = (c @ u).tolist()
+    y1 = s1 * q1 / (s1 * s1 + mu)
+    y2 = s2 * q2 / (s2 * s2 + mu) if s2 * s2 + mu > 0.0 else 0.0
     # |y| = sqrt(S(mu)) exceeds 1 by the root's residual and by rounding,
-    # which sits mostly in c . e_2 when s_2 << s_1.  Scaling y down would
-    # move M n_b by sqrt(s_1) times the excess; trimming y_2 moves it by
-    # sqrt(s_2) times the cut
+    # which sits mostly in y_2 when sigma_2 << sigma_1.  Scaling y down would
+    # move M n_b by sigma_1 times the excess; trimming y_2 moves it by
+    # sigma_2 times the cut
     y2 = math.copysign(min(abs(y2), math.sqrt(max(0.0, 1.0 - y1 * y1))), y2)
-    n = y1 * v1 + y2 * v2 + math.sqrt(max(0.0, 1.0 - y1 * y1 - y2 * y2)) * v3
+    n = y1 * vt[0] + y2 * vt[1] + math.sqrt(max(0.0, 1.0 - y1 * y1 - y2 * y2)) * vt[2]
     return n / np.linalg.norm(n)

@@ -106,7 +106,7 @@ def error_probability(fid: float, p1: float, p2: float) -> float:
         raise DomainError(f"priors ({p1!r}, {p2!r}) must sum to 1")
     # written as not (lo <= x <= hi) so that NaN fails; the bounds are
     # finite, so infinities fail too
-    if not (-1e-9 <= fid <= 1.0 + 1e-9):
+    if not (-1e-9 <= numerics.require_real(fid, "fidelity") <= 1.0 + 1e-9):
         raise DomainError(f"fidelity {fid!r} outside [0, 1]")
     f = min(max(fid, 0.0), 1.0)
     rad = 1.0 - 4.0 * p1 * p2 * f * f

@@ -106,13 +106,6 @@ def render_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def parse_document(text: str) -> dict:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise DomainError("document top level must be a JSON object")
-    return doc
-
-
 def write_text(text: str, path) -> None:
     """Replace `path` with `text` atomically.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHullError, DomainError
-from .numerics import TWO_PI, VERDICT_TOL, require_finite, wrap_angle
+from .numerics import TWO_PI, VERDICT_TOL, require_finite, require_real, wrap_angle
 
 # phases closer than this on the circle are one hull vertex; rounding is ~1e-16
 DEDUPE_TOL = 1e-10
@@ -54,15 +54,15 @@ def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
 
     Groups are returned sorted by representative phase in (-pi, pi]; each
     keeps the original input indices and a circular-mean representative.
-    Raises DomainError on empty input, a non-finite phase, or a `tol` that
-    is negative or not finite.
+    Raises DomainError on empty input, a phase that is not a finite real
+    number, or a `tol` that is not a real number, finite and >= 0.
     """
     return _dedupe(_finite_phases(phases), tol)[1]
 
 
 def _dedupe(vals: list[float], tol: float):
     """(stable ascending order, merged groups) of wrapped phases."""
-    if not (0.0 <= tol < math.inf):  # written so that NaN fails
+    if not (0.0 <= require_real(tol, "tol") < math.inf):  # written so that NaN fails
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     order = sorted(range(len(vals)), key=vals.__getitem__)
     runs: list[list[int]] = [[order[0]]]
@@ -116,8 +116,8 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     counter-clockwise from the smallest phase.  Outside, the ordering
     starts just after the largest empty arc, so groups[0] and groups[-1]
     are the angular extremes, whose chord realizes `min_distance`.
-    Raises DomainError on empty input, a non-finite phase, or a `tol` that
-    is negative or not finite.
+    Raises DomainError on empty input, a phase that is not a finite real
+    number, or a `tol` that is not a real number, finite and >= 0.
     """
     vals = _finite_phases(phases)
     order, groups = _dedupe(vals, tol)

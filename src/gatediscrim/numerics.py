@@ -3,11 +3,11 @@
 Everything operates on plain numpy arrays: 2x2 and 4x4 complex matrices and
 length-4 state vectors.  Eigenphases of unitary matrices come from LAPACK's
 dense eigenvalue routine, see `unitary_eigenphases`.  This module is also
-the one home of the input checks, one per input kind: gates, finite vectors,
-unit-norm amplitudes, positive tolerances, priors and counts.  NaN fails
-each of them, and each raises a `DomainError` subclass, never a numpy error
-or warning.  It names the tolerances other modules read: GATE_TOL,
-VERDICT_TOL.
+the one home of the input checks, one per input kind: gates, finite real
+vectors, real numbers, unit-norm amplitudes, positive tolerances, priors
+and counts.  NaN fails each of them, and each raises a `DomainError`
+subclass, never a numpy error or warning.  It names the tolerances other
+modules read: GATE_TOL, VERDICT_TOL.
 """
 
 from __future__ import annotations
@@ -136,9 +136,16 @@ def require_gates(gates, tol: float = GATE_TOL, names=PAIR_NAMES) -> np.ndarray:
 
 
 def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
-    """`v` flattened to floats; DomainError unless it holds `size` entries
-    (at least one when `size` is None) and every one is finite."""
-    a = np.asarray(v, dtype=float).ravel()
+    """`v` flattened to floats; DomainError unless it is an array of real
+    numbers (no complex, bool, string, object or ragged input) holding
+    `size` entries (at least one when `size` is None), every one finite."""
+    try:
+        a = np.asarray(v)
+    except ValueError:  # a ragged sequence, which older numpy made an object array
+        a = np.array(None)
+    if a.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be real numbers, got {a.dtype.name}")
+    a = a.astype(float, copy=False).ravel()
     if size is None and a.size == 0:
         raise DomainError(f"{what} must not be empty")
     if size is not None and a.shape != (size,):
@@ -166,9 +173,20 @@ def require_normalized(v, tol: float = NORM_TOL, name: str = "state"):
     return v
 
 
+def require_real(x, what: str) -> float:
+    """`x` as a float; DomainError for anything but a real number (a bool is
+    none).  NaN and the infinities pass: the range checks reject them."""
+    # a float (np.float64 is one) skips the ABC check, which costs about 1 us
+    if not isinstance(x, float) and (
+        isinstance(x, bool) or not isinstance(x, numbers.Real)
+    ):
+        raise DomainError(f"{what} must be a real number, got {x!r}")
+    return float(x)
+
+
 def require_positive(tol: float, what: str = "tol") -> float:
-    """`tol` itself; DomainError unless it is finite and > 0."""
-    if not (0.0 < tol < math.inf):
+    """`tol` itself; DomainError unless it is a real number, finite and > 0."""
+    if not (0.0 < require_real(tol, what) < math.inf):
         raise DomainError(f"{what} must be finite and > 0, got {tol!r}")
     return tol
 
@@ -178,11 +196,11 @@ def require_prior(p: float, what: str = "p1") -> float:
     0.0); DomainError for anything but a real number (a bool is none), and
     for NaN, inf or a value more than 1e-12, room for rounding, outside
     [0, 1]."""
-    real = isinstance(p, numbers.Real) and not isinstance(p, bool)
-    if not (real and -1e-12 <= p <= 1.0 + 1e-12):
+    x = require_real(p, f"prior {what}")
+    if not (-1e-12 <= x <= 1.0 + 1e-12):
         raise DomainError(f"prior {what} = {p!r} outside [0, 1]")
     # adding 0.0 turns -0.0 into 0.0
-    return min(max(float(p), 0.0), 1.0) + 0.0
+    return min(max(x, 0.0), 1.0) + 0.0
 
 
 def require_count(x, lo: int, what: str) -> int:

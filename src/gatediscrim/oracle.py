@@ -197,13 +197,15 @@ def helstrom_simulate(
 
     Each shot draws the true gate with prior (p1, 1-p1), applies it to the
     probe, and measures the Helstrom projector pair built from the two
-    possible outputs.  Orthogonal outputs therefore produce exactly zero
-    errors.  The shots are independent, so the confusion counts are drawn
-    as binomials, in memory independent of `shots`.  Deterministic for a
-    fixed seed.  `shots` must be an integer in [1, 2**63 - 1] and `seed` an
-    integer >= 0 (a bool is neither), `p1` a prior as
-    `numerics.require_prior` takes it and `tol`, the gates' unitarity
-    tolerance, finite and > 0, else DomainError.
+    possible outputs.  Its rates of guessing the first gate have a closed
+    form in the priors and the outputs' overlap F (Helstrom, Quantum
+    Detection and Estimation Theory, 1976), and orthogonal outputs produce
+    exactly zero errors.  The shots are independent, so the confusion
+    counts are drawn as binomials, in memory independent of `shots`.
+    Deterministic for a fixed seed.  `shots` must be an integer in
+    [1, 2**63 - 1] and `seed` an integer >= 0 (a bool is neither), `p1` a
+    prior as `numerics.require_prior` takes it and `tol`, the gates'
+    unitarity tolerance, finite and > 0, else DomainError.
     """
     # numpy's binomial takes counts up to the int64 maximum
     if numerics.require_count(shots, 1, "shots") > np.iinfo(np.int64).max:
@@ -213,21 +215,19 @@ def helstrom_simulate(
     u1, u2 = numerics.require_gates((u1, u2), tol)
     p2 = 1.0 - p1
     psi = numerics.require_normalized(probe.psi_computational, name="probe")
-    out1 = u1 @ psi
-    out2 = u2 @ psi
-    # reduce to the 2D span of the two outputs: out1 -> (1, 0), out2 -> (c, s)
-    c = complex(np.vdot(out1, out2))
-    perp = out2 - c * out1
-    s = float(np.linalg.norm(perp))
-    v1 = np.array([1.0, 0.0], dtype=complex)
-    v2 = np.array([c, s], dtype=complex)
-    gamma = p1 * np.outer(v1, v1.conj()) - p2 * np.outer(v2, v2.conj())
-    # a 0 eigenvalue counts toward guessing the first gate
-    mu, vecs = np.linalg.eigh(gamma)
-    keep = vecs[:, mu >= 0.0]
-    proj = keep @ keep.conj().T
-    q1 = float(np.clip((v1.conj() @ proj @ v1).real, 0.0, 1.0))
-    q2 = float(np.clip((v2.conj() @ proj @ v2).real, 0.0, 1.0))
+    # on the outputs' span, Gamma = p1 |out1><out1| - p2 |out2><out2| has
+    # eigenvalues (p1 - p2 +- r) / 2 with r = sqrt(1 - 4 p1 p2 F^2), so its
+    # positive projector is (Gamma - lambda_-) / r; q_k is its expectation
+    # in out_k, the rate at which gate k is guessed as the first
+    c = complex(np.vdot(u1 @ psi, u2 @ psi))
+    f2 = c.real * c.real + c.imag * c.imag
+    r = math.sqrt(max(0.0, 1.0 - 4.0 * p1 * p2 * f2))
+    if r > 0.0:
+        q1 = min(max(0.5 + (0.5 - p2 * f2) / r, 0.0), 1.0)
+        q2 = min(max(0.5 + (p1 * f2 - 0.5) / r, 0.0), 1.0)
+    else:
+        # Gamma = 0 on the span: a 0 eigenvalue counts toward the first gate
+        q1 = q2 = 1.0
     rng = np.random.default_rng(seed)
     n1 = int(rng.binomial(shots, p1))
     c11 = int(rng.binomial(n1, q1))

@@ -59,13 +59,13 @@ def test_discriminate_exit_codes(capsys, first, second, expected):
         assert out == ""
     else:
         assert err == ""
-        files.parse_document(out)
+        assert isinstance(json.loads(out), dict)
 
 
 def test_discriminate_error_prone_report(capsys):
     code, out, _ = run_main(capsys, "discriminate", g("01"), g("04"))
     assert code == 1
-    doc = files.parse_document(out)
+    doc = json.loads(out)
     assert doc["kind"] == "discrimination_report"
     assert doc["fidelity"] == pytest.approx(math.cos(math.pi / 8), abs=1e-7)
     assert doc["error_probability"] == pytest.approx(0.3086583, abs=1e-7)
@@ -81,7 +81,7 @@ def test_discriminate_error_prone_report(capsys):
 def test_discriminate_perfect_report(capsys):
     code, out, _ = run_main(capsys, "discriminate", g("01"), g("06"))
     assert code == 0
-    doc = files.parse_document(out)
+    doc = json.loads(out)
     assert doc["fidelity"] == 0.0
     assert doc["error_probability"] == 0.0
     assert doc["perfectly_distinguishable"] is True
@@ -92,7 +92,7 @@ def test_discriminate_perfect_report(capsys):
 def test_discriminate_identical_gates(capsys):
     code, out, _ = run_main(capsys, "discriminate", g("01"), g("01"))
     assert code == 1
-    doc = files.parse_document(out)
+    doc = json.loads(out)
     assert doc["fidelity"] == pytest.approx(1.0)
     assert doc["error_probability"] == pytest.approx(0.5)
 
@@ -118,7 +118,7 @@ def test_build_ud_decompose_roundtrip(capsys, tmp_path):
     assert code == 0
     code, text, _ = run_main(capsys, "decompose", str(out))
     assert code == 0
-    doc = files.parse_document(text)
+    doc = json.loads(text)
     assert doc["alpha"] == pytest.approx([0.3, 0.2, 0.1], abs=1e-7)
     assert doc["class"] == "Entangling"
     assert sum(doc["lambda"]) == pytest.approx(0.0, abs=1e-9)
@@ -129,7 +129,7 @@ def test_build_ud_degrees_flag(capsys, tmp_path):
     run_main(capsys, "build-ud", "--alpha", "45,45,45", "--degrees", "--out", str(out))
     code, text, _ = run_main(capsys, "decompose", str(out))
     assert code == 0
-    doc = files.parse_document(text)
+    doc = json.loads(text)
     assert doc["alpha"] == pytest.approx([math.pi / 4] * 3, abs=1e-7)
     assert doc["class"] == "SwapLike"
 
@@ -149,13 +149,13 @@ def test_build_ud_rejects_bad_vector(capsys, tmp_path):
 def test_decompose_identity_and_dressed(capsys):
     code, text, _ = run_main(capsys, "decompose", g("01"))
     assert code == 0
-    doc = files.parse_document(text)
+    doc = json.loads(text)
     assert doc["alpha"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
     assert doc["class"] == "Identity"
     # local dressing hides nothing from the decomposition
     code, text, _ = run_main(capsys, "decompose", g("08"))
     assert code == 0
-    doc = files.parse_document(text)
+    doc = json.loads(text)
     assert doc["alpha"] == pytest.approx([0.6, 0.25, 0.05], abs=1e-7)
 
 
@@ -173,7 +173,7 @@ def test_decompose_tol_reaches_the_analysis(capsys, tmp_path):
     assert code == 2 and "not unitary within tolerance 1e-08" in err
     code, text, err = run_main(capsys, "decompose", str(path), "--tol", "1e-6")
     assert (code, err) == (0, "")
-    assert files.parse_document(text)["class"] == "Identity"
+    assert json.loads(text)["class"] == "Identity"
 
 
 def _write(path, text: str) -> str:
@@ -354,7 +354,7 @@ def test_simulate_perfect_pair(capsys):
         capsys, "simulate", g("01"), g("06"), "--shots", "10000", "--seed", "3"
     )
     assert code == 0
-    doc = files.parse_document(out)
+    doc = json.loads(out)
     assert doc["errors"] == 0
     assert doc["empirical_rate"] == 0.0
     assert doc["z_score"] == 0.0
@@ -365,7 +365,7 @@ def test_simulate_anchor_pair(capsys):
         capsys, "simulate", g("01"), g("04"), "--shots", "100000", "--seed", "42"
     )
     assert code == 0
-    doc = files.parse_document(out)
+    doc = json.loads(out)
     assert doc["analytic_error_probability"] == pytest.approx(0.3086583, abs=1e-7)
     assert abs(doc["empirical_rate"] - 0.3086583) <= 3 * doc["std_error"]
     assert abs(doc["z_score"]) <= 4.0
@@ -381,7 +381,7 @@ def test_simulate_z_uses_the_analytic_rate(capsys, tmp_path):
     near = canonical.from_magic_phases([0.0, math.pi - 2e-3, 0.0, 0.0])
     files.write_document(files.matrix_document(near, "near"), second)
     code, out, _ = run_main(capsys, "simulate", str(first), str(second))
-    doc = files.parse_document(out)
+    doc = json.loads(out)
     assert doc["analytic_error_probability"] == pytest.approx(2.5e-7, rel=1e-3)
     assert doc["errors"] == 0 and doc["std_error"] == 0.0
     # z = -rate / sqrt(rate / shots) = -sqrt(0.025)
@@ -394,7 +394,7 @@ def test_simulate_z_uses_the_analytic_rate(capsys, tmp_path):
             capsys, "simulate", g("01"), g("04"), "--shots", "1", "--seed", str(seed)
         )
         assert code == 0
-        seen.add(files.parse_document(out)["errors"])
+        seen.add(json.loads(out)["errors"])
     assert seen == {0, 1}
 
 
@@ -409,7 +409,7 @@ def test_simulate_tol_reaches_the_simulator(capsys, tmp_path):
         capsys, "simulate", str(path), str(path), "--shots", "100", "--tol", "1e-6"
     )
     assert code in (0, 1) and err == ""
-    assert files.parse_document(out)["shots"] == 100
+    assert json.loads(out)["shots"] == 100
 
 
 def test_simulate_prior_rounded_past_one(capsys):
@@ -417,12 +417,12 @@ def test_simulate_prior_rounded_past_one(capsys):
         capsys, "simulate", g("01"), g("04"), "--shots", "1000", "--p1", "1.0000000000001"
     )
     assert code in (0, 1) and err == ""
-    assert files.parse_document(out)["priors"] == {"p1": 1.0, "p2": 0.0}
+    assert json.loads(out)["priors"] == {"p1": 1.0, "p2": 0.0}
     # -0.0 is printed as the prior 0.0
     for cmd, *flags in (["simulate", "--shots", "1000"], ["discriminate"]):
         code, out, err = run_main(capsys, cmd, g("01"), g("04"), *flags, "--p1", "-0.0")
         assert code in (0, 1) and err == ""
-        p1 = files.parse_document(out)["priors"]["p1"]
+        p1 = json.loads(out)["priors"]["p1"]
         assert p1 == 0.0 and math.copysign(1.0, p1) == 1.0
 
 
@@ -622,7 +622,7 @@ def test_discriminate_outputs_are_deterministic(capsys, tmp_path):
         assert code == 1
         blobs.append((out, probe.read_bytes(), fig.read_bytes()))
     assert blobs[0] == blobs[1]
-    probe_doc = files.parse_document(blobs[0][1].decode())
+    probe_doc = json.loads(blobs[0][1].decode())
     assert probe_doc["kind"] == "probe_state"
     assert files.render_document(probe_doc).encode() == blobs[0][1]
 
@@ -647,7 +647,7 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
-    assert files.parse_document(proc.stdout)["perfectly_distinguishable"] is True
+    assert json.loads(proc.stdout)["perfectly_distinguishable"] is True
 
 
 def test_console_script_if_installed():

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 import gatediscrim
-from gatediscrim import canonical, cli, discrimination, files, geometry, numerics, oracle
+from gatediscrim import (
+    canonical,
+    cli,
+    discrimination,
+    files,
+    geometry,
+    numerics,
+    oracle,
+    svg,
+)
 from gatediscrim.errors import DomainError, NotNormalizedError, NotUnitaryError
 from gatediscrim.numerics import (
     ID2,
@@ -202,6 +211,52 @@ def test_require_count_takes_integers_only():
     for x, lo in [(x, 0) for x in bad] + [(4, 5)]:
         with pytest.raises(DomainError, match=f"widgets must be an integer >= {lo}"):
             numerics.require_count(x, lo, "widgets")
+
+
+# every entry point that reads real numbers through `require_finite`, called
+# with one complex entry; numpy's float cast would drop the imaginary part
+# with a ComplexWarning, which pytest turns into an error
+_Q = math.pi / 4
+COMPLEX_ENTRY_POINTS = {
+    "construct_probe": lambda: discrimination.construct_probe([0, 3j, 0, 0]),
+    "achieved_overlap": lambda: discrimination.achieved_overlap(
+        [1, 0, 0, 0], [3j, 0, 0, 0]
+    ),
+    "check_weyl": lambda: canonical.check_weyl([_Q + 1j, _Q, _Q]),
+    "classify": lambda: canonical.classify([_Q + 1j, _Q, _Q]),
+    "build_ud": lambda: canonical.build_ud([0.1j, 0, 0]),
+    "from_magic_phases": lambda: canonical.from_magic_phases([0, 0, 0, 1j]),
+    "hull_of_phases": lambda: geometry.hull_of_phases([0.5, 1j]),
+    "dedupe_phases": lambda: geometry.dedupe_phases([0.5, 1j]),
+    "arc_spread": lambda: geometry.arc_spread([0.5, 1j]),
+    "render_hull_svg": lambda: svg.render_hull_svg([0, 0, 0, 1j]),
+}
+
+
+@pytest.mark.parametrize("entry", list(COMPLEX_ENTRY_POINTS))
+def test_real_number_entry_points_reject_complex_input(entry):
+    with pytest.raises(DomainError, match="must be real numbers, got complex128"):
+        COMPLEX_ENTRY_POINTS[entry]()
+
+
+def test_require_finite_takes_real_arrays_only():
+    assert numerics.require_finite([1, np.int8(2), 3.5], "x").tolist() == [1, 2, 3.5]
+    assert numerics.require_finite(np.float32([[1, 2]]), "x", 2).dtype == float
+    for v in ([1, 2j], [True, False], ["1", "2"], [1.0, None], [[1, 2], [3]]):
+        with pytest.raises(DomainError, match="^x must be real numbers, got [a-z0-9]+$"):
+            numerics.require_finite(v, "x")
+
+
+def test_scalar_tolerances_and_fidelity_must_be_real():
+    for bad in (1j, 1e-10 + 0j, "1e-10", None, True):
+        with pytest.raises(DomainError, match="tol must be a real number"):
+            geometry.hull_of_phases([0.0, 1.0], tol=bad)
+        with pytest.raises(DomainError, match="tol must be a real number"):
+            geometry.dedupe_phases([0.0, 1.0], tol=bad)
+        with pytest.raises(DomainError, match="tol must be a real number"):
+            numerics.require_positive(bad)
+        with pytest.raises(DomainError, match="fidelity must be a real number"):
+            discrimination.error_probability(bad, 0.5, 0.5)
 
 
 def _with_entry(x):

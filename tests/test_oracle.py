@@ -248,6 +248,16 @@ def test_helstrom_identical_gates_guess_prior():
     assert abs(out.empirical_rate - 0.3) <= 5 * max(out.std_error, 1e-3)
 
 
+def test_helstrom_equal_outputs_at_equal_priors_guess_the_first_gate():
+    # the outputs overlap exactly and Gamma = 0: its 0 eigenvalue counts
+    # toward the first gate, so no shot is guessed as the second
+    probe = construct_probe([0.0, PI, 0.0, 0.0])
+    assert abs(np.vdot(probe.psi_computational, probe.psi_computational)) == 1.0
+    out = oracle.helstrom_simulate(ID4, ID4, probe, p1=0.5, shots=10_000, seed=5)
+    (c11, c12), (c21, c22) = out.confusion
+    assert c12 == c22 == 0 and c11 + c21 == 10_000 and 0 < c21 < 10_000
+
+
 def test_helstrom_deterministic_and_seeded():
     u2 = canonical.build_ud((0.4, 0.2, 0.0))
     probe = construct_probe(fidelity(ID4, u2)[1])
@@ -286,6 +296,39 @@ def test_helstrom_clamps_a_prior_rounded_past_one():
     probe = construct_probe(fidelity(ID4, u2)[1])
     got = oracle.helstrom_simulate(ID4, u2, probe, p1=1.0 + 1e-13, shots=1000, seed=3)
     assert got == oracle.helstrom_simulate(ID4, u2, probe, p1=1.0, shots=1000, seed=3)
+
+
+def _eigh_rates(out1, out2, p1):
+    """(q1, q2), the rates at which each output is guessed as the first
+    gate's: the Helstrom projector from a 2 x 2 eigh on the outputs' span,
+    a 0 eigenvalue counting toward the first gate."""
+    c = complex(np.vdot(out1, out2))
+    v1 = np.array([1.0, 0.0], dtype=complex)
+    v2 = np.array([c, np.linalg.norm(out2 - c * out1)], dtype=complex)
+    gamma = p1 * np.outer(v1, v1.conj()) - (1.0 - p1) * np.outer(v2, v2.conj())
+    lam, vecs = np.linalg.eigh(gamma)
+    keep = vecs[:, lam >= 0.0]
+    proj = keep @ keep.conj().T
+    return [float((v.conj() @ proj @ v).real) for v in (v1, v2)]
+
+
+def test_helstrom_confusion_rows_match_the_projector(rng):
+    # at 1e12 shots each row's rate is pinned to about 1e-6; rows with no
+    # shots (p1 in {0, 1}) say nothing and are skipped
+    shots = 10**12
+    priors = [0.5] * 20 + list(rng.uniform(0.0, 1.0, 20)) + [0.0, 1.0] * 5
+    for k, p1 in enumerate(priors):
+        u1, _ = random_magic_diag(rng)
+        u2, _ = random_magic_diag(rng)
+        probe = construct_probe(rng.uniform(-PI, PI, 4))
+        psi = probe.psi_computational
+        want = _eigh_rates(u1 @ psi, u2 @ psi, p1)
+        out = oracle.helstrom_simulate(u1, u2, probe, p1=p1, shots=shots, seed=k)
+        for row, q in zip(out.confusion, want):
+            n = sum(row)
+            if n:
+                sigma = math.sqrt(q * (1.0 - q) / n)
+                assert abs(row[0] / n - q) <= 6.0 * sigma + 1e-12, (k, p1, row, q)
 
 
 def grid_overlap(w, axes, lin):
@@ -567,6 +610,19 @@ def _assert_bob_vector_reaches(col, val, mu):
     z = complex(col[0], col[6]) + complex(col[1:4] @ n, col[7:10] @ n)
     assert abs(np.linalg.norm(n) - 1.0) <= 1e-15
     assert abs(abs(z) - val) <= 1e-14
+
+
+def test_bob_vector_when_the_map_squares_to_zero():
+    # W = I up to a phase of 1e-200: M's entries are near 1e-201, so M M^T
+    # underflows to 0 while the SVD's sigma_1 does not; every n_b gives |p|
+    w = canonical.from_magic_phases([0.0, 1e-200, 0.0, 0.0])
+    xy = _kernels._response_form(w) @ _kernels._bloch_rows(
+        np.linspace(0.0, PI, 5), np.linspace(0.0, 2 * PI, 6, endpoint=False)
+    ).T
+    assert 0.0 < np.abs(xy[[1, 2, 3, 7, 8, 9]]).max() < 1e-200
+    vals, mu = _kernels._bob_minima(xy)
+    for k in range(xy.shape[1]):
+        _assert_bob_vector_reaches(xy[:, k], vals[k], mu[k])
 
 
 def test_alice_scan_never_above_the_4d_grid(rng):
