@@ -73,7 +73,11 @@ class DiscriminationReport:
 
 def concurrence(u) -> float:
     """|sum_k u_k^2| for normalized magic amplitudes; 0 iff product state."""
-    u = numerics.require_normalized(u, name="magic amplitudes")
+    return _concurrence(numerics.require_normalized(u, name="magic amplitudes"))
+
+
+def _concurrence(u) -> float:
+    """`concurrence` of amplitudes whose caller has checked their norm."""
     return float(abs((u * u).sum()))
 
 
@@ -108,6 +112,11 @@ def error_probability(fid: float, p1: float, p2: float) -> float:
     # finite, so infinities fail too
     if not (-1e-9 <= numerics.require_real(fid, "fidelity") <= 1.0 + 1e-9):
         raise DomainError(f"fidelity {fid!r} outside [0, 1]")
+    return _error_probability(fid, p1, p2)
+
+
+def _error_probability(fid: float, p1: float, p2: float) -> float:
+    """`error_probability` of an overlap and priors its caller has checked."""
     f = min(max(fid, 0.0), 1.0)
     rad = 1.0 - 4.0 * p1 * p2 * f * f
     return 0.5 * (1.0 - math.sqrt(max(rad, 0.0)))
@@ -117,8 +126,8 @@ def _probe_from_amplitudes(u) -> ProbeState:
     """The one ProbeState builder; ConstructionFailedError for amplitudes
     with concurrence above VERDICT_TOL, which no probe route produces."""
     # amplitudes built from unit-norm formulas: a few ulps from norm 1
-    u = numerics.require_normalized(u, 1e-12, "probe amplitudes")
-    c = concurrence(u)
+    u = numerics._unit_norm(np.asarray(u, dtype=complex), 1e-12, "probe amplitudes")
+    c = _concurrence(u)
     if not (c <= VERDICT_TOL):  # written so that NaN fails
         raise ConstructionFailedError(f"probe concurrence {c:.3e} above {VERDICT_TOL:g}")
     psi = canonical.MAGIC_BASIS @ u
@@ -145,14 +154,19 @@ def achieved_overlap(u, omega) -> float:
     NORM_TOL, else NotNormalizedError) and omega 4 finite phases.
     """
     u = numerics.require_normalized(u, name="magic amplitudes")
-    om = numerics.require_finite(omega, "omega", 4)
+    return _achieved_overlap(u, numerics.require_finite(omega, "omega", 4))
+
+
+def _achieved_overlap(u, om) -> float:
+    """`achieved_overlap` of amplitudes and 4 phases their caller has checked."""
     return float(abs((np.abs(u) ** 2 * np.exp(-1j * om)).sum()))
 
 
 def _hull(om) -> geometry.HullResult:
-    """Hull of the points e^{-i omega_k}; it decides every verdict here."""
-    # the hull wraps -omega itself
-    return geometry.hull_of_phases(-om)
+    """Hull of the points e^{-i omega_k} for an array of finite phases; it
+    decides every verdict here."""
+    # negation is exact, so this is hull_of_phases(-om) without its checks
+    return geometry._hull_of_phases([wrap_angle(-x) for x in om.tolist()])
 
 
 def _varignon_weights(mids) -> list[float]:
@@ -240,7 +254,7 @@ def _probe_for_hull(om, hull: geometry.HullResult) -> tuple[ProbeState, float]:
     """(probe, the overlap it achieves) for the hull of -om; an overlap more
     than VERDICT_TOL from the hull minimum raises ConstructionFailedError."""
     probe = _probe_from_amplitudes(_amplitudes_for_hull(hull))
-    got, target = achieved_overlap(probe.u, om), hull.min_distance
+    got, target = _achieved_overlap(probe.u, om), hull.min_distance
     if not (abs(got - target) <= VERDICT_TOL):  # written so that NaN fails
         raise ConstructionFailedError(f"probe reaches {got!r}, hull minimum {target!r}")
     return probe, got
@@ -273,7 +287,7 @@ def discriminate(u1, u2, p1: float = 0.5, tol: float = GATE_TOL) -> Discriminati
         fidelity=hull.min_distance,
         p1=p1,
         p2=p2,
-        error_probability=error_probability(hull.min_distance, p1, p2),
+        error_probability=_error_probability(hull.min_distance, p1, p2),
         perfectly_distinguishable=hull.origin_inside,
         probe=probe,
         achieved_value=achieved,

@@ -57,13 +57,18 @@ def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
     Raises DomainError on empty input, a phase that is not a finite real
     number, or a `tol` that is not a real number, finite and >= 0.
     """
-    return _dedupe(_finite_phases(phases), tol)[1]
+    return _dedupe(_finite_phases(phases), _merge_tol(tol))[1]
+
+
+def _merge_tol(tol: float) -> float:
+    """`tol` itself; DomainError unless it is a real number, finite and >= 0."""
+    if not (0.0 <= require_real(tol, "tol") < math.inf):  # written so that NaN fails
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _dedupe(vals: list[float], tol: float):
     """(stable ascending order, merged groups) of wrapped phases."""
-    if not (0.0 <= require_real(tol, "tol") < math.inf):  # written so that NaN fails
-        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     order = sorted(range(len(vals)), key=vals.__getitem__)
     runs: list[list[int]] = [[order[0]]]
     for idx in order[1:]:
@@ -119,7 +124,12 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     Raises DomainError on empty input, a phase that is not a finite real
     number, or a `tol` that is not a real number, finite and >= 0.
     """
-    vals = _finite_phases(phases)
+    return _hull_of_phases(_finite_phases(phases), _merge_tol(tol))
+
+
+def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
+    """`hull_of_phases` of finite phases that their caller has wrapped to
+    (-pi, pi], given as a list of floats, and a checked `tol`."""
     order, groups = _dedupe(vals, tol)
     if len(groups) == 1:
         g = groups[0]

@@ -145,6 +145,10 @@ def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
         a = np.array(None)
     if a.dtype.kind not in "iuf":
         raise DomainError(f"{what} must be real numbers, got {a.dtype.name}")
+    # a bool next to a number in a list is cast to 0 or 1; an ndarray's
+    # dtype already tells, so only list and tuple input is scanned
+    if isinstance(v, (list, tuple)) and _holds_bool(v):
+        raise DomainError(f"{what} must be real numbers, got bool")
     a = a.astype(float, copy=False).ravel()
     if size is None and a.size == 0:
         raise DomainError(f"{what} must not be empty")
@@ -157,6 +161,16 @@ def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
     return a
 
 
+def _holds_bool(v) -> bool:
+    """True if the list or tuple `v` of numbers holds a bool at any depth."""
+    return any(
+        isinstance(x, (bool, np.bool_))
+        or (isinstance(x, (list, tuple)) and _holds_bool(x))
+        or (isinstance(x, np.ndarray) and x.dtype.kind == "b")
+        for x in v
+    )
+
+
 def require_normalized(v, tol: float = NORM_TOL, name: str = "state"):
     """`v` as 4 complex amplitudes; DomainError for another entry count or
     a `tol` not finite and > 0, NotNormalizedError unless |v|^2 = 1 +- tol."""
@@ -164,6 +178,12 @@ def require_normalized(v, tol: float = NORM_TOL, name: str = "state"):
     v = np.asarray(v, dtype=complex).ravel()
     if v.shape != (4,):
         raise DomainError(f"{name} must have 4 entries, got {v.shape}")
+    return _unit_norm(v, tol, name)
+
+
+def _unit_norm(v: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """`require_normalized`'s norm test alone, for a flat complex array its
+    caller built: `v` itself, NotNormalizedError unless |v|^2 = 1 +- tol."""
     # scalar products overflow to inf without a warning
     n = sum(z.real * z.real + z.imag * z.imag for z in v.tolist())
     if not (abs(n - 1.0) <= tol):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import __version__, files, geometry
+from . import __version__, discrimination, files, geometry
 from .numerics import VERDICT_TOL, require_finite
 
 _W = 2.9
@@ -50,9 +50,9 @@ def _text(x, y, s, size=0.11, fill="#222222") -> str:
 def render_hull_svg(omega) -> str:
     """SVG document (text) for the hull picture of a 4-phase vector.
 
-    `omega` may hold any finite angles: `geometry.hull_of_phases` wraps the
-    points -omega itself, and wrapping is exact, so none is wrapped first."""
-    hull = geometry.hull_of_phases(-require_finite(omega, "omega", 4))
+    `omega` may hold any finite angles: the hull wraps the points -omega
+    itself, and wrapping is exact, so none is wrapped first."""
+    hull = discrimination._hull(require_finite(omega, "omega", 4))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_VIEW}" '

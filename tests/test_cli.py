@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,10 @@ from gatediscrim import canonical, cli, files, oracle, svg
 from gatediscrim.errors import DomainError
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+# a cold `python -m gatediscrim.cli` child runs the package under test,
+# installed or not
+_PATH = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, _PATH)))
 
 # exit-code contract for `discriminate` over the committed corpus:
 # 0 = perfectly distinguishable, 1 = error-prone, 2 = input problem
@@ -225,6 +230,7 @@ def test_rejected_gate_file_gives_one_line(tmp_path, make):
     # traceback would add lines to stderr
     proc = subprocess.run(
         [sys.executable, "-m", "gatediscrim.cli", "decompose", make(tmp_path)],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )
@@ -642,6 +648,7 @@ def test_help_version_and_usage_errors(capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gatediscrim.cli", "discriminate", g("01"), g("06")],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )

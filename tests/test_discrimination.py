@@ -1,11 +1,14 @@
 import ast
 import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import gatediscrim
 from gatediscrim import canonical, discrimination, files, geometry, numerics, oracle
 from gatediscrim.discrimination import (
     CaseTag,
@@ -316,7 +319,8 @@ def test_boundary_verdicts_agree(om):
 
 
 def test_discriminate_builds_one_hull(monkeypatch):
-    calls = {"hull_of_phases": 0, "relative_phases": 0}
+    # the request reaches the hull through its unchecked core
+    calls = {"_hull_of_phases": 0, "relative_phases": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -327,15 +331,47 @@ def test_discriminate_builds_one_hull(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(geometry, "hull_of_phases")
+    counted(geometry, "_hull_of_phases")
     counted(canonical, "relative_phases")
     for alpha in [(PI / 8, 0, 0), (PI / 4, PI / 4, 0.0), (0.5, 0.2, 0.1)]:
         before = dict(calls)
         discriminate(ID4, canonical.build_ud(alpha))
         assert {k: calls[k] - before[k] for k in calls} == {
-            "hull_of_phases": 1,
+            "_hull_of_phases": 1,
             "relative_phases": 1,
         }
+
+
+def test_discriminate_validates_only_its_own_arguments(monkeypatch):
+    # every `numerics.require_*` call in a request takes one of the
+    # request's own arguments: the phases, amplitudes, p2 and overlap it
+    # derives are not validated again (the probe's self-checks are no
+    # validator calls), and p1 is checked once
+    calls = []
+    validators = {
+        name: fn
+        for name, fn in vars(numerics).items()
+        if name.startswith("require_") and callable(fn)
+    }
+    for info in pkgutil.iter_modules(gatediscrim.__path__):
+        module = importlib.import_module(f"gatediscrim.{info.name}")
+        for name, fn in validators.items():
+            if getattr(module, name, None) is fn:
+
+                def wrapper(*args, _name=name, _fn=fn, **kwargs):
+                    calls.append((_name, args[0]))
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, wrapper)
+    p1, tol = 0.3, 1e-8
+    for alpha in [(0, 0, 0), (PI / 8, 0, 0), (PI / 4, PI / 4, 0.0), (0.5, 0.2, 0.1)]:
+        u2 = canonical.build_ud(alpha)
+        calls.clear()
+        discriminate(ID4, u2, p1=p1, tol=tol)
+        assert [c for c in calls if c[0] == "require_prior"] == [("require_prior", p1)]
+        assert not {"require_finite", "require_normalized"} & {n for n, _ in calls}
+        for name, arg in calls:
+            assert any(arg is x for x in (ID4, u2, p1, tol)), (name, arg)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

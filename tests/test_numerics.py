@@ -239,10 +239,31 @@ def test_real_number_entry_points_reject_complex_input(entry):
         COMPLEX_ENTRY_POINTS[entry]()
 
 
+# a bool among numbers, at any depth of a list or tuple: numpy would cast it
+# to 1.0 or 0.0 and the entry point would answer for another input
+BOOL_ENTRY_POINTS = {
+    "construct_probe": lambda: discrimination.construct_probe([True, 0, 0, 0]),
+    "build_ud": lambda: canonical.build_ud((0.1, np.False_, 0.0)),
+    "hull_of_phases": lambda: geometry.hull_of_phases([[0.5, 1.0], [2.0, True]]),
+}
+
+
+@pytest.mark.parametrize("entry", list(BOOL_ENTRY_POINTS))
+def test_real_number_entry_points_reject_bool_input(entry):
+    with pytest.raises(DomainError, match="must be real numbers, got bool$"):
+        BOOL_ENTRY_POINTS[entry]()
+
+
 def test_require_finite_takes_real_arrays_only():
     assert numerics.require_finite([1, np.int8(2), 3.5], "x").tolist() == [1, 2, 3.5]
     assert numerics.require_finite(np.float32([[1, 2]]), "x", 2).dtype == float
-    for v in ([1, 2j], [True, False], ["1", "2"], [1.0, None], [[1, 2], [3]]):
+    bools = (
+        [True, 1.0],
+        (1.0, np.True_),
+        [[1.0, 2.0], [3.0, False]],
+        [np.array(True), 1.0],
+    )
+    for v in ([1, 2j], [True, False], ["1", "2"], [1.0, None], [[1, 2], [3]], *bools):
         with pytest.raises(DomainError, match="^x must be real numbers, got [a-z0-9]+$"):
             numerics.require_finite(v, "x")
 
