@@ -1,10 +1,12 @@
 """The scans over product probe states, the package's hot loops.
 
 `alice_scan` serves the product oracle: it walks a grid of Alice's states
-only and solves Bob's side exactly (see the section below); `bob_response`
-then builds the winner's Bob vector from one SVD.  `product_scan`,
-the 4-D Bloch-angle grid scan described next, no longer serves the oracle;
-it stays as the 4-D reference that the benchmark times and the tests pin.
+only and solves Bob's side exactly (see the section below), and it stops
+at the first state whose Bob ellipse holds the origin, which needs no
+Newton solve; `bob_response` then builds the winner's Bob vector from one
+SVD.  `product_scan`, the 4-D Bloch-angle grid scan described next, no
+longer serves the oracle; it stays as the 4-D reference that the
+benchmark times and the tests pin.
 
 A single-qubit state s = (cos t/2, e^{ip} sin t/2) has s s^dag =
 sum_mu r_mu sigma_mu with the real Bloch row r = (1, sin t cos p,
@@ -129,6 +131,12 @@ _RESPONSE_MAP = (
 )
 # Newton's stand-in (square roots of s q^2) for the columns it does not solve
 _STAND_IN = np.array([[2.0], [0.0]])
+# An outside column whose inside test q_1 s_2 + q_2 s_1 <= s_1 s_2 fails by
+# less than this factor may have -p on the rim up to rounding; there Newton
+# can stay at mu = 0 and return exactly 0.0.  Past it S(0) > 1 + 2^-27, so
+# the root is above 2^-29 s_2, and Newton, climbing to it from below, ends
+# at a value > 0 for the magnitudes a unitary w gives
+_NEAR = 1.0 + 2.0**-26
 
 
 def _response_form(w) -> np.ndarray:
@@ -145,9 +153,22 @@ def _bob_minima(xy):
 
     mu is 0 inside the ellipse and the root above outside it (on a segment,
     the lower bracket, which is the root there); `bob_response` builds n_b
-    from it.  Every column goes through the same array operations: in the
-    columns that need no root, Newton runs on a stand-in whose start is its
-    root (s = (1, 1), s q^2 = (4, 0)).
+    from it.  `_bob_setup` gives the columns that need no root their value;
+    `_newton` solves the rest.  `alice_scan` calls the two itself and skips
+    `_newton` in a block whose setup already holds a 0.
+    """
+    vals, mu, _, ellipse = _bob_setup(xy)
+    return _newton(vals, mu, ellipse)
+
+
+def _bob_setup(xy):
+    """The closed-form half of `_bob_minima`: (vals, mu, near, ellipse).
+
+    vals is each column's exact value where no root is needed, 0 inside the
+    ellipse and the distance to a segment where s_2 = 0, and inf outside,
+    in the columns Newton solves; mu is 0 inside and the lower bracket
+    elsewhere; near marks the outside columns within _NEAR of the boundary;
+    ellipse carries what `_newton` needs.
     """
     p = xy[::6]
     m3 = xy.reshape(2, 6, -1)[:, 1:4]
@@ -176,10 +197,33 @@ def _bob_minima(xy):
     mu = np.maximum(mu[0], mu[1])
     np.maximum(mu, 0.0, out=mu)
     rank2 = s[1] > 0.0
-    inside = q[0] * s[1] + q[1] * s[0] <= s[0] * s[1]
+    lhs = q[0] * s[1] + q[1] * s[0]
+    det = s[0] * s[1]
+    inside = lhs <= det
     inside &= rank2
     todo = rank2 ^ inside
+    near = lhs <= det * _NEAR
+    near &= todo
     mu[inside] = 0.0
+    vals = np.where(todo, math.inf, 0.0)
+    if not rank2.all():
+        # s_2 = 0: the distance to the segment (a point when M = 0)
+        seg = np.sqrt(q[0]) - np.sqrt(s[0])
+        np.maximum(seg, 0.0, out=seg)
+        seg *= seg
+        seg += q[1]
+        vals = np.where(rank2, vals, np.sqrt(seg))
+    return vals, mu, near, (todo, s, q, root)
+
+
+def _newton(vals, mu, ellipse):
+    """`_bob_minima` from `_bob_setup`'s output: Newton on the outside columns.
+
+    Every column goes through the same array operations: in the columns
+    that need no root, Newton runs on a stand-in whose start is its root
+    (s = (1, 1), s q^2 = (4, 0)), and they keep their setup values.
+    """
+    todo, s, q, root = ellipse
     ss = np.where(todo, s, 1.0)
     root = np.where(todo, root, _STAND_IN)
     m = np.where(todo, mu, 1.0)
@@ -198,15 +242,7 @@ def _bob_minima(xy):
     t = m / (ss + m)
     t *= t
     t *= q
-    out = np.where(todo, np.sqrt(t[0] + t[1]), 0.0)
-    if not rank2.all():
-        # s_2 = 0: the distance to the segment (a point when M = 0)
-        seg = np.sqrt(q[0]) - np.sqrt(s[0])
-        np.maximum(seg, 0.0, out=seg)
-        seg *= seg
-        seg += q[1]
-        out = np.where(rank2, out, np.sqrt(seg))
-    return out, np.where(todo, m, mu)
+    return np.where(todo, np.sqrt(t[0] + t[1]), vals), np.where(todo, m, mu)
 
 
 def alice_scan(w, theta, phi):
@@ -216,6 +252,15 @@ def alice_scan(w, theta, phi):
     row-major over (i_theta, j_phi) and mu the winning state's root, which
     `bob_response` takes; exact ties go to the lowest index.  A block holds
     at most _ALICE_BLOCK states and always at least one whole theta row.
+
+    A block whose setup holds a 0 (a column inside its ellipse, or a
+    segment that reaches the origin) runs no Newton step: it answers with
+    its first such column, and the scan ends, since no later block can go
+    strictly below 0.  Newton would pick the same column: an outside
+    column reaches 0.0 only when rounding puts -p on the rim, and a block
+    with such a `near` column ahead of its first zero runs Newton.  The
+    scan also ends at a 0 from Newton.  A NaN in w makes every column
+    NaN, which takes Newton's path.
     """
     form = _response_form(w)
     theta = np.asarray(theta, dtype=float)
@@ -224,10 +269,16 @@ def alice_scan(w, theta, phi):
     best, best_lin, best_mu = math.inf, 0, 0.0
     for start in range(0, len(theta), per_block):
         rows = _bloch_rows(theta[start : start + per_block], phi)
-        vals, mu = _bob_minima(form @ rows.T)
+        vals, mu, near, ellipse = _bob_setup(form @ rows.T)
         k = int(vals.argmin())  # ties resolve to the lower index
+        if vals[k] == 0.0 and not near[:k].any():
+            return float(vals[k]), start * n_phi + k, float(mu[k])
+        vals, mu = _newton(vals, mu, ellipse)
+        k = int(vals.argmin())
         if vals[k] < best:  # strict: earlier blocks win ties
             best, best_lin, best_mu = float(vals[k]), start * n_phi + k, float(mu[k])
+            if best == 0.0:
+                break
     return best, best_lin, best_mu
 
 

@@ -10,6 +10,7 @@ optimal product probe, and packages the Helstrom error bound.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -138,13 +139,37 @@ def _probe_from_amplitudes(u) -> ProbeState:
 
 
 def probe_from_factors(psi_a, psi_b) -> ProbeState:
-    """ProbeState for an explicit product ket psi_a x psi_b."""
-    a = np.asarray(psi_a, dtype=complex).ravel()
-    b = np.asarray(psi_b, dtype=complex).ravel()
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    u = canonical.MAGIC_BASIS.conj().T @ np.kron(a, b)
+    """ProbeState for an explicit product ket psi_a x psi_b, each factor
+    normalized first; DomainError unless each is 2 finite complex numbers
+    with a nonzero norm."""
+    a = _unit_factor(psi_a, "psi_a")
+    b = _unit_factor(psi_b, "psi_b")
+    u = canonical.MAGIC_BASIS.conj().T @ np.multiply.outer(a, b).ravel()
     return _probe_from_amplitudes(u)
+
+
+# a factor whose largest |Re| or |Im| lies in this range is divided by its
+# norm directly: its squares neither overflow nor underflow
+_FACTOR_RANGE = (2.0**-500, 2.0**500)
+
+
+def _unit_factor(v, name: str) -> np.ndarray:
+    """`v` as 2 complex amplitudes scaled to unit norm, or DomainError."""
+    try:
+        a = np.asarray(v, dtype=complex).ravel()
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be complex numbers, got {v!r}") from None
+    if a.shape != (2,):
+        raise DomainError(f"{name} must have 2 entries, got {a.shape}")
+    vals = a.tolist()
+    if not all(map(cmath.isfinite, vals)):
+        raise DomainError(f"{name} must be finite, got {vals}")
+    big = max(max(abs(z.real), abs(z.imag)) for z in vals)
+    if big == 0.0:
+        raise DomainError(f"{name} must have a nonzero norm, got {vals}")
+    if not _FACTOR_RANGE[0] <= big <= _FACTOR_RANGE[1]:
+        a = np.array([complex(z.real / big, z.imag / big) for z in vals])
+    return a / _norm(a)
 
 
 def achieved_overlap(u, omega) -> float:

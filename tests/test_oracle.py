@@ -649,16 +649,125 @@ def test_alice_scan_blocks_keep_the_lowest_index(rng, monkeypatch):
     gates = [canonical.build_ud((PI / 8, 0.0, 0.0)), ID4, np.zeros((4, 4))]
     gates += [random_unitary(rng), random_magic_diag(rng)[0], SWAP]
     for w in gates:
-        vals, _ = _kernels._bob_minima(
+        vals, mus = _kernels._bob_minima(
             _kernels._response_form(w) @ _kernels._bloch_rows(theta, phi).T
         )
         first = int(np.argmin(vals))
         for block in (1, 13, 20, 40, 2**10):
             monkeypatch.setattr(_kernels, "_ALICE_BLOCK", block)
-            val, lin, _ = _kernels.alice_scan(w, theta, phi)
-            assert (val, lin) == (float(vals[first]), first)
+            val, lin, mu = _kernels.alice_scan(w, theta, phi)
+            assert (val, lin, mu) == (float(vals[first]), first, float(mus[first]))
     assert _kernels.alice_scan(ID4, theta, phi)[:2] == (1.0, 0)
     assert _kernels.alice_scan(np.zeros((4, 4)), theta, phi)[:2] == (0.0, 0)
+
+
+def _scan_by_blocks(w, theta, phi):
+    # alice_scan with Newton on every block: `_bob_minima` per block, the
+    # strict-improvement argmin kept across blocks
+    form = _kernels._response_form(w)
+    per_block = max(1, _kernels._ALICE_BLOCK // len(phi))
+    best = (math.inf, 0, 0.0)
+    for start in range(0, len(theta), per_block):
+        rows = _kernels._bloch_rows(theta[start : start + per_block], phi)
+        vals, mu = _kernels._bob_minima(form @ rows.T)
+        k = int(vals.argmin())
+        if vals[k] < best[0]:
+            best = (float(vals[k]), start * len(phi) + k, float(mu[k]))
+    return best
+
+
+def _rim_gates():
+    # W = w00 + w11 on Alice's |0>, |1>: at theta = 0, -p lies on the rim of
+    # Bob's ellipse (semi-axes 1 and 1/2), at theta = pi the origin is its
+    # center.  Where rounding calls the rim point outside, Newton can leave
+    # it at exactly 0, ahead of the first column that is inside
+    x, y = _SIGMAS[:2]
+    for t in np.linspace(0.01, 3.1, 1000):
+        w = np.zeros((4, 4), dtype=complex)
+        w[:2, :2] = x + 0.5j * y - complex(math.cos(t), 0.5 * math.sin(t)) * np.eye(2)
+        w[2:, 2:] = x + 1j * y
+        yield w
+
+
+def test_alice_scan_stops_at_the_first_zero_exactly(rng):
+    # the scan that skips Newton once a block holds an exact zero returns
+    # what Newton on every block returns, value, index and mu alike
+    draw = np.random.default_rng(2020)
+    gates = list(_row_gates(rng).values())
+    for _ in range(20):
+        gates.append(random_magic_diag(rng)[0])
+        gates.append(random_unitary(rng))
+        a = draw.normal(size=(4, 4)) + 1j * draw.normal(size=(4, 4))
+        lam, v = np.linalg.eigh(a + a.conj().T)
+        eps = 10.0 ** draw.uniform(-8, -2)
+        gates.append(SWAP @ (v * np.exp(1j * eps * lam)) @ v.conj().T)
+    late = 0
+    for steps in (32, 100):
+        theta = np.linspace(0.0, PI, steps)
+        phi = np.linspace(0.0, 2 * PI, steps, endpoint=False)
+        for w in gates:
+            ref = _scan_by_blocks(w, theta, phi)
+            assert _kernels.alice_scan(w, theta, phi) == ref
+            first_block = _kernels._ALICE_BLOCK // steps * steps
+            late += ref[0] == 0.0 and ref[1] >= first_block
+    assert late >= 3  # first zeros after the 100^2 grid's first block
+    # a rim column that Newton leaves at 0 comes before the first inside one
+    theta = np.linspace(0.0, PI, 32)
+    phi = np.linspace(0.0, 2 * PI, 32, endpoint=False)
+    newton_zeros = 0
+    for w in _rim_gates():
+        ref = _scan_by_blocks(w, theta, phi)
+        assert _kernels.alice_scan(w, theta, phi) == ref
+        xy = _kernels._response_form(w) @ _kernels._bloch_rows(theta, phi).T
+        first_set_up = int(np.argmin(_kernels._bob_setup(xy)[0]))
+        newton_zeros += ref[0] == 0.0 and ref[1] < first_set_up
+    assert newton_zeros >= 5
+
+
+def _log_scan_work(monkeypatch) -> list:
+    """Per later `_bob_setup` call, whether its block holds a zero without
+    Newton; per `_newton` call, "newton"."""
+    log = []
+    setup, newton = _kernels._bob_setup, _kernels._newton
+
+    def logged_setup(xy):
+        out = setup(xy)
+        log.append("zero" if (out[0] == 0.0).any() else "outside")
+        return out
+
+    def logged_newton(*args):
+        log.append("newton")
+        return newton(*args)
+
+    monkeypatch.setattr(_kernels, "_bob_setup", logged_setup)
+    monkeypatch.setattr(_kernels, "_newton", logged_newton)
+    return log
+
+
+def test_alice_scan_skips_newton_after_a_zero(monkeypatch):
+    # 100^2 grid, blocks of 10 theta rows.  The origin is inside the hull of
+    # (0, 1, 2, 4): the first block has no zero and runs Newton, the second
+    # has one and runs none, and no later block is set up.  The origin is
+    # outside the hull of (0, 0.3, 0.6, 0.9): all ten blocks run Newton
+    theta = np.linspace(0.0, PI, 100)
+    phi = np.linspace(0.0, 2 * PI, 100, endpoint=False)
+    log = _log_scan_work(monkeypatch)
+    w = canonical.from_magic_phases(np.array([0.0, 1.0, 2.0, 4.0]))
+    assert _kernels.alice_scan(w, theta, phi)[:2] == (0.0, 1200)
+    assert log == ["outside", "newton", "zero"]
+    log.clear()
+    w = canonical.from_magic_phases(np.array([0.0, 0.3, 0.6, 0.9]))
+    assert _kernels.alice_scan(w, theta, phi)[0] > 0.9
+    assert log == ["outside", "newton"] * 10
+    # one theta row per block: a rim row that Newton leaves at 0 ends the scan
+    monkeypatch.setattr(_kernels, "_ALICE_BLOCK", 32)
+    theta = np.linspace(0.0, PI, 32)
+    phi = np.linspace(0.0, 2 * PI, 32, endpoint=False)
+    for w in _rim_gates():
+        log.clear()
+        if _kernels.alice_scan(w, theta, phi)[:2] == (0.0, 0) and log[0] == "outside":
+            break
+    assert log == ["outside", "newton"]
 
 
 def test_product_oracle_exact_on_criterion_2_pairs(rng):
