@@ -133,9 +133,10 @@ _RESPONSE_MAP = (
 _STAND_IN = np.array([[2.0], [0.0]])
 # An outside column whose inside test q_1 s_2 + q_2 s_1 <= s_1 s_2 fails by
 # less than this factor may have -p on the rim up to rounding; there Newton
-# can stay at mu = 0 and return exactly 0.0.  Past it S(0) > 1 + 2^-27, so
-# the root is above 2^-29 s_2, and Newton, climbing to it from below, ends
-# at a value > 0 for the magnitudes a unitary w gives
+# can end at mu = 0 (a first step below 0 is clamped) and return exactly
+# 0.0.  Past it S(0) > 1 + 2^-27, so the root is above 2^-29 s_2, and
+# Newton, climbing to it from below, ends at a value > 0 for the magnitudes
+# a unitary w gives
 _NEAR = 1.0 + 2.0**-26
 
 
@@ -152,8 +153,9 @@ def _bob_minima(xy):
     """Per column of xy = response form @ Alice's Bloch rows^T: (min, mu).
 
     mu is 0 inside the ellipse and the root above outside it (on a segment,
-    the lower bracket, which is the root there); `bob_response` builds n_b
-    from it.  `_bob_setup` gives the columns that need no root their value;
+    the lower bracket, which is the root there), so mu >= 0, and 0 outside
+    only where rounding puts -p on the rim; `bob_response` builds n_b from
+    it.  `_bob_setup` gives the columns that need no root their value;
     `_newton` solves the rest.  `alice_scan` calls the two itself and skips
     `_newton` in a block whose setup already holds a 0.
     """
@@ -237,6 +239,9 @@ def _newton(vals, mu, ellipse):
         m += step
         if total.max() <= 1.0 + _NEWTON_TOL:
             break
+    # a rim column that rounding calls outside can take a first step below 0;
+    # at mu = 0 it reads 0, as the rim point does
+    np.maximum(m, 0.0, out=m)
     # the distance sqrt(sum q_i (mu / (s_i + mu))^2), q holding the squared
     # coordinates; mu / (s_i + mu) <= 1 cannot overflow
     t = m / (ss + m)
@@ -298,10 +303,11 @@ def _bob_vector(xy, mu) -> np.ndarray:
     n_b = y_1 V_1 + y_2 V_2 + t V_3 where y_i = sigma_i (U^T c)_i /
     (sigma_i^2 + mu), read as 0 where that denominator is 0:
     M^T (M M^T + mu I)^-1 c where mu > 0 (outside the ellipse, or past a
-    segment's end) and M^+ c where mu = 0 (inside it, on a segment, or
-    M = 0).  The null vector V_3 takes up t = sqrt(1 - |y|^2).  Below
-    sigma_2 = 8 eps sigma_1 the map counts as rank 1, which moves M n_b by
-    at most 8 eps sigma_1 and keeps rounding noise in sigma_2 out of y_2.
+    segment's end) and M^+ c where mu = 0 (inside it, on a segment, where
+    rounding puts -p on the rim, or M = 0); mu is never below 0.  The null
+    vector V_3 takes up t = sqrt(1 - |y|^2).  Below sigma_2 = 8 eps sigma_1
+    the map counts as rank 1, which moves M n_b by at most 8 eps sigma_1 and
+    keeps rounding noise in sigma_2 out of y_2.
     """
     c = -xy[::6]
     u, sigma, vt = np.linalg.svd(np.array([xy[1:4], xy[7:10]]))

@@ -171,14 +171,13 @@ def _holds_bool(v) -> bool:
     )
 
 
-def require_normalized(v, tol: float = NORM_TOL, name: str = "state"):
-    """`v` as 4 complex amplitudes; DomainError for another entry count or
-    a `tol` not finite and > 0, NotNormalizedError unless |v|^2 = 1 +- tol."""
-    require_positive(tol)
+def require_normalized(v, name: str = "state"):
+    """`v` as 4 complex amplitudes; DomainError for another entry count,
+    NotNormalizedError unless |v|^2 = 1 +- NORM_TOL."""
     v = np.asarray(v, dtype=complex).ravel()
     if v.shape != (4,):
         raise DomainError(f"{name} must have 4 entries, got {v.shape}")
-    return _unit_norm(v, tol, name)
+    return _unit_norm(v, NORM_TOL, name)
 
 
 def _unit_norm(v: np.ndarray, tol: float, name: str) -> np.ndarray:
@@ -228,16 +227,6 @@ def require_count(x, lo: int, what: str) -> int:
     if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= lo):
         raise DomainError(f"{what} must be an integer >= {lo}, got {x!r}")
     return x
-
-
-def random_su2(rng) -> np.ndarray:
-    """Haar-random SU(2) element drawn from `rng`."""
-    # Euler-angle-free: normalize a Ginibre column to a unit quaternion.
-    q = rng.normal(size=4)
-    q /= math.sqrt(float(q @ q))
-    a = complex(q[0], q[1])
-    b = complex(q[2], q[3])
-    return np.array([[a, -b.conjugate()], [b, a.conjugate()]], dtype=complex)
 
 
 def unitary_eigenphases(m) -> np.ndarray:

@@ -1,16 +1,16 @@
 """Independent numerical checks for the closed-form results.
 
 The searches use neither the magic basis nor the arc spread of the
-phases; only the product search's probe record goes through
-`discrimination.probe_from_factors`.  The product-state search fixes
-Alice's factor on a Bloch-angle grid with deterministic refinement and
-solves Bob's factor exactly for each of her states: <a x b|W|a x b> is
-affine in Bob's Bloch vector, so his best response is a point-to-ellipse
-distance (see `_kernels`).  The all-states optimum, exact from the
-eigenvalues of u1^dag u2 (a normal matrix's numerical range is their
-convex hull), ends the refinement once reached; `helstrom_simulate`
-samples the measurement's confusion counts.  They can therefore confirm
-(or refute) the analytic pipeline.
+phases; only the product search's probe record goes through the one
+`ProbeState` builder, by way of `discrimination._probe_from_kets`.  The
+product-state search fixes Alice's factor on a Bloch-angle grid with
+deterministic refinement and solves Bob's factor exactly for each of her
+states: <a x b|W|a x b> is affine in Bob's Bloch vector, so his best
+response is a point-to-ellipse distance (see `_kernels`).  The all-states
+optimum, exact from the eigenvalues of u1^dag u2 (a normal matrix's
+numerical range is their convex hull), ends the refinement once reached;
+`helstrom_simulate` samples the measurement's confusion counts.  They can
+therefore confirm (or refute) the analytic pipeline.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .discrimination import ProbeState, probe_from_factors
+from .discrimination import ProbeState, _probe_from_kets
 from .errors import DomainError
 from .numerics import TWO_PI
 
@@ -114,7 +114,7 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
             center = window[_AXES, divmod(lin2, len(_STEPS))]
     ta, pa = center
     a = np.array([math.cos(0.5 * ta), math.sin(0.5 * ta) * np.exp(1j * pa)])
-    probe = probe_from_factors(a, _ket(_kernels.bob_response(w, ta, pa, mu)))
+    probe = _probe_from_kets(a, _ket(_kernels.bob_response(w, ta, pa, mu)))
     psi = probe.psi_computational
     return float(abs(psi.conj() @ w @ psi)), probe
 

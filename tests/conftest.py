@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gatediscrim import _kernels, canonical, geometry, numerics
+from gatediscrim import _kernels, canonical, geometry
 from gatediscrim.numerics import wrap_angle
 
 
@@ -26,13 +26,23 @@ def random_state(rng, n=4):
     return v / np.linalg.norm(v)
 
 
+def random_su2(rng) -> np.ndarray:
+    """Haar-random SU(2) element drawn from `rng`."""
+    # Euler-angle-free: normalize a Ginibre column to a unit quaternion.
+    q = rng.normal(size=4)
+    q /= math.sqrt(float(q @ q))
+    a = complex(q[0], q[1])
+    b = complex(q[2], q[3])
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]], dtype=complex)
+
+
 def random_magic_diag(rng):
     om = rng.uniform(-np.pi, np.pi, size=4)
     return canonical.from_magic_phases(om), om
 
 
 def dressed_gate(rng, alpha):
-    a, b, c, d = (numerics.random_su2(rng) for _ in range(4))
+    a, b, c, d = (random_su2(rng) for _ in range(4))
     return (
         np.kron(a, b) @ canonical.build_ud(alpha) @ np.kron(c, d)
     )

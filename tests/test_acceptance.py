@@ -21,6 +21,7 @@ from gatediscrim.discrimination import (
 )
 from gatediscrim.numerics import ID4, wrap_angle
 
+from conftest import random_su2
 from test_cli import DISCRIMINATE_TABLE, g
 
 PI = math.pi
@@ -163,9 +164,9 @@ def test_criterion_5_decomposition_roundtrip(capsys):
         got = canonical.extract_interaction(canonical.build_ud(d)).alpha
         worst_plain = max(worst_plain, float(np.max(np.abs(got - d))))
         dressed = (
-            np.kron(numerics.random_su2(rng), numerics.random_su2(rng))
+            np.kron(random_su2(rng), random_su2(rng))
             @ canonical.build_ud(d)
-            @ np.kron(numerics.random_su2(rng), numerics.random_su2(rng))
+            @ np.kron(random_su2(rng), random_su2(rng))
         )
         got = canonical.extract_interaction(dressed).alpha
         worst_dressed = max(worst_dressed, float(np.max(np.abs(got - d))))

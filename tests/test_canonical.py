@@ -18,7 +18,7 @@ from gatediscrim.canonical import (
 from gatediscrim.errors import DomainError, NotMagicDiagonalError, NotUnitaryError
 from gatediscrim.numerics import ID4, SWAP, wrap_angle
 
-from conftest import dressed_gate, phases_close, random_unitary
+from conftest import dressed_gate, phases_close, random_su2, random_unitary
 
 PI = math.pi
 CNOT = np.array(
@@ -37,7 +37,7 @@ def test_magic_basis_is_unitary():
 def test_magic_basis_carries_locals_to_real(rng):
     # product of SU(2) factors becomes a real orthogonal matrix
     for _ in range(20):
-        g = np.kron(numerics.random_su2(rng), numerics.random_su2(rng))
+        g = np.kron(random_su2(rng), random_su2(rng))
         r = canonical.magic_rep(g)
         assert np.max(np.abs(r.imag)) <= 1e-12
         assert np.max(np.abs(r @ r.T - np.eye(4))) <= 1e-12

@@ -62,7 +62,7 @@ def test_factor_product_recovers_factors(rng):
     for _ in range(100):
         a = random_state(rng, 2)
         b = random_state(rng, 2)
-        probe = discrimination.probe_from_factors(a, b)
+        probe = discrimination._probe_from_kets(a, b)
         fa, fb = probe.local_a, probe.local_b
         # same product state up to the stored gauge
         np.testing.assert_allclose(np.kron(fa, fb), np.kron(a, b), atol=1e-9)
@@ -70,37 +70,6 @@ def test_factor_product_recovers_factors(rng):
         lead = np.flatnonzero(np.abs(fa) > 1e-9)[0]
         assert abs(fa[lead].imag) <= 1e-12
         assert fa[lead].real > 0
-
-
-def test_probe_from_factors_keeps_the_kron_bits(rng):
-    # the outer product and `_norm` give the bits of np.kron and
-    # np.linalg.norm, so every field matches the earlier construction
-    for k in range(300):
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b = rng.normal(size=2) + (1j * rng.normal(size=2) if k % 2 else 0.0)
-        probe = discrimination.probe_from_factors(a, b)
-        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-        ket = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        ref = discrimination._probe_from_amplitudes(
-            canonical.MAGIC_BASIS.conj().T @ ket
-        )
-        for field in dataclasses.fields(ref):
-            assert np.array_equal(getattr(probe, field.name), getattr(ref, field.name))
-
-
-def test_probe_from_factors_checks_each_factor():
-    good = [1.0, 0.0]
-    for bad in ([0, 0], [math.nan, 0], [1, math.inf], [1, 0, 0], [1], [], "ab", None):
-        for args in ((bad, good), (good, bad)):
-            with pytest.raises(DomainError):
-                discrimination.probe_from_factors(*args)
-    # factors far from unit norm, either way, are scaled without a warning
-    for a in ([1e-200, 0], [1e200, 1e200j], [5e-324, 5e-324], [1.7e308 + 1.7e308j, 0]):
-        probe = discrimination.probe_from_factors(a, [3.0, 4.0j])
-        assert abs(np.linalg.norm(probe.local_a) - 1.0) <= 1e-15
-        np.testing.assert_allclose(
-            np.abs(probe.local_b), [0.6, 0.8], rtol=0, atol=1e-15
-        )
 
 
 def test_error_probability_values():

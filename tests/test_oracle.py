@@ -724,6 +724,39 @@ def test_alice_scan_stops_at_the_first_zero_exactly(rng):
     assert newton_zeros >= 5
 
 
+def test_bob_minima_keep_mu_at_least_zero_on_the_rim():
+    # -p on the rims of random ellipses, c = U diag(s) (cos t, sin t): about
+    # 45% of the columns are outside by rounding, and where S(0) rounds just
+    # below 1 Newton's first step goes below 0.  mu stays >= 0, and Bob's
+    # vector reaches each value, which is at rounding level
+    draw = np.random.default_rng(53)
+    cols = []
+    for _ in range(8000):
+        s1 = draw.uniform(0.3, 1.0)
+        s2 = s1 * 10.0 ** draw.uniform(-3, 0)
+        r2, r3 = _rotation(draw, 2), _rotation(draw, 3)
+        m = r2 @ np.array([[s1, 0.0, 0.0], [0.0, s2, 0.0]]) @ r3.T
+        t = draw.uniform(0.0, 2.0 * PI)
+        p = -(r2 @ np.array([s1 * math.cos(t), s2 * math.sin(t)]))
+        cols.append([p[0], *m[0], *m[0, :2], p[1], *m[1], *m[1, :2]])
+    xy = np.array(cols).T
+    outside = _kernels._bob_setup(xy)[3][0]
+    vals, mu = _kernels._bob_minima(xy)
+    assert outside.sum() >= 2000
+    assert mu.min() >= 0.0
+    assert vals.max() <= 1e-15
+    for k in np.flatnonzero(outside):
+        _assert_bob_vector_reaches(xy[:, k], vals[k], mu[k])
+    # on another grid than above, the scan that skips Newton after a zero
+    # still returns what Newton on every block returns
+    theta = np.linspace(0.0, PI, 40)
+    phi = np.linspace(0.0, 2 * PI, 24, endpoint=False)
+    for w in _rim_gates():
+        ref = _scan_by_blocks(w, theta, phi)
+        assert _kernels.alice_scan(w, theta, phi) == ref
+        assert ref[2] >= 0.0
+
+
 def _log_scan_work(monkeypatch) -> list:
     """Per later `_bob_setup` call, whether its block holds a zero without
     Newton; per `_newton` call, "newton"."""
