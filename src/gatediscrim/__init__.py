@@ -37,9 +37,7 @@ from .geometry import (
     HullResult,
     PhaseGroup,
     arc_spread,
-    dedupe_phases,
     hull_of_phases,
-    midpoint_quad,
 )
 from .numerics import (
     is_unitary,
@@ -77,9 +75,7 @@ __all__ = [
     "HullResult",
     "PhaseGroup",
     "arc_spread",
-    "dedupe_phases",
     "hull_of_phases",
-    "midpoint_quad",
     "is_unitary",
     "unitary_eigenphases",
     "wrap_angle",

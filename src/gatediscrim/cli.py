@@ -75,16 +75,18 @@ def _cmd_discriminate(args) -> int:
     g1, g2, report = _analyse_pair(args)
     doc = files.report_document(report, g1.label, g2.label, args.tol)
     text = files.render_document(doc)
-    # the files go first, so a failed write prints only the error line
+    outputs = []
     if args.probe_out:
         probe_doc = {
             **files.header("probe_state"),
             "inputs": {"first": g1.label, "second": g2.label},
             **files.probe_block(report.probe),
         }
-        files.write_document(probe_doc, args.probe_out)
+        outputs.append((files.render_document(probe_doc), args.probe_out))
     if args.svg_out:
-        svg.write_hull_svg(report.omega, args.svg_out)
+        outputs.append((svg.render_hull_svg(report.omega), args.svg_out))
+    # all files or none, before stdout, so a failure prints only the error line
+    files.write_texts(outputs)
     sys.stdout.write(text)
     return 0 if report.perfectly_distinguishable else 1
 

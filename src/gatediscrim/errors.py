@@ -21,9 +21,5 @@ class NotNormalizedError(DomainError):
     """A state vector is not normalized to within tolerance."""
 
 
-class DegenerateHullError(GateDiscrimError):
-    """Too few distinct vertices for the requested hull operation."""
-
-
 class ConstructionFailedError(GateDiscrimError):
     """A probe missed its tolerance on overlap or concurrence; a bug."""

@@ -106,28 +106,36 @@ def render_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def write_text(text: str, path) -> None:
-    """Replace `path` with `text` atomically.
-
-    The text goes to a sibling temp file that is then renamed onto `path`,
-    so a failed write leaves no partial file and an existing file as it was.
-    An OSError becomes a DomainError that names `path`, not the temp file.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
+def write_texts(outputs) -> None:
+    """Replace each `path` of the (text, path) pairs in `outputs` with its
+    `text`, all or none: every text goes to a sibling temp file and every
+    target is checked before the first rename, so a failure leaves no
+    partial file and every existing file as it was.  An OSError becomes a
+    DomainError that names the target, not its temp file."""
+    tmps = []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for text, path in outputs:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            tmps.append((tmp, path))
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for _, path in tmps:
+            # a rename onto a directory fails: refuse it before the first
+            if os.path.isdir(path):
+                raise DomainError(f"cannot write {path}: Is a directory")
+        for tmp, path in tmps:
+            os.replace(tmp, path)
     except OSError as err:
         raise DomainError(f"cannot write {path}: {err.strerror or err}") from err
     finally:
         # gone after a successful rename
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for tmp, _ in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def write_document(doc: dict, path) -> None:
-    write_text(render_document(doc), path)
+    write_texts([(render_document(doc), path)])
 
 
 def matrix_document(matrix, label: str) -> dict:

@@ -6,7 +6,8 @@ are automatically in convex position, so the hull is just the points in
 counter-clockwise order and the origin distance is an arc-length statement:
 it is cos(min(spread, pi) / 2) for an occupied arc of length `spread`.
 `hull_of_phases` is the one place that turns that distance into the
-inside/outside verdict.
+inside/outside verdict, and its `groups` are the one grouping of
+near-equal phases into hull vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHullError, DomainError
+from .errors import DomainError
 from .numerics import TWO_PI, VERDICT_TOL, require_finite, require_real, wrap_angle
 
 # phases closer than this on the circle are one hull vertex; rounding is ~1e-16
@@ -25,7 +26,8 @@ DEDUPE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PhaseGroup:
-    """A deduplicated phase value with the input indices mapped to it."""
+    """A hull vertex: the circular mean `phase` of the input phases that
+    merge into it (those within the hull's `tol`), and their `indices`."""
 
     phase: float
     indices: tuple[int, ...]
@@ -47,24 +49,6 @@ def _finite_phases(phases) -> list[float]:
     """Phases as a list of wrapped floats; DomainError if empty, NaN or inf."""
     # a few phases per call: scalar wraps beat the ufunc round trip
     return [wrap_angle(x) for x in require_finite(phases, "phases").tolist()]
-
-
-def dedupe_phases(phases, tol: float = DEDUPE_TOL) -> list[PhaseGroup]:
-    """Merge phases closer than `tol` on the circle; order follows the circle.
-
-    Groups are returned sorted by representative phase in (-pi, pi]; each
-    keeps the original input indices and a circular-mean representative.
-    Raises DomainError on empty input, a phase that is not a finite real
-    number, or a `tol` that is not a real number, finite and >= 0.
-    """
-    return _dedupe(_finite_phases(phases), _merge_tol(tol))[1]
-
-
-def _merge_tol(tol: float) -> float:
-    """`tol` itself; DomainError unless it is a real number, finite and >= 0."""
-    if not (0.0 <= require_real(tol, "tol") < math.inf):  # written so that NaN fails
-        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
-    return tol
 
 
 def _dedupe(vals: list[float], tol: float):
@@ -124,7 +108,10 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     Raises DomainError on empty input, a phase that is not a finite real
     number, or a `tol` that is not a real number, finite and >= 0.
     """
-    return _hull_of_phases(_finite_phases(phases), _merge_tol(tol))
+    vals = _finite_phases(phases)
+    if not (0.0 <= require_real(tol, "tol") < math.inf):  # written so that NaN fails
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    return _hull_of_phases(vals, tol)
 
 
 def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
@@ -164,11 +151,3 @@ def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
         nearest_point=np.array([mid_x, mid_y]),
     )
 
-
-def midpoint_quad(hull: HullResult) -> list[np.ndarray]:
-    """Midpoints of consecutive hull edges, cyclic; needs >= 2 vertices."""
-    n = len(hull.groups)
-    if n < 2:
-        raise DegenerateHullError("midpoints need at least 2 distinct vertices")
-    pts = [np.array([math.cos(g.phase), math.sin(g.phase)]) for g in hull.groups]
-    return [0.5 * (pts[i] + pts[(i + 1) % n]) for i in range(n)]

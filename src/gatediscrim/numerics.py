@@ -6,8 +6,9 @@ dense eigenvalue routine, see `unitary_eigenphases`.  This module is also
 the one home of the input checks, one per input kind: gates, finite real
 vectors, real numbers, unit-norm amplitudes, positive tolerances, priors
 and counts.  NaN fails each of them, and each raises a `DomainError`
-subclass, never a numpy error or warning.  It names the tolerances other
-modules read: GATE_TOL, VERDICT_TOL.
+subclass, never a numpy error or warning.  Every gate check, `is_unitary`
+included, goes through `check_gates`: a gate is a 4x4 matrix.  It names
+the tolerances other modules read: GATE_TOL, VERDICT_TOL.
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ ID4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SWAP = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ],
-    dtype=complex,
-)
 # stands in for a failing gate: numpy carries NaN through without a warning
 _NAN44 = np.full((4, 4), np.nan, dtype=complex)
 PAIR_NAMES = ("first gate", "second gate")
@@ -76,31 +68,24 @@ def wrap_angle(theta):
 
 
 def unitarity_residual(m) -> np.ndarray:
-    """max |m^dag m - I| of a square matrix, or of each in a (k, n, n) stack.
+    """max |m^dag m - I| of each 4x4 matrix in a (k, 4, 4) stack.
 
     NaN and inf entries, and products that overflow, give a NaN or inf
     residual, which fails every `r <= tol` test, and no numpy warning.
     """
-    n = m.shape[-1]
     with np.errstate(all="ignore"):
         gram = m.conj().swapaxes(-1, -2) @ m
-        return np.abs(gram - (ID4 if n == 4 else np.eye(n))).max(axis=(-2, -1))
+        return np.abs(gram - ID4).max(axis=(-2, -1))
 
 
 def is_unitary(m, tol: float = GATE_TOL) -> bool:
-    """True for a square `m` within `tol` of unitary; `tol` finite and > 0."""
-    require_positive(tol)
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(unitarity_residual(m) <= tol)
+    """True if `check_gates` takes `m`: a 4x4 matrix within `tol` of unitary."""
+    return check_gates([m], tol)[1][0] is None
 
 
-def require_unitary(m, tol: float = GATE_TOL, name: str = "matrix"):
-    m = np.asarray(m, dtype=complex)
-    if not is_unitary(m, tol):
-        raise NotUnitaryError(f"{name} is not unitary within tolerance {tol:g}")
-    return m
+def require_unitary(m, tol: float = GATE_TOL, name: str = "matrix") -> np.ndarray:
+    """`require_gates` of the one gate `m`, called `name`."""
+    return require_gates([m], tol, [name])[0]
 
 
 def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
@@ -236,7 +221,7 @@ def unitary_eigenphases(m) -> np.ndarray:
     eigenvalues of `m`.  A unitary is normal, so its eigenvalues are
     perfectly conditioned (Bauer-Fike): LAPACK's `eigvals` gives them to
     rounding, repeated and tightly clustered ones included.  NotUnitaryError
-    unless `m` is square and unitary within GATE_TOL.
+    unless `m` is a 4x4 matrix unitary within GATE_TOL.
     """
     return eigenphases(require_unitary(m))
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import __version__, discrimination, files, geometry
+from . import __version__, discrimination, files
 from .numerics import VERDICT_TOL, require_finite
 
 _W = 2.9
@@ -69,12 +69,14 @@ def render_hull_svg(omega) -> str:
         'stroke-width="0.012" />',
     ]
     if len(hull.groups) >= 2:
-        pts = " ".join(_pt(math.cos(g.phase), math.sin(g.phase)) for g in hull.groups)
+        pts = [np.array([math.cos(g.phase), math.sin(g.phase)]) for g in hull.groups]
+        poly = " ".join(_pt(x, y) for x, y in pts)
         lines.append(
-            f'<polygon points="{pts}" fill="#1f6feb" fill-opacity="0.10" '
+            f'<polygon points="{poly}" fill="#1f6feb" fill-opacity="0.10" '
             'stroke="#1f6feb" stroke-width="0.014" />'
         )
-        for i, mid in enumerate(geometry.midpoint_quad(hull)):
+        for i, p in enumerate(pts):
+            mid = 0.5 * (p + pts[(i + 1) % len(pts)])  # edge i's midpoint
             lines.append(_circle(mid[0], mid[1], 0.018, "#e3742f"))
             off = 0.14 if np.hypot(*mid) < VERDICT_TOL else 0.0
             lines.append(
@@ -106,4 +108,4 @@ def render_hull_svg(omega) -> str:
 
 
 def write_hull_svg(omega, path) -> None:
-    files.write_text(render_hull_svg(omega), path)
+    files.write_texts([(render_hull_svg(omega), path)])

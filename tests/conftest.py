@@ -10,6 +10,9 @@ from gatediscrim import _kernels, canonical, geometry
 from gatediscrim.numerics import wrap_angle
 
 
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -16,9 +16,9 @@ from gatediscrim.canonical import (
     relative_phases,
 )
 from gatediscrim.errors import DomainError, NotMagicDiagonalError, NotUnitaryError
-from gatediscrim.numerics import ID4, SWAP, wrap_angle
+from gatediscrim.numerics import ID4, wrap_angle
 
-from conftest import dressed_gate, phases_close, random_su2, random_unitary
+from conftest import SWAP, dressed_gate, phases_close, random_su2, random_unitary
 
 PI = math.pi
 CNOT = np.array(

@@ -268,6 +268,40 @@ def test_discriminate_unwritable_output_prints_one_line(capsys, tmp_path, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+def _tree(root: Path) -> dict:
+    """{relative path: bytes, or None for a directory} of everything under root."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+@pytest.mark.parametrize(
+    "svg_out,reason",
+    [("missing/x.svg", "No such file or directory"), ("adir", "Is a directory")],
+    ids=["missing_dir", "directory"],
+)
+@pytest.mark.parametrize("old_probe", [None, b"kept\n"], ids=["no_probe", "old_probe"])
+def test_failed_svg_write_writes_no_probe(
+    capsys, tmp_path, monkeypatch, svg_out, reason, old_probe
+):
+    # the probe file is written only together with the figure, so a figure
+    # that cannot be written leaves the directory as it was
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    if old_probe is not None:
+        (tmp_path / "probe.json").write_bytes(old_probe)
+    before = _tree(tmp_path)
+    code, out, err = run_main(
+        capsys, "discriminate", g("01"), g("04"),
+        "--probe-out", "probe.json", "--svg-out", svg_out,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {svg_out}: {reason}\n"
+    assert _tree(tmp_path) == before
+
+
 def test_discriminate_rejects_one_file_for_probe_and_svg(capsys, tmp_path, monkeypatch):
     # the same file under two spellings: rejected before anything is written
     monkeypatch.chdir(tmp_path)

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from gatediscrim import geometry
-from gatediscrim.errors import DegenerateHullError, DomainError
-from gatediscrim.geometry import (
-    arc_spread,
-    dedupe_phases,
-    hull_of_phases,
-    midpoint_quad,
-)
+from gatediscrim.errors import DomainError
+from gatediscrim.geometry import arc_spread, hull_of_phases
 
 from conftest import polygon_origin_distance, simplex_min_modulus
 
@@ -18,7 +13,7 @@ PI = math.pi
 
 
 def test_dedupe_groups_and_indices():
-    groups = dedupe_phases([0.0, PI, 0.0, PI])
+    groups = hull_of_phases([0.0, PI, 0.0, PI]).groups
     assert len(groups) == 2
     assert groups[0].phase == pytest.approx(0.0)
     assert groups[0].indices == (0, 2)
@@ -27,16 +22,16 @@ def test_dedupe_groups_and_indices():
 
 
 def test_dedupe_tolerance_merges():
-    groups = dedupe_phases([0.0, 5e-10, 1.0], tol=1e-9)
+    groups = hull_of_phases([0.0, 5e-10, 1.0], tol=1e-9).groups
     assert len(groups) == 2
     assert groups[0].indices == (0, 1)
     # representative is the circular mean of the merged run
     assert groups[0].phase == pytest.approx(2.5e-10, abs=1e-12)
-    assert len(dedupe_phases([0.0, 5e-10, 1.0], tol=1e-12)) == 3
+    assert len(hull_of_phases([0.0, 5e-10, 1.0], tol=1e-12).groups) == 3
 
 
 def test_dedupe_wraps_across_pi():
-    groups = dedupe_phases([PI - 1e-12, -PI + 1e-12, 0.5], tol=1e-9)
+    groups = hull_of_phases([PI - 1e-12, -PI + 1e-12, 0.5], tol=1e-9).groups
     assert len(groups) == 2
     merged = [g for g in groups if len(g.indices) == 2][0]
     assert merged.indices == (0, 1)
@@ -81,8 +76,6 @@ def test_hull_single_point():
     assert len(h.groups) == 1
     assert not h.origin_inside
     assert h.min_distance == pytest.approx(1.0)
-    with pytest.raises(DegenerateHullError):
-        midpoint_quad(h)
 
 
 def test_hull_min_distance_law(rng):
@@ -133,17 +126,6 @@ def test_polygon_origin_distance_oracle():
     assert polygon_origin_distance([0.0, PI, 0.0, PI]) <= 1e-15
 
 
-def test_midpoint_quad_parallelogram(rng):
-    # midpoints of a quadrilateral always form a parallelogram
-    for _ in range(50):
-        ph = np.sort(rng.uniform(-PI, PI, size=4))
-        h = hull_of_phases(ph)
-        if len(h.groups) != 4:
-            continue
-        m = midpoint_quad(h)
-        np.testing.assert_allclose(m[0] + m[2], m[1] + m[3], atol=1e-12)
-
-
 def test_hull_vertex_groups_align():
     h = hull_of_phases([0.5, -2.0, 0.5, 1.0])
     assert len(h.groups) == 3
@@ -153,14 +135,14 @@ def test_hull_vertex_groups_align():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("fn", [dedupe_phases, hull_of_phases, arc_spread])
+@pytest.mark.parametrize("fn", [hull_of_phases, arc_spread])
 def test_non_finite_phases_rejected(fn, bad):
     # rejected before wrap_angle, which would warn on inf
     with pytest.raises(DomainError):
         fn([bad, 0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("fn", [dedupe_phases, hull_of_phases, arc_spread])
+@pytest.mark.parametrize("fn", [hull_of_phases, arc_spread])
 @pytest.mark.parametrize("empty", [[], np.zeros(0), ()])
 def test_empty_phases_rejected(fn, empty):
     with pytest.raises(DomainError, match="empty"):
@@ -168,7 +150,7 @@ def test_empty_phases_rejected(fn, empty):
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
-@pytest.mark.parametrize("fn", [dedupe_phases, hull_of_phases])
+@pytest.mark.parametrize("fn", [hull_of_phases])
 def test_merge_tol_domain(fn, tol):
     # tol = nan used to merge nothing, silently
     with pytest.raises(DomainError, match="tol"):
@@ -176,6 +158,6 @@ def test_merge_tol_domain(fn, tol):
 
 
 def test_merge_tol_zero_merges_only_equal_phases():
-    groups = dedupe_phases([0.5, 0.5, 0.5 + 1e-15, 2.0], tol=0.0)
+    groups = hull_of_phases([0.5, 0.5, 0.5 + 1e-15, 2.0], tol=0.0).groups
     assert [g.indices for g in groups] == [(0, 1), (2,), (3,)]
     assert len(hull_of_phases([0.5, 0.5, 2.0], tol=0.0).groups[0].indices) == 2

@@ -27,13 +27,19 @@ from gatediscrim.numerics import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    SWAP,
     is_unitary,
     unitary_eigenphases,
     wrap_angle,
 )
 
-from conftest import char_poly, horner, phases_close, random_su2, random_unitary
+from conftest import (
+    SWAP,
+    char_poly,
+    horner,
+    phases_close,
+    random_su2,
+    random_unitary,
+)
 
 
 def test_wrap_angle_values():
@@ -167,10 +173,18 @@ def test_eigenphases_rejects_nonunitary():
         unitary_eigenphases(1.5 * ID4)
 
 
+def test_a_gate_is_a_4x4_matrix():
+    # a unitary of another size is no gate: every gate check is check_gates'
+    assert not is_unitary(ID2)
+    for call in (numerics.require_unitary, unitary_eigenphases):
+        with pytest.raises(NotUnitaryError, match="must be a 4x4 matrix"):
+            call(ID2)
+
+
 def test_random_su2(rng):
     for _ in range(25):
         u = random_su2(rng)
-        assert is_unitary(u, tol=1e-12)
+        assert np.abs(u.conj().T @ u - ID2).max() <= 1e-12
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
 
 
@@ -219,7 +233,6 @@ COMPLEX_ENTRY_POINTS = {
     "build_ud": lambda: canonical.build_ud([0.1j, 0, 0]),
     "from_magic_phases": lambda: canonical.from_magic_phases([0, 0, 0, 1j]),
     "hull_of_phases": lambda: geometry.hull_of_phases([0.5, 1j]),
-    "dedupe_phases": lambda: geometry.dedupe_phases([0.5, 1j]),
     "arc_spread": lambda: geometry.arc_spread([0.5, 1j]),
     "render_hull_svg": lambda: svg.render_hull_svg([0, 0, 0, 1j]),
 }
@@ -264,8 +277,6 @@ def test_scalar_tolerances_and_fidelity_must_be_real():
     for bad in (1j, 1e-10 + 0j, "1e-10", None, True):
         with pytest.raises(DomainError, match="tol must be a real number"):
             geometry.hull_of_phases([0.0, 1.0], tol=bad)
-        with pytest.raises(DomainError, match="tol must be a real number"):
-            geometry.dedupe_phases([0.0, 1.0], tol=bad)
         with pytest.raises(DomainError, match="tol must be a real number"):
             numerics.require_positive(bad)
         with pytest.raises(DomainError, match="fidelity must be a real number"):
@@ -329,9 +340,7 @@ def test_gate_entry_points_reject_bad_gates(entry, tmp_path):
         # pytest turns a numpy warning into an error that fails the match
         with pytest.raises(NotUnitaryError, match=re.escape(name)):
             call(g, tmp_path / "gate.json")
-        if g.ndim != 2 or g.shape == (4, 4):
-            # the identities of other sizes are unitary
-            assert not is_unitary(g), label
+        assert not is_unitary(g), label
 
 
 def test_extract_interaction_keeps_its_tolerance():
@@ -375,10 +384,7 @@ def _tol_defaults() -> dict:
 
 def test_every_tol_default_is_a_named_tolerance():
     defaults = _tol_defaults()
-    others = {
-        "geometry.hull_of_phases": geometry.DEDUPE_TOL,
-        "geometry.dedupe_phases": geometry.DEDUPE_TOL,
-    }
+    others = {"geometry.hull_of_phases": geometry.DEDUPE_TOL}
     for name, default in defaults.items():
         # `is`: a literal of the same value is another float object
         assert default is others.get(name, numerics.GATE_TOL), name

@@ -13,9 +13,10 @@ from gatediscrim.discrimination import (
     fidelity,
 )
 from gatediscrim.errors import DomainError, NotUnitaryError
-from gatediscrim.numerics import ID4, SWAP
+from gatediscrim.numerics import ID4
 
 from conftest import (
+    SWAP,
     dressed_gate,
     polygon_origin_distance,
     random_magic_diag,
