@@ -42,7 +42,6 @@ from .geometry import (
 from .numerics import (
     is_unitary,
     unitary_eigenphases,
-    wrap_angle,
 )
 from .oracle import (
     SearchConfig,
@@ -78,7 +77,6 @@ __all__ = [
     "hull_of_phases",
     "is_unitary",
     "unitary_eigenphases",
-    "wrap_angle",
     "SearchConfig",
     "ShotOutcome",
     "helstrom_simulate",

@@ -258,15 +258,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings of `parser` and its subcommands that take a value."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes "-1,0,1,2" for an option: an angle list that opens with
-    # a minus sign is joined to its flag, as in "--omega=-1,0,1,2"
+    parser = build_parser()
+    # argparse takes "-1e-13" or "-1,0,1,2" for an option: a value that opens
+    # with one minus sign is joined to its flag, as in "--p1=-1e-13"
+    flags = _value_flags(parser)
     for i in range(len(argv) - 1, 0, -1):
         flag, value = argv[i - 1 : i + 1]
-        if flag in ("--omega", "--alpha") and value[:1] == "-" and value[:2] != "--":
+        if flag in flags and value[:1] == "-" and value[:2] != "--":
             argv[i - 1 : i + 1] = [f"{flag}={value}"]
-    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

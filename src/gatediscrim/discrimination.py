@@ -11,6 +11,7 @@ optimal product probe, and packages the Helstrom error bound.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,28 +29,42 @@ class CaseTag(enum.Enum):
 
 @dataclass(frozen=True)
 class ProbeState:
-    """A two-qubit product probe, stored as magic amplitudes, a ket and its
-    two single-qubit factors.
+    """A two-qubit product probe, stored as magic amplitudes and a ket.
 
     `u` holds the magic-basis amplitudes, `psi_computational` the same state
-    in the computational basis, and kron(`local_a`, `local_b`) equals that
-    ket, with a fixed gauge (first significant component of `local_a` real
-    nonnegative).  `concurrence` is that of `u`, see `concurrence`, and at
-    most `numerics.VERDICT_TOL`: an entangled state is never a probe.
-    `via_fallback` is always False: the closed form is the only route, and
-    the field stays for the JSON probe block and the benchmark's reader.
+    in the computational basis.  `concurrence` is that of `u`, see
+    `concurrence`, and at most `numerics.VERDICT_TOL`: an entangled state is
+    never a probe.  `via_fallback` is always False: the closed form is the
+    only route, and the field stays for the JSON probe block and the
+    benchmark's reader.  The single-qubit factors `local_a` and `local_b`
+    are computed from the ket on first read and kept.
     """
 
     u: np.ndarray
     psi_computational: np.ndarray
-    local_a: np.ndarray
-    local_b: np.ndarray
     concurrence: float
     via_fallback: bool = False
 
     @property
     def weights(self) -> np.ndarray:
         return np.abs(self.u) ** 2
+
+    @functools.cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        # only whoever prepares the probe reads its factors, so a request
+        # that does not read them never factors the ket
+        return _factor(self.psi_computational)
+
+    @property
+    def local_a(self) -> np.ndarray:
+        """Alice's qubit: kron(`local_a`, `local_b`) equals the ket, with
+        the first significant component of `local_a` real nonnegative."""
+        return self._factors[0]
+
+    @property
+    def local_b(self) -> np.ndarray:
+        """Bob's qubit, see `local_a`."""
+        return self._factors[1]
 
 
 @dataclass(frozen=True)
@@ -130,11 +145,7 @@ def _probe_from_amplitudes(u) -> ProbeState:
     c = _concurrence(u)
     if not (c <= VERDICT_TOL):  # written so that NaN fails
         raise ConstructionFailedError(f"probe concurrence {c:.3e} above {VERDICT_TOL:g}")
-    psi = canonical.MAGIC_BASIS @ u
-    a, b = _factor(psi)
-    return ProbeState(
-        u=u, psi_computational=psi, local_a=a, local_b=b, concurrence=c
-    )
+    return ProbeState(u=u, psi_computational=canonical.MAGIC_BASIS @ u, concurrence=c)
 
 
 def _probe_from_kets(a, b) -> ProbeState:

@@ -115,9 +115,13 @@ def write_texts(outputs) -> None:
     tmps = []
     try:
         for text, path in outputs:
-            tmp = f"{path}.{os.getpid()}.tmp"
+            # a name of fixed length, so that any legal target has a legal
+            # temp file; O_EXCL leaves alone a file that has the name, and
+            # the mode is open()'s default: 0o666 less the umask
+            tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append((tmp, path))
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         for _, path in tmps:
             # a rename onto a directory fails: refuse it before the first

@@ -40,6 +40,8 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # stands in for a failing gate: numpy carries NaN through without a warning
 _NAN44 = np.full((4, 4), np.nan, dtype=complex)
 PAIR_NAMES = ("first gate", "second gate")
+# stands in for a gate that is no array of numbers; its shape is no gate's
+_NOT_NUMBERS = np.full((), np.nan, dtype=complex)
 
 # wrap_angle's shift for r <= -pi, for -pi < r <= pi and for r > pi
 _WRAP_EDGES = np.array([-math.pi, math.pi])
@@ -92,24 +94,37 @@ def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
     """(stack, errors) for two-qubit gates, checked in one stacked pass.
 
     `stack` is a (k, 4, 4) complex array; errors[i] is the NotUnitaryError
-    that gates[i], called names[i], fails with (not a 4x4 matrix, or not
-    unitary within `tol`), else None.  A failing gate enters `stack` as NaN.
-    `tol` must be finite and > 0 (DomainError).
+    that gates[i], called names[i], fails with (not a 4x4 matrix of
+    numbers, or not unitary within `tol`), else None.  A failing gate
+    enters `stack` as NaN.  `tol` must be finite and > 0 (DomainError).
     """
     require_positive(tol)
-    arrs = [np.asarray(g, dtype=complex) for g in gates]
+    try:
+        arrs = [np.asarray(g, dtype=complex) for g in gates]
+    except (TypeError, ValueError, OverflowError):
+        arrs = [_complex_array(g) for g in gates]
     stack = np.array([a if a.shape == (4, 4) else _NAN44 for a in arrs])
     errors = [None] * len(arrs)
     for i, r in enumerate(unitarity_residual(stack).tolist()):
         if not (r <= tol):  # a gate of another shape has a NaN residual
-            shape = arrs[i].shape
-            errors[i] = NotUnitaryError(
-                f"{names[i]} must be a 4x4 matrix, got shape {shape}"
-                if shape != (4, 4)
-                else f"{names[i]} is not unitary within tolerance {tol:g}"
-            )
+            if arrs[i] is _NOT_NUMBERS:
+                msg = "must be a 4x4 matrix of numbers"
+            elif arrs[i].shape != (4, 4):
+                msg = f"must be a 4x4 matrix, got shape {arrs[i].shape}"
+            else:
+                msg = f"is not unitary within tolerance {tol:g}"
+            errors[i] = NotUnitaryError(f"{names[i]} {msg}")
             stack[i] = _NAN44
     return stack, errors
+
+
+def _complex_array(g) -> np.ndarray:
+    """`g` as a complex array, or _NOT_NUMBERS for what numpy cannot
+    convert: a string, a ragged sequence, a number too large for a float."""
+    try:
+        return np.asarray(g, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        return _NOT_NUMBERS
 
 
 def require_gates(gates, tol: float = GATE_TOL, names=PAIR_NAMES) -> np.ndarray:

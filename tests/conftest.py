@@ -273,7 +273,7 @@ def _ref_concurrence(u):
     return float(abs(np.sum(u * u)))
 
 
-def _ref_factor_product(u):
+def ref_factor_product(u):
     amp = (canonical.MAGIC_BASIS @ u).reshape(2, 2)
     row = int(np.argmax(np.sum(np.abs(amp) ** 2, axis=1)))
     b = amp[row] / np.linalg.norm(amp[row])
@@ -294,10 +294,7 @@ def _ref_probe_for_hull(om, hull):
 
     u = _ref_amplitudes(hull)
     assert abs(float(np.sum(np.abs(u) ** 2)) - 1.0) <= 1e-12
-    a = b = None
-    if _ref_concurrence(u) <= 1e-8:
-        a, b = _ref_factor_product(u)
-    probe = ProbeState(u, canonical.MAGIC_BASIS @ u, a, b, _ref_concurrence(u), False)
+    probe = ProbeState(u, canonical.MAGIC_BASIS @ u, _ref_concurrence(u), False)
     # the closed form must not miss: the reference has no fallback
     assert abs(ref_achieved_overlap(u, om) - hull.min_distance) <= geometry.VERDICT_TOL
     assert _ref_concurrence(u) <= geometry.VERDICT_TOL

@@ -389,6 +389,19 @@ def test_unwritable_output_names_the_given_path(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_long_output_name_is_written(capsys, tmp_path):
+    # 254 bytes, a legal name within a byte of the usual 255-byte limit
+    target = tmp_path / ("a" * 250 + ".svg")
+    argv = ["figure", "--omega", "0,1,2,3", "--out", str(target)]
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out, err) == (0, f"wrote {target}\n", "")
+    assert target.read_text() == svg.render_hull_svg([0.0, 1.0, 2.0, 3.0])
+    assert list(tmp_path.iterdir()) == [target]
+    # the mode any new file gets here, not a private temp file's 0600
+    (tmp_path / "plain").write_text("")
+    assert target.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 def test_simulate_perfect_pair(capsys):
     code, out, _ = run_main(
         capsys, "simulate", g("01"), g("06"), "--shots", "10000", "--seed", "3"
@@ -634,6 +647,18 @@ def test_figure_takes_a_negative_first_angle(capsys, tmp_path):
     for out, omega in zip(outs, (["--omega", "-1,0,1,2"], ["--omega=-1,0,1,2"])):
         assert run_main(capsys, "figure", *omega, "--out", str(out))[0] == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_negative_value_with_an_exponent_is_a_value(capsys):
+    # argparse's own negative-number pattern has no exponent
+    argv = ["discriminate", g("01"), g("04"), "--p1", "-1e-13"]
+    code, out, err = run_main(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["priors"] == {"p1": 0.0, "p2": 1.0}
+    for cmd in (["discriminate", g("01"), g("04")], ["decompose", g("04")]):
+        code, out, err = run_main(capsys, *cmd, "--tol", "-1e-3")
+        assert (code, out) == (2, "")
+        assert err == "error: --tol must be finite and > 0, got -0.001\n"
 
 
 def test_figure_single_point(capsys, tmp_path):

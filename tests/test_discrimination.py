@@ -72,6 +72,27 @@ def test_factor_product_recovers_factors(rng):
         assert fa[lead].real > 0
 
 
+def test_probe_factors_are_built_on_first_read(monkeypatch):
+    calls, factor = [], discrimination._factor
+
+    def counted(psi):
+        calls.append(1)
+        return factor(psi)
+
+    monkeypatch.setattr(discrimination, "_factor", counted)
+    u2 = canonical.from_magic_phases([0.3, 1.9, -2.2, 0.8])
+    probes = [
+        discriminate(ID4, u2).probe,
+        construct_probe([0.3, 1.9, -2.2, 0.8]),
+        oracle.min_over_product_states(ID4, u2)[1],
+    ]
+    assert calls == []
+    for k, probe in enumerate(probes, 1):
+        a, b = probe.local_a, probe.local_b
+        assert probe.local_a is a and len(calls) == k
+        np.testing.assert_allclose(np.kron(a, b), probe.psi_computational, atol=1e-9)
+
+
 def test_error_probability_values():
     assert error_probability(0.0, 0.5, 0.5) == 0.0
     assert error_probability(1.0, 0.5, 0.5) == pytest.approx(0.5)

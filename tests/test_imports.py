@@ -56,3 +56,10 @@ def test_package_imports_only_the_stdlib_and_numpy():
     for path in sources:
         for line, name in _absolute_imports(path):
             assert name.split(".")[0] in allowed, f"{path.name}:{line} imports {name}"
+
+
+def test_wrap_angle_is_not_exported():
+    # it trusts its input (a complex or string angle raises numpy's errors),
+    # and a check would cost every hull; the package's modules import it
+    assert "wrap_angle" not in gatediscrim.__all__
+    assert not hasattr(gatediscrim, "wrap_angle")

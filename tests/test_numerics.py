@@ -343,6 +343,25 @@ def test_gate_entry_points_reject_bad_gates(entry, tmp_path):
         assert not is_unitary(g), label
 
 
+# gates numpy cannot convert to a complex array; no gate file holds one
+NON_NUMERIC_GATES = {
+    "string": "abc",
+    "ragged": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "dict": {"rows": ID4},
+    "huge_int": 10**400,
+}
+
+
+@pytest.mark.parametrize("entry", [e for e in GATE_ENTRY_POINTS if "file" not in e])
+def test_gate_entry_points_reject_non_numeric_gates(entry):
+    call, name = GATE_ENTRY_POINTS[entry]
+    msg = f"^{re.escape(name)} must be a 4x4 matrix of numbers$"
+    for label, g in NON_NUMERIC_GATES.items():
+        with pytest.raises(NotUnitaryError, match=msg):
+            call(g, None)
+        assert not is_unitary(g), label
+
+
 def test_extract_interaction_keeps_its_tolerance():
     # residual 4e-7: accepted at tol=1e-6, and its derived Gram matrix with it
     u = (1.0 + 2e-7) * ID4
