@@ -4,7 +4,11 @@ A two-qubit unitary factors as (A x B) U_d (C x D) with single-qubit locals
 and an interaction core U_d = exp(-i(ax XX + ay YY + az ZZ)).  The core is
 diagonal in the magic (Bell-like) basis with eigenphase vector lambda fixed
 by the interaction vector alpha; alpha lives in the Weyl chamber
-pi/4 >= ax >= ay >= az >= 0, which makes it a class invariant.
+pi/4 >= ax >= ay >= az >= 0.  Locally equivalent gates share one alpha,
+but the fold into the chamber sets az >= 0, so alpha names a local class
+only up to complex conjugation (the mirror image): U_d(0.3, 0.2, 0.1) and
+U_d(0.3, 0.2, -0.1) both give (0.3, 0.2, 0.1), while their Makhlin
+invariants G1 are complex conjugates, 0.5532 -+ 0.0651i.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .numerics import GATE_TOL, SQRT_HALF, wrap_angle
 
 PI = math.pi
 QUARTER_PI = math.pi / 4.0
+HALF_PI = math.pi / 2.0
 
 # Columns: |00>+|11>, -i(|00>-|11>), |01>-|10>, -i(|01>+|10>), all over sqrt(2).
 MAGIC_BASIS = SQRT_HALF * np.array(
@@ -51,7 +56,8 @@ class GateClass(enum.Enum):
 class InteractionDecomposition:
     """Result of `extract_interaction`.
 
-    alpha:        canonical Weyl-chamber interaction vector (ax, ay, az)
+    alpha:        Weyl-chamber interaction vector (ax, ay, az), shared by
+                  locally equivalent gates and by complex conjugates
     raw_phases:   magic-basis eigenphase branch before canonicalization
     global_phase: stripped scalar phase, reported in (-pi/4, pi/4]
     """
@@ -109,12 +115,13 @@ def from_magic_phases(omega) -> np.ndarray:
     return (MAGIC_BASIS * np.exp(-1j * om)) @ _MAGIC_DAG
 
 
-def _fold_chamber(a: np.ndarray) -> np.ndarray:
+def _fold_chamber(a) -> np.ndarray:
     # reduce each coordinate modulo the pi/2 translation + sign lattice,
-    # then order; this is the unique chamber representative of the orbit
-    a = np.mod(a, 0.5 * PI)
-    a = np.where(a > QUARTER_PI, 0.5 * PI - a, a)
-    return np.sort(a)[::-1]
+    # then order; this is the unique chamber representative of the orbit.
+    # A float's % by a positive divisor lies in [0, divisor), as np.mod's.
+    folded = [x % HALF_PI for x in a]
+    folded = [HALF_PI - x if x > QUARTER_PI else x for x in folded]
+    return np.array(sorted(folded, reverse=True))
 
 
 def extract_interaction(u, tol: float = GATE_TOL) -> InteractionDecomposition:
@@ -128,26 +135,22 @@ def extract_interaction(u, tol: float = GATE_TOL) -> InteractionDecomposition:
     """
     u = numerics.require_gates([u], tol, ["gate"])[0]
     det = complex(np.linalg.det(u))
-    global_phase = cmath.phase(det) / 4.0
+    # wrapped because cmath.phase(-1 - 0j) is -pi, which would give -pi/4
+    global_phase = wrap_angle(cmath.phase(det)) / 4.0
     v = magic_rep(u) * cmath.exp(-1j * global_phase)
     gram = v.T @ v
-    # gram is unitary because u is: no second check, at another tolerance
-    theta = numerics.eigenphases(gram)
-    lam = wrap_angle(-0.5 * theta)
+    # gram is unitary because u is: no second check, at another tolerance.
+    # The tail works on four Python floats: a numpy call costs more here
+    # than the arithmetic it would do.
+    theta = sorted(map(wrap_angle, np.angle(np.linalg.eigvals(gram)).tolist()))
+    l0, l1, l2, l3 = [wrap_angle(-0.5 * t) for t in theta]
     # halving each phase can flip the parity of the sum; legal branch moves
     # only come in pairs, so restore sum(lam) = 0 (mod 2 pi) explicitly
-    if round(float(np.sum(lam)) / PI) % 2 != 0:
-        lam[3] = wrap_angle(lam[3] + PI)
-    alpha = np.array(
-        [
-            0.5 * (lam[0] + lam[3]),
-            0.5 * (lam[1] + lam[3]),
-            0.5 * (lam[0] + lam[1]),
-        ]
-    )
+    if round((l0 + l1 + l2 + l3) / PI) % 2 != 0:
+        l3 = wrap_angle(l3 + PI)
     return InteractionDecomposition(
-        alpha=_fold_chamber(alpha),
-        raw_phases=wrap_angle(lam),
+        alpha=_fold_chamber([0.5 * (l0 + l3), 0.5 * (l1 + l3), 0.5 * (l0 + l1)]),
+        raw_phases=np.array([l0, l1, l2, l3]),
         global_phase=global_phase,
     )
 
@@ -183,10 +186,10 @@ def relative_phases(u1, u2, tol: float = GATE_TOL) -> np.ndarray:
 
 def classify(alpha) -> GateClass:
     """Identity, swap-like, or entangling, by chamber position."""
-    a = check_weyl(alpha)
-    if np.max(np.abs(a)) <= _CLASS_TOL:
+    a = check_weyl(alpha).tolist()
+    if max(map(abs, a)) <= _CLASS_TOL:
         return GateClass.IDENTITY
-    if np.max(np.abs(a - QUARTER_PI)) <= _CLASS_TOL:
+    if max(abs(x - QUARTER_PI) for x in a) <= _CLASS_TOL:
         return GateClass.SWAP_LIKE
     return GateClass.ENTANGLING
 

@@ -238,9 +238,4 @@ def unitary_eigenphases(m) -> np.ndarray:
     rounding, repeated and tightly clustered ones included.  NotUnitaryError
     unless `m` is a 4x4 matrix unitary within GATE_TOL.
     """
-    return eigenphases(require_unitary(m))
-
-
-def eigenphases(m) -> np.ndarray:
-    """`unitary_eigenphases` of a matrix its caller has already checked."""
-    return np.sort(wrap_angle(np.angle(np.linalg.eigvals(m))))
+    return np.sort(wrap_angle(np.angle(np.linalg.eigvals(require_unitary(m)))))

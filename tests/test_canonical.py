@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gatediscrim import canonical, numerics
 from gatediscrim.canonical import (
@@ -192,6 +193,67 @@ def test_extract_raw_phase_parity(rng):
         assert abs(total - round(total)) <= 1e-8
 
 
+def test_extract_ignores_the_sign_of_a_zero_in_the_determinant():
+    # det = -1 - 0j has phase -pi, det = -1 + 0j has pi; both are the same gate
+    decs = [
+        extract_interaction(np.diag([complex(-1.0, z), 1.0, 1.0, 1.0]))
+        for z in (0.0, -0.0)
+    ]
+    assert decs[0].global_phase == decs[1].global_phase == PI / 4
+    for field in ("alpha", "raw_phases"):
+        assert getattr(decs[0], field).tobytes() == getattr(decs[1], field).tobytes()
+
+
+def _core(alpha) -> np.ndarray:
+    """U_d(alpha) for any real alpha, through the lambda(alpha) formula."""
+    ax, ay, az = alpha
+    return from_magic_phases(
+        [ax - ay + az, -ax + ay + az, -ax - ay - az, ax + ay - az]
+    )
+
+
+def _assert_same_alpha(a, b):
+    # both cores lie in one local class, so both give one chamber point
+    got = [extract_interaction(_core(x)).alpha for x in (a, b)]
+    for ax, ay, az in got:
+        assert PI / 4 >= ax >= ay >= az >= 0.0
+    np.testing.assert_allclose(got[1], got[0], rtol=0.0, atol=1e-9)
+
+
+alphas = st.lists(
+    st.floats(min_value=-2 * PI, max_value=2 * PI, allow_nan=False),
+    min_size=3,
+    max_size=3,
+)
+guard = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@guard
+@given(alphas, st.integers(0, 2), st.integers(-4, 4))
+@example([0.0, 0.0, 0.0], 0, 1)
+@example([PI / 4, PI / 4, PI / 4], 2, -1)
+def test_alpha_ignores_quarter_turn_shifts(a, k, turns):
+    # a pi/2 shift of one coordinate is a local X x X, Y x Y or Z x Z factor
+    b = list(a)
+    b[k] += turns * PI / 2
+    _assert_same_alpha(a, b)
+
+
+@guard
+@given(alphas, st.permutations(range(3)))
+def test_alpha_ignores_coordinate_order(a, perm):
+    # local Cliffords permute the coordinates
+    _assert_same_alpha(a, [a[i] for i in perm])
+
+
+@guard
+@given(alphas, st.integers(0, 2))
+@example([0.3, 0.2, 0.1], 0)
+def test_alpha_ignores_two_sign_flips(a, keep):
+    # conjugating by Z x I flips the signs of two coordinates
+    _assert_same_alpha(a, [x if i == keep else -x for i, x in enumerate(a)])
+
+
 def test_extract_rejects_nonunitary():
     with pytest.raises(DomainError):
         extract_interaction(1.2 * ID4)
@@ -284,6 +346,12 @@ def test_classify_values():
     assert classify((PI / 4,) * 3) is GateClass.SWAP_LIKE
     assert classify((PI / 8, 0, 0)) is GateClass.ENTANGLING
     assert classify((PI / 4, PI / 4, 0)) is GateClass.ENTANGLING
+    # just inside and just outside the class tolerance at both corners
+    t, q = canonical._CLASS_TOL, PI / 4
+    assert classify((0.9 * t, 0.9 * t, 0.9 * t)) is GateClass.IDENTITY
+    assert classify((1.1 * t, 0.0, 0.0)) is GateClass.ENTANGLING
+    assert classify((q, q - 0.9 * t, q - 0.9 * t)) is GateClass.SWAP_LIKE
+    assert classify((q, q, q - 1.1 * t)) is GateClass.ENTANGLING
 
 
 def test_random_weyl_vector_in_chamber(rng):
