@@ -149,28 +149,16 @@ def _response_form(w) -> np.ndarray:
     return np.concatenate([t.real, t.imag]).reshape(12, 4)
 
 
-def _bob_minima(xy):
-    """Per column of xy = response form @ Alice's Bloch rows^T: (min, mu).
-
-    mu is 0 inside the ellipse and the root above outside it (on a segment,
-    the lower bracket, which is the root there), so mu >= 0, and 0 outside
-    only where rounding puts -p on the rim; `bob_response` builds n_b from
-    it.  `_bob_setup` gives the columns that need no root their value;
-    `_newton` solves the rest.  `alice_scan` calls the two itself and skips
-    `_newton` in a block whose setup already holds a 0.
-    """
-    vals, mu, _, ellipse = _bob_setup(xy)
-    return _newton(vals, mu, ellipse)
-
-
 def _bob_setup(xy):
-    """The closed-form half of `_bob_minima`: (vals, mu, near, ellipse).
+    """The closed-form half of Bob's minimum per column of xy = response
+    form @ Alice's Bloch rows^T: (vals, mu, near, ellipse).
 
     vals is each column's exact value where no root is needed, 0 inside the
     ellipse and the distance to a segment where s_2 = 0, and inf outside,
     in the columns Newton solves; mu is 0 inside and the lower bracket
     elsewhere; near marks the outside columns within _NEAR of the boundary;
-    ellipse carries what `_newton` needs.
+    ellipse carries what `_newton` needs.  `alice_scan` skips `_newton`
+    in a block whose setup already holds a 0.
     """
     p = xy[::6]
     m3 = xy.reshape(2, 6, -1)[:, 1:4]
@@ -219,11 +207,15 @@ def _bob_setup(xy):
 
 
 def _newton(vals, mu, ellipse):
-    """`_bob_minima` from `_bob_setup`'s output: Newton on the outside columns.
+    """(min, mu) per column from `_bob_setup`'s output: Newton on the
+    outside columns.
 
-    Every column goes through the same array operations: in the columns
-    that need no root, Newton runs on a stand-in whose start is its root
-    (s = (1, 1), s q^2 = (4, 0)), and they keep their setup values.
+    mu is 0 inside the ellipse and the root above outside it (on a segment,
+    the lower bracket, which is the root there), so mu >= 0, and 0 outside
+    only where rounding puts -p on the rim; `bob_response` builds n_b from
+    it.  Every column goes through the same array operations: in the
+    columns that need no root, Newton runs on a stand-in whose start is its
+    root (s = (1, 1), s q^2 = (4, 0)), and they keep their setup values.
     """
     todo, s, q, root = ellipse
     ss = np.where(todo, s, 1.0)
@@ -297,7 +289,7 @@ def bob_response(w, theta, phi, mu) -> np.ndarray:
 
 
 def _bob_vector(xy, mu) -> np.ndarray:
-    """Bob's unit Bloch vector for one column xy of `_bob_minima` and its mu.
+    """Bob's unit Bloch vector for one column xy of `_bob_setup` and its mu.
 
     With M = [m_x; m_y] = U diag(sigma) V^T from one SVD and c = -p,
     n_b = y_1 V_1 + y_2 V_2 + t V_3 where y_i = sigma_i (U^T c)_i /

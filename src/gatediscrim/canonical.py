@@ -140,10 +140,9 @@ def extract_interaction(u, tol: float = GATE_TOL) -> InteractionDecomposition:
     v = magic_rep(u) * cmath.exp(-1j * global_phase)
     gram = v.T @ v
     # gram is unitary because u is: no second check, at another tolerance.
-    # The tail works on four Python floats: a numpy call costs more here
-    # than the arithmetic it would do.
-    theta = sorted(map(wrap_angle, np.angle(np.linalg.eigvals(gram)).tolist()))
-    l0, l1, l2, l3 = [wrap_angle(-0.5 * t) for t in theta]
+    # The tail, `_eigenphases` included, works on four Python floats: a
+    # numpy call costs more here than the arithmetic it would do.
+    l0, l1, l2, l3 = [wrap_angle(-0.5 * t) for t in numerics._eigenphases(gram)]
     # halving each phase can flip the parity of the sum; legal branch moves
     # only come in pairs, so restore sum(lam) = 0 (mod 2 pi) explicitly
     if round((l0 + l1 + l2 + l3) / PI) % 2 != 0:

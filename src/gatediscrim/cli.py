@@ -185,7 +185,8 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    svg.write_hull_svg(_angles(args.omega, 4, args.degrees, "--omega"), args.out)
+    omega = _angles(args.omega, 4, args.degrees, "--omega")
+    files.write_texts([(svg.render_hull_svg(omega), args.out)])
     print(f"wrote {args.out}")
     return 0
 

@@ -34,16 +34,19 @@ class ProbeState:
     `u` holds the magic-basis amplitudes, `psi_computational` the same state
     in the computational basis.  `concurrence` is that of `u`, see
     `concurrence`, and at most `numerics.VERDICT_TOL`: an entangled state is
-    never a probe.  `via_fallback` is always False: the closed form is the
-    only route, and the field stays for the JSON probe block and the
-    benchmark's reader.  The single-qubit factors `local_a` and `local_b`
-    are computed from the ket on first read and kept.
+    never a probe.  The single-qubit factors `local_a` and `local_b` are
+    computed from the ket on first read and kept.
     """
 
     u: np.ndarray
     psi_computational: np.ndarray
     concurrence: float
-    via_fallback: bool = False
+
+    @property
+    def via_fallback(self) -> bool:
+        """Always False: the closed form is the only route; the JSON probe
+        block and the benchmark's reader keep the name."""
+        return False
 
     @property
     def weights(self) -> np.ndarray:
@@ -171,13 +174,6 @@ def _achieved_overlap(u, om) -> float:
     return float(abs((np.abs(u) ** 2 * np.exp(-1j * om)).sum()))
 
 
-def _hull(om) -> geometry.HullResult:
-    """Hull of the points e^{-i omega_k} for an array of finite phases; it
-    decides every verdict here."""
-    # negation is exact, so this is hull_of_phases(-om) without its checks
-    return geometry._hull_of_phases([wrap_angle(-x) for x in om.tolist()])
-
-
 def _varignon_weights(mids) -> list[float]:
     """Convex weights alpha over a midpoint cycle M0..M3 with sum alpha_k M_k = 0.
 
@@ -206,32 +202,27 @@ def _varignon_weights(mids) -> list[float]:
 
 
 def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
-    n = len(hull.groups)
-    u = [0j] * 4
-    if not hull.origin_inside:
-        # the chord between the angular extremes realizes the minimum; put
-        # equal weight on one representative of each end with a 90 degree
-        # relative phase so the pair stays a product state
-        if n == 1:
-            ia, ib = hull.groups[0].indices[0], hull.groups[0].indices[1]
-        else:
-            ia = hull.groups[0].indices[0]
-            ib = hull.groups[-1].indices[0]
-        u[ia] = complex(SQRT_HALF)
-        u[ib] = 1j * SQRT_HALF
-        return np.array(u)
-    # origin inside: vertex weight w_k is the mean of the weights of the two
-    # midpoints on vertex k, walked around an even cycle so the
-    # alternating-phase trick cancels sum(u^2)
-    if n == 2:
-        verts, w = [g.indices[0] for g in hull.groups], [0.5, 0.5]
+    """The closed-form probe's magic amplitudes: an even cycle of vertices
+    with their magnitudes, phased 1, i, 1, i around it, so that sum(u^2)
+    cancels and the probe is a product state."""
+    groups = hull.groups
+    if not hull.origin_inside or len(groups) == 2:
+        # a chord: outside, the one between the angular extremes, which
+        # realizes the minimum; inside, the one through the origin between
+        # two antipodal groups.  Equal weight on one index at each end (on
+        # two of a lone group's); 1/sqrt(2) is spelled two ways, an ulp
+        # apart, and the goldens pin both
+        first, last = groups[0].indices, groups[-1].indices
+        verts = first[:2] if len(groups) == 1 else [first[0], last[0]]
+        mags = [math.sqrt(0.5) if hull.origin_inside else SQRT_HALF] * 2
     else:
         # each vertex once per index it holds: a triangle's double vertex
-        # pads it to a quadrilateral
-        verts = [i for g in hull.groups for i in g.indices]
+        # pads it to a quadrilateral; vertex k's weight is the mean of the
+        # weights of the two midpoints on it
+        verts = [i for g in groups for i in g.indices]
         pts = [
             (math.cos(g.phase), math.sin(g.phase))
-            for g in hull.groups
+            for g in groups
             for _ in g.indices
         ]
         mids = [
@@ -239,9 +230,10 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
             for (x, y), (x1, y1) in zip(pts, pts[1:] + pts[:1])
         ]
         alpha = _varignon_weights(mids)
-        w = [0.5 * (alpha[k] + alpha[k - 1]) for k in range(4)]
-    for pos, i in enumerate(verts):
-        u[i] = math.sqrt(w[pos]) * (1.0 if pos % 2 == 0 else 1.0j)
+        mags = [math.sqrt(0.5 * (alpha[k] + alpha[k - 1])) for k in range(4)]
+    u = [0j] * 4
+    for pos, (i, r) in enumerate(zip(verts, mags)):
+        u[i] = r * (1.0 if pos % 2 == 0 else 1.0j)
     return np.array(u)
 
 
@@ -256,7 +248,7 @@ def construct_probe(omega) -> ProbeState:
     bound; a miss raises ConstructionFailedError.
     """
     om = wrap_angle(numerics.require_finite(omega, "omega", 4))
-    return _probe_for_hull(om, _hull(om))[0]
+    return _probe_for_hull(om, geometry._hull_of_omega(om))[0]
 
 
 def _probe_for_hull(om, hull: geometry.HullResult) -> tuple[ProbeState, float]:
@@ -276,12 +268,12 @@ def fidelity(u1, u2, tol: float = GATE_TOL) -> tuple[float, np.ndarray]:
     e^{-i omega_k}, i.e. min over probes of |<psi| u1^dag u2 |psi>|.
     """
     om = canonical.relative_phases(u1, u2, tol=tol)
-    return _hull(om).min_distance, om
+    return geometry._hull_of_omega(om).min_distance, om
 
 
 def perfectly_distinguishable(u1, u2, tol: float = GATE_TOL) -> bool:
     """True when one query separates the gates with certainty."""
-    return _hull(canonical.relative_phases(u1, u2, tol=tol)).origin_inside
+    return geometry._hull_of_omega(canonical.relative_phases(u1, u2, tol)).origin_inside
 
 
 def discriminate(u1, u2, p1: float = 0.5, tol: float = GATE_TOL) -> DiscriminationReport:
@@ -289,7 +281,7 @@ def discriminate(u1, u2, p1: float = 0.5, tol: float = GATE_TOL) -> Discriminati
     p1 = numerics.require_prior(p1)
     p2 = 1.0 - p1
     om = canonical.relative_phases(u1, u2, tol=tol)
-    hull = _hull(om)
+    hull = geometry._hull_of_omega(om)
     probe, achieved = _probe_for_hull(om, hull)
     return DiscriminationReport(
         omega=om,

@@ -67,9 +67,11 @@ def _dedupe(vals: list[float], tol: float):
     for run in runs:
         rep = vals[run[0]]
         if len(run) > 1:
-            # circular mean of the run, taken about its first phase
-            offsets = wrap_angle(np.array([vals[i] for i in run]) - rep)
-            rep = wrap_angle(rep + float(np.mean(offsets)))
+            # circular mean of the run, taken about its first phase, whose
+            # own offset is 0.0: for a run of up to 7 phases the sum is
+            # numpy's mean, bit for bit
+            offsets = [wrap_angle(vals[i] - rep) for i in run]
+            rep = wrap_angle(rep + sum(offsets) / len(offsets))
         groups.append(PhaseGroup(phase=rep, indices=tuple(sorted(run))))
     groups.sort(key=lambda g: g.phase)
     return order, groups
@@ -112,6 +114,13 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     if not (0.0 <= require_real(tol, "tol") < math.inf):  # written so that NaN fails
         raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     return _hull_of_phases(vals, tol)
+
+
+def _hull_of_omega(om) -> HullResult:
+    """Hull of the points e^{-i omega_k} for an array of finite phases; it
+    decides every verdict and draws every figure."""
+    # negation is exact, so this is hull_of_phases(-om) without its checks
+    return _hull_of_phases([wrap_angle(-x) for x in om.tolist()])
 
 
 def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:

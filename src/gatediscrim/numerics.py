@@ -2,13 +2,15 @@
 
 Everything operates on plain numpy arrays: 2x2 and 4x4 complex matrices and
 length-4 state vectors.  Eigenphases of unitary matrices come from LAPACK's
-dense eigenvalue routine, see `unitary_eigenphases`.  This module is also
-the one home of the input checks, one per input kind: gates, finite real
-vectors, real numbers, unit-norm amplitudes, positive tolerances, priors
-and counts.  NaN fails each of them, and each raises a `DomainError`
-subclass, never a numpy error or warning.  Every gate check, `is_unitary`
-included, goes through `check_gates`: a gate is a 4x4 matrix.  It names
-the tolerances other modules read: GATE_TOL, VERDICT_TOL.
+dense eigenvalue routine through one wrap-and-sort, `_eigenphases`, which
+`unitary_eigenphases` and `canonical.extract_interaction` share.  This
+module is also the one home of the input checks, one per input kind:
+gates, finite real vectors, real numbers, unit-norm amplitudes, positive
+tolerances, priors and counts.  NaN fails each of them, and each raises a
+`DomainError` subclass, never a numpy error or warning.  Every gate
+check, `is_unitary` included, goes through `check_gates`: a gate is a 4x4
+matrix, converted once.  It names the tolerances other modules read:
+GATE_TOL, VERDICT_TOL.
 """
 
 from __future__ import annotations
@@ -99,10 +101,7 @@ def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
     enters `stack` as NaN.  `tol` must be finite and > 0 (DomainError).
     """
     require_positive(tol)
-    try:
-        arrs = [np.asarray(g, dtype=complex) for g in gates]
-    except (TypeError, ValueError, OverflowError):
-        arrs = [_complex_array(g) for g in gates]
+    arrs = [_complex_array(g) for g in gates]
     stack = np.array([a if a.shape == (4, 4) else _NAN44 for a in arrs])
     errors = [None] * len(arrs)
     for i, r in enumerate(unitarity_residual(stack).tolist()):
@@ -238,4 +237,11 @@ def unitary_eigenphases(m) -> np.ndarray:
     rounding, repeated and tightly clustered ones included.  NotUnitaryError
     unless `m` is a 4x4 matrix unitary within GATE_TOL.
     """
-    return np.sort(wrap_angle(np.angle(np.linalg.eigvals(require_unitary(m)))))
+    return np.array(_eigenphases(require_unitary(m)))
+
+
+def _eigenphases(m) -> list[float]:
+    """`unitary_eigenphases` of a matrix its caller knows to be unitary, as
+    a list: the one wrap-and-sort of LAPACK's eigenvalue angles."""
+    # four angles: scalar wraps and a list sort beat numpy's per-call cost
+    return sorted(map(wrap_angle, np.angle(np.linalg.eigvals(m)).tolist()))

@@ -86,13 +86,16 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     probe; the incumbent only improves, and exact ties resolve toward the
     lower row-major grid index.  Bob's factor is his exact best response
     to the winning state.  Returns (value, ProbeState), the value being
-    |<psi|u1^dag u2|psi>| of that probe's own ket psi.
+    |<psi|u1^dag u2|psi>| of that probe's own ket psi.  DomainError unless
+    `cfg` is None (the default SearchConfig) or a SearchConfig.
     """
     # imported on first use, so that `import gatediscrim` and the CLI's
     # other commands do not load the kernels
     from . import _kernels
 
-    cfg = cfg or SearchConfig()
+    cfg = SearchConfig() if cfg is None else cfg
+    if not isinstance(cfg, SearchConfig):
+        raise DomainError(f"cfg must be a SearchConfig or None, got {cfg!r}")
     u1, u2 = numerics.require_gates((u1, u2))
     w = u1.conj().T @ u2
     theta = np.linspace(0.0, math.pi, cfg.grid_steps)
@@ -204,8 +207,9 @@ def helstrom_simulate(
     counts are drawn as binomials, in memory independent of `shots`.
     Deterministic for a fixed seed.  `shots` must be an integer in
     [1, 2**63 - 1] and `seed` an integer >= 0 (a bool is neither), `p1` a
-    prior as `numerics.require_prior` takes it and `tol`, the gates'
-    unitarity tolerance, finite and > 0, else DomainError.
+    prior as `numerics.require_prior` takes it, `tol`, the gates'
+    unitarity tolerance, finite and > 0, and `probe` a ProbeState, else
+    DomainError.
     """
     # numpy's binomial takes counts up to the int64 maximum
     if numerics.require_count(shots, 1, "shots") > np.iinfo(np.int64).max:
@@ -214,6 +218,8 @@ def helstrom_simulate(
     p1 = numerics.require_prior(p1)
     u1, u2 = numerics.require_gates((u1, u2), tol)
     p2 = 1.0 - p1
+    if not isinstance(probe, ProbeState):
+        raise DomainError(f"probe must be a ProbeState, got {probe!r}")
     psi = numerics.require_normalized(probe.psi_computational, name="probe")
     # on the outputs' span, Gamma = p1 |out1><out1| - p2 |out2><out2| has
     # eigenvalues (p1 - p2 +- r) / 2 with r = sqrt(1 - 4 p1 p2 F^2), so its

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import __version__, discrimination, files
+from . import __version__, geometry
 from .numerics import VERDICT_TOL, require_finite
 
 _W = 2.9
@@ -27,11 +27,8 @@ def _f(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _pt(x: float, y: float) -> str:
-    # SVG y axis points down; flip so the math convention shows upright
-    return f"{_f(x)},{_f(-y)}"
-
-
+# SVG's y axis points down: every y is printed flipped, so the math
+# convention shows upright
 def _circle(x, y, r, fill, extra="") -> str:
     return (
         f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(r)}" fill="{fill}"'
@@ -52,7 +49,7 @@ def render_hull_svg(omega) -> str:
 
     `omega` may hold any finite angles: the hull wraps the points -omega
     itself, and wrapping is exact, so none is wrapped first."""
-    hull = discrimination._hull(require_finite(omega, "omega", 4))
+    hull = geometry._hull_of_omega(require_finite(omega, "omega", 4))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_VIEW}" '
@@ -68,9 +65,9 @@ def render_hull_svg(omega) -> str:
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" '
         'stroke-width="0.012" />',
     ]
-    if len(hull.groups) >= 2:
-        pts = [np.array([math.cos(g.phase), math.sin(g.phase)]) for g in hull.groups]
-        poly = " ".join(_pt(x, y) for x, y in pts)
+    pts = [np.array([math.cos(g.phase), math.sin(g.phase)]) for g in hull.groups]
+    if len(pts) >= 2:
+        poly = " ".join(f"{_f(x)},{_f(-y)}" for x, y in pts)
         lines.append(
             f'<polygon points="{poly}" fill="#1f6feb" fill-opacity="0.10" '
             'stroke="#1f6feb" stroke-width="0.014" />'
@@ -88,8 +85,7 @@ def render_hull_svg(omega) -> str:
                     fill="#e3742f",
                 )
             )
-    for g in hull.groups:
-        x, y = math.cos(g.phase), math.sin(g.phase)
+    for g, (x, y) in zip(hull.groups, pts):
         lines.append(_circle(x, y, 0.025, "#111111"))
         label = ",".join(f"P{k + 1}" for k in g.indices)
         lines.append(_text(x * 1.17, y * 1.17, label))
@@ -105,7 +101,3 @@ def render_hull_svg(omega) -> str:
     lines.append(_text(0.07, 0.09, "O", size=0.1))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def write_hull_svg(omega, path) -> None:
-    files.write_texts([(render_hull_svg(omega), path)])

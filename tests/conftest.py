@@ -294,7 +294,7 @@ def _ref_probe_for_hull(om, hull):
 
     u = _ref_amplitudes(hull)
     assert abs(float(np.sum(np.abs(u) ** 2)) - 1.0) <= 1e-12
-    probe = ProbeState(u, canonical.MAGIC_BASIS @ u, _ref_concurrence(u), False)
+    probe = ProbeState(u, canonical.MAGIC_BASIS @ u, _ref_concurrence(u))
     # the closed form must not miss: the reference has no fallback
     assert abs(ref_achieved_overlap(u, om) - hull.min_distance) <= geometry.VERDICT_TOL
     assert _ref_concurrence(u) <= geometry.VERDICT_TOL
@@ -391,3 +391,11 @@ def ref_bloch_scan(w, ta, pa, tb, pb):
         if sq.flat[flat] < best_sq:  # strict: earlier blocks win ties
             best_sq, best_lin = float(sq.flat[flat]), start * n_b + flat
     return math.sqrt(best_sq), best_lin
+
+
+def bob_minima(xy):
+    """Bob's exact minimum and root per column of xy = response form @
+    Alice's Bloch rows^T: the kernel's setup, then Newton on every column
+    that needs a root, as `_kernels.alice_scan` runs them on a block."""
+    vals, mu, _, ellipse = _kernels._bob_setup(xy)
+    return _kernels._newton(vals, mu, ellipse)

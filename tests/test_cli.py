@@ -729,8 +729,8 @@ def test_console_script_if_installed():
     "write",
     [
         lambda p: files.write_document({"x": float("nan")}, p),
-        lambda p: svg.write_hull_svg([math.nan, 0.0, 0.0, 0.0], p),
-        lambda p: svg.write_hull_svg([0.0, math.inf, 0.0, 0.0], p),
+        lambda p: files.write_texts([(svg.render_hull_svg([math.nan, 0.0, 0.0, 0.0]), p)]),
+        lambda p: files.write_texts([(svg.render_hull_svg([0.0, math.inf, 0.0, 0.0]), p)]),
     ],
 )
 def test_failed_write_leaves_no_partial_file(tmp_path, write):

@@ -63,3 +63,18 @@ def test_wrap_angle_is_not_exported():
     # and a check would cost every hull; the package's modules import it
     assert "wrap_angle" not in gatediscrim.__all__
     assert not hasattr(gatediscrim, "wrap_angle")
+
+
+def test_svg_draws_from_geometry_alone():
+    # the figure is the hull's picture: svg reads the hull from geometry and
+    # returns text, which the CLI writes as it writes every output
+    tree = ast.parse((Path(gatediscrim.__file__).parent / "svg.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "geometry" in imported
+    assert not imported & {"discrimination", "files"}

@@ -181,6 +181,15 @@ def test_a_gate_is_a_4x4_matrix():
             call(ID2)
 
 
+def test_check_gates_converts_each_gate_once():
+    # a one-pass iterable: no gate may be lost to a second pass
+    stack, errors = numerics.check_gates((g for g in ["x", ID4]), 1e-8)
+    assert stack.shape == (2, 4, 4)
+    assert str(errors[0]) == "first gate must be a 4x4 matrix of numbers"
+    assert errors[1] is None
+    assert np.isnan(stack[0]).all() and (stack[1] == ID4).all()
+
+
 def test_random_su2(rng):
     for _ in range(25):
         u = random_su2(rng)

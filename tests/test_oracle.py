@@ -17,6 +17,7 @@ from gatediscrim.numerics import ID4
 
 from conftest import (
     SWAP,
+    bob_minima,
     dressed_gate,
     polygon_origin_distance,
     random_magic_diag,
@@ -57,6 +58,24 @@ def test_helstrom_rejects_bool_shots_and_bad_seeds():
     # numpy integers and large seeds stay legal
     for seed in (np.int64(3), 0, 2**70):
         oracle.helstrom_simulate(ID4, ID4, probe, shots=10, seed=seed)
+
+
+def test_helstrom_rejects_a_probe_that_is_no_probe_state():
+    probe = construct_probe(np.zeros(4))
+    for bad in (None, "x", probe.psi_computational, probe.u):
+        with pytest.raises(DomainError, match="probe must be a ProbeState"):
+            oracle.helstrom_simulate(ID4, ID4, bad)
+
+
+def test_product_search_takes_none_or_a_search_config():
+    u2 = canonical.build_ud((PI / 8, 0, 0))
+    assert oracle.min_over_product_states(ID4, u2, None)[0] == (
+        oracle.min_over_product_states(ID4, u2, oracle.SearchConfig())[0]
+    )
+    # a falsy value is no request for the default
+    for cfg in ("x", 0, False, 32, oracle.SearchConfig):
+        with pytest.raises(DomainError, match="cfg must be a SearchConfig or None"):
+            oracle.min_over_product_states(ID4, u2, cfg)
 
 
 def test_product_search_matches_analytic_examples():
@@ -540,7 +559,7 @@ def test_bob_minima_rows_against_the_bloch_grid(rng):
     # the chord is at most the path along the meridian and then the parallel
     radius = 0.5 * (tb[1] - tb[0]) + 0.5 * (pb[1] - pb[0])
     for name, w in _row_gates(rng).items():
-        vals, mu = _kernels._bob_minima(
+        vals, mu = bob_minima(
             _kernels._response_form(w) @ _kernels._bloch_rows(ta, pa).T
         )
         assert vals.shape == mu.shape == (63,)
@@ -585,7 +604,7 @@ def test_bob_minima_keep_thin_ellipses(rng):
         cols.append([p[0], *m[0], *m[0, :2], p[1], *m[1], *m[1, :2]])
         expect.append(gap)
     xy = np.array(cols).T
-    vals, mu = _kernels._bob_minima(xy)
+    vals, mu = bob_minima(xy)
     np.testing.assert_allclose(vals, expect, rtol=0.0, atol=1e-14)
     for k in range(xy.shape[1]):
         _assert_bob_vector_reaches(xy[:, k], vals[k], mu[k])
@@ -602,7 +621,7 @@ def test_bob_minima_keep_thin_ellipses(rng):
         rho = 1.0 + 10.0 ** rng.uniform(-3, 0)
         p = r2 @ (rho * np.array([s1 * math.cos(t), s2 * math.sin(t)]))
         col = np.array([p[0], *m[0], *m[0, :2], p[1], *m[1], *m[1, :2]])
-        (val,), (mu,) = _kernels._bob_minima(col[:, None])
+        (val,), (mu,) = bob_minima(col[:, None])
         _assert_bob_vector_reaches(col, val, mu)
 
 
@@ -621,7 +640,7 @@ def test_bob_vector_when_the_map_squares_to_zero():
         np.linspace(0.0, PI, 5), np.linspace(0.0, 2 * PI, 6, endpoint=False)
     ).T
     assert 0.0 < np.abs(xy[[1, 2, 3, 7, 8, 9]]).max() < 1e-200
-    vals, mu = _kernels._bob_minima(xy)
+    vals, mu = bob_minima(xy)
     for k in range(xy.shape[1]):
         _assert_bob_vector_reaches(xy[:, k], vals[k], mu[k])
 
@@ -635,7 +654,7 @@ def test_alice_scan_never_above_the_4d_grid(rng):
         assert val <= _kernels.product_scan(w, theta, phi, theta, phi)[0] + 1e-15
         # the index decodes to a state whose exact value is the one returned
         i, j = divmod(lin, len(phi))
-        vals, _ = _kernels._bob_minima(
+        vals, _ = bob_minima(
             _kernels._response_form(w) @ _kernels._bloch_rows([theta[i]], [phi[j]]).T
         )
         assert vals[0] == val
@@ -650,7 +669,7 @@ def test_alice_scan_blocks_keep_the_lowest_index(rng, monkeypatch):
     gates = [canonical.build_ud((PI / 8, 0.0, 0.0)), ID4, np.zeros((4, 4))]
     gates += [random_unitary(rng), random_magic_diag(rng)[0], SWAP]
     for w in gates:
-        vals, mus = _kernels._bob_minima(
+        vals, mus = bob_minima(
             _kernels._response_form(w) @ _kernels._bloch_rows(theta, phi).T
         )
         first = int(np.argmin(vals))
@@ -663,14 +682,14 @@ def test_alice_scan_blocks_keep_the_lowest_index(rng, monkeypatch):
 
 
 def _scan_by_blocks(w, theta, phi):
-    # alice_scan with Newton on every block: `_bob_minima` per block, the
+    # alice_scan with Newton on every block: `bob_minima` per block, the
     # strict-improvement argmin kept across blocks
     form = _kernels._response_form(w)
     per_block = max(1, _kernels._ALICE_BLOCK // len(phi))
     best = (math.inf, 0, 0.0)
     for start in range(0, len(theta), per_block):
         rows = _kernels._bloch_rows(theta[start : start + per_block], phi)
-        vals, mu = _kernels._bob_minima(form @ rows.T)
+        vals, mu = bob_minima(form @ rows.T)
         k = int(vals.argmin())
         if vals[k] < best[0]:
             best = (float(vals[k]), start * len(phi) + k, float(mu[k]))
@@ -742,7 +761,7 @@ def test_bob_minima_keep_mu_at_least_zero_on_the_rim():
         cols.append([p[0], *m[0], *m[0, :2], p[1], *m[1], *m[1, :2]])
     xy = np.array(cols).T
     outside = _kernels._bob_setup(xy)[3][0]
-    vals, mu = _kernels._bob_minima(xy)
+    vals, mu = bob_minima(xy)
     assert outside.sum() >= 2000
     assert mu.min() >= 0.0
     assert vals.max() <= 1e-15
