@@ -3,10 +3,10 @@
 `alice_scan` serves the product oracle: it walks a grid of Alice's states
 only and solves Bob's side exactly (see the section below), and it stops
 at the first state whose Bob ellipse holds the origin, which needs no
-Newton solve; `bob_response` then builds the winner's Bob vector from one
-SVD.  `product_scan`, the 4-D Bloch-angle grid scan described next, no
-longer serves the oracle; it stays as the 4-D reference that the
-benchmark times and the tests pin.
+Newton solve.  It returns the winner's value, its angles and Bob's Bloch
+vector for it, built from one SVD.  `product_scan`, the 4-D Bloch-angle
+grid scan described next, no longer serves the oracle; it stays as the
+4-D reference that the benchmark times and the tests pin.
 
 A single-qubit state s = (cos t/2, e^{ip} sin t/2) has s s^dag =
 sum_mu r_mu sigma_mu with the real Bloch row r = (1, sin t cos p,
@@ -129,8 +129,6 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 _RESPONSE_MAP = (
     _PAULI_PAIRS[[4 * mu + nu for nu in (0, 1, 2, 3, 1, 2) for mu in range(4)]] / 2
 )
-# Newton's stand-in (square roots of s q^2) for the columns it does not solve
-_STAND_IN = np.array([[2.0], [0.0]])
 # An outside column whose inside test q_1 s_2 + q_2 s_1 <= s_1 s_2 fails by
 # less than this factor may have -p on the rim up to rounding; there Newton
 # can end at mu = 0 (a first step below 0 is clamped) and return exactly
@@ -208,47 +206,49 @@ def _bob_setup(xy):
 
 def _newton(vals, mu, ellipse):
     """(min, mu) per column from `_bob_setup`'s output: Newton on the
-    outside columns.
+    outside columns, written back into vals and mu.
 
     mu is 0 inside the ellipse and the root above outside it (on a segment,
     the lower bracket, which is the root there), so mu >= 0, and 0 outside
-    only where rounding puts -p on the rim; `bob_response` builds n_b from
-    it.  Every column goes through the same array operations: in the
-    columns that need no root, Newton runs on a stand-in whose start is its
-    root (s = (1, 1), s q^2 = (4, 0)), and they keep their setup values.
+    only where rounding puts -p on the rim; `_bob_vector` builds n_b from it.
     """
     todo, s, q, root = ellipse
-    ss = np.where(todo, s, 1.0)
-    root = np.where(todo, root, _STAND_IN)
-    m = np.where(todo, mu, 1.0)
+    # compress keeps the rows contiguous, which s[:, todo] does not
+    s, q, root = (a.compress(todo, axis=1) for a in (s, q, root))
+    m = mu[todo]
     for _ in range(_NEWTON_CAP):
-        t = 1.0 / (ss + m)
+        t = 1.0 / (s + m)
         v = root * t
         v *= v
         total = v[0] + v[1]
         v *= t
         step = total * (np.sqrt(total) - 1.0) / (v[0] + v[1])
         m += step
-        if total.max() <= 1.0 + _NEWTON_TOL:
+        if total.max(initial=0.0) <= 1.0 + _NEWTON_TOL:
             break
     # a rim column that rounding calls outside can take a first step below 0;
     # at mu = 0 it reads 0, as the rim point does
     np.maximum(m, 0.0, out=m)
     # the distance sqrt(sum q_i (mu / (s_i + mu))^2), q holding the squared
     # coordinates; mu / (s_i + mu) <= 1 cannot overflow
-    t = m / (ss + m)
+    t = m / (s + m)
     t *= t
     t *= q
-    return np.where(todo, np.sqrt(t[0] + t[1]), vals), np.where(todo, m, mu)
+    vals[todo] = np.sqrt(t[0] + t[1])
+    mu[todo] = m
+    return vals, mu
 
 
 def alice_scan(w, theta, phi):
     """Min over Alice's grid of Bob's exact best response to each state.
 
-    Returns (value, linear_index, mu) with the linear index running
-    row-major over (i_theta, j_phi) and mu the winning state's root, which
-    `bob_response` takes; exact ties go to the lowest index.  A block holds
-    at most _ALICE_BLOCK states and always at least one whole theta row.
+    Returns (value, angles, n_b): the winning state's (theta, phi) as a
+    2-array and Bob's unit Bloch vector for it.  The winner is the first
+    minimum in row-major order over (i_theta, j_phi), so exact ties go to
+    the lowest index.  A block holds at most _ALICE_BLOCK states and always
+    at least one whole theta row.  w must be finite (a NaN fails in the
+    SVD of Bob's map): `oracle.min_over_product_states` checks both gates
+    before it scans.
 
     A block whose setup holds a 0 (a column inside its ellipse, or a
     segment that reaches the origin) runs no Newton step: it answers with
@@ -256,8 +256,7 @@ def alice_scan(w, theta, phi):
     strictly below 0.  Newton would pick the same column: an outside
     column reaches 0.0 only when rounding puts -p on the rim, and a block
     with such a `near` column ahead of its first zero runs Newton.  The
-    scan also ends at a 0 from Newton.  A NaN in w makes every column
-    NaN, which takes Newton's path.
+    scan also ends at a 0 from Newton.
     """
     form = _response_form(w)
     theta = np.asarray(theta, dtype=float)
@@ -268,24 +267,17 @@ def alice_scan(w, theta, phi):
         rows = _bloch_rows(theta[start : start + per_block], phi)
         vals, mu, near, ellipse = _bob_setup(form @ rows.T)
         k = int(vals.argmin())  # ties resolve to the lower index
-        if vals[k] == 0.0 and not near[:k].any():
-            return float(vals[k]), start * n_phi + k, float(mu[k])
-        vals, mu = _newton(vals, mu, ellipse)
-        k = int(vals.argmin())
+        if vals[k] != 0.0 or near[:k].any():
+            vals, mu = _newton(vals, mu, ellipse)
+            k = int(vals.argmin())
         if vals[k] < best:  # strict: earlier blocks win ties
             best, best_lin, best_mu = float(vals[k]), start * n_phi + k, float(mu[k])
             if best == 0.0:
                 break
-    return best, best_lin, best_mu
-
-
-def bob_response(w, theta, phi, mu) -> np.ndarray:
-    """Bob's unit Bloch vector minimizing |<a x b| w |a x b>|, a = s(theta, phi).
-
-    mu is the state's root from `alice_scan`; `_bob_vector` builds the
-    vector from one SVD of Bob's map.
-    """
-    return _bob_vector(_response_form(w) @ _bloch_rows([theta], [phi])[0], mu)
+    i, j = divmod(best_lin, n_phi)
+    angles = np.array([theta[i], phi[j]])
+    n_b = _bob_vector(form @ _bloch_rows(angles[:1], angles[1:])[0], best_mu)
+    return best, angles, n_b
 
 
 def _bob_vector(xy, mu) -> np.ndarray:

@@ -105,18 +105,13 @@ def _factor(psi) -> tuple[np.ndarray, np.ndarray]:
     significant component of `a` real and nonnegative."""
     amp = psi.reshape(2, 2)
     row = int((np.abs(amp) ** 2).sum(axis=1).argmax())
-    b = amp[row] / _norm(amp[row])
+    b = amp[row] / np.linalg.norm(amp[row])
     a = amp @ b.conj()
-    a = a / _norm(a)
+    a = a / np.linalg.norm(a)
     # gauge: rotate the first significant component of `a` to the real axis
     lead = int((np.abs(a) > 1e-9).argmax())
     phase = a[lead] / abs(a[lead])
     return a * phase.conjugate(), b * phase
-
-
-def _norm(v) -> float:
-    """np.linalg.norm of a complex vector: its dot products, not its overhead."""
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def error_probability(fid: float, p1: float, p2: float) -> float:

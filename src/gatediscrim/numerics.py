@@ -98,10 +98,13 @@ def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
     `stack` is a (k, 4, 4) complex array; errors[i] is the NotUnitaryError
     that gates[i], called names[i], fails with (not a 4x4 matrix of
     numbers, or not unitary within `tol`), else None.  A failing gate
-    enters `stack` as NaN.  `tol` must be finite and > 0 (DomainError).
+    enters `stack` as NaN.  `tol` must be finite and > 0, and `names` at
+    least as long as `gates` (DomainError).
     """
     require_positive(tol)
     arrs = [_complex_array(g) for g in gates]
+    if len(names) < len(arrs):
+        raise DomainError(f"{len(arrs)} gates but only {len(names)} names")
     stack = np.array([a if a.shape == (4, 4) else _NAN44 for a in arrs])
     errors = [None] * len(arrs)
     for i, r in enumerate(unitarity_residual(stack).tolist()):

@@ -6,11 +6,13 @@ phases; only the product search's probe record goes through the one
 product-state search fixes Alice's factor on a Bloch-angle grid with
 deterministic refinement and solves Bob's factor exactly for each of her
 states: <a x b|W|a x b> is affine in Bob's Bloch vector, so his best
-response is a point-to-ellipse distance (see `_kernels`).  The all-states
-optimum, exact from the eigenvalues of u1^dag u2 (a normal matrix's
-numerical range is their convex hull), ends the refinement once reached;
-`helstrom_simulate` samples the measurement's confusion counts.  They can
-therefore confirm (or refute) the analytic pipeline.
+response is a point-to-ellipse distance (see `_kernels`).  Each scan
+returns its winner's angles and Bob's Bloch vector for that state, and the
+probe is built from the best scan's pair.  The all-states optimum, exact
+from the eigenvalues of u1^dag u2 (a normal matrix's numerical range is
+their convex hull), ends the refinement once reached; `helstrom_simulate`
+samples the measurement's confusion counts.  They can therefore confirm
+(or refute) the analytic pipeline.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .numerics import TWO_PI
 SHRINK_FACTOR = 0.25
 # a refinement window's 9 points, in half-widths from its center
 _STEPS = np.linspace(-1.0, 1.0, 9)
-_AXES = np.arange(2)
 # the product search stops once within this of the all-states optimum: both
 # are at most 1 and good to a few ulps, but come from different arithmetic
 _FLOOR_SLACK = 8.0 * float(np.finfo(float).eps)
@@ -93,16 +94,12 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     # other commands do not load the kernels
     from . import _kernels
 
-    cfg = SearchConfig() if cfg is None else cfg
-    if not isinstance(cfg, SearchConfig):
-        raise DomainError(f"cfg must be a SearchConfig or None, got {cfg!r}")
+    cfg = _search_config(cfg)
     u1, u2 = numerics.require_gates((u1, u2))
     w = u1.conj().T @ u2
     theta = np.linspace(0.0, math.pi, cfg.grid_steps)
     phi = np.linspace(0.0, TWO_PI, cfg.grid_steps, endpoint=False)
-    val, lin, mu = _kernels.alice_scan(w, theta, phi)
-    i, j = divmod(lin, len(phi))
-    center = np.array([theta[i], phi[j]])
+    val, center, nb = _kernels.alice_scan(w, theta, phi)
     spacing = np.array([math.pi / (cfg.grid_steps - 1), TWO_PI / cfg.grid_steps])
     floor = _range_min(np.linalg.eigvals(w).tolist())[0] if val > 0.0 else 0.0
     for r in range(cfg.refinement_rounds):
@@ -111,15 +108,22 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
         # row 0 is the theta window, kept in [0, pi]; row 1 the phi window
         window = center[:, None] + (spacing * SHRINK_FACTOR**r)[:, None] * _STEPS
         np.clip(window[0], 0.0, math.pi, out=window[0])
-        v2, lin2, mu2 = _kernels.alice_scan(w, *window)
-        if v2 < val:
-            val, mu = v2, mu2
-            center = window[_AXES, divmod(lin2, len(_STEPS))]
+        scan = _kernels.alice_scan(w, *window)
+        if scan[0] < val:
+            val, center, nb = scan
     ta, pa = center
     a = np.array([math.cos(0.5 * ta), math.sin(0.5 * ta) * np.exp(1j * pa)])
-    probe = _probe_from_kets(a, _ket(_kernels.bob_response(w, ta, pa, mu)))
+    probe = _probe_from_kets(a, _ket(nb))
     psi = probe.psi_computational
     return float(abs(psi.conj() @ w @ psi)), probe
+
+
+def _search_config(cfg) -> SearchConfig:
+    """cfg, or the default SearchConfig for None; DomainError otherwise."""
+    cfg = SearchConfig() if cfg is None else cfg
+    if not isinstance(cfg, SearchConfig):
+        raise DomainError(f"cfg must be a SearchConfig or None, got {cfg!r}")
+    return cfg
 
 
 def _ket(n) -> np.ndarray:
@@ -139,9 +143,10 @@ def min_over_all_states(u1, u2, cfg: SearchConfig | None = None):
     non-degenerate triangle of eigenvalues contains the origin, and otherwise
     the least origin-to-segment distance over the eigenvalue pairs; psi mixes
     the eigenvectors involved with the square roots of the barycentric or
-    segment weights.  `cfg` is ignored: there is nothing to tune.  Returns
-    (value, psi).
+    segment weights.  There is nothing to tune: `cfg` is checked as
+    `min_over_product_states` checks it, and not used.  Returns (value, psi).
     """
+    _search_config(cfg)
     u1, u2 = numerics.require_gates((u1, u2))
     lam, vecs = np.linalg.eig(u1.conj().T @ u2)
     # eig need not return orthogonal vectors for a repeated eigenvalue; QR

@@ -77,6 +77,7 @@ def test_check_weyl_rejections():
     for bad in [
         (0.1, 0.2, 0.3),
         (0.3, 0.1, 0.2),
+        (0.1, 0.2, 0.05),
         (1.0, 0.2, 0.1),
         (0.3, 0.2, -0.1),
         # NaN passes every ordering comparison

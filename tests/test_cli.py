@@ -219,10 +219,20 @@ def _identity_rows_with_bools() -> str:
         ),
         lambda tmp: _write_bytes(tmp / "not_utf8.json", b"\xff\xfe\x00bad"),
         lambda tmp: _write(tmp / "deep.json", "[" * 100000 + "]" * 100000),
+        lambda tmp: _write(tmp / "top_list.json", "[1, 2]"),
+        lambda tmp: _write(
+            tmp / "label_number.json", '{"kind": "alpha", "alpha": [0, 0, 0], "label": 3}'
+        ),
+        lambda tmp: _write(tmp / "kind_unknown.json", '{"kind": "pauli"}'),
+        lambda tmp: _write(tmp / "rows_text.json", '{"kind": "matrix", "rows": "I"}'),
+        lambda tmp: _write(
+            tmp / "rows_ragged.json", '{"kind": "matrix", "rows": [[[1, 0]], []]}'
+        ),
     ],
     ids=[
         "infinity", "1e400", "int400", "09", "10", "11", "bool_cell", "bool_alpha",
-        "not_utf8", "deep",
+        "not_utf8", "deep", "top_list", "label_number", "kind_unknown", "rows_text",
+        "rows_ragged",
     ],
 )
 def test_rejected_gate_file_gives_one_line(tmp_path, make):

@@ -41,6 +41,7 @@ def test_arc_spread_values():
     assert arc_spread([0.0, PI / 3, PI / 6, PI / 4]) == pytest.approx(PI / 3)
     assert arc_spread([0.0, PI, 0.0, PI]) == pytest.approx(PI)
     assert arc_spread([0.7, 0.7, 0.7, 0.7]) == pytest.approx(0.0)
+    assert arc_spread([0.7]) == 0.0
     assert arc_spread([0.0, PI / 2, PI, -PI / 2]) == pytest.approx(1.5 * PI)
 
 

@@ -78,3 +78,17 @@ def test_svg_draws_from_geometry_alone():
             imported.update(alias.name.split(".")[-1] for alias in node.names)
     assert "geometry" in imported
     assert not imported & {"discrimination", "files"}
+
+
+def test_oracle_reads_only_the_scan_from_kernels():
+    # the scan returns its winning state whole, angles and Bob's vector: the
+    # oracle decodes no grid index and hands no root back to the kernels
+    tree = ast.parse((Path(gatediscrim.__file__).parent / "oracle.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "_kernels":
+                used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "_kernels":
+            used.update(alias.name for alias in node.names)
+    assert used == {"alice_scan"}

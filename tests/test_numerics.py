@@ -190,6 +190,13 @@ def test_check_gates_converts_each_gate_once():
     assert np.isnan(stack[0]).all() and (stack[1] == ID4).all()
 
 
+def test_check_gates_needs_a_name_per_gate():
+    # the default names cover a pair; a third gate has no name to report
+    with pytest.raises(DomainError, match="3 gates but only 2 names"):
+        numerics.check_gates([ID4, ID4, "x"], 1e-8)
+    assert numerics.check_gates([ID4] * 3, 1e-8, ["a", "b", "c"])[1] == [None] * 3
+
+
 def test_random_su2(rng):
     for _ in range(25):
         u = random_su2(rng)

@@ -72,10 +72,12 @@ def test_product_search_takes_none_or_a_search_config():
     assert oracle.min_over_product_states(ID4, u2, None)[0] == (
         oracle.min_over_product_states(ID4, u2, oracle.SearchConfig())[0]
     )
-    # a falsy value is no request for the default
+    # a falsy value is no request for the default; the exact search, which
+    # has nothing to tune, takes the same values
     for cfg in ("x", 0, False, 32, oracle.SearchConfig):
-        with pytest.raises(DomainError, match="cfg must be a SearchConfig or None"):
-            oracle.min_over_product_states(ID4, u2, cfg)
+        for search in (oracle.min_over_product_states, oracle.min_over_all_states):
+            with pytest.raises(DomainError, match="cfg must be a SearchConfig or None"):
+                search(ID4, u2, cfg)
 
 
 def test_product_search_matches_analytic_examples():
@@ -559,9 +561,8 @@ def test_bob_minima_rows_against_the_bloch_grid(rng):
     # the chord is at most the path along the meridian and then the parallel
     radius = 0.5 * (tb[1] - tb[0]) + 0.5 * (pb[1] - pb[0])
     for name, w in _row_gates(rng).items():
-        vals, mu = bob_minima(
-            _kernels._response_form(w) @ _kernels._bloch_rows(ta, pa).T
-        )
+        xy = _kernels._response_form(w) @ _kernels._bloch_rows(ta, pa).T
+        vals, mu = bob_minima(xy)
         assert vals.shape == mu.shape == (63,)
         for k, (t, f) in enumerate((t, f) for t in ta for f in pa):
             grid_min, _ = ref_bloch_scan(w, [t], [f], tb, pb)
@@ -569,7 +570,7 @@ def test_bob_minima_rows_against_the_bloch_grid(rng):
             lipschitz = np.linalg.norm(np.stack([m.real, m.imag]), 2)
             assert vals[k] <= grid_min + 1e-15, (name, k)
             assert vals[k] >= grid_min - lipschitz * radius - 1e-15, (name, k)
-            n = _kernels.bob_response(w, t, f, mu[k])
+            n = _kernels._bob_vector(xy[:, k], mu[k])
             assert abs(np.linalg.norm(n) - 1.0) <= 1e-15
             assert abs(abs(p + m @ n) - vals[k]) <= 1e-12, (name, k)
         if name == "identity":
@@ -650,14 +651,18 @@ def test_alice_scan_never_above_the_4d_grid(rng):
     theta = np.linspace(0.0, PI, 32)
     phi = np.linspace(0.0, 2 * PI, 32, endpoint=False)
     for w in _row_gates(rng).values():
-        val, lin, _ = _kernels.alice_scan(w, theta, phi)
+        val, angles, n_b = _kernels.alice_scan(w, theta, phi)
         assert val <= _kernels.product_scan(w, theta, phi, theta, phi)[0] + 1e-15
-        # the index decodes to a state whose exact value is the one returned
-        i, j = divmod(lin, len(phi))
+        # the angles are a grid state whose exact value is the one returned,
+        # and Bob's vector reaches it
+        assert angles[0] in theta and angles[1] in phi
         vals, _ = bob_minima(
-            _kernels._response_form(w) @ _kernels._bloch_rows([theta[i]], [phi[j]]).T
+            _kernels._response_form(w) @ _kernels._bloch_rows(angles[:1], angles[1:]).T
         )
         assert vals[0] == val
+        p, m = _bob_affine(w, *angles)
+        assert abs(np.linalg.norm(n_b) - 1.0) <= 1e-15
+        assert abs(abs(p + m @ n_b) - val) <= 1e-12
 
 
 def test_alice_scan_blocks_keep_the_lowest_index(rng, monkeypatch):
@@ -675,10 +680,31 @@ def test_alice_scan_blocks_keep_the_lowest_index(rng, monkeypatch):
         first = int(np.argmin(vals))
         for block in (1, 13, 20, 40, 2**10):
             monkeypatch.setattr(_kernels, "_ALICE_BLOCK", block)
-            val, lin, mu = _kernels.alice_scan(w, theta, phi)
-            assert (val, lin, mu) == (float(vals[first]), first, float(mus[first]))
-    assert _kernels.alice_scan(ID4, theta, phi)[:2] == (1.0, 0)
-    assert _kernels.alice_scan(np.zeros((4, 4)), theta, phi)[:2] == (0.0, 0)
+            _assert_scan_returns(w, theta, phi, float(vals[first]), first, mus[first])
+    for w, val in ((ID4, 1.0), (np.zeros((4, 4)), 0.0)):
+        got = _kernels.alice_scan(w, theta, phi)
+        assert (got[0], got[1].tolist()) == (val, [0.0, 0.0])
+
+
+def _assert_scan_returns(w, theta, phi, val, lin, mu):
+    """`alice_scan` returns val, the angles of the grid state at row-major
+    index lin, and Bob's vector built from them and the root mu as the
+    scan builds it."""
+    i, j = divmod(lin, len(phi))
+    angles = np.array([theta[i], phi[j]])
+    xy = _kernels._response_form(w) @ _kernels._bloch_rows(angles[:1], angles[1:])[0]
+    got = _kernels.alice_scan(w, theta, phi)
+    assert got[0] == val
+    assert got[1].tolist() == angles.tolist()
+    assert got[2].tolist() == _kernels._bob_vector(xy, mu).tolist()
+
+
+def _scan_matches_blocks(w, theta, phi):
+    """`_scan_by_blocks`' (value, index, mu), which `alice_scan` is seen to
+    return as value, angles and Bob vector."""
+    ref = _scan_by_blocks(w, theta, phi)
+    _assert_scan_returns(w, theta, phi, *ref)
+    return ref
 
 
 def _scan_by_blocks(w, theta, phi):
@@ -711,7 +737,7 @@ def _rim_gates():
 
 def test_alice_scan_stops_at_the_first_zero_exactly(rng):
     # the scan that skips Newton once a block holds an exact zero returns
-    # what Newton on every block returns, value, index and mu alike
+    # what Newton on every block returns: value, state and Bob vector alike
     draw = np.random.default_rng(2020)
     gates = list(_row_gates(rng).values())
     for _ in range(20):
@@ -726,8 +752,7 @@ def test_alice_scan_stops_at_the_first_zero_exactly(rng):
         theta = np.linspace(0.0, PI, steps)
         phi = np.linspace(0.0, 2 * PI, steps, endpoint=False)
         for w in gates:
-            ref = _scan_by_blocks(w, theta, phi)
-            assert _kernels.alice_scan(w, theta, phi) == ref
+            ref = _scan_matches_blocks(w, theta, phi)
             first_block = _kernels._ALICE_BLOCK // steps * steps
             late += ref[0] == 0.0 and ref[1] >= first_block
     assert late >= 3  # first zeros after the 100^2 grid's first block
@@ -736,8 +761,7 @@ def test_alice_scan_stops_at_the_first_zero_exactly(rng):
     phi = np.linspace(0.0, 2 * PI, 32, endpoint=False)
     newton_zeros = 0
     for w in _rim_gates():
-        ref = _scan_by_blocks(w, theta, phi)
-        assert _kernels.alice_scan(w, theta, phi) == ref
+        ref = _scan_matches_blocks(w, theta, phi)
         xy = _kernels._response_form(w) @ _kernels._bloch_rows(theta, phi).T
         first_set_up = int(np.argmin(_kernels._bob_setup(xy)[0]))
         newton_zeros += ref[0] == 0.0 and ref[1] < first_set_up
@@ -772,8 +796,7 @@ def test_bob_minima_keep_mu_at_least_zero_on_the_rim():
     theta = np.linspace(0.0, PI, 40)
     phi = np.linspace(0.0, 2 * PI, 24, endpoint=False)
     for w in _rim_gates():
-        ref = _scan_by_blocks(w, theta, phi)
-        assert _kernels.alice_scan(w, theta, phi) == ref
+        ref = _scan_matches_blocks(w, theta, phi)
         assert ref[2] >= 0.0
 
 
@@ -806,7 +829,8 @@ def test_alice_scan_skips_newton_after_a_zero(monkeypatch):
     phi = np.linspace(0.0, 2 * PI, 100, endpoint=False)
     log = _log_scan_work(monkeypatch)
     w = canonical.from_magic_phases(np.array([0.0, 1.0, 2.0, 4.0]))
-    assert _kernels.alice_scan(w, theta, phi)[:2] == (0.0, 1200)
+    val, angles, _ = _kernels.alice_scan(w, theta, phi)
+    assert (val, angles.tolist()) == (0.0, [theta[12], phi[0]])
     assert log == ["outside", "newton", "zero"]
     log.clear()
     w = canonical.from_magic_phases(np.array([0.0, 0.3, 0.6, 0.9]))
@@ -818,7 +842,8 @@ def test_alice_scan_skips_newton_after_a_zero(monkeypatch):
     phi = np.linspace(0.0, 2 * PI, 32, endpoint=False)
     for w in _rim_gates():
         log.clear()
-        if _kernels.alice_scan(w, theta, phi)[:2] == (0.0, 0) and log[0] == "outside":
+        val, angles, _ = _kernels.alice_scan(w, theta, phi)
+        if (val, angles.tolist()) == (0.0, [0.0, 0.0]) and log[0] == "outside":
             break
     assert log == ["outside", "newton"]
 
@@ -922,17 +947,16 @@ def _full_refinement(w, cfg) -> list:
     # value after the coarse scan and after each round
     theta = np.linspace(0.0, PI, cfg.grid_steps)
     phi = np.linspace(0.0, 2 * PI, cfg.grid_steps, endpoint=False)
-    val, lin, _ = _kernels.alice_scan(w, theta, phi)
-    center = np.array([theta[lin // len(phi)], phi[lin % len(phi)]])
+    val, center, _ = _kernels.alice_scan(w, theta, phi)
     spacing = np.array([PI / (cfg.grid_steps - 1), 2 * PI / cfg.grid_steps])
     steps = np.linspace(-1.0, 1.0, 9)
     vals = [val]
     for r in range(cfg.refinement_rounds):
         window = center[:, None] + (spacing * oracle.SHRINK_FACTOR**r)[:, None] * steps
         window[0] = np.clip(window[0], 0.0, PI)
-        v2, lin2, _ = _kernels.alice_scan(w, *window)
+        v2, angles, _ = _kernels.alice_scan(w, *window)
         if v2 < val:
-            val, center = v2, window[[0, 1], [lin2 // 9, lin2 % 9]]
+            val, center = v2, angles
         vals.append(val)
     return vals
 
@@ -979,7 +1003,6 @@ def test_product_search_checks_gates_before_scanning(monkeypatch):
         raise AssertionError("a gate must be checked before any scan")
 
     monkeypatch.setattr(_kernels, "alice_scan", forbidden)
-    monkeypatch.setattr(_kernels, "bob_response", forbidden)
     bad = [ID4.copy() for _ in range(3)]
     bad[0][1, 2] = math.nan
     bad[1][0, 0] = math.inf
