@@ -3,6 +3,9 @@
 Gate inputs come in two kinds: an explicit matrix ({"kind": "matrix",
 "rows": 4x4 of [re, im] pairs}) or an interaction vector ({"kind":
 "alpha", "alpha": [ax, ay, az]}) that is expanded through `build_ud`.
+The reader checks the file's layout only: the rows' numbers pass
+`numerics`' real-number check, the alpha `build_ud`'s checks and the
+matrix the gate check, and every error names the file.
 Documents written here serialize floats with Python repr semantics, so a
 parse/render cycle is byte-idempotent and numbers round-trip losslessly.
 `header` builds the kind/tool/version keys that open every report written.
@@ -44,36 +47,14 @@ def floats(v) -> list[float]:
     return [float(x) for x in np.asarray(v, dtype=float).ravel()]
 
 
-def _as_complex_matrix(rows) -> np.ndarray:
-    """`rows` as a complex matrix of any shape; the gate check judges that."""
-    if (
-        not isinstance(rows, list)
-        or not rows
-        or not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
-    ):
-        raise DomainError("matrix file needs a list of rows of equal length")
-    out = np.empty((len(rows), len(rows[0])), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(x, float) for x in cell)
-            ):
-                raise DomainError(
-                    f"matrix entry ({i},{j}) must be a [re, im] pair"
-                )
-            out[i, j] = complex(cell[0], cell[1])
-    return out
-
-
 def load_matrix_file(path, tol: float = numerics.GATE_TOL) -> LoadedGate:
     """Read a gate file; raises DomainError with a specific message on any
     malformed content, out-of-chamber alpha or bad `tol`, and NotUnitaryError
     for a gate that is not a 4x4 unitary within `tol`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # integers as floats (too large ones become inf); a bool is no float
+            # integers as floats: int() refuses more than 4300 digits with a
+            # bare ValueError, while float() makes them inf
             doc = json.load(fh, parse_int=float)
     except OSError as err:
         raise DomainError(f"cannot read {path}: {err}") from err
@@ -88,13 +69,17 @@ def load_matrix_file(path, tol: float = numerics.GATE_TOL) -> LoadedGate:
     if not isinstance(label, str):
         raise DomainError(f"{path}: label must be a string")
     if kind == "matrix":
-        m = _as_complex_matrix(doc.get("rows"))
+        pairs = numerics._real_array(doc.get("rows"), f"{path}: rows")
+        if pairs.ndim != 3 or pairs.shape[-1] != 2:
+            raise DomainError(f"{path}: rows must be rows of [re, im] pairs")
+        # exact: each (re, im) pair of floats is one complex in memory
+        m = pairs.view(complex)[..., 0]
     elif kind == "alpha":
-        a = doc.get("alpha")
-        if not isinstance(a, list) or not all(isinstance(x, float) for x in a):
-            raise DomainError(f"{path}: alpha must be a list of 3 numbers")
-        # build_ud checks the entry count, finiteness and the chamber
-        m = canonical.build_ud(a)
+        # build_ud checks the numbers, their count, finiteness and the chamber
+        try:
+            m = canonical.build_ud(doc.get("alpha"))
+        except DomainError as err:
+            raise DomainError(f"{path}: alpha: {err}") from err
     else:
         raise DomainError(f"{path}: kind must be 'matrix' or 'alpha', got {kind!r}")
     m = numerics.require_gates([m], tol, [f"{path}: {kind}"])[0]

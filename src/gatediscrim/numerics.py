@@ -9,7 +9,9 @@ gates, finite real vectors, real numbers, unit-norm amplitudes, positive
 tolerances, priors and counts.  NaN fails each of them, and each raises a
 `DomainError` subclass, never a numpy error or warning.  Every gate
 check, `is_unitary` included, goes through `check_gates`: a gate is a 4x4
-matrix, converted once.  It names the tolerances other modules read:
+matrix, converted once.  Every array of real numbers, a gate file's rows
+included, goes through `_real_array`.  `wrap_angle` has one formula, run
+angle by angle on an array.  It names the tolerances other modules read:
 GATE_TOL, VERDICT_TOL.
 """
 
@@ -45,30 +47,25 @@ PAIR_NAMES = ("first gate", "second gate")
 # stands in for a gate that is no array of numbers; its shape is no gate's
 _NOT_NUMBERS = np.full((), np.nan, dtype=complex)
 
-# wrap_angle's shift for r <= -pi, for -pi < r <= pi and for r > pi
-_WRAP_EDGES = np.array([-math.pi, math.pi])
-_WRAP_SHIFTS = np.array([TWO_PI, 0.0, -TWO_PI])
-
 
 def wrap_angle(theta):
     """Map an angle or array of angles to the interval (-pi, pi].
 
     Exact: an angle already in the interval comes back unchanged (-0.0 as
     0.0), and any other angle moves by a whole number of turns of TWO_PI.
+    NaN and the infinities give NaN, with no warning.  An array is wrapped
+    angle by angle, and a 0-d array comes back as a float.
     """
+    if not isinstance(theta, float):
+        t = np.asarray(theta, dtype=float)
+        if t.ndim == 0:
+            return wrap_angle(float(t))
+        return np.array([wrap_angle(x) for x in t.ravel().tolist()]).reshape(t.shape)
     # fmod is exact, and so is the shift by TWO_PI: the shifted value lies
     # within a factor of two of TWO_PI (Sterbenz); the zero shift of an
     # in-range angle turns -0.0 into 0.0
-    if isinstance(theta, float):
-        # one angle: the same steps in scalar arithmetic, without numpy's
-        # per-call cost; fmod of an infinity is NaN, as in numpy
-        r = math.fmod(theta, TWO_PI) if math.isfinite(theta) else math.nan
-        return r + (TWO_PI if r <= -math.pi else -TWO_PI if r > math.pi else 0.0)
-    r = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
-    out = r + _WRAP_SHIFTS[np.searchsorted(_WRAP_EDGES, r)]
-    if out.ndim == 0:
-        return float(out)
-    return out
+    r = math.fmod(theta, TWO_PI) if math.isfinite(theta) else math.nan
+    return r + (TWO_PI if r <= -math.pi else -TWO_PI if r > math.pi else 0.0)
 
 
 def unitarity_residual(m) -> np.ndarray:
@@ -138,9 +135,25 @@ def require_gates(gates, tol: float = GATE_TOL, names=PAIR_NAMES) -> np.ndarray:
 
 
 def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
-    """`v` flattened to floats; DomainError unless it is an array of real
-    numbers (no complex, bool, string, object or ragged input) holding
-    `size` entries (at least one when `size` is None), every one finite."""
+    """`v` flattened to floats; DomainError unless `_real_array` takes it
+    and it holds `size` entries (at least one when `size` is None), every
+    one finite."""
+    a = _real_array(v, what).ravel()
+    if size is None and a.size == 0:
+        raise DomainError(f"{what} must not be empty")
+    if size is not None and a.shape != (size,):
+        raise DomainError(f"{what} must have {size} entries, got {a.shape}")
+    # a few entries per call: scalar checks beat the ufunc round trip
+    vals = a.tolist()
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"{what} must be finite, got {vals}")
+    return a
+
+
+def _real_array(v, what: str) -> np.ndarray:
+    """`v` as a float array of its own shape; DomainError unless it is an
+    array of real numbers: no complex, bool, string, object or ragged
+    input.  NaN and the infinities pass."""
     try:
         a = np.asarray(v)
     except ValueError:  # a ragged sequence, which older numpy made an object array
@@ -151,16 +164,7 @@ def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
     # dtype already tells, so only list and tuple input is scanned
     if isinstance(v, (list, tuple)) and _holds_bool(v):
         raise DomainError(f"{what} must be real numbers, got bool")
-    a = a.astype(float, copy=False).ravel()
-    if size is None and a.size == 0:
-        raise DomainError(f"{what} must not be empty")
-    if size is not None and a.shape != (size,):
-        raise DomainError(f"{what} must have {size} entries, got {a.shape}")
-    # a few entries per call: scalar checks beat the ufunc round trip
-    vals = a.tolist()
-    if not all(map(math.isfinite, vals)):
-        raise DomainError(f"{what} must be finite, got {vals}")
-    return a
+    return a.astype(float, copy=False)
 
 
 def _holds_bool(v) -> bool:
@@ -174,9 +178,13 @@ def _holds_bool(v) -> bool:
 
 
 def require_normalized(v, name: str = "state"):
-    """`v` as 4 complex amplitudes; DomainError for another entry count,
-    NotNormalizedError unless |v|^2 = 1 +- NORM_TOL."""
-    v = np.asarray(v, dtype=complex).ravel()
+    """`v` as 4 complex amplitudes; DomainError for what numpy cannot
+    convert or another entry count, NotNormalizedError unless
+    |v|^2 = 1 +- NORM_TOL."""
+    v = _complex_array(v)
+    if v is _NOT_NUMBERS:
+        raise DomainError(f"{name} must be an array of numbers")
+    v = v.ravel()
     if v.shape != (4,):
         raise DomainError(f"{name} must have 4 entries, got {v.shape}")
     return _unit_norm(v, NORM_TOL, name)

@@ -365,8 +365,17 @@ def ref_product_scan(w, ta, pa, tb, pb):
 
 # --- reference Bloch-form scan -----------------------------------------------
 # The Bloch-form scan in fixed blocks of 64 A-grid rows: two real 4-column
-# matmuls and a squared modulus per block.  tests/test_oracle.py holds the
-# kernel, whose blocks follow the B-grid size, to it index for index.
+# matmuls and a squared modulus per block, on a Pauli form built from its
+# own Pauli list.  tests/test_oracle.py holds the kernel, whose blocks
+# follow the B-grid size, to it index for index.
+
+
+_REF_PAULIS = [
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+]
 
 
 def ref_bloch_scan(w, ta, pa, tb, pb):
@@ -375,7 +384,10 @@ def ref_bloch_scan(w, ta, pa, tb, pb):
     Returns (value, linear_index) with the linear index running row-major
     over (i_ta, j_pa, k_tb, l_pb).
     """
-    t = _kernels._pauli_form(w)
+    w = np.asarray(w, dtype=complex)
+    t = np.array(
+        [[np.trace(w @ np.kron(s, r)) for r in _REF_PAULIS] for s in _REF_PAULIS]
+    )
     rows_a = _kernels._bloch_rows(ta, pa)
     a_re, a_im = rows_a @ t.real, rows_a @ t.imag
     rb = np.ascontiguousarray(_kernels._bloch_rows(tb, pb).T)

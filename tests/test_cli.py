@@ -102,15 +102,22 @@ def test_discriminate_identical_gates(capsys):
     assert doc["error_probability"] == pytest.approx(0.5)
 
 
-def test_discriminate_error_messages(capsys):
+def test_discriminate_error_messages(capsys, tmp_path):
     _, _, err = run_main(capsys, "discriminate", g("01"), g("08"))
     assert "decompose" in err  # points the user at the right tool
     _, _, err = run_main(capsys, "discriminate", g("01"), g("09"))
-    assert "not unitary" in err
+    assert "not unitary" in err and "09_nonunitary.json" in err
     _, _, err = run_main(capsys, "discriminate", g("01"), g("10"))
     assert "not valid JSON" in err
     _, _, err = run_main(capsys, "discriminate", g("01"), g("11"))
-    assert "violated" in err
+    assert "violated" in err and "11_bad_alpha.json: alpha:" in err
+    for name, text in [
+        ("bool_cell", _identity_rows_with_bools()),
+        ("string_cell", _identity_rows_with('"1"')),
+    ]:
+        bad = _write(tmp_path / f"{name}.json", text)
+        _, _, err = run_main(capsys, "discriminate", g("01"), bad)
+        assert err.startswith(f"error: {bad}: rows must be real numbers, got ")
     _, _, err = run_main(capsys, "discriminate", g("01"), "no_such_file.json")
     assert "cannot read" in err
 
@@ -210,10 +217,12 @@ def _identity_rows_with_bools() -> str:
         lambda tmp: _write(tmp / "inf.json", _identity_rows_with("Infinity")),
         lambda tmp: _write(tmp / "1e400.json", _identity_rows_with("1e400")),
         lambda tmp: _write(tmp / "int400.json", _identity_rows_with("1" + "0" * 400)),
+        lambda tmp: _write(tmp / "int5000.json", _identity_rows_with("1" + "0" * 5000)),
         lambda tmp: g("09"),
         lambda tmp: g("10"),
         lambda tmp: g("11"),
         lambda tmp: _write(tmp / "bool_cell.json", _identity_rows_with_bools()),
+        lambda tmp: _write(tmp / "string_cell.json", _identity_rows_with('"1"')),
         lambda tmp: _write(
             tmp / "bool_alpha.json", '{"kind": "alpha", "alpha": [0.3, 0.0, false]}'
         ),
@@ -230,9 +239,9 @@ def _identity_rows_with_bools() -> str:
         ),
     ],
     ids=[
-        "infinity", "1e400", "int400", "09", "10", "11", "bool_cell", "bool_alpha",
-        "not_utf8", "deep", "top_list", "label_number", "kind_unknown", "rows_text",
-        "rows_ragged",
+        "infinity", "1e400", "int400", "int5000", "09", "10", "11", "bool_cell",
+        "string_cell", "bool_alpha", "not_utf8", "deep", "top_list", "label_number",
+        "kind_unknown", "rows_text", "rows_ragged",
     ],
 )
 def test_rejected_gate_file_gives_one_line(tmp_path, make):

@@ -138,7 +138,7 @@ def test_hull_vertex_groups_align():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("fn", [hull_of_phases, arc_spread])
 def test_non_finite_phases_rejected(fn, bad):
-    # rejected before wrap_angle, which would warn on inf
+    # a phase must be finite: NaN and inf are input errors, not angles
     with pytest.raises(DomainError):
         fn([bad, 0.0, 0.0, 0.0])
 

@@ -80,6 +80,24 @@ def test_svg_draws_from_geometry_alone():
     assert not imported & {"discrimination", "files"}
 
 
+def test_gate_files_keep_no_number_rule():
+    # a gate file's numbers pass the one real-number check in numerics; the
+    # reader checks the file's layout only
+    tree = ast.parse((Path(gatediscrim.__file__).parent / "files.py").read_text())
+    float_checks = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(
+            isinstance(n, ast.Name) and n.id == "float" for n in ast.walk(node.args[1])
+        )
+    ]
+    assert float_checks == []
+
+
 def test_oracle_reads_only_the_scan_from_kernels():
     # the scan returns its winning state whole, angles and Bob's vector: the
     # oracle decodes no grid index and hands no root back to the kernels

@@ -75,7 +75,7 @@ def test_wrap_angle_is_exact_in_range(rng):
 
 
 def test_wrap_angle_scalar_matches_array(rng):
-    # a float goes through math.fmod, an array through np.fmod: same bits
+    # an array is wrapped entry by entry: each entry's bits are the float's
     odd = (2 * np.arange(-200, 200) + 1) * np.pi
     ends = np.concatenate([odd + d * np.spacing(odd) for d in range(-4, 5)])
     t = np.concatenate(
@@ -88,6 +88,8 @@ def test_wrap_angle_scalar_matches_array(rng):
         assert got == expect and np.signbit(got) == np.signbit(expect)
     for bad in (math.nan, math.inf, -math.inf):
         assert math.isnan(wrap_angle(bad))
+    # and an array of them, with no numpy warning, which pytest makes an error
+    assert np.isnan(wrap_angle(np.array([math.inf, -math.inf, math.nan]))).all()
 
 
 def test_is_unitary():
@@ -376,6 +378,38 @@ def test_gate_entry_points_reject_non_numeric_gates(entry):
         with pytest.raises(NotUnitaryError, match=msg):
             call(g, None)
         assert not is_unitary(g), label
+
+
+# states numpy cannot convert to complex amplitudes
+NON_NUMERIC_STATES = {
+    "string": ["x", 0, 0, 0],
+    "ragged": [[1, 0], [0, 0, 0]],
+    "dict": {"u": [1, 0, 0, 0]},
+}
+
+# (call with the bad state s, the name the error must carry)
+STATE_ENTRY_POINTS = {
+    "concurrence": (lambda s: discrimination.concurrence(s), "magic amplitudes"),
+    "achieved_overlap": (
+        lambda s: discrimination.achieved_overlap(s, np.zeros(4)),
+        "magic amplitudes",
+    ),
+    "helstrom_simulate": (
+        lambda s: oracle.helstrom_simulate(
+            ID4, ID4, discrimination.ProbeState(_PROBE.u, s, _PROBE.concurrence)
+        ),
+        "probe",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(STATE_ENTRY_POINTS))
+def test_state_entry_points_reject_non_numeric_states(entry):
+    call, name = STATE_ENTRY_POINTS[entry]
+    msg = f"^{re.escape(name)} must be an array of numbers$"
+    for s in NON_NUMERIC_STATES.values():
+        with pytest.raises(DomainError, match=msg):
+            call(s)
 
 
 def test_extract_interaction_keeps_its_tolerance():
