@@ -9,10 +9,13 @@ gates, finite real vectors, real numbers, unit-norm amplitudes, positive
 tolerances, priors and counts.  NaN fails each of them, and each raises a
 `DomainError` subclass, never a numpy error or warning.  Every gate
 check, `is_unitary` included, goes through `check_gates`: a gate is a 4x4
-matrix, converted once.  Every array of real numbers, a gate file's rows
-included, goes through `_real_array`.  `wrap_angle` has one formula, run
-angle by angle on an array.  It names the tolerances other modules read:
-GATE_TOL, VERDICT_TOL.
+matrix, converted once.  Every array of numbers goes through one kind
+rule, `_numbers`: real arrays (a gate file's rows included) by way of
+`_real_array`, gates and amplitudes by way of `_complex_array`, which
+alone also takes complex numbers.  Neither takes a bool, string or object
+array, nor a list or tuple that holds a bool.  `wrap_angle` has one
+formula, run angle by angle on an array.  It names the tolerances other
+modules read: GATE_TOL, VERDICT_TOL.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # stands in for a failing gate: numpy carries NaN through without a warning
 _NAN44 = np.full((4, 4), np.nan, dtype=complex)
 PAIR_NAMES = ("first gate", "second gate")
-# stands in for a gate that is no array of numbers; its shape is no gate's
-_NOT_NUMBERS = np.full((), np.nan, dtype=complex)
 
 
 def wrap_angle(theta):
@@ -102,11 +103,11 @@ def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
     arrs = [_complex_array(g) for g in gates]
     if len(names) < len(arrs):
         raise DomainError(f"{len(arrs)} gates but only {len(names)} names")
-    stack = np.array([a if a.shape == (4, 4) else _NAN44 for a in arrs])
+    stack = np.array([_NAN44 if a is None or a.shape != (4, 4) else a for a in arrs])
     errors = [None] * len(arrs)
     for i, r in enumerate(unitarity_residual(stack).tolist()):
-        if not (r <= tol):  # a gate of another shape has a NaN residual
-            if arrs[i] is _NOT_NUMBERS:
+        if not (r <= tol):  # a gate of no numbers or another shape is NaN
+            if arrs[i] is None:
                 msg = "must be a 4x4 matrix of numbers"
             elif arrs[i].shape != (4, 4):
                 msg = f"must be a 4x4 matrix, got shape {arrs[i].shape}"
@@ -117,13 +118,11 @@ def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
     return stack, errors
 
 
-def _complex_array(g) -> np.ndarray:
-    """`g` as a complex array, or _NOT_NUMBERS for what numpy cannot
-    convert: a string, a ragged sequence, a number too large for a float."""
-    try:
-        return np.asarray(g, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        return _NOT_NUMBERS
+def _complex_array(g) -> np.ndarray | None:
+    """`g` as a complex array of its own shape, or None for what `_numbers`
+    refuses."""
+    a, got = _numbers(g, "iufc")
+    return None if got else a.astype(complex, copy=False)
 
 
 def require_gates(gates, tol: float = GATE_TOL, names=PAIR_NAMES) -> np.ndarray:
@@ -151,30 +150,36 @@ def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
 
 
 def _real_array(v, what: str) -> np.ndarray:
-    """`v` as a float array of its own shape; DomainError unless it is an
-    array of real numbers: no complex, bool, string, object or ragged
-    input.  NaN and the infinities pass."""
-    try:
-        a = np.asarray(v)
-    except ValueError:  # a ragged sequence, which older numpy made an object array
-        a = np.array(None)
-    if a.dtype.kind not in "iuf":
-        raise DomainError(f"{what} must be real numbers, got {a.dtype.name}")
-    # a bool next to a number in a list is cast to 0 or 1; an ndarray's
-    # dtype already tells, so only list and tuple input is scanned
-    if isinstance(v, (list, tuple)) and _holds_bool(v):
-        raise DomainError(f"{what} must be real numbers, got bool")
+    """`v` as a float array of its own shape; DomainError unless `_numbers`
+    takes it as real numbers: no complex input.  NaN and the infinities
+    pass."""
+    a, got = _numbers(v, "iuf")
+    if got:
+        raise DomainError(f"{what} must be real numbers, got {got}")
     return a.astype(float, copy=False)
 
 
-def _holds_bool(v) -> bool:
-    """True if the list or tuple `v` of numbers holds a bool at any depth."""
-    return any(
-        isinstance(x, (bool, np.bool_))
-        or (isinstance(x, (list, tuple)) and _holds_bool(x))
-        or (isinstance(x, np.ndarray) and x.dtype.kind == "b")
-        for x in v
-    )
+def _numbers(v, kinds: str) -> tuple[np.ndarray, str]:
+    """(`v` as an array, "") if its dtype kind is one of `kinds`, else (the
+    array, the name of what it holds): its dtype's name, or "bool" for a
+    list or tuple holding a bool or an array of bools at any depth, which
+    numpy would cast to 0 or 1.  What numpy cannot convert, such as a
+    ragged sequence, counts as an object array."""
+    try:
+        a = np.asarray(v)
+    except (TypeError, ValueError, OverflowError):
+        a = np.array(None)
+    if a.dtype.kind not in kinds:
+        return a, a.dtype.name
+    # an ndarray's dtype already tells, so only list and tuple input is walked
+    todo = [v] if isinstance(v, (list, tuple)) else []
+    while todo:
+        for x in todo.pop():
+            if isinstance(x, (list, tuple)):
+                todo.append(x)
+            elif type(x) is not float and np.asarray(x).dtype.kind == "b":
+                return a, "bool"
+    return a, ""
 
 
 def require_normalized(v, name: str = "state"):
@@ -182,7 +187,7 @@ def require_normalized(v, name: str = "state"):
     convert or another entry count, NotNormalizedError unless
     |v|^2 = 1 +- NORM_TOL."""
     v = _complex_array(v)
-    if v is _NOT_NUMBERS:
+    if v is None:
         raise DomainError(f"{name} must be an array of numbers")
     v = v.ravel()
     if v.shape != (4,):

@@ -1,4 +1,16 @@
-"""Shared helpers: random gate factories and independent brute-force oracles."""
+"""Shared helpers: random gate factories and the independent oracles.
+
+Each oracle reaches its answer by other arithmetic than the package, so a
+bug cannot pass by being shared: `polygon_origin_distance` (triangle sign
+tests and segment projections), `simplex_min_modulus` (a weight-grid
+search), `char_poly` with `horner` (no eigen-solver), `ref_product_scan`
+(the complex 4-D grid scan) and `ref_bloch_scan` (the Bloch-form scan in
+fixed blocks of its own Pauli form), which the benchmark's
+`_kernels.product_scan` and the rows of `_kernels.alice_scan` are held
+to.  The package's `oracle.min_over_all_states`, exact from the
+eigenvalues, is one more.  Byte identity of the outputs is the job of
+`fingerprint.py`, not of an oracle.
+"""
 
 import itertools
 import math
@@ -6,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from gatediscrim import _kernels, canonical, geometry
+from gatediscrim import _kernels, canonical
 from gatediscrim.numerics import wrap_angle
 
 
@@ -145,185 +157,6 @@ def horner(coeffs, z: complex) -> complex:
     for c in coeffs[1:]:
         acc = acc * z + c
     return acc
-
-
-# --- reference pipeline ------------------------------------------------------
-# The relative_phases -> hull -> probe -> report pipeline as it stood before
-# it was rewritten to do each piece of work once per request (stacked gate
-# checks, scalar hull and probe weights).  The rewrite must reproduce every
-# field of it bit for bit; tests/test_reference.py holds it to that.
-
-_REF_WRAP_EDGES = np.array([-np.pi, np.pi])
-_REF_WRAP_SHIFTS = np.array([2 * np.pi, 0.0, -2 * np.pi])
-_REF_SQ2 = 1.0 / math.sqrt(2.0)
-
-
-def ref_wrap(theta):
-    r = np.fmod(np.asarray(theta, dtype=float), 2 * np.pi)
-    out = r + _REF_WRAP_SHIFTS[np.searchsorted(_REF_WRAP_EDGES, r)]
-    return float(out) if out.ndim == 0 else out
-
-
-def ref_relative_phases(u1, u2, tol=1e-8):
-    diags = []
-    for u in (u1, u2):
-        u = np.asarray(u, dtype=complex)
-        resid = np.max(np.abs(u.conj().T @ u - np.eye(4)))
-        assert resid <= tol
-        m = canonical._MAGIC_DAG @ u @ canonical.MAGIC_BASIS
-        assert np.max(np.abs(m - np.diag(np.diag(m)))) <= tol
-        diags.append(np.diag(m))
-    return ref_wrap(-np.angle(diags[0].conj() * diags[1]))
-
-
-def _ref_dedupe(ph, tol):
-    vals = ph.tolist()
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    runs = [[order[0]]]
-    for idx in order[1:]:
-        if vals[idx] - vals[runs[-1][-1]] <= tol:
-            runs[-1].append(idx)
-        else:
-            runs.append([idx])
-    if len(runs) > 1 and (vals[runs[0][0]] + 2 * np.pi) - vals[runs[-1][-1]] <= tol:
-        runs[0] = runs.pop() + runs[0]
-    offsets = [
-        float(np.mean(ref_wrap(ph[run] - ph[run[0]]))) if len(run) > 1 else 0.0
-        for run in runs
-    ]
-    reps = ref_wrap(ph[[run[0] for run in runs]] + offsets).tolist()
-    groups = [
-        geometry.PhaseGroup(phase=rep, indices=tuple(sorted(run)))
-        for rep, run in zip(reps, runs)
-    ]
-    groups.sort(key=lambda g: g.phase)
-    return vals, order, groups
-
-
-def ref_hull(phases, tol=geometry.DEDUPE_TOL):
-    def xy(phase):
-        return np.array([math.cos(phase), math.sin(phase)])
-
-    ph = ref_wrap(np.atleast_1d(np.asarray(phases, dtype=float)))
-    vals, order, groups = _ref_dedupe(ph, tol)
-    if len(groups) == 1:
-        return geometry.HullResult(groups, False, 1.0, xy(groups[0].phase))
-    raw = [vals[i] for i in order]
-    m = len(raw)
-    gaps = [b - a for a, b in zip(raw, raw[1:])] + [(raw[0] + 2 * np.pi) - raw[-1]]
-    imax = max(range(m), key=gaps.__getitem__)
-    spread = 2 * np.pi - gaps[imax]
-    first = (imax + 1) % m
-    chord_mid = 0.5 * (xy(raw[first]) + xy(raw[imax]))
-    distance = float(np.hypot(*chord_mid)) if spread < np.pi else 0.0
-    if distance <= geometry.VERDICT_TOL:
-        return geometry.HullResult(groups, True, 0.0, np.zeros(2))
-    start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
-    groups = groups[start:] + groups[:start]
-    return geometry.HullResult(groups, False, distance, chord_mid)
-
-
-def _ref_varignon_weights(mids):
-    c = mids.mean(axis=0)
-    (p, q), (r, s) = mids[0] - c, mids[1] - c
-    det = p * s - q * r
-    a = (r * c[1] - s * c[0]) / det
-    b = (q * c[0] - p * c[1]) / det
-    alpha = np.array(
-        [(1.0 - abs(b) + a) / 2, max(b, 0.0), (1.0 - abs(b) - a) / 2, max(-b, 0.0)]
-    )
-    alpha = np.clip(alpha, 0.0, None)
-    return alpha / alpha.sum()
-
-
-def _ref_amplitudes(hull):
-    n = len(hull.groups)
-    u = np.zeros(4, dtype=complex)
-    if not hull.origin_inside:
-        if n == 1:
-            ia, ib = hull.groups[0].indices[0], hull.groups[0].indices[1]
-        else:
-            ia, ib = hull.groups[0].indices[0], hull.groups[-1].indices[0]
-        u[ia] = _REF_SQ2
-        u[ib] = 1j * _REF_SQ2
-        return u
-    if n == 2:
-        cyc, w = [0, 1], np.array([0.5, 0.5])
-    else:
-        if n == 3:
-            dup = max(range(3), key=lambda i: len(hull.groups[i].indices))
-            cyc = [j for i in range(3) for j in ([i, i] if i == dup else [i])]
-        else:
-            cyc = [0, 1, 2, 3]
-        phases = [hull.groups[i].phase for i in cyc]
-        pts = np.array([[math.cos(p), math.sin(p)] for p in phases])
-        alpha = _ref_varignon_weights(0.5 * (pts + np.roll(pts, -1, axis=0)))
-        w = 0.5 * (alpha + np.roll(alpha, 1))
-    taken = [0] * n
-    for pos, g in enumerate(cyc):
-        orig = hull.groups[g].indices[taken[g]]
-        taken[g] += 1
-        u[orig] = math.sqrt(w[pos]) * (1.0 if pos % 2 == 0 else 1.0j)
-    return u
-
-
-def _ref_concurrence(u):
-    n = float(np.sum(np.abs(u) ** 2))
-    assert abs(n - 1.0) <= 1e-10
-    return float(abs(np.sum(u * u)))
-
-
-def ref_factor_product(u):
-    amp = (canonical.MAGIC_BASIS @ u).reshape(2, 2)
-    row = int(np.argmax(np.sum(np.abs(amp) ** 2, axis=1)))
-    b = amp[row] / np.linalg.norm(amp[row])
-    a = amp @ b.conj()
-    a = a / np.linalg.norm(a)
-    lead = int(np.argmax(np.abs(a) > 1e-9))
-    phase = a[lead] / abs(a[lead])
-    return a * phase.conjugate(), b * phase
-
-
-def ref_achieved_overlap(u, om):
-    w = np.abs(np.asarray(u, dtype=complex).ravel()) ** 2
-    return float(abs(np.sum(w * np.exp(-1j * np.asarray(om, dtype=float)))))
-
-
-def _ref_probe_for_hull(om, hull):
-    from gatediscrim.discrimination import ProbeState
-
-    u = _ref_amplitudes(hull)
-    assert abs(float(np.sum(np.abs(u) ** 2)) - 1.0) <= 1e-12
-    probe = ProbeState(u, canonical.MAGIC_BASIS @ u, _ref_concurrence(u))
-    # the closed form must not miss: the reference has no fallback
-    assert abs(ref_achieved_overlap(u, om) - hull.min_distance) <= geometry.VERDICT_TOL
-    assert _ref_concurrence(u) <= geometry.VERDICT_TOL
-    return probe
-
-
-def ref_construct_probe(omega):
-    om = ref_wrap(np.asarray(omega, dtype=float).ravel())
-    return _ref_probe_for_hull(om, ref_hull(ref_wrap(-om)))
-
-
-def ref_discriminate(u1, u2, p1=0.5, tol=1e-8):
-    from gatediscrim import discrimination as d
-
-    p1 = min(max(p1, 0.0), 1.0)
-    p2 = 1.0 - p1
-    om = ref_relative_phases(u1, u2, tol=tol)
-    hull = ref_hull(ref_wrap(-om))
-    probe = _ref_probe_for_hull(om, hull)
-    return d.DiscriminationReport(
-        omega=om,
-        fidelity=hull.min_distance,
-        p1=p1,
-        p2=p2,
-        error_probability=d.error_probability(hull.min_distance, p1, p2),
-        perfectly_distinguishable=hull.origin_inside,
-        probe=probe,
-        achieved_value=ref_achieved_overlap(probe.u, om),
-    )
 
 
 # --- reference product scan --------------------------------------------------

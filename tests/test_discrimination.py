@@ -27,7 +27,8 @@ from gatediscrim.errors import (
 )
 from gatediscrim.numerics import ID4, wrap_angle
 
-from conftest import random_state
+import fingerprint
+from conftest import polygon_origin_distance, random_state
 
 PI = math.pi
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -191,27 +192,17 @@ def test_probe_identical_phases():
     check_probe(p, om, 1.0)
 
 
-def test_probe_random_inside(rng):
-    done = 0
-    while done < 300:
-        om = rng.uniform(-PI, PI, size=4)
-        if geometry.arc_spread(wrap_angle(-om)) < PI:
-            continue
-        p = construct_probe(om)
-        check_probe(p, om, 0.0)
-        done += 1
+def test_probe_random_inside():
+    for om in fingerprint.inside_omegas(300):
+        check_probe(construct_probe(om), om, 0.0)
 
 
 def test_probe_random_outside(rng):
-    done = 0
-    while done < 300:
-        om = rng.uniform(-PI, PI, size=4)
+    # 301 of the 600 sets have the origin outside their hull
+    for om in rng.uniform(-PI, PI, size=(600, 4)):
         h = geometry.hull_of_phases(wrap_angle(-om), tol=1e-10)
-        if h.origin_inside:
-            continue
-        p = construct_probe(om)
-        check_probe(p, om, h.min_distance)
-        done += 1
+        if not h.origin_inside:
+            check_probe(construct_probe(om), om, h.min_distance)
 
 
 def test_probe_forced_miss_raises(monkeypatch):
@@ -285,12 +276,26 @@ def test_discriminate_report_fields():
     assert r.error_probability == 0.0
 
 
+def check_pair(u1, u2, p1):
+    """`discriminate` at the exact hull distance within criterion 1's
+    bounds; the other entry points answer from the same omega and hull."""
+    r = discriminate(u1, u2, p1=p1)
+    assert r.perfectly_distinguishable == (r.fidelity <= 1e-9)
+    assert abs(r.fidelity - polygon_origin_distance(-r.omega)) <= 1e-9
+    assert abs(r.achieved_value - r.fidelity) <= 1e-9 and r.probe.concurrence <= 1e-9
+    check_probe(construct_probe(r.omega), r.omega, r.fidelity)
+    f, om = fidelity(u1, u2)
+    assert f == r.fidelity and om.tobytes() == r.omega.tobytes()
+    assert canonical.relative_phases(u1, u2).tobytes() == r.omega.tobytes()
+    assert perfectly_distinguishable(u1, u2) is r.perfectly_distinguishable
+    return r
+
+
 def test_discriminate_verdict_iff_fidelity(rng):
-    for _ in range(200):
-        u1 = canonical.from_magic_phases(rng.uniform(-PI, PI, 4))
-        u2 = canonical.from_magic_phases(rng.uniform(-PI, PI, 4))
-        r = discriminate(u1, u2)
-        assert r.perfectly_distinguishable == (r.fidelity <= 1e-9)
+    # uniform pairs; the near-pi and repeated-phase families are
+    # test_reference.py's
+    for _, _, u1, u2 in fingerprint.magic_pairs(rng, 200):
+        check_pair(u1, u2, float(rng.uniform()))
 
 
 def test_discriminate_rejects_bad_prior():
@@ -323,20 +328,12 @@ def _boundary_omegas():
 
 @pytest.mark.parametrize("om", list(_boundary_omegas()))
 def test_boundary_verdicts_agree(om):
-    u2 = canonical.from_magic_phases(om)
-    r = discriminate(ID4, u2)
+    r = check_pair(ID4, canonical.from_magic_phases(om), 0.5)
     inside = r.case is CaseTag.ORIGIN_INSIDE
-    assert r.perfectly_distinguishable == inside == (r.fidelity <= geometry.VERDICT_TOL)
-    assert fidelity(ID4, u2)[0] == r.fidelity
-    assert perfectly_distinguishable(ID4, u2) == r.perfectly_distinguishable
+    assert r.perfectly_distinguishable == inside
     if math.cos(geometry.arc_spread(om) / 2) <= 0.9 * geometry.VERDICT_TOL:
         assert inside
-    assert abs(r.achieved_value - r.fidelity) <= geometry.VERDICT_TOL
-    assert not r.probe.via_fallback
-    p = construct_probe(r.omega)
-    assert abs(discrimination.achieved_overlap(p.u, r.omega) - r.fidelity) <= 1e-9
-    assert concurrence(p.u) <= 1e-9
-    assert not p.via_fallback
+    assert not r.probe.via_fallback and not construct_probe(r.omega).via_fallback
 
 
 def test_discriminate_builds_one_hull(monkeypatch):

@@ -7,6 +7,7 @@ from gatediscrim import geometry
 from gatediscrim.errors import DomainError
 from gatediscrim.geometry import arc_spread, hull_of_phases
 
+import fingerprint
 from conftest import polygon_origin_distance, simplex_min_modulus
 
 PI = math.pi
@@ -107,11 +108,16 @@ def test_hull_matches_simplex_brute_force(rng):
 
 
 def test_hull_matches_exact_projection(rng):
-    for _ in range(1000):
-        ph = rng.uniform(-PI, PI, size=4)
-        h = hull_of_phases(ph)
+    # uniform sets, the near-pi and repeated-phase families, and 1 to 6
+    # phases that merge, across the cut too, at each merge tolerance
+    sets = [*rng.uniform(-PI, PI, size=(1000, 4)), *fingerprint.near_pi_omegas(rng)]
+    sets += [*fingerprint.repeated_omegas(rng, 50), *fingerprint.mixed_phase_sets(rng, 600)]
+    for ph in sets:
         exact = polygon_origin_distance(ph)
-        assert abs(exact - h.min_distance) <= 1e-9
+        for tol in (geometry.DEDUPE_TOL, 0.0, 1e-3):
+            h = hull_of_phases(ph, tol=tol)
+            assert abs(exact - h.min_distance) <= 1e-9
+            assert h.origin_inside == (h.min_distance == 0.0)
 
 
 def test_polygon_origin_distance_oracle():

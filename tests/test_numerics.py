@@ -5,6 +5,7 @@ import json
 import math
 import pkgutil
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -361,12 +362,18 @@ def test_gate_entry_points_reject_bad_gates(entry, tmp_path):
         assert not is_unitary(g), label
 
 
-# gates numpy cannot convert to a complex array; no gate file holds one
+# gates that are no array of numbers: what numpy cannot convert, and the
+# bool, string and object arrays it would cast, as the real-number check
+# refuses them; no gate file holds one
 NON_NUMERIC_GATES = {
     "string": "abc",
     "ragged": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     "dict": {"rows": ID4},
     "huge_int": 10**400,
+    "bool_eye": np.eye(4, dtype=bool),
+    "bool_in_list": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "numeric_strings": np.eye(4, dtype=int).astype(str),
+    "fractions": [[Fraction(int(i == j)) for j in range(4)] for i in range(4)],
 }
 
 
@@ -380,11 +387,15 @@ def test_gate_entry_points_reject_non_numeric_gates(entry):
         assert not is_unitary(g), label
 
 
-# states numpy cannot convert to complex amplitudes
+# states that are no array of numbers, as for NON_NUMERIC_GATES
 NON_NUMERIC_STATES = {
     "string": ["x", 0, 0, 0],
     "ragged": [[1, 0], [0, 0, 0]],
     "dict": {"u": [1, 0, 0, 0]},
+    "bool_in_list": [True, 0, 0, 0],
+    "bool_array": np.array([True, False, False, False]),
+    "numeric_string": ["1", 0, 0, 0],
+    "fractions": [Fraction(1), 0, 0, 0],
 }
 
 # (call with the bad state s, the name the error must carry)

@@ -95,7 +95,6 @@ def _accepts(call) -> bool:
 
 _SMALL_SEARCH = oracle.SearchConfig(grid_steps=8, refinement_rounds=0)
 _PROBE = discrimination.construct_probe(np.zeros(4))
-_UD = canonical.build_ud((0.3, 0.2, 0.1))
 # squared scale 1 + r gives a unitarity residual of about |r|
 residual = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(min_value=0.0, max_value=2.0))
 
