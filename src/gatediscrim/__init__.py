@@ -30,8 +30,6 @@ from .discrimination import (
     construct_probe,
     discriminate,
     error_probability,
-    fidelity,
-    perfectly_distinguishable,
 )
 from .geometry import (
     HullResult,
@@ -39,10 +37,7 @@ from .geometry import (
     arc_spread,
     hull_of_phases,
 )
-from .numerics import (
-    is_unitary,
-    unitary_eigenphases,
-)
+from .numerics import unitary_eigenphases
 from .oracle import (
     SearchConfig,
     ShotOutcome,
@@ -69,13 +64,10 @@ __all__ = [
     "construct_probe",
     "discriminate",
     "error_probability",
-    "fidelity",
-    "perfectly_distinguishable",
     "HullResult",
     "PhaseGroup",
     "arc_spread",
     "hull_of_phases",
-    "is_unitary",
     "unitary_eigenphases",
     "SearchConfig",
     "ShotOutcome",

@@ -160,17 +160,15 @@ def relative_phases(u1, u2, tol: float = GATE_TOL) -> np.ndarray:
     Both operators must be unitary and diagonal in the magic basis within
     `tol`, which must be finite and > 0 (DomainError); W then acts as
     e^{-i omega_k} on magic vector k.  Entries are wrapped to (-pi, pi] and
-    kept in magic-basis order (not sorted).  The first gate is checked
-    before the second, each for shape and unitarity (NotUnitaryError)
-    before magic-diagonality (NotMagicDiagonalError).
+    kept in magic-basis order (not sorted).  Both gates are checked for
+    shape and unitarity (NotUnitaryError), first gate first, before either
+    is checked for magic-diagonality (NotMagicDiagonalError), as the CLI
+    checks its gate files.
     """
     # both gates go through each check as one (2, 4, 4) stack
-    stack, errors = numerics.check_gates((u1, u2), tol)
-    m = magic_rep(stack)
+    m = magic_rep(numerics.require_gates((u1, u2), tol))
     worst = np.abs(m * _OFF_DIAG).max(axis=(1, 2))
-    for name, err, w in zip(numerics.PAIR_NAMES, errors, worst.tolist()):
-        if err is not None:
-            raise err
+    for name, w in zip(numerics.PAIR_NAMES, worst.tolist()):
         if w > tol:
             raise NotMagicDiagonalError(
                 f"{name} has off-diagonal magic-basis weight {w:.3e} "

@@ -256,23 +256,15 @@ def _probe_for_hull(om, hull: geometry.HullResult) -> tuple[ProbeState, float]:
     return probe, got
 
 
-def fidelity(u1, u2, tol: float = GATE_TOL) -> tuple[float, np.ndarray]:
-    """Worst-case single-query overlap of two magic-diagonal gates.
-
-    Returns (F, omega); F is the origin distance of the hull of the points
-    e^{-i omega_k}, i.e. min over probes of |<psi| u1^dag u2 |psi>|.
-    """
-    om = canonical.relative_phases(u1, u2, tol=tol)
-    return geometry._hull_of_omega(om).min_distance, om
-
-
-def perfectly_distinguishable(u1, u2, tol: float = GATE_TOL) -> bool:
-    """True when one query separates the gates with certainty."""
-    return geometry._hull_of_omega(canonical.relative_phases(u1, u2, tol)).origin_inside
-
-
 def discriminate(u1, u2, p1: float = 0.5, tol: float = GATE_TOL) -> DiscriminationReport:
-    """Full single-query analysis of a magic-diagonal gate pair."""
+    """Full single-query analysis of a magic-diagonal gate pair.
+
+    The report's `fidelity` F is the origin distance of the hull of the
+    points e^{-i omega_k}, i.e. min over probes of |<psi| u1^dag u2 |psi>|,
+    and `perfectly_distinguishable` says whether one query separates the
+    gates with certainty (F within VERDICT_TOL of 0, reported as 0).  The
+    gates are checked as `canonical.relative_phases` checks them.
+    """
     p1 = numerics.require_prior(p1)
     p2 = 1.0 - p1
     om = canonical.relative_phases(u1, u2, tol=tol)

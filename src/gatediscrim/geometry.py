@@ -37,7 +37,8 @@ class PhaseGroup:
 class HullResult:
     """The hull's vertices (`groups`), whether it holds the origin, and the
     origin's distance to it with the nearest hull point.  The arc spread
-    behind that distance is not kept: `arc_spread` computes it."""
+    behind that distance is not kept: `arc_spread` computes it.  A hull of
+    one group reports `min_distance` 1.0, see `hull_of_phases`."""
 
     groups: list[PhaseGroup]
     origin_inside: bool
@@ -103,8 +104,12 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     cos(min(spread, pi) / 2), is at most VERDICT_TOL; `min_distance` is 0
     then.  The largest empty arc, the spread and the chord come from the
     raw phases, so they do not depend on which near-equal phases merge into
-    one group.  Inside, the groups (the hull's vertices) come out
-    counter-clockwise from the smallest phase.  Outside, the ordering
+    one group, with one exception: when all of them merge into one group,
+    `min_distance` is 1.0 and `nearest_point` that group's point.  Its n
+    raw phases span at most (n - 1) * tol, so 1.0 lies within
+    1 - cos((n - 1) * tol / 2) of their exact distance, below 1.2e-20 for
+    four phases at DEDUPE_TOL.  Inside, the groups (the hull's vertices)
+    come out counter-clockwise from the smallest phase.  Outside, the ordering
     starts just after the largest empty arc, so groups[0] and groups[-1]
     are the angular extremes, whose chord realizes `min_distance`.
     Raises DomainError on empty input, a phase that is not a finite real

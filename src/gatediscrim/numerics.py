@@ -8,8 +8,8 @@ module is also the one home of the input checks, one per input kind:
 gates, finite real vectors, real numbers, unit-norm amplitudes, positive
 tolerances, priors and counts.  NaN fails each of them, and each raises a
 `DomainError` subclass, never a numpy error or warning.  Every gate
-check, `is_unitary` included, goes through `check_gates`: a gate is a 4x4
-matrix, converted once.  Every array of numbers goes through one kind
+check goes through `require_gates`: a gate is a 4x4 matrix, converted
+once.  Every array of numbers goes through one kind
 rule, `_numbers`: real arrays (a gate file's rows included) by way of
 `_real_array`, gates and amplitudes by way of `_complex_array`, which
 alone also takes complex numbers.  Neither takes a bool, string or object
@@ -80,42 +80,9 @@ def unitarity_residual(m) -> np.ndarray:
         return np.abs(gram - ID4).max(axis=(-2, -1))
 
 
-def is_unitary(m, tol: float = GATE_TOL) -> bool:
-    """True if `check_gates` takes `m`: a 4x4 matrix within `tol` of unitary."""
-    return check_gates([m], tol)[1][0] is None
-
-
 def require_unitary(m, tol: float = GATE_TOL, name: str = "matrix") -> np.ndarray:
     """`require_gates` of the one gate `m`, called `name`."""
     return require_gates([m], tol, [name])[0]
-
-
-def check_gates(gates, tol: float, names=PAIR_NAMES) -> tuple[np.ndarray, list]:
-    """(stack, errors) for two-qubit gates, checked in one stacked pass.
-
-    `stack` is a (k, 4, 4) complex array; errors[i] is the NotUnitaryError
-    that gates[i], called names[i], fails with (not a 4x4 matrix of
-    numbers, or not unitary within `tol`), else None.  A failing gate
-    enters `stack` as NaN.  `tol` must be finite and > 0, and `names` at
-    least as long as `gates` (DomainError).
-    """
-    require_positive(tol)
-    arrs = [_complex_array(g) for g in gates]
-    if len(names) < len(arrs):
-        raise DomainError(f"{len(arrs)} gates but only {len(names)} names")
-    stack = np.array([_NAN44 if a is None or a.shape != (4, 4) else a for a in arrs])
-    errors = [None] * len(arrs)
-    for i, r in enumerate(unitarity_residual(stack).tolist()):
-        if not (r <= tol):  # a gate of no numbers or another shape is NaN
-            if arrs[i] is None:
-                msg = "must be a 4x4 matrix of numbers"
-            elif arrs[i].shape != (4, 4):
-                msg = f"must be a 4x4 matrix, got shape {arrs[i].shape}"
-            else:
-                msg = f"is not unitary within tolerance {tol:g}"
-            errors[i] = NotUnitaryError(f"{names[i]} {msg}")
-            stack[i] = _NAN44
-    return stack, errors
 
 
 def _complex_array(g) -> np.ndarray | None:
@@ -126,10 +93,27 @@ def _complex_array(g) -> np.ndarray | None:
 
 
 def require_gates(gates, tol: float = GATE_TOL, names=PAIR_NAMES) -> np.ndarray:
-    """`check_gates`' stack; raises the first gate's error, if any."""
-    stack, errors = check_gates(gates, tol, names)
-    if any(errors):
-        raise next(err for err in errors if err is not None)
+    """Two-qubit gates as one (k, 4, 4) complex stack, checked in one pass.
+
+    The first gate in order, called names[i], that is not a 4x4 matrix of
+    numbers, or not unitary within `tol`, raises NotUnitaryError.  `tol`
+    must be finite and > 0, and `names` at least as long as `gates`
+    (DomainError).
+    """
+    require_positive(tol)
+    arrs = [_complex_array(g) for g in gates]
+    if len(names) < len(arrs):
+        raise DomainError(f"{len(arrs)} gates but only {len(names)} names")
+    stack = np.array([_NAN44 if a is None or a.shape != (4, 4) else a for a in arrs])
+    for name, a, r in zip(names, arrs, unitarity_residual(stack).tolist()):
+        if not (r <= tol):  # a gate of no numbers or another shape is NaN
+            if a is None:
+                msg = "must be a 4x4 matrix of numbers"
+            elif a.shape != (4, 4):
+                msg = f"must be a 4x4 matrix, got shape {a.shape}"
+            else:
+                msg = f"is not unitary within tolerance {tol:g}"
+            raise NotUnitaryError(f"{name} {msg}")
     return stack
 
 

@@ -2,14 +2,14 @@
 
 Each oracle reaches its answer by other arithmetic than the package, so a
 bug cannot pass by being shared: `polygon_origin_distance` (triangle sign
-tests and segment projections), `simplex_min_modulus` (a weight-grid
-search), `char_poly` with `horner` (no eigen-solver), `ref_product_scan`
-(the complex 4-D grid scan) and `ref_bloch_scan` (the Bloch-form scan in
-fixed blocks of its own Pauli form), which the benchmark's
-`_kernels.product_scan` and the rows of `_kernels.alice_scan` are held
-to.  The package's `oracle.min_over_all_states`, exact from the
-eigenvalues, is one more.  Byte identity of the outputs is the job of
-`fingerprint.py`, not of an oracle.
+tests and segment projections), `char_poly` with `horner` (no
+eigen-solver), `ref_product_scan` (the complex 4-D grid scan) and
+`ref_bloch_scan` (the Bloch-form scan in fixed blocks of its own Pauli
+form), which the benchmark's `_kernels.product_scan` and the rows of
+`_kernels.alice_scan` are held to.  The package's
+`oracle.min_over_all_states`, exact from the eigenvalues, is one more.
+Byte identity of the outputs is the job of `fingerprint.py`, not of an
+oracle.
 """
 
 import itertools
@@ -76,25 +76,6 @@ def phases_close(a, b, tol=1e-9):
     rolled = np.sort(wrap_angle(a + 1.0))
     other = np.sort(wrap_angle(b + 1.0))
     return float(np.max(np.abs(wrap_angle(rolled - other)))) <= tol
-
-
-# precomputed composition grid for the simplex brute force (step 0.01)
-_COMPS = None
-
-
-def simplex_min_modulus(phases, step=0.01):
-    """Brute-force min of |sum_k w_k e^{i phi_k}| over the weight simplex."""
-    global _COMPS
-    n = round(1.0 / step)
-    if _COMPS is None:
-        combos = [
-            (i, j, k, n - i - j - k)
-            for i, j, k in itertools.product(range(n + 1), repeat=3)
-            if i + j + k <= n
-        ]
-        _COMPS = np.asarray(combos, dtype=float) / n
-    z = np.exp(1j * np.asarray(phases, dtype=float))
-    return float(np.min(np.abs(_COMPS @ z)))
 
 
 def polygon_origin_distance(phases):

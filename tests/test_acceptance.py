@@ -15,9 +15,8 @@ from gatediscrim.discrimination import (
     achieved_overlap,
     concurrence,
     construct_probe,
+    discriminate,
     error_probability,
-    fidelity,
-    perfectly_distinguishable,
 )
 from gatediscrim.numerics import ID4, wrap_angle
 
@@ -47,10 +46,9 @@ def test_criterion_1_product_probe_achieves_bound(capsys):
     t0 = time.perf_counter()
     worst_gap = worst_conc = 0.0
     for _ in range(10_000):
-        u1, u2 = random_diag_pair(rng)
-        f, om = fidelity(u1, u2)
-        probe = construct_probe(om)
-        worst_gap = max(worst_gap, abs(achieved_overlap(probe.u, om) - f))
+        r = discriminate(*random_diag_pair(rng))
+        probe = construct_probe(r.omega)
+        worst_gap = max(worst_gap, abs(achieved_overlap(probe.u, r.omega) - r.fidelity))
         worst_conc = max(worst_conc, concurrence(probe.u))
     dt = time.perf_counter() - t0
     ok = worst_gap <= 1e-9 and worst_conc <= 1e-9 and dt < 30.0
@@ -69,7 +67,7 @@ def test_criterion_2_locc_equals_global(capsys):
     worst = 0.0
     for _ in range(200):
         u1, u2 = random_diag_pair(rng)
-        f, _ = fidelity(u1, u2)
+        f = discriminate(u1, u2).fidelity
         pv, _ = oracle.min_over_product_states(u1, u2)
         av, _ = oracle.min_over_all_states(u1, u2)
         worst = max(worst, abs(pv - f), abs(av - f), abs(av - pv))
@@ -88,9 +86,8 @@ def test_criterion_3_perfect_distinguishability_predicate(capsys):
     t0 = time.perf_counter()
     mismatches = 0
     for _ in range(10_000):
-        u1, u2 = random_diag_pair(rng)
-        f, _ = fidelity(u1, u2)
-        if perfectly_distinguishable(u1, u2) != (f <= 1e-9):
+        r = discriminate(*random_diag_pair(rng))
+        if r.perfectly_distinguishable != (r.fidelity <= 1e-9):
             mismatches += 1
     boundary_bad = 0
     boundary = [
@@ -102,12 +99,11 @@ def test_criterion_3_perfect_distinguishability_predicate(capsys):
         (0.7, 0.7 + PI / 3, 0.7 + PI, 0.7),
     ]
     for om in boundary:
-        u2 = canonical.from_magic_phases(om)
-        f, _ = fidelity(ID4, u2)
-        if not perfectly_distinguishable(ID4, u2) or f > 1e-9:
+        r = discriminate(ID4, canonical.from_magic_phases(om))
+        if not r.perfectly_distinguishable or r.fidelity > 1e-9:
             boundary_bad += 1
-    u2 = canonical.build_ud((PI / 4, PI / 4, 0.0))
-    if not perfectly_distinguishable(ID4, u2):
+    u_b = canonical.build_ud((PI / 4, PI / 4, 0.0))
+    if not discriminate(ID4, u_b).perfectly_distinguishable:
         boundary_bad += 1
     dt = time.perf_counter() - t0
     ok = mismatches == 0 and boundary_bad == 0 and dt < 10.0

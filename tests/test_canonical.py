@@ -101,7 +101,7 @@ def test_build_ud_is_magic_diagonal_unitary(rng):
     for _ in range(50):
         a = canonical.random_weyl_vector(rng)
         u = build_ud(a)
-        assert numerics.is_unitary(u, tol=1e-12)
+        numerics.require_unitary(u, tol=1e-12)
         m = canonical.magic_rep(u)
         off = m - np.diag(np.diag(m))
         assert np.max(np.abs(off)) <= 1e-12
@@ -305,14 +305,17 @@ def test_relative_phases_rejects_non_4x4(u1, u2, name):
 
 
 def test_relative_phases_error_order():
-    # first gate before second; within a gate, unitarity before the magic check
+    # both gates for shape and unitarity, first gate first, then each for
+    # the magic check: the order in which the CLI checks its gate files
     cases = [
         (2 * ID4, 2 * ID4, NotUnitaryError, "first gate"),
         (2 * ID4, IX, NotUnitaryError, "first gate"),
-        (IX, 2 * ID4, NotMagicDiagonalError, "first gate"),
-        (IX, np.eye(3), NotMagicDiagonalError, "first gate"),
+        (IX, 2 * ID4, NotUnitaryError, "second gate"),
+        (IX, np.eye(3), NotUnitaryError, "second gate"),
         (2 * ID4, np.eye(3), NotUnitaryError, "first gate"),
         (ID4, 2 * IX, NotUnitaryError, "second gate"),
+        (IX, IX, NotMagicDiagonalError, "first gate"),
+        (IX, ID4, NotMagicDiagonalError, "first gate"),
         (ID4, IX, NotMagicDiagonalError, "second gate"),
     ]
     for u1, u2, err, name in cases:
@@ -331,7 +334,7 @@ def test_relative_phases_tol_domain(tol):
 def test_from_magic_phases_round_trip(rng):
     om = rng.uniform(-PI, PI, 4)
     u = from_magic_phases(om)
-    assert numerics.is_unitary(u, tol=1e-12)
+    numerics.require_unitary(u, tol=1e-12)
     got = wrap_angle(-np.angle(np.diag(canonical.magic_rep(u))))
     np.testing.assert_allclose(got, wrap_angle(om), atol=1e-12)
 

@@ -16,8 +16,6 @@ from gatediscrim.discrimination import (
     construct_probe,
     discriminate,
     error_probability,
-    fidelity,
-    perfectly_distinguishable,
 )
 from gatediscrim.errors import (
     ConstructionFailedError,
@@ -242,28 +240,13 @@ def test_probe_rejects_bad_omega():
         construct_probe([0.0, 1.0, 2.0])
 
 
-def test_fidelity_and_predicate_examples():
-    u_pi8 = canonical.build_ud((PI / 8, 0, 0))
-    f, om = fidelity(ID4, u_pi8)
-    assert f == pytest.approx(math.cos(PI / 8), abs=1e-12)
-    np.testing.assert_allclose(om, [PI / 8, -PI / 8, -PI / 8, PI / 8], atol=1e-12)
-    assert not perfectly_distinguishable(ID4, u_pi8)
-
-    u_b = canonical.build_ud((PI / 4, PI / 4, 0.0))
-    f, om = fidelity(ID4, u_b)
-    assert f <= 1e-9
-    assert perfectly_distinguishable(ID4, u_b)
-
-    assert fidelity(ID4, ID4)[0] == pytest.approx(1.0)
-    assert not perfectly_distinguishable(ID4, ID4)
-
-
 def test_discriminate_report_fields():
     u_pi8 = canonical.build_ud((PI / 8, 0, 0))
     r = discriminate(ID4, u_pi8, p1=0.3)
     assert r.p1 == 0.3 and r.p2 == pytest.approx(0.7)
     assert r.case is CaseTag.ORIGIN_OUTSIDE
     assert r.fidelity == pytest.approx(math.cos(PI / 8), abs=1e-12)
+    np.testing.assert_allclose(r.omega, [PI / 8, -PI / 8, -PI / 8, PI / 8], atol=1e-12)
     assert abs(r.achieved_value - r.fidelity) <= 1e-9
     assert r.error_probability == pytest.approx(
         error_probability(math.cos(PI / 8), 0.3, 0.7)
@@ -272,22 +255,23 @@ def test_discriminate_report_fields():
 
     r = discriminate(ID4, canonical.build_ud((PI / 4, PI / 4, 0.0)))
     assert r.case is CaseTag.ORIGIN_INSIDE
-    assert r.perfectly_distinguishable
+    assert r.perfectly_distinguishable and r.fidelity <= 1e-9
     assert r.error_probability == 0.0
+
+    r = discriminate(ID4, ID4)
+    assert r.fidelity == pytest.approx(1.0) and not r.perfectly_distinguishable
 
 
 def check_pair(u1, u2, p1):
     """`discriminate` at the exact hull distance within criterion 1's
-    bounds; the other entry points answer from the same omega and hull."""
+    bounds; `relative_phases` and `construct_probe` answer from the same
+    omega and hull."""
     r = discriminate(u1, u2, p1=p1)
     assert r.perfectly_distinguishable == (r.fidelity <= 1e-9)
     assert abs(r.fidelity - polygon_origin_distance(-r.omega)) <= 1e-9
     assert abs(r.achieved_value - r.fidelity) <= 1e-9 and r.probe.concurrence <= 1e-9
     check_probe(construct_probe(r.omega), r.omega, r.fidelity)
-    f, om = fidelity(u1, u2)
-    assert f == r.fidelity and om.tobytes() == r.omega.tobytes()
     assert canonical.relative_phases(u1, u2).tobytes() == r.omega.tobytes()
-    assert perfectly_distinguishable(u1, u2) is r.perfectly_distinguishable
     return r
 
 
@@ -389,7 +373,9 @@ def test_discriminate_validates_only_its_own_arguments(monkeypatch):
         assert [c for c in calls if c[0] == "require_prior"] == [("require_prior", p1)]
         assert not {"require_finite", "require_normalized"} & {n for n, _ in calls}
         for name, arg in calls:
-            assert any(arg is x for x in (ID4, u2, p1, tol)), (name, arg)
+            # require_gates takes the pair as one tuple
+            for a in arg if name == "require_gates" else [arg]:
+                assert any(a is x for x in (ID4, u2, p1, tol)), (name, arg)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -420,15 +406,13 @@ def test_gate_pair_entry_points_check_tol(tol, tmp_path):
     files.write_document(files.matrix_document(ID4, "I"), paths[0])
     files.write_document({"kind": "alpha", "alpha": [0.3, 0.2, 0.1]}, paths[1])
     calls = [
-        lambda: numerics.is_unitary(ID4, tol=tol),
         lambda: numerics.require_unitary(ID4, tol=tol),
         lambda: canonical.extract_interaction(ID4, tol=tol),
         lambda: files.load_matrix_file(paths[0], tol=tol),
         lambda: files.load_matrix_file(paths[1], tol=tol),
         lambda: oracle.helstrom_simulate(ID4, ix, probe, shots=100, tol=tol),
+        lambda: discriminate(ID4, ix, tol=tol),
     ]
-    for fn in (fidelity, perfectly_distinguishable, discriminate):
-        calls.append(lambda fn=fn: fn(ID4, ix, tol=tol))
     for call in calls:
         # a DomainError about `tol`, not a NotUnitaryError about the gate
         with pytest.raises(DomainError, match="tol must be finite and > 0"):
@@ -436,9 +420,8 @@ def test_gate_pair_entry_points_check_tol(tol, tmp_path):
 
 
 def test_gate_pair_entry_points_reject_non_4x4():
-    for fn in (fidelity, perfectly_distinguishable, discriminate):
-        with pytest.raises(NotUnitaryError, match="second gate"):
-            fn(ID4, np.eye(3))
+    with pytest.raises(NotUnitaryError, match="second gate"):
+        discriminate(ID4, np.eye(3))
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from gatediscrim.errors import DomainError
 from gatediscrim.geometry import arc_spread, hull_of_phases
 
 import fingerprint
-from conftest import polygon_origin_distance, simplex_min_modulus
+from conftest import polygon_origin_distance
 
 PI = math.pi
 
@@ -93,18 +93,6 @@ def test_hull_min_distance_law(rng):
             np.testing.assert_allclose(
                 np.hypot(*h.nearest_point), h.min_distance, atol=1e-12
             )
-
-
-def test_hull_matches_simplex_brute_force(rng):
-    # the step-0.01 weight grid quantizes: rounding the optimum onto it can
-    # move |sum w e^{i phi}| by up to ~2 * step, so that is the slack here;
-    # the tight check lives in test_hull_matches_exact_projection below
-    for _ in range(1000):
-        ph = rng.uniform(-PI, PI, size=4)
-        h = hull_of_phases(ph)
-        brute = simplex_min_modulus(ph)
-        assert brute >= h.min_distance - 1e-12
-        assert brute - h.min_distance <= 2.5e-2
 
 
 def test_hull_matches_exact_projection(rng):

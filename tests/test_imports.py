@@ -1,6 +1,7 @@
 """What the package exports and what the test suite imports."""
 
 import ast
+import importlib.util
 import inspect
 import sys
 from pathlib import Path
@@ -110,3 +111,52 @@ def test_oracle_reads_only_the_scan_from_kernels():
         elif isinstance(node, ast.ImportFrom) and node.module == "_kernels":
             used.update(alias.name for alias in node.names)
     assert used == {"alice_scan"}
+
+
+# read only under `if _kernels.NUMBA_ENABLED:`, which is always False
+_UNREAD_BY_BENCHMARK = {
+    ("_kernels", "product_scan_numpy"),
+    ("_kernels", "product_scan_numba"),
+}
+
+
+def _benchmark_reads(path):
+    """(module, name) for each name a benchmark file imports from the
+    package, and each attribute it reads from a package module it imported."""
+    tree = ast.parse(path.read_text())
+    modules = {}  # local name -> package module
+    for node in ast.walk(tree):
+        # an absolute `from` import always names its module
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] != "gatediscrim":
+                continue
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                if node.module == "gatediscrim" and importlib.util.find_spec(full):
+                    modules[alias.asname or alias.name] = full
+                else:
+                    yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                if top == "gatediscrim":
+                    # without `as`, `import gatediscrim.x` binds the package
+                    modules[alias.asname or top] = alias.name if alias.asname else top
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                yield modules[node.value.id], node.attr
+
+
+def test_the_benchmark_reads_only_names_the_package_has():
+    # the benchmark is no tier-1 test, so a deleted name it reads would only
+    # show when it runs; its files are parsed, not imported
+    from gatediscrim import _kernels
+
+    assert not _kernels.NUMBA_ENABLED
+    missing = set()
+    for path in sorted((TESTS.parent / "perfbench").glob("*.py")):
+        for module, name in _benchmark_reads(path):
+            if not hasattr(importlib.import_module(module), name):
+                missing.add((module.split(".")[-1], name))
+    assert missing <= _UNREAD_BY_BENCHMARK, sorted(missing - _UNREAD_BY_BENCHMARK)

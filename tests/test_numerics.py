@@ -28,7 +28,6 @@ from gatediscrim.numerics import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    is_unitary,
     unitary_eigenphases,
     wrap_angle,
 )
@@ -94,13 +93,11 @@ def test_wrap_angle_scalar_matches_array(rng):
 
 
 def test_is_unitary():
-    assert is_unitary(ID4)
-    assert is_unitary(SWAP)
-    assert not is_unitary(2 * ID4)
-    assert not is_unitary(np.ones((4, 4)))
-    assert not is_unitary(np.ones((2, 3)))
-    with pytest.raises(NotUnitaryError):
-        numerics.require_unitary(1.1 * ID4)
+    for u in (ID4, SWAP):
+        assert (numerics.require_unitary(u) == u).all()
+    for m in (2 * ID4, 1.1 * ID4, np.ones((4, 4)), np.ones((2, 3))):
+        with pytest.raises(NotUnitaryError):
+            numerics.require_unitary(m)
 
 
 def test_pauli_constants():
@@ -177,27 +174,26 @@ def test_eigenphases_rejects_nonunitary():
 
 
 def test_a_gate_is_a_4x4_matrix():
-    # a unitary of another size is no gate: every gate check is check_gates'
-    assert not is_unitary(ID2)
+    # a unitary of another size is no gate: every gate check is require_gates'
     for call in (numerics.require_unitary, unitary_eigenphases):
         with pytest.raises(NotUnitaryError, match="must be a 4x4 matrix"):
             call(ID2)
 
 
-def test_check_gates_converts_each_gate_once():
+def test_require_gates_converts_each_gate_once():
     # a one-pass iterable: no gate may be lost to a second pass
-    stack, errors = numerics.check_gates((g for g in ["x", ID4]), 1e-8)
+    stack = numerics.require_gates((g for g in [SWAP, ID4]))
     assert stack.shape == (2, 4, 4)
-    assert str(errors[0]) == "first gate must be a 4x4 matrix of numbers"
-    assert errors[1] is None
-    assert np.isnan(stack[0]).all() and (stack[1] == ID4).all()
+    assert (stack[0] == SWAP).all() and (stack[1] == ID4).all()
+    with pytest.raises(NotUnitaryError, match="^first gate must be a 4x4 matrix of numbers$"):
+        numerics.require_gates((g for g in ["x", ID4]))
 
 
-def test_check_gates_needs_a_name_per_gate():
+def test_require_gates_needs_a_name_per_gate():
     # the default names cover a pair; a third gate has no name to report
     with pytest.raises(DomainError, match="3 gates but only 2 names"):
-        numerics.check_gates([ID4, ID4, "x"], 1e-8)
-    assert numerics.check_gates([ID4] * 3, 1e-8, ["a", "b", "c"])[1] == [None] * 3
+        numerics.require_gates([ID4, ID4, "x"])
+    assert numerics.require_gates([ID4] * 3, 1e-8, ["a", "b", "c"]).shape == (3, 4, 4)
 
 
 def test_random_su2(rng):
@@ -332,13 +328,9 @@ _PROBE = discrimination.construct_probe(np.zeros(4))
 # (call with the bad gate g, the name the error must carry)
 GATE_ENTRY_POINTS = {
     "relative_phases": (lambda g, p: canonical.relative_phases(ID4, g), "second gate"),
-    "fidelity": (lambda g, p: discrimination.fidelity(g, ID4), "first gate"),
-    "perfectly_distinguishable": (
-        lambda g, p: discrimination.perfectly_distinguishable(ID4, g),
-        "second gate",
-    ),
     "discriminate": (lambda g, p: discrimination.discriminate(g, g), "first gate"),
     "extract_interaction": (lambda g, p: canonical.extract_interaction(g), "gate"),
+    "require_unitary": (lambda g, p: numerics.require_unitary(g), "matrix"),
     "min_over_product_states": (
         lambda g, p: oracle.min_over_product_states(ID4, g),
         "second gate",
@@ -355,11 +347,10 @@ GATE_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", list(GATE_ENTRY_POINTS))
 def test_gate_entry_points_reject_bad_gates(entry, tmp_path):
     call, name = GATE_ENTRY_POINTS[entry]
-    for label, g in BAD_GATES.items():
+    for g in BAD_GATES.values():
         # pytest turns a numpy warning into an error that fails the match
         with pytest.raises(NotUnitaryError, match=re.escape(name)):
             call(g, tmp_path / "gate.json")
-        assert not is_unitary(g), label
 
 
 # gates that are no array of numbers: what numpy cannot convert, and the
@@ -381,10 +372,9 @@ NON_NUMERIC_GATES = {
 def test_gate_entry_points_reject_non_numeric_gates(entry):
     call, name = GATE_ENTRY_POINTS[entry]
     msg = f"^{re.escape(name)} must be a 4x4 matrix of numbers$"
-    for label, g in NON_NUMERIC_GATES.items():
+    for g in NON_NUMERIC_GATES.values():
         with pytest.raises(NotUnitaryError, match=msg):
             call(g, None)
-        assert not is_unitary(g), label
 
 
 # states that are no array of numbers, as for NON_NUMERIC_GATES
@@ -471,11 +461,8 @@ def test_every_tol_default_is_a_named_tolerance():
     gate_entry_points = {
         "canonical.relative_phases",
         "canonical.extract_interaction",
-        "discrimination.fidelity",
-        "discrimination.perfectly_distinguishable",
         "discrimination.discriminate",
         "files.load_matrix_file",
-        "numerics.is_unitary",
         "numerics.require_unitary",
         "numerics.require_gates",
         "oracle.helstrom_simulate",

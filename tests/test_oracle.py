@@ -9,8 +9,8 @@ from gatediscrim import _kernels, canonical, geometry, oracle
 from gatediscrim.discrimination import (
     concurrence,
     construct_probe,
+    discriminate,
     error_probability,
-    fidelity,
 )
 from gatediscrim.errors import DomainError, NotUnitaryError
 from gatediscrim.numerics import ID4
@@ -102,7 +102,7 @@ def test_product_search_matches_analytic_random(rng):
     for _ in range(6):
         u1, _ = random_magic_diag(rng)
         u2, _ = random_magic_diag(rng)
-        f, _ = fidelity(u1, u2)
+        f = discriminate(u1, u2).fidelity
         val, probe = oracle.min_over_product_states(u1, u2, cfg)
         assert abs(val - f) <= 2e-3
         assert val >= f - 2e-3  # search over a subset can never beat the bound
@@ -161,7 +161,7 @@ def test_all_states_never_beats_product_for_diagonal_pairs(rng):
     for _ in range(3):
         u1, _ = random_magic_diag(rng)
         u2, _ = random_magic_diag(rng)
-        f, _ = fidelity(u1, u2)
+        f = discriminate(u1, u2).fidelity
         pv, _ = oracle.min_over_product_states(u1, u2, cfg)
         av, psi = oracle.min_over_all_states(u1, u2, cfg)
         assert av <= pv + 1e-9  # the exact optimum bounds every product probe
@@ -192,7 +192,7 @@ def test_all_states_equals_fidelity_on_magic_diagonal_pairs(rng):
         u1, _ = random_magic_diag(rng)
         u2, _ = random_magic_diag(rng)
         val, psi = oracle.min_over_all_states(u1, u2)
-        assert abs(val - fidelity(u1, u2)[0]) <= 1e-9
+        assert abs(val - discriminate(u1, u2).fidelity) <= 1e-9
         assert _reached(u1, u2, psi) == pytest.approx(val, abs=1e-12)
 
 
@@ -247,7 +247,7 @@ def test_all_states_runs_no_search_and_draws_nothing(monkeypatch):
 
 def test_helstrom_anchor_rate():
     u2 = canonical.build_ud((PI / 8, 0, 0))
-    probe = construct_probe(fidelity(ID4, u2)[1])
+    probe = discriminate(ID4, u2).probe
     out = oracle.helstrom_simulate(ID4, u2, probe, p1=0.5, shots=100_000, seed=7)
     expect = 0.3086583
     assert abs(out.empirical_rate - expect) <= 5 * out.std_error
@@ -257,7 +257,7 @@ def test_helstrom_anchor_rate():
 
 def test_helstrom_perfect_case_zero_errors():
     u2 = canonical.build_ud((PI / 4, PI / 4, 0.0))
-    probe = construct_probe(fidelity(ID4, u2)[1])
+    probe = discriminate(ID4, u2).probe
     out = oracle.helstrom_simulate(ID4, u2, probe, shots=20_000, seed=1)
     assert out.errors == 0
     assert out.empirical_rate == 0.0
@@ -282,7 +282,7 @@ def test_helstrom_equal_outputs_at_equal_priors_guess_the_first_gate():
 
 def test_helstrom_deterministic_and_seeded():
     u2 = canonical.build_ud((0.4, 0.2, 0.0))
-    probe = construct_probe(fidelity(ID4, u2)[1])
+    probe = discriminate(ID4, u2).probe
     a = oracle.helstrom_simulate(ID4, u2, probe, shots=5_000, seed=11)
     b = oracle.helstrom_simulate(ID4, u2, probe, shots=5_000, seed=11)
     assert a == b
@@ -291,8 +291,7 @@ def test_helstrom_deterministic_and_seeded():
 
 def test_helstrom_asymmetric_prior_beats_naive():
     u2 = canonical.build_ud((PI / 8, 0, 0))
-    om = fidelity(ID4, u2)[1]
-    probe = construct_probe(om)
+    probe = discriminate(ID4, u2).probe
     out = oracle.helstrom_simulate(ID4, u2, probe, p1=0.9, shots=100_000, seed=2)
     expect = error_probability(math.cos(PI / 8), 0.9, 0.1)
     assert abs(out.empirical_rate - expect) <= 5 * max(out.std_error, 1e-4)
@@ -315,7 +314,7 @@ def test_helstrom_domain_errors():
 def test_helstrom_clamps_a_prior_rounded_past_one():
     # the same slack as discriminate: p1 = 1 + 1e-13 is the prior 1
     u2 = canonical.build_ud((PI / 8, 0, 0))
-    probe = construct_probe(fidelity(ID4, u2)[1])
+    probe = discriminate(ID4, u2).probe
     got = oracle.helstrom_simulate(ID4, u2, probe, p1=1.0 + 1e-13, shots=1000, seed=3)
     assert got == oracle.helstrom_simulate(ID4, u2, probe, p1=1.0, shots=1000, seed=3)
 
@@ -504,7 +503,7 @@ def test_kernel_memory_bounded_by_block_states():
 
 def test_helstrom_memory_independent_of_shots():
     u2 = canonical.build_ud((PI / 8, 0, 0))
-    probe = construct_probe(fidelity(ID4, u2)[1])
+    probe = discriminate(ID4, u2).probe
     tracemalloc.start()
     try:
         out = oracle.helstrom_simulate(ID4, u2, probe, shots=10**7, seed=3)
@@ -858,7 +857,7 @@ def test_product_oracle_exact_on_criterion_2_pairs(rng):
         u1 = canonical.from_magic_phases(draw.uniform(-PI, PI, 4))
         u2 = canonical.from_magic_phases(draw.uniform(-PI, PI, 4))
         pv, probe = oracle.min_over_product_states(u1, u2)
-        assert abs(pv - fidelity(u1, u2)[0]) <= 1e-12
+        assert abs(pv - discriminate(u1, u2).fidelity) <= 1e-12
         pairs.append((u1, u2, pv, probe))
     for _ in range(30):
         u1, u2 = random_unitary(rng), random_unitary(rng)
@@ -972,7 +971,7 @@ def test_product_search_early_stop_keeps_the_full_answer(rng, monkeypatch):
     for _ in range(200):
         u1 = canonical.from_magic_phases(draw.uniform(-PI, PI, 4))
         u2 = canonical.from_magic_phases(draw.uniform(-PI, PI, 4))
-        pairs.append((u1, u2, fidelity(u1, u2)[0]))
+        pairs.append((u1, u2, discriminate(u1, u2).fidelity))
     pairs += [(random_unitary(rng), random_unitary(rng), None) for _ in range(30)]
     seen = _record_scans(monkeypatch)
     kinds = collections.Counter()

@@ -3,9 +3,8 @@ in the tests.
 
 Each phase set goes in against the identity and behind a shared shift
 gate, and `check_pair` holds the pair to the exact hull distance of
-`conftest.polygon_origin_distance` at criterion 1's bounds, and `fidelity`,
-`perfectly_distinguishable` and `relative_phases` to `discriminate`.  The
-bytes of the same families are the `discriminate_edges` fingerprint corpus.
+`conftest.polygon_origin_distance` at criterion 1's bounds, and
+`relative_phases` and `construct_probe` to `discriminate`.  The bytes of the same families are the `discriminate_edges` fingerprint corpus.
 """
 
 import math
