@@ -100,7 +100,14 @@ def lambda_phases(alpha) -> np.ndarray:
 
 
 def magic_rep(u) -> np.ndarray:
-    """Conjugate a computational-basis operator into the magic basis."""
+    """Conjugate a computational-basis operator into the magic basis.
+
+    It trusts its input: `u` must be a 4x4 matrix of finite numbers, or a
+    stack of them.  Anything else raises numpy's or Python's own error or
+    warning, or is cast (a bool, a numeric string, None).  Every package
+    caller passes gates `numerics.require_gates` has checked, so that the
+    check is not paid twice.
+    """
     return _MAGIC_DAG @ np.asarray(u, dtype=complex) @ MAGIC_BASIS
 
 

@@ -6,7 +6,8 @@ error-prone; `simulate` returns 0 when the empirical rate lies within 4
 binomial standard errors of the analytic bound (see `_z_score`);
 `selfcheck` returns 0 only if all trials pass.  Input problems (unreadable
 files, schema violations, non-unitary matrices, out-of-chamber vectors, bad
-flags) always exit 2.
+flags and argparse's usage errors) always exit 2 with one `error:` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -191,8 +192,16 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, its subcommands' included, raise
+    DomainError, so that `main` prints them as one line and exits 2."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gatediscrim",
         description=(
             "Decide and quantify single-query distinguishability of "
@@ -283,11 +292,10 @@ def main(argv=None) -> int:
             argv[i - 1 : i + 1] = [f"{flag}={value}"]
     try:
         args = parser.parse_args(argv)
-    except SystemExit as err:
-        # argparse exits 2 on usage errors and 0 on --help
-        return int(err.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as err:
+        # --help and --version; a usage error raises DomainError
+        return int(err.code or 0)
     except (GateDiscrimError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

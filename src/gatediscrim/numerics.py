@@ -55,7 +55,9 @@ def wrap_angle(theta):
     Exact: an angle already in the interval comes back unchanged (-0.0 as
     0.0), and any other angle moves by a whole number of turns of TWO_PI.
     NaN and the infinities give NaN, with no warning.  An array is wrapped
-    angle by angle, and a 0-d array comes back as a float.
+    angle by angle, and a 0-d array comes back as a float.  It trusts its
+    input: a complex, string or object angle raises numpy's or Python's own
+    error.  Every package caller passes angles it has already checked.
     """
     if not isinstance(theta, float):
         t = np.asarray(theta, dtype=float)
@@ -73,7 +75,9 @@ def unitarity_residual(m) -> np.ndarray:
     """max |m^dag m - I| of each 4x4 matrix in a (k, 4, 4) stack.
 
     NaN and inf entries, and products that overflow, give a NaN or inf
-    residual, which fails every `r <= tol` test, and no numpy warning.
+    residual, which fails every `r <= tol` test, and no numpy warning.  It
+    trusts its input: `m` must be a numeric array of 4x4 matrices, as
+    `require_gates` builds it; anything else raises numpy's own error.
     """
     with np.errstate(all="ignore"):
         gram = m.conj().swapaxes(-1, -2) @ m
@@ -191,15 +195,28 @@ def _unit_norm(v: np.ndarray, tol: float, name: str) -> np.ndarray:
     return v
 
 
+def _shown(x) -> str:
+    """repr(x), or a stand-in where Python refuses it: for an int of more
+    than 4300 digits, alone or inside a container."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
+
+
 def require_real(x, what: str) -> float:
     """`x` as a float; DomainError for anything but a real number (a bool is
-    none).  NaN and the infinities pass: the range checks reject them."""
+    none) and for one beyond float range, such as the int 10**400.  NaN and
+    the infinities pass: the range checks reject them."""
     # a float (np.float64 is one) skips the ABC check, which costs about 1 us
-    if not isinstance(x, float) and (
-        isinstance(x, bool) or not isinstance(x, numbers.Real)
-    ):
-        raise DomainError(f"{what} must be a real number, got {x!r}")
-    return float(x)
+    if isinstance(x, float):
+        return float(x)
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {_shown(x)}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} is outside float range") from None
 
 
 def require_positive(tol: float, what: str = "tol") -> float:
@@ -224,7 +241,7 @@ def require_prior(p: float, what: str = "p1") -> float:
 def require_count(x, lo: int, what: str) -> int:
     """`x` itself; DomainError unless it is an integer >= lo (a bool is none)."""
     if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= lo):
-        raise DomainError(f"{what} must be an integer >= {lo}, got {x!r}")
+        raise DomainError(f"{what} must be an integer >= {lo}, got {_shown(x)}")
     return x
 
 

@@ -218,7 +218,7 @@ def helstrom_simulate(
     """
     # numpy's binomial takes counts up to the int64 maximum
     if numerics.require_count(shots, 1, "shots") > np.iinfo(np.int64).max:
-        raise DomainError(f"shots must be at most 2**63 - 1, got {shots!r}")
+        raise DomainError("shots must be at most 2**63 - 1")
     numerics.require_count(seed, 0, "seed")
     p1 = numerics.require_prior(p1)
     u1, u2 = numerics.require_gates((u1, u2), tol)

@@ -14,15 +14,31 @@ oracle.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatediscrim import _kernels, canonical
+from gatediscrim import _kernels, canonical, cli
 from gatediscrim.numerics import wrap_angle
 
 
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def g(prefix: str) -> str:
+    """The path of the corpus gate file whose name starts with `prefix`."""
+    hits = sorted(GOLDEN.glob(f"{prefix}_*.json"))
+    assert len(hits) == 1, f"corpus file {prefix} missing"
+    return str(hits[0])
+
+
+def run_main(capsys, *argv):
+    """`cli.main(argv)` in-process: (exit code, stdout, stderr)."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.fixture

@@ -6,11 +6,10 @@ worst-case numbers and wall time, so the run log doubles as a report.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 
-from gatediscrim import canonical, cli, discrimination, files, geometry, numerics, oracle
+from gatediscrim import canonical, cli, discrimination, numerics, oracle
 from gatediscrim.discrimination import (
     achieved_overlap,
     concurrence,
@@ -20,8 +19,8 @@ from gatediscrim.discrimination import (
 )
 from gatediscrim.numerics import ID4, wrap_angle
 
-from conftest import random_su2
-from test_cli import DISCRIMINATE_TABLE, g
+from conftest import g, random_su2
+from test_cli import DISCRIMINATE_TABLE
 
 PI = math.pi
 

@@ -14,7 +14,9 @@ import pytest
 from gatediscrim import canonical, cli, files, oracle, svg
 from gatediscrim.errors import DomainError
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+from conftest import GOLDEN, g, run_main
+from test_contract import command_keeps
+
 # a cold `python -m gatediscrim.cli` child runs the package under test,
 # installed or not
 _PATH = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -35,18 +37,6 @@ DISCRIMINATE_TABLE = [
     ("01", "10", 2),
     ("01", "11", 2),
 ]
-
-
-def g(prefix: str) -> str:
-    hits = sorted(GOLDEN.glob(f"{prefix}_*.json"))
-    assert len(hits) == 1, f"corpus file {prefix} missing"
-    return str(hits[0])
-
-
-def run_main(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_corpus_is_complete():
@@ -147,15 +137,7 @@ def test_build_ud_degrees_flag(capsys, tmp_path):
 
 
 def test_build_ud_rejects_bad_vector(capsys, tmp_path):
-    code, _, err = run_main(
-        capsys, "build-ud", "--alpha", "0.1,0.2,0.3", "--out", str(tmp_path / "x.json")
-    )
-    assert code == 2
-    assert "violated" in err
-    code, _, err = run_main(
-        capsys, "build-ud", "--alpha", "0.1,0.2", "--out", str(tmp_path / "x.json")
-    )
-    assert code == 2
+    command_keeps(capsys, tmp_path, "--alpha", "0.1,0.2,0.3", "0.1,0.2")
 
 
 def test_decompose_identity_and_dressed(capsys):
@@ -260,19 +242,7 @@ def test_rejected_gate_file_gives_one_line(tmp_path, make):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_bad_tol_is_rejected(capsys, tmp_path, tol):
-    probe, fig = tmp_path / "probe.json", tmp_path / "hull.svg"
-    commands = [
-        ["decompose", g("09")],
-        ["discriminate", g("09"), g("01"), "--probe-out", str(probe),
-         "--svg-out", str(fig)],
-        ["simulate", g("09"), g("01"), "--shots", "100"],
-    ]
-    for argv in commands:
-        code, out, err = run_main(capsys, *argv, f"--tol={tol}")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: --tol") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    command_keeps(capsys, tmp_path, "--tol", tol)
 
 
 @pytest.mark.parametrize("flag", ["--probe-out", "--svg-out"])
@@ -498,16 +468,10 @@ def test_simulate_prior_rounded_past_one(capsys):
         assert p1 == 0.0 and math.copysign(1.0, p1) == 1.0
 
 
-def test_simulate_bad_shots(capsys):
+def test_simulate_bad_shots(capsys, tmp_path):
     # 10**23 lies past the int64 maximum, the largest count numpy's binomial
     # takes
-    for shots in ("0", str(10**23)):
-        code, out, err = run_main(
-            capsys, "simulate", g("01"), g("04"), "--shots", shots
-        )
-        assert code == 2
-        assert out == ""
-        assert "shots" in err and err.count("\n") == 1
+    command_keeps(capsys, tmp_path, "--shots", "0", str(10**23))
 
 
 def test_selfcheck_passes_and_replays(capsys):
@@ -589,17 +553,12 @@ def test_selfcheck_passes_no_errors_at_a_tiny_rate(capsys, monkeypatch):
     assert code == 0
 
 
-def test_selfcheck_zero_trials(capsys):
-    code, _, err = run_main(capsys, "selfcheck", "--trials", "0")
-    assert code == 2
-    assert "trials" in err
+def test_selfcheck_zero_trials(capsys, tmp_path):
+    command_keeps(capsys, tmp_path, "--trials", "0")
 
 
-def test_selfcheck_negative_seed(capsys):
-    code, out, err = run_main(capsys, "selfcheck", "--trials", "1", "--seed", "-1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: --seed") and err.count("\n") == 1
+def test_selfcheck_negative_seed(capsys, tmp_path):
+    command_keeps(capsys, tmp_path, "--seed", "-1")
 
 
 def test_figure_inside_and_outside(capsys, tmp_path):
@@ -644,21 +603,11 @@ def test_figure_inside_and_outside(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["figure", "--omega", "nan,0,0,0"],
-        ["figure", "--omega", "0,inf,0,0", "--degrees"],
-        ["build-ud", "--alpha", "nan,0,0"],
-        ["build-ud", "--alpha", "0.1,0,-inf"],
-    ],
+    [["--omega", "nan,0,0,0"], ["--omega", "0,inf,0,0"], ["--alpha", "nan,0,0"],
+     ["--alpha", "0.1,0,-inf"]],
 )
 def test_non_finite_angles_rejected(capsys, tmp_path, argv):
-    out = tmp_path / "out"
-    code, stdout, err = run_main(capsys, *argv, "--out", str(out))
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "finite" in err
-    assert not out.exists()
+    command_keeps(capsys, tmp_path, *argv)
 
 
 def test_figure_takes_a_negative_first_angle(capsys, tmp_path):
@@ -713,14 +662,12 @@ def test_discriminate_outputs_are_deterministic(capsys, tmp_path):
 
 def test_help_version_and_usage_errors(capsys):
     assert run_main(capsys, "--help")[0] == 0
-    code, out, _ = run_main(capsys, "--version")
-    assert code == 0
-    code, _, _ = run_main(capsys, "bogus-command")
-    assert code == 2
-    code, _, _ = run_main(capsys)
-    assert code == 2
-    code, _, err = run_main(capsys, "discriminate", g("01"), g("04"), "--p1", "oops")
-    assert code == 2
+    assert run_main(capsys, "--version")[0] == 0
+    # a usage error with no value flag's value in it is one line too
+    for argv in (["bogus-command"], [], ["discriminate", g("01")], ["figure", "--x"]):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
+        assert err.count("\n") == 1, err
 
 
 def test_module_entry_point():

@@ -21,12 +21,12 @@ from gatediscrim.errors import (
     ConstructionFailedError,
     DomainError,
     NotNormalizedError,
-    NotUnitaryError,
 )
 from gatediscrim.numerics import ID4, wrap_angle
 
 import fingerprint
 from conftest import polygon_origin_distance, random_state
+from test_contract import keeps
 
 PI = math.pi
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -53,8 +53,7 @@ def test_concurrence_cross_definition(rng):
 
 
 def test_concurrence_requires_normalization():
-    with pytest.raises(NotNormalizedError):
-        concurrence([1.0, 1.0, 0.0, 0.0])
+    keeps(concurrence, "amplitudes", [1, 1, 0, 0])
 
 
 def test_factor_product_recovers_factors(rng):
@@ -107,31 +106,15 @@ def test_error_probability_monotone(rng):
 
 
 def test_error_probability_domain():
-    nan, inf = math.nan, math.inf
-    for bad in [
-        (-0.1, 0.5, 0.5),
-        (1.2, 0.5, 0.5),
-        (nan, 0.5, 0.5),
-        (inf, 0.5, 0.5),
-        (0.5, nan, nan),
-        (0.5, nan, 0.5),
-        (0.5, inf, -inf),
-    ]:
-        with pytest.raises(DomainError):
-            error_probability(*bad)
+    # each value alone is the contract table's; here, the priors' sum
     with pytest.raises(DomainError):
         error_probability(0.5, 0.7, 0.7)
     with pytest.raises(DomainError):
         error_probability(0.5, -0.1, 1.1)
-    # each prior passes require_prior: no bool, no p1 past its 1e-12 slack
-    # even where the 1e-9 sum slack would take it
-    for p1, p2 in [(True, False), (0.5, True), (1.0 + 5e-10, 0.0)]:
-        with pytest.raises(DomainError, match="prior p"):
-            error_probability(0.5, p1, p2)
-    with pytest.raises(DomainError, match="prior p2"):
-        error_probability(0.5, 0.5, math.nan)
+    # each prior passes require_prior: no p1 past its 1e-12 slack even where
+    # the 1e-9 sum slack would take it
     with pytest.raises(DomainError, match="prior p1"):
-        discriminate(ID4, canonical.build_ud((PI / 8, 0, 0)), p1=True)
+        error_probability(0.5, 1.0 + 5e-10, 0.0)
     r = discriminate(ID4, canonical.build_ud((PI / 8, 0, 0)), p1=np.float32(0.25))
     assert type(r.p1) is float and type(r.p2) is float and r.p1 == 0.25
 
@@ -236,8 +219,7 @@ def test_discrimination_imports_no_search():
 
 
 def test_probe_rejects_bad_omega():
-    with pytest.raises(DomainError):
-        construct_probe([0.0, 1.0, 2.0])
+    keeps(construct_probe, "4 phases", [0.0, 1.0, 2.0])
 
 
 def test_discriminate_report_fields():
@@ -283,8 +265,7 @@ def test_discriminate_verdict_iff_fidelity(rng):
 
 
 def test_discriminate_rejects_bad_prior():
-    with pytest.raises(DomainError):
-        discriminate(ID4, ID4, p1=1.5)
+    keeps(discriminate, "prior", 1.5)
 
 
 def test_discriminate_rejects_dressed(rng):
@@ -380,8 +361,7 @@ def test_discriminate_validates_only_its_own_arguments(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_probe_rejects_non_finite_omega(bad):
-    with pytest.raises(DomainError):
-        construct_probe([0.0, bad, 1.0, 2.0])
+    keeps(construct_probe, "4 phases", [0.0, bad, 1.0, 2.0])
 
 
 def test_probe_for_hull_fails_on_nan():
@@ -392,53 +372,36 @@ def test_probe_for_hull_fails_on_nan():
 
 
 def test_tolerance_checks_fail_on_nan():
-    with pytest.raises(NotNormalizedError):
-        concurrence([math.nan, 0, 0, 0])
     with pytest.raises(NotNormalizedError, match="probe amplitudes"):
         discrimination._probe_from_amplitudes([math.nan, 0, 0, 0])
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
-def test_gate_pair_entry_points_check_tol(tol, tmp_path):
-    ix = np.kron(numerics.ID2, numerics.PAULI_X)
-    probe = construct_probe(np.zeros(4))
-    paths = [tmp_path / "matrix.json", tmp_path / "alpha.json"]
-    files.write_document(files.matrix_document(ID4, "I"), paths[0])
-    files.write_document({"kind": "alpha", "alpha": [0.3, 0.2, 0.1]}, paths[1])
-    calls = [
-        lambda: numerics.require_unitary(ID4, tol=tol),
-        lambda: canonical.extract_interaction(ID4, tol=tol),
-        lambda: files.load_matrix_file(paths[0], tol=tol),
-        lambda: files.load_matrix_file(paths[1], tol=tol),
-        lambda: oracle.helstrom_simulate(ID4, ix, probe, shots=100, tol=tol),
-        lambda: discriminate(ID4, ix, tol=tol),
-    ]
-    for call in calls:
-        # a DomainError about `tol`, not a NotUnitaryError about the gate
-        with pytest.raises(DomainError, match="tol must be finite and > 0"):
-            call()
+def test_gate_pair_entry_points_check_tol(tol):
+    # a DomainError about `tol`, not a NotUnitaryError about the gate
+    for fn in (numerics.require_unitary, canonical.extract_interaction,
+               files.load_matrix_file, oracle.helstrom_simulate, discriminate):
+        keeps(fn, "tol", tol)
 
 
 def test_gate_pair_entry_points_reject_non_4x4():
-    with pytest.raises(NotUnitaryError, match="second gate"):
-        discriminate(ID4, np.eye(3))
+    keeps(discriminate, "gate", np.eye(3))
 
 
 @pytest.mark.parametrize(
-    "u, om",
+    "kind, value",
     [
-        ([1.0, 0.0, 0.0], np.zeros(4)),
-        ([1.0, 0.0, 0.0, 0.0, 0.0], np.zeros(4)),
-        ([1.0, 0.0, 0.0, 0.0], np.zeros(3)),
-        ([1.0, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0, 0.0]),
-        ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, math.inf, 0.0]),
-        ([1.0, 0.0, 0.0, 0.0], [-math.inf, 0.0, 0.0, 0.0]),
+        ("amplitudes", [1, 0, 0]),
+        ("amplitudes", [1, 0, 0, 0, 0]),
+        ("4 phases", [0.0, 1.0, 2.0]),
+        ("4 phases", [0.0, math.nan, 1.0, 2.0]),
+        ("4 phases", [0.0, 0.0, math.inf, 0.0]),
+        ("4 phases", [-math.inf, 0.0, 0.0, 0.0]),
     ],
     ids=["u3", "u5", "omega3", "omega_nan", "omega_inf", "omega_minus_inf"],
 )
-def test_achieved_overlap_rejects_bad_input(u, om):
-    with pytest.raises(DomainError):
-        discrimination.achieved_overlap(u, om)
+def test_achieved_overlap_rejects_bad_input(kind, value):
+    keeps(discrimination.achieved_overlap, kind, value)
 
 
 def test_achieved_overlap_and_construct_probe_share_messages():

@@ -18,9 +18,9 @@ import pytest
 
 from gatediscrim import cli
 
+from conftest import GOLDEN, g
 from test_cli import DISCRIMINATE_TABLE
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
 EXPECTED = GOLDEN / "expected"
 
 DISCRIMINATE_PAIRS = [(a, b) for a, b, code in DISCRIMINATE_TABLE if code != 2]
@@ -28,11 +28,6 @@ DISCRIMINATE_PAIRS = [(a, b) for a, b, code in DISCRIMINATE_TABLE if code != 2]
 DECOMPOSE_GATES = ["01", "02", "03", "04", "05", "06", "07", "08", "12"]
 # (first, second, shots, seed) of the seeded runs the CLI tests make
 SIMULATE_RUNS = [("01", "04", "100000", "42"), ("01", "06", "10000", "3")]
-
-
-def _gate(prefix: str) -> str:
-    (hit,) = GOLDEN.glob(f"{prefix}_*.json")
-    return str(hit)
 
 
 def _stdout(argv) -> bytes:
@@ -47,7 +42,7 @@ def render_discriminate(first: str, second: str) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         probe, fig = Path(tmp) / "probe.json", Path(tmp) / "hull.svg"
         out = _stdout([
-            "discriminate", _gate(first), _gate(second),
+            "discriminate", g(first), g(second),
             "--probe-out", str(probe), "--svg-out", str(fig),
         ])
         stem = f"discriminate_{first}_{second}"
@@ -59,12 +54,12 @@ def render_discriminate(first: str, second: str) -> dict[str, bytes]:
 
 
 def render_decompose(gate: str) -> dict[str, bytes]:
-    return {f"decompose_{gate}.stdout.json": _stdout(["decompose", _gate(gate)])}
+    return {f"decompose_{gate}.stdout.json": _stdout(["decompose", g(gate)])}
 
 
 def render_simulate(first: str, second: str, shots: str, seed: str) -> dict[str, bytes]:
     out = _stdout([
-        "simulate", _gate(first), _gate(second), "--shots", shots, "--seed", seed,
+        "simulate", g(first), g(second), "--shots", shots, "--seed", seed,
     ])
     return {f"simulate_{first}_{second}_seed{seed}.stdout.json": out}
 

@@ -160,3 +160,28 @@ def test_the_benchmark_reads_only_names_the_package_has():
             if not hasattr(importlib.import_module(module), name):
                 missing.add((module.split(".")[-1], name))
     assert missing <= _UNREAD_BY_BENCHMARK, sorted(missing - _UNREAD_BY_BENCHMARK)
+
+
+def test_every_imported_name_is_read():
+    # no linter runs here; the package's __init__ imports to re-export
+    package = Path(gatediscrim.__file__).parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    unread = []
+    for path in paths + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            imported.update(dict.fromkeys(names, node.lineno))
+        read = {
+            n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [f"{path.name}:{n} {x}" for x, n in imported.items() if x not in read]
+    assert unread == []

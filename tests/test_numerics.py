@@ -1,11 +1,8 @@
 import argparse
 import importlib
 import inspect
-import json
 import math
 import pkgutil
-import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +18,7 @@ from gatediscrim import (
     oracle,
     svg,
 )
-from gatediscrim.errors import DomainError, NotNormalizedError, NotUnitaryError
+from gatediscrim.errors import DomainError, NotUnitaryError
 from gatediscrim.numerics import (
     ID2,
     ID4,
@@ -40,6 +37,7 @@ from conftest import (
     random_su2,
     random_unitary,
 )
+from test_contract import KINDS, NON_NUMERIC_GATES, NUMERIC_BAD_GATES, ROWS, keeps
 
 
 def test_wrap_angle_values():
@@ -169,15 +167,13 @@ def test_eigenphases_det_and_dagger(rng):
 
 
 def test_eigenphases_rejects_nonunitary():
-    with pytest.raises(NotUnitaryError):
-        unitary_eigenphases(1.5 * ID4)
+    keeps(unitary_eigenphases, "gate", 1.5 * ID4)
 
 
 def test_a_gate_is_a_4x4_matrix():
     # a unitary of another size is no gate: every gate check is require_gates'
-    for call in (numerics.require_unitary, unitary_eigenphases):
-        with pytest.raises(NotUnitaryError, match="must be a 4x4 matrix"):
-            call(ID2)
+    for fn in (numerics.require_unitary, unitary_eigenphases):
+        keeps(fn, "gate", ID2)
 
 
 def test_require_gates_converts_each_gate_once():
@@ -204,8 +200,7 @@ def test_random_su2(rng):
 
 
 def test_require_normalized_rejects_nan():
-    with pytest.raises(NotNormalizedError):
-        numerics.require_normalized([np.nan, 0, 0, 0])
+    keeps(numerics.require_normalized, "amplitudes", [math.nan, 0, 0, 0])
 
 
 def test_require_prior_clamps_rounding_and_rejects_the_rest():
@@ -234,44 +229,40 @@ def test_require_count_takes_integers_only():
             numerics.require_count(x, lo, "widgets")
 
 
-# every entry point that reads real numbers through `require_finite`, called
-# with one complex entry; numpy's float cast would drop the imaginary part
-# with a ComplexWarning, which pytest turns into an error
+# one complex entry: numpy's float cast would drop the imaginary part with a
+# ComplexWarning, which pytest turns into an error
 _Q = math.pi / 4
-COMPLEX_ENTRY_POINTS = {
-    "construct_probe": lambda: discrimination.construct_probe([0, 3j, 0, 0]),
-    "achieved_overlap": lambda: discrimination.achieved_overlap(
-        [1, 0, 0, 0], [3j, 0, 0, 0]
-    ),
-    "check_weyl": lambda: canonical.check_weyl([_Q + 1j, _Q, _Q]),
-    "classify": lambda: canonical.classify([_Q + 1j, _Q, _Q]),
-    "build_ud": lambda: canonical.build_ud([0.1j, 0, 0]),
-    "from_magic_phases": lambda: canonical.from_magic_phases([0, 0, 0, 1j]),
-    "hull_of_phases": lambda: geometry.hull_of_phases([0.5, 1j]),
-    "arc_spread": lambda: geometry.arc_spread([0.5, 1j]),
-    "render_hull_svg": lambda: svg.render_hull_svg([0, 0, 0, 1j]),
+COMPLEX_INPUT = {
+    discrimination.construct_probe: ("4 phases", [0, 3j, 0, 0]),
+    discrimination.achieved_overlap: ("4 phases", [3j, 0, 0, 0]),
+    canonical.check_weyl: ("alpha", [_Q + 1j, _Q, _Q]),
+    canonical.classify: ("alpha", [_Q + 1j, _Q, _Q]),
+    canonical.build_ud: ("alpha", [0.1j, 0, 0]),
+    canonical.from_magic_phases: ("4 phases", [0, 0, 0, 1j]),
+    geometry.hull_of_phases: ("phases", [0.5, 1j]),
+    geometry.arc_spread: ("phases", [0.5, 1j]),
+    svg.render_hull_svg: ("4 phases", [0, 0, 0, 1j]),
 }
-
-
-@pytest.mark.parametrize("entry", list(COMPLEX_ENTRY_POINTS))
-def test_real_number_entry_points_reject_complex_input(entry):
-    with pytest.raises(DomainError, match="must be real numbers, got complex128"):
-        COMPLEX_ENTRY_POINTS[entry]()
-
-
 # a bool among numbers, at any depth of a list or tuple: numpy would cast it
-# to 1.0 or 0.0 and the entry point would answer for another input
-BOOL_ENTRY_POINTS = {
-    "construct_probe": lambda: discrimination.construct_probe([True, 0, 0, 0]),
-    "build_ud": lambda: canonical.build_ud((0.1, np.False_, 0.0)),
-    "hull_of_phases": lambda: geometry.hull_of_phases([[0.5, 1.0], [2.0, True]]),
+BOOL_INPUT = {
+    discrimination.construct_probe: ("4 phases", [True, 0, 0, 0]),
+    canonical.build_ud: ("alpha", (0.1, np.False_, 0.0)),
+    geometry.hull_of_phases: ("phases", [[0.5, 1.0], [2.0, True]]),
 }
 
 
-@pytest.mark.parametrize("entry", list(BOOL_ENTRY_POINTS))
-def test_real_number_entry_points_reject_bool_input(entry):
-    with pytest.raises(DomainError, match="must be real numbers, got bool$"):
-        BOOL_ENTRY_POINTS[entry]()
+def _name(fn):
+    return fn.__name__
+
+
+@pytest.mark.parametrize("fn", COMPLEX_INPUT, ids=_name)
+def test_real_number_entry_points_reject_complex_input(fn):
+    keeps(fn, *COMPLEX_INPUT[fn])
+
+
+@pytest.mark.parametrize("fn", BOOL_INPUT, ids=_name)
+def test_real_number_entry_points_reject_bool_input(fn):
+    keeps(fn, *BOOL_INPUT[fn])
 
 
 def test_require_finite_takes_real_arrays_only():
@@ -289,128 +280,38 @@ def test_require_finite_takes_real_arrays_only():
 
 
 def test_scalar_tolerances_and_fidelity_must_be_real():
-    for bad in (1j, 1e-10 + 0j, "1e-10", None, True):
-        with pytest.raises(DomainError, match="tol must be a real number"):
-            geometry.hull_of_phases([0.0, 1.0], tol=bad)
-        with pytest.raises(DomainError, match="tol must be a real number"):
-            numerics.require_positive(bad)
-        with pytest.raises(DomainError, match="fidelity must be a real number"):
-            discrimination.error_probability(bad, 0.5, 0.5)
+    not_real = (1j, 1e-10 + 0j, "1e-10", None, True)
+    keeps(geometry.hull_of_phases, "merge tol", *not_real)
+    keeps(numerics.require_positive, "tol", *not_real)
+    keeps(discrimination.error_probability, "overlap", *not_real)
 
 
-def _with_entry(x):
-    m = ID4.copy()
-    m[1, 2] = x
-    return m
+GATE_ENTRY_POINTS = [
+    canonical.relative_phases, discrimination.discriminate, canonical.extract_interaction,
+    numerics.require_unitary, oracle.min_over_product_states, oracle.min_over_all_states,
+    oracle.helstrom_simulate,
+]
 
 
-# gates every entry point must reject: wrong shapes, then 4x4 matrices whose
-# unitarity residual is NaN, inf (inf - inf) or overflows
-BAD_GATES = {
-    "eye2": np.eye(2),
-    "eye3": np.eye(3),
-    "vector4": np.ones(4),
-    "nan": _with_entry(math.nan),
-    "inf": _with_entry(math.inf),
-    "1e200": _with_entry(1e200),
-}
+@pytest.mark.parametrize("fn", GATE_ENTRY_POINTS + [files.load_matrix_file], ids=_name)
+def test_gate_entry_points_reject_bad_gates(fn):
+    # wrong shapes, and 4x4 matrices with a NaN, inf or overflowing residual
+    kind = "gate in a file" if fn is files.load_matrix_file else "gate"
+    keeps(fn, kind, *(v for v, _, _ in NUMERIC_BAD_GATES))
 
 
-def _gate_file(path, g):
-    # a vector is stored as a one-row matrix; json writes NaN and Infinity
-    rows = files.matrix_pairs(np.atleast_2d(g))
-    path.write_text(json.dumps({"kind": "matrix", "rows": rows}))
-    return str(path)
+@pytest.mark.parametrize("fn", GATE_ENTRY_POINTS, ids=_name)
+def test_gate_entry_points_reject_non_numeric_gates(fn):
+    keeps(fn, "gate", *(v for v, _, _ in NON_NUMERIC_GATES))
 
 
-_PROBE = discrimination.construct_probe(np.zeros(4))
-
-# (call with the bad gate g, the name the error must carry)
-GATE_ENTRY_POINTS = {
-    "relative_phases": (lambda g, p: canonical.relative_phases(ID4, g), "second gate"),
-    "discriminate": (lambda g, p: discrimination.discriminate(g, g), "first gate"),
-    "extract_interaction": (lambda g, p: canonical.extract_interaction(g), "gate"),
-    "require_unitary": (lambda g, p: numerics.require_unitary(g), "matrix"),
-    "min_over_product_states": (
-        lambda g, p: oracle.min_over_product_states(ID4, g),
-        "second gate",
-    ),
-    "min_over_all_states": (lambda g, p: oracle.min_over_all_states(g, ID4), "first gate"),
-    "helstrom_simulate": (
-        lambda g, p: oracle.helstrom_simulate(ID4, g, _PROBE),
-        "second gate",
-    ),
-    "load_matrix_file": (lambda g, p: files.load_matrix_file(_gate_file(p, g)), "gate.json"),
-}
-
-
-@pytest.mark.parametrize("entry", list(GATE_ENTRY_POINTS))
-def test_gate_entry_points_reject_bad_gates(entry, tmp_path):
-    call, name = GATE_ENTRY_POINTS[entry]
-    for g in BAD_GATES.values():
-        # pytest turns a numpy warning into an error that fails the match
-        with pytest.raises(NotUnitaryError, match=re.escape(name)):
-            call(g, tmp_path / "gate.json")
-
-
-# gates that are no array of numbers: what numpy cannot convert, and the
-# bool, string and object arrays it would cast, as the real-number check
-# refuses them; no gate file holds one
-NON_NUMERIC_GATES = {
-    "string": "abc",
-    "ragged": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-    "dict": {"rows": ID4},
-    "huge_int": 10**400,
-    "bool_eye": np.eye(4, dtype=bool),
-    "bool_in_list": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-    "numeric_strings": np.eye(4, dtype=int).astype(str),
-    "fractions": [[Fraction(int(i == j)) for j in range(4)] for i in range(4)],
-}
-
-
-@pytest.mark.parametrize("entry", [e for e in GATE_ENTRY_POINTS if "file" not in e])
-def test_gate_entry_points_reject_non_numeric_gates(entry):
-    call, name = GATE_ENTRY_POINTS[entry]
-    msg = f"^{re.escape(name)} must be a 4x4 matrix of numbers$"
-    for g in NON_NUMERIC_GATES.values():
-        with pytest.raises(NotUnitaryError, match=msg):
-            call(g, None)
-
-
-# states that are no array of numbers, as for NON_NUMERIC_GATES
-NON_NUMERIC_STATES = {
-    "string": ["x", 0, 0, 0],
-    "ragged": [[1, 0], [0, 0, 0]],
-    "dict": {"u": [1, 0, 0, 0]},
-    "bool_in_list": [True, 0, 0, 0],
-    "bool_array": np.array([True, False, False, False]),
-    "numeric_string": ["1", 0, 0, 0],
-    "fractions": [Fraction(1), 0, 0, 0],
-}
-
-# (call with the bad state s, the name the error must carry)
-STATE_ENTRY_POINTS = {
-    "concurrence": (lambda s: discrimination.concurrence(s), "magic amplitudes"),
-    "achieved_overlap": (
-        lambda s: discrimination.achieved_overlap(s, np.zeros(4)),
-        "magic amplitudes",
-    ),
-    "helstrom_simulate": (
-        lambda s: oracle.helstrom_simulate(
-            ID4, ID4, discrimination.ProbeState(_PROBE.u, s, _PROBE.concurrence)
-        ),
-        "probe",
-    ),
-}
-
-
-@pytest.mark.parametrize("entry", list(STATE_ENTRY_POINTS))
-def test_state_entry_points_reject_non_numeric_states(entry):
-    call, name = STATE_ENTRY_POINTS[entry]
-    msg = f"^{re.escape(name)} must be an array of numbers$"
-    for s in NON_NUMERIC_STATES.values():
-        with pytest.raises(DomainError, match=msg):
-            call(s)
+@pytest.mark.parametrize(
+    "fn",
+    [discrimination.concurrence, discrimination.achieved_overlap, oracle.helstrom_simulate],
+    ids=_name,
+)
+def test_state_entry_points_reject_non_numeric_states(fn):
+    keeps(fn, "amplitudes", *(v for v, _, f in KINDS["amplitudes"][1] if "numbers" in f))
 
 
 def test_extract_interaction_keeps_its_tolerance():
@@ -425,14 +326,11 @@ def test_extract_interaction_keeps_its_tolerance():
 
 def test_helstrom_simulate_takes_a_tolerance():
     # the same residual-4e-7 gate: rejected at the default, accepted at 1e-6
-    u = (1.0 + 2e-7) * ID4
+    u, probe = (1.0 + 2e-7) * ID4, discrimination.construct_probe(np.zeros(4))
     with pytest.raises(NotUnitaryError, match="first gate is not unitary"):
-        oracle.helstrom_simulate(u, u, _PROBE, shots=100)
-    out = oracle.helstrom_simulate(u, u, _PROBE, shots=100, tol=1e-6)
+        oracle.helstrom_simulate(u, u, probe, shots=100)
+    out = oracle.helstrom_simulate(u, u, probe, shots=100, tol=1e-6)
     assert out.shots == 100
-    for tol in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(DomainError, match="tol must be finite and > 0"):
-            oracle.helstrom_simulate(ID4, ID4, _PROBE, shots=100, tol=tol)
 
 
 def _tol_defaults() -> dict:
@@ -458,16 +356,12 @@ def test_every_tol_default_is_a_named_tolerance():
     for name, default in defaults.items():
         # `is`: a literal of the same value is another float object
         assert default is others.get(name, numerics.GATE_TOL), name
-    gate_entry_points = {
-        "canonical.relative_phases",
-        "canonical.extract_interaction",
-        "discrimination.discriminate",
-        "files.load_matrix_file",
-        "numerics.require_unitary",
-        "numerics.require_gates",
-        "oracle.helstrom_simulate",
+    # every tol has a contract row; the one tol row without a default is
+    # the tolerance check itself
+    rows = {
+        f"{r.fn.__module__.split('.')[1]}.{r.fn.__name__}" for r in ROWS if r.name == "tol"
     }
-    assert gate_entry_points | set(others) == set(defaults)
+    assert rows == set(defaults) | {"numerics.require_positive"}
     # fixed tolerances, not knobs
     for fn in (
         canonical.classify,
