@@ -6,72 +6,62 @@ to the convex hull of the four points e^{-i omega_k} on the unit circle.
 The distance from the origin to that hull is the worst-case overlap, an
 optimal probe is always a product state, and local strategies match global
 ones for this task.
+
+`import gatediscrim` runs no submodule: each export, and each submodule
+named in `_EXPORTS`, is imported on first access (PEP 562).
 """
 
+import importlib
+
+# set at import: the submodules that stamp it on their output import it
 __version__ = "0.1.0"
 
-from . import canonical, discrimination, files, geometry, numerics, oracle, svg
-from .canonical import (
-    GateClass,
-    InteractionDecomposition,
-    MAGIC_BASIS,
-    build_ud,
-    classify,
-    extract_interaction,
-    from_magic_phases,
-    lambda_phases,
-    relative_phases,
-)
-from .discrimination import (
-    CaseTag,
-    DiscriminationReport,
-    ProbeState,
-    concurrence,
-    construct_probe,
-    discriminate,
-    error_probability,
-)
-from .geometry import (
-    HullResult,
-    PhaseGroup,
-    arc_spread,
-    hull_of_phases,
-)
-from .numerics import unitary_eigenphases
-from .oracle import (
-    SearchConfig,
-    ShotOutcome,
-    helstrom_simulate,
-    min_over_all_states,
-    min_over_product_states,
-)
+# each submodule and the names the package exports from it
+_EXPORTS = {
+    "canonical": (
+        "GateClass",
+        "InteractionDecomposition",
+        "MAGIC_BASIS",
+        "build_ud",
+        "classify",
+        "extract_interaction",
+        "from_magic_phases",
+        "lambda_phases",
+        "relative_phases",
+    ),
+    "discrimination": (
+        "CaseTag",
+        "DiscriminationReport",
+        "ProbeState",
+        "concurrence",
+        "construct_probe",
+        "discriminate",
+        "error_probability",
+    ),
+    "files": (),
+    "geometry": ("HullResult", "PhaseGroup", "arc_spread", "hull_of_phases"),
+    "numerics": ("unitary_eigenphases",),
+    "oracle": (
+        "SearchConfig",
+        "ShotOutcome",
+        "helstrom_simulate",
+        "min_over_all_states",
+        "min_over_product_states",
+    ),
+    "svg": (),
+}
+# name -> the submodule that holds it, a submodule's name -> itself
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 
-__all__ = [
-    "__version__",
-    "GateClass",
-    "InteractionDecomposition",
-    "MAGIC_BASIS",
-    "build_ud",
-    "classify",
-    "extract_interaction",
-    "from_magic_phases",
-    "lambda_phases",
-    "relative_phases",
-    "CaseTag",
-    "DiscriminationReport",
-    "ProbeState",
-    "concurrence",
-    "construct_probe",
-    "discriminate",
-    "error_probability",
-    "HullResult",
-    "PhaseGroup",
-    "arc_spread",
-    "hull_of_phases",
-    "unitary_eigenphases",
-    "SearchConfig",
-    "ShotOutcome",
-    "helstrom_simulate",
-    "min_over_all_states",
-    "min_over_product_states",
-]
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value

@@ -7,7 +7,8 @@ binomial standard errors of the analytic bound (see `_z_score`);
 `selfcheck` returns 0 only if all trials pass.  Input problems (unreadable
 files, schema violations, non-unitary matrices, out-of-chamber vectors, bad
 flags and argparse's usage errors) always exit 2 with one `error:` line on
-stderr.
+stderr.  Each command imports the modules it runs when it runs them, so a
+cold start loads only what the request needs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, canonical, discrimination, files, numerics, oracle, svg
+from . import __version__, files, numerics
 from .errors import DomainError, GateDiscrimError
 from .numerics import GATE_TOL, VERDICT_TOL, require_finite, require_positive
 
@@ -36,6 +37,8 @@ def _angles(text: str, count: int, degrees: bool, what: str) -> np.ndarray:
 
 
 def _cmd_build_ud(args) -> int:
+    from . import canonical
+
     alpha = _angles(args.alpha, 3, args.degrees, "--alpha")
     matrix = canonical.build_ud(alpha)
     label = args.label or f"ud({args.alpha})"
@@ -45,6 +48,8 @@ def _cmd_build_ud(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import canonical
+
     tol = require_positive(args.tol, "--tol")
     gate = files.load_matrix_file(args.gate, tol=tol)
     dec = canonical.extract_interaction(gate.matrix, tol=tol)
@@ -66,6 +71,8 @@ def _analyse_pair(args):
     tol = require_positive(args.tol, "--tol")
     g1 = files.load_matrix_file(args.first, tol=tol)
     g2 = files.load_matrix_file(args.second, tol=tol)
+    from . import discrimination
+
     return g1, g2, discrimination.discriminate(g1.matrix, g2.matrix, p1=args.p1, tol=tol)
 
 
@@ -85,6 +92,8 @@ def _cmd_discriminate(args) -> int:
         }
         outputs.append((files.render_document(probe_doc), args.probe_out))
     if args.svg_out:
+        from . import svg
+
         outputs.append((svg.render_hull_svg(report.omega), args.svg_out))
     # all files or none, before stdout, so a failure prints only the error line
     files.write_texts(outputs)
@@ -104,6 +113,8 @@ def _z_score(rate: float, analytic: float, shots: int) -> float:
 
 def _cmd_simulate(args) -> int:
     g1, g2, report = _analyse_pair(args)
+    from . import oracle
+
     outcome = oracle.helstrom_simulate(
         g1.matrix,
         g2.matrix,
@@ -134,6 +145,8 @@ def _cmd_simulate(args) -> int:
 
 def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
     """Run one seeded trial; returns a list of failure descriptions."""
+    from . import canonical, discrimination, oracle
+
     seed = base_seed + t
     rng = np.random.default_rng(seed)
     bad: list[str] = []
@@ -187,6 +200,8 @@ def _cmd_selfcheck(args) -> int:
 
 def _cmd_figure(args) -> int:
     omega = _angles(args.omega, 4, args.degrees, "--omega")
+    from . import svg
+
     files.write_texts([(svg.render_hull_svg(omega), args.out)])
     print(f"wrote {args.out}")
     return 0

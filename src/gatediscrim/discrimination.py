@@ -36,6 +36,14 @@ class ProbeState:
     `concurrence`, and at most `numerics.VERDICT_TOL`: an entangled state is
     never a probe.  The single-qubit factors `local_a` and `local_b` are
     computed from the ket on first read and kept.
+
+    The package's probes are checked as they are built.  A hand-built one is
+    checked where its fields are read, so that building a probe costs no
+    second check: `weights` needs `u` to be 4 unit-norm amplitudes, and
+    `local_a` and `local_b` need that of `u` and of `psi_computational`,
+    the ket within VERDICT_TOL of `MAGIC_BASIS @ u`, and the concurrence
+    of `u` at most VERDICT_TOL; else DomainError (NotNormalizedError for a
+    norm).
     """
 
     u: np.ndarray
@@ -50,13 +58,23 @@ class ProbeState:
 
     @property
     def weights(self) -> np.ndarray:
-        return np.abs(self.u) ** 2
+        return np.abs(numerics.require_normalized(self.u, "probe amplitudes")) ** 2
 
     @functools.cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         # only whoever prepares the probe reads its factors, so a request
         # that does not read them never factors the ket
-        return _factor(self.psi_computational)
+        psi = numerics.require_normalized(self.psi_computational, "probe ket")
+        u = numerics.require_normalized(self.u, "probe amplitudes")
+        gap = float(np.abs(canonical.MAGIC_BASIS @ u - psi).max())
+        if not (gap <= VERDICT_TOL):
+            raise DomainError(f"probe ket is {gap:.3e} from MAGIC_BASIS @ u")
+        c = _concurrence(u)
+        if not (c <= VERDICT_TOL):
+            raise DomainError(
+                f"probe amplitudes have concurrence {c:.3e} above {VERDICT_TOL:g}"
+            )
+        return _factor(psi)
 
     @property
     def local_a(self) -> np.ndarray:
@@ -72,6 +90,17 @@ class ProbeState:
 
 @dataclass(frozen=True)
 class DiscriminationReport:
+    """`discriminate`'s answer for one gate pair.
+
+    `omega` holds the relative phases, each in (-pi, pi]; `fidelity` the
+    worst-case output overlap F, the origin's distance to the hull of the
+    points e^{-i omega_k} (0 when the origin is within VERDICT_TOL of it);
+    `p1` and `p2` the priors; `error_probability` the Helstrom bound at
+    F; `perfectly_distinguishable` whether one query tells the gates apart
+    with certainty; `probe` an optimal product probe, and `achieved_value`
+    the overlap that probe reaches, within VERDICT_TOL of `fidelity`.
+    """
+
     omega: np.ndarray
     fidelity: float
     p1: float

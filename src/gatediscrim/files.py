@@ -25,6 +25,10 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class LoadedGate:
+    """A gate file's content: `matrix`, the 4x4 complex gate, checked
+    unitary within the reader's `tol`, and `label`, the file's label or,
+    when it has none, its path."""
+
     matrix: np.ndarray
     label: str
 

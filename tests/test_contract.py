@@ -113,6 +113,17 @@ KINDS = {
         bad(DomainError, "must be a ProbeState", None, "x", _PROBE.psi_computational,
             _PROBE.u),
     ),
+    # (u, psi_computational) of a hand-built probe, read through its factors
+    "probe fields": (
+        [(_PROBE.u, _PROBE.psi_computational), ([SQ2, 1j * SQ2, 0, 0], [1, 0, 0, 0])],
+        [
+            *bad(DomainError, "from MAGIC_BASIS @ u", ([1, 0, 0, 0], [1, 0, 0, 0]),
+                 (_PROBE.u, _PROBE.u), (_PROBE.u, -_PROBE.psi_computational)),
+            # a Bell state, in both bases
+            *bad(DomainError, "have concurrence",
+                 ([1, 0, 0, 0], canonical.MAGIC_BASIS[:, 0])),
+        ],
+    ),
     "amplitudes": (
         [[1, 0, 0, 0], (SQ2, 1j * SQ2, 0, 0), np.full(4, 0.5), [[0.5, 0.5], [0.5, 0.5]],
          np.array([0, 1, 0, 0]), np.complex64([0, 0, 1j, 0])],
@@ -190,6 +201,17 @@ def _load(doc, tol=numerics.GATE_TOL):
         return files.load_matrix_file(path, tol=tol)
 
 
+def _probe_of_ket(s):
+    """A hand-built probe of the ket `s`: its amplitudes are those of `s`
+    where numpy computes them, else `_PROBE`'s."""
+    try:
+        with np.errstate(all="ignore"):
+            u = canonical.MAGIC_BASIS.conj().T @ np.asarray(s, dtype=complex).ravel()
+    except (TypeError, ValueError, OverflowError):
+        u = _PROBE.u
+    return discrimination.ProbeState(u, s, 0.0)
+
+
 V = object()  # the argument a row sets to each value
 
 
@@ -250,6 +272,13 @@ ROWS = [
     row(oracle.helstrom_simulate, "probe", "probe", ID4, _U, V, shots=10),
     Row(oracle.helstrom_simulate, "amplitudes", "probe", lambda s: oracle.helstrom_simulate(
         ID4, _U, discrimination.ProbeState(_PROBE.u, s, 0.0), shots=10)),
+    # a hand-built probe is checked where its fields are read
+    Row(discrimination.ProbeState, "amplitudes", "probe amplitudes", lambda u: (
+        discrimination.ProbeState(u, _PROBE.psi_computational, 0.0).weights)),
+    Row(discrimination.ProbeState, "amplitudes", "probe ket",
+        lambda s: _probe_of_ket(s).local_a),
+    Row(discrimination.ProbeState, "probe fields", "probe",
+        lambda f: discrimination.ProbeState(*f, 0.0).local_b),
     row(discrimination.concurrence, "amplitudes", "magic amplitudes"),
     row(discrimination.achieved_overlap, "amplitudes", "magic amplitudes", V, np.zeros(4)),
     row(numerics.require_normalized, "amplitudes", "state"),

@@ -3,31 +3,85 @@
 import ast
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gatediscrim
+
+from conftest import g
+from test_cli import CHILD_ENV
 
 TESTS = Path(__file__).parent
 
 
 def test_all_lists_the_public_names_init_imports():
-    tree = ast.parse(Path(gatediscrim.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    # the package's table maps each export and each submodule to its module
+    exported = {name for names in gatediscrim._EXPORTS.values() for name in names}
     public = {
         name
-        for name in imported
+        for name in exported | set(gatediscrim._EXPORTS)
         if not name.startswith("_") and not inspect.ismodule(getattr(gatediscrim, name))
     }
     assert len(set(gatediscrim.__all__)) == len(gatediscrim.__all__)
     assert set(gatediscrim.__all__) == public | {"__version__"}
     for name in gatediscrim.__all__:
         assert getattr(gatediscrim, name) is not None, name
+    for module in gatediscrim._EXPORTS:
+        assert inspect.ismodule(getattr(gatediscrim, module)), module
+    star = {}
+    exec("from gatediscrim import *", star)
+    assert set(star) - {"__builtins__"} == set(gatediscrim.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(gatediscrim, "no_such_name")
+
+
+# in a fresh interpreter, after `import gatediscrim`, the CLI on the
+# arguments if there are any; the last stderr line holds the exit code and
+# the package's modules that are loaded
+_COLD_RUN = """
+import sys
+import gatediscrim
+code = 0
+if sys.argv[1:]:
+    from gatediscrim import cli
+    code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.startswith("gatediscrim"))
+print(code, *loaded, file=sys.stderr)
+"""
+_ANALYSIS = {"discrimination", "geometry"}
+# `_kernels` loads only when a search runs, `svg` only for a figure
+_SEARCH_AND_FIGURE = {"oracle", "_kernels", "svg"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, absent",
+    [
+        ([], 0, None),  # the package alone
+        (["decompose", g("08")], 0, _ANALYSIS | _SEARCH_AND_FIGURE),
+        (["discriminate", g("01"), g("04")], 1, _SEARCH_AND_FIGURE),
+        (["decompose", g("09")], 2, {"discrimination"}),
+        # a rejected gate file stops before the analysis is loaded
+        (["discriminate", g("01"), g("09")], 2, {"discrimination"}),
+    ],
+    ids=["import", "decompose", "discriminate", "decompose-rejected",
+         "discriminate-rejected"],
+)
+def test_a_cold_start_loads_only_what_the_request_runs(argv, code, absent):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, *argv],
+        env=CHILD_ENV,
+        capture_output=True,
+        text=True,
+    )
+    got, *loaded = proc.stderr.splitlines()[-1].split()
+    assert int(got) == code, proc.stderr
+    if absent is None:
+        assert loaded == ["gatediscrim"]
+    else:
+        assert {name.removeprefix("gatediscrim.") for name in loaded}.isdisjoint(absent)
 
 
 def _absolute_imports(path):
