@@ -154,8 +154,9 @@ def _selfcheck_trial(t: int, base_seed: int) -> list[str]:
     d2 = canonical.random_weyl_vector(rng)
     u1 = canonical.build_ud(d1)
     u2 = canonical.build_ud(d2)
-    # discriminate holds the probe's overlap and concurrence and the verdict
-    # to VERDICT_TOL itself; a miss exits 2 with ConstructionFailedError
+    # not checked again here: the probe holds its concurrence to
+    # VERDICT_TOL as it is built (DomainError), and discriminate its overlap
+    # (ConstructionFailedError); either miss exits 2
     report = discrimination.discriminate(u1, u2)
     dec = canonical.extract_interaction(u1)
     if float(np.max(np.abs(dec.alpha - d1))) > 1e-8:

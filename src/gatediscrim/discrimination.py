@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,26 +29,31 @@ class CaseTag(enum.Enum):
 
 @dataclass(frozen=True)
 class ProbeState:
-    """A two-qubit product probe, stored as magic amplitudes and a ket.
+    """A two-qubit product probe, given by its four magic-basis amplitudes.
 
-    `u` holds the magic-basis amplitudes, `psi_computational` the same state
-    in the computational basis.  `concurrence` is that of `u`, see
-    `concurrence`, and at most `numerics.VERDICT_TOL`: an entangled state is
-    never a probe.  The single-qubit factors `local_a` and `local_b` are
-    computed from the ket on first read and kept.
-
-    The package's probes are checked as they are built.  A hand-built one is
-    checked where its fields are read, so that building a probe costs no
-    second check: `weights` needs `u` to be 4 unit-norm amplitudes, and
-    `local_a` and `local_b` need that of `u` and of `psi_computational`,
-    the ket within VERDICT_TOL of `MAGIC_BASIS @ u`, and the concurrence
-    of `u` at most VERDICT_TOL; else DomainError (NotNormalizedError for a
-    norm).
+    `ProbeState(u)` keeps a read-only copy of `u` and is the one check of a
+    probe: `u` must be 4 amplitudes of unit norm, as
+    `numerics.require_normalized` takes them, else DomainError
+    (NotNormalizedError for the norm), and its `concurrence` at most
+    `numerics.VERDICT_TOL`, else DomainError: an entangled state is never
+    a probe.  The rest is a function of `u`, computed on first read and
+    kept: the ket `psi_computational`, equal to `MAGIC_BASIS @ u`, and
+    its single-qubit factors `local_a` and `local_b`.
     """
 
     u: np.ndarray
-    psi_computational: np.ndarray
-    concurrence: float
+    concurrence: float = field(init=False)
+
+    def __post_init__(self):
+        u = numerics.require_normalized(self.u, "probe amplitudes").copy()
+        u.flags.writeable = False
+        c = _concurrence(u)
+        if not (c <= VERDICT_TOL):
+            raise DomainError(
+                f"probe amplitudes have concurrence {c:.3e} above {VERDICT_TOL:g}"
+            )
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "concurrence", c)
 
     @property
     def via_fallback(self) -> bool:
@@ -58,23 +63,19 @@ class ProbeState:
 
     @property
     def weights(self) -> np.ndarray:
-        return np.abs(numerics.require_normalized(self.u, "probe amplitudes")) ** 2
+        return np.abs(self.u) ** 2
+
+    @functools.cached_property
+    def psi_computational(self) -> np.ndarray:
+        psi = canonical.MAGIC_BASIS @ self.u
+        psi.flags.writeable = False
+        return psi
 
     @functools.cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         # only whoever prepares the probe reads its factors, so a request
         # that does not read them never factors the ket
-        psi = numerics.require_normalized(self.psi_computational, "probe ket")
-        u = numerics.require_normalized(self.u, "probe amplitudes")
-        gap = float(np.abs(canonical.MAGIC_BASIS @ u - psi).max())
-        if not (gap <= VERDICT_TOL):
-            raise DomainError(f"probe ket is {gap:.3e} from MAGIC_BASIS @ u")
-        c = _concurrence(u)
-        if not (c <= VERDICT_TOL):
-            raise DomainError(
-                f"probe amplitudes have concurrence {c:.3e} above {VERDICT_TOL:g}"
-            )
-        return _factor(psi)
+        return _factor(self.psi_computational)
 
     @property
     def local_a(self) -> np.ndarray:
@@ -164,23 +165,9 @@ def _error_probability(fid: float, p1: float, p2: float) -> float:
     return 0.5 * (1.0 - math.sqrt(max(rad, 0.0)))
 
 
-def _probe_from_amplitudes(u) -> ProbeState:
-    """The one ProbeState builder; ConstructionFailedError for amplitudes
-    with concurrence above VERDICT_TOL, which no probe route produces."""
-    # amplitudes built from unit-norm formulas: a few ulps from norm 1
-    u = numerics._unit_norm(np.asarray(u, dtype=complex), 1e-12, "probe amplitudes")
-    c = _concurrence(u)
-    if not (c <= VERDICT_TOL):  # written so that NaN fails
-        raise ConstructionFailedError(f"probe concurrence {c:.3e} above {VERDICT_TOL:g}")
-    return ProbeState(u=u, psi_computational=canonical.MAGIC_BASIS @ u, concurrence=c)
-
-
 def _probe_from_kets(a, b) -> ProbeState:
-    """`_probe_from_amplitudes` of the product ket a x b of two unit qubit
-    kets its caller built."""
-    return _probe_from_amplitudes(
-        canonical.MAGIC_BASIS.conj().T @ np.multiply.outer(a, b).ravel()
-    )
+    """The probe of the product ket a x b of two unit qubit kets."""
+    return ProbeState(canonical.MAGIC_BASIS.conj().T @ np.multiply.outer(a, b).ravel())
 
 
 def achieved_overlap(u, omega) -> float:
@@ -266,10 +253,10 @@ def construct_probe(omega) -> ProbeState:
 
     The closed form: a 90 degree phased chord between the angular extremes
     when the origin lies outside the hull, Varignon midpoint weights when
-    it lies inside.  The returned state is a product state (concurrence at
-    most `numerics.VERDICT_TOL`) whose overlap |<psi|W|psi>| under the
-    rotation W fixed by omega equals the hull minimum within the same
-    bound; a miss raises ConstructionFailedError.
+    it lies inside.  The returned state is a product state, as every
+    `ProbeState` is, whose overlap |<psi|W|psi>| under the rotation W fixed
+    by omega equals the hull minimum within `numerics.VERDICT_TOL`; a miss
+    raises ConstructionFailedError.
     """
     om = wrap_angle(numerics.require_finite(omega, "omega", 4))
     return _probe_for_hull(om, geometry._hull_of_omega(om))[0]
@@ -278,7 +265,7 @@ def construct_probe(omega) -> ProbeState:
 def _probe_for_hull(om, hull: geometry.HullResult) -> tuple[ProbeState, float]:
     """(probe, the overlap it achieves) for the hull of -om; an overlap more
     than VERDICT_TOL from the hull minimum raises ConstructionFailedError."""
-    probe = _probe_from_amplitudes(_amplitudes_for_hull(hull))
+    probe = ProbeState(_amplitudes_for_hull(hull))
     got, target = _achieved_overlap(probe.u, om), hull.min_distance
     if not (abs(got - target) <= VERDICT_TOL):  # written so that NaN fails
         raise ConstructionFailedError(f"probe reaches {got!r}, hull minimum {target!r}")

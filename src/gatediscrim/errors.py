@@ -22,4 +22,5 @@ class NotNormalizedError(DomainError):
 
 
 class ConstructionFailedError(GateDiscrimError):
-    """A probe missed its tolerance on overlap or concurrence; a bug."""
+    """The closed-form probe missed the hull minimum by more than
+    `numerics.VERDICT_TOL`; a bug."""

@@ -180,17 +180,11 @@ def require_normalized(v, name: str = "state"):
     v = v.ravel()
     if v.shape != (4,):
         raise DomainError(f"{name} must have 4 entries, got {v.shape}")
-    return _unit_norm(v, NORM_TOL, name)
-
-
-def _unit_norm(v: np.ndarray, tol: float, name: str) -> np.ndarray:
-    """`require_normalized`'s norm test alone, for a flat complex array its
-    caller built: `v` itself, NotNormalizedError unless |v|^2 = 1 +- tol."""
     # scalar products overflow to inf without a warning
     n = sum(z.real * z.real + z.imag * z.imag for z in v.tolist())
-    if not (abs(n - 1.0) <= tol):
+    if not (abs(n - 1.0) <= NORM_TOL):
         raise NotNormalizedError(
-            f"{name} has squared norm {n!r}, expected 1 within {tol:g}"
+            f"{name} has squared norm {n!r}, expected 1 within {NORM_TOL:g}"
         )
     return v
 

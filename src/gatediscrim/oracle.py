@@ -1,8 +1,9 @@
 """Independent numerical checks for the closed-form results.
 
 The searches use neither the magic basis nor the arc spread of the
-phases; only the product search's probe record goes through the one
-`ProbeState` builder, by way of `discrimination._probe_from_kets`.  The
+phases; only the product search's probe record does, since a probe is its
+magic amplitudes: `ProbeState(u)`, by way of
+`discrimination._probe_from_kets`, checks it as it checks every probe.  The
 product-state search fixes Alice's factor on a Bloch-angle grid with
 deterministic refinement and solves Bob's factor exactly for each of her
 states: <a x b|W|a x b> is affine in Bob's Bloch vector, so his best
@@ -225,7 +226,7 @@ def helstrom_simulate(
     p2 = 1.0 - p1
     if not isinstance(probe, ProbeState):
         raise DomainError(f"probe must be a ProbeState, got {probe!r}")
-    psi = numerics.require_normalized(probe.psi_computational, name="probe")
+    psi = probe.psi_computational
     # on the outputs' span, Gamma = p1 |out1><out1| - p2 |out2><out2| has
     # eigenvalues (p1 - p2 +- r) / 2 with r = sqrt(1 - 4 p1 p2 F^2), so its
     # positive projector is (Gamma - lambda_-) / r; q_k is its expectation

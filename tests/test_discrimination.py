@@ -91,6 +91,19 @@ def test_probe_factors_are_built_on_first_read(monkeypatch):
         np.testing.assert_allclose(np.kron(a, b), probe.psi_computational, atol=1e-9)
 
 
+def test_a_probe_is_its_amplitudes():
+    u = np.array([SQ2, 1j * SQ2, 0, 0])
+    probe = discrimination.ProbeState(u)
+    u[0] = 0.0
+    assert probe.u[0] == SQ2 and probe.concurrence == 0.0
+    assert [f.name for f in dataclasses.fields(probe) if f.init] == ["u"]
+    for field in (probe.u, probe.psi_computational):
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 0.0
+    with pytest.raises(TypeError):
+        discrimination.ProbeState(probe.u, probe.psi_computational, 0.0)
+
+
 def test_error_probability_values():
     assert error_probability(0.0, 0.5, 0.5) == 0.0
     assert error_probability(1.0, 0.5, 0.5) == pytest.approx(0.5)
@@ -187,11 +200,10 @@ def test_probe_random_outside(rng):
 
 
 def test_probe_forced_miss_raises(monkeypatch):
-    # a normalized vector that is no probe: [1, 0, 0, 0] is a Bell state
-    # with concurrence 1, so the constructor raises; the closed form is the
-    # only route, so the miss surfaces and no search runs
+    # a product state that misses the hull minimum, 0, by 1/sqrt(2); the
+    # closed form is the only route, so the miss surfaces and no search runs
     om = np.array([0.0, PI / 2, PI, -PI / 2])
-    wrong = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    wrong = np.array([SQ2, 1j * SQ2, 0.0, 0.0])
     monkeypatch.setattr(discrimination, "_amplitudes_for_hull", lambda hull: wrong)
 
     def no_search(*args, **kwargs):
@@ -327,9 +339,9 @@ def test_discriminate_builds_one_hull(monkeypatch):
 
 def test_discriminate_validates_only_its_own_arguments(monkeypatch):
     # every `numerics.require_*` call in a request takes one of the
-    # request's own arguments: the phases, amplitudes, p2 and overlap it
-    # derives are not validated again (the probe's self-checks are no
-    # validator calls), and p1 is checked once
+    # request's own arguments, but for the probe's one check of the
+    # amplitudes it is built from: the phases, p2 and overlap the request
+    # derives are not validated again, and p1 is checked once
     calls = []
     validators = {
         name: fn
@@ -350,13 +362,15 @@ def test_discriminate_validates_only_its_own_arguments(monkeypatch):
     for alpha in [(0, 0, 0), (PI / 8, 0, 0), (PI / 4, PI / 4, 0.0), (0.5, 0.2, 0.1)]:
         u2 = canonical.build_ud(alpha)
         calls.clear()
-        discriminate(ID4, u2, p1=p1, tol=tol)
+        probe = discriminate(ID4, u2, p1=p1, tol=tol).probe
         assert [c for c in calls if c[0] == "require_prior"] == [("require_prior", p1)]
-        assert not {"require_finite", "require_normalized"} & {n for n, _ in calls}
+        (u,) = [arg for name, arg in calls if name == "require_normalized"]
+        np.testing.assert_array_equal(u, probe.u)
+        assert "require_finite" not in {n for n, _ in calls}
         for name, arg in calls:
             # require_gates takes the pair as one tuple
             for a in arg if name == "require_gates" else [arg]:
-                assert any(a is x for x in (ID4, u2, p1, tol)), (name, arg)
+                assert any(a is x for x in (ID4, u2, p1, tol, u)), (name, arg)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -373,7 +387,7 @@ def test_probe_for_hull_fails_on_nan():
 
 def test_tolerance_checks_fail_on_nan():
     with pytest.raises(NotNormalizedError, match="probe amplitudes"):
-        discrimination._probe_from_amplitudes([math.nan, 0, 0, 0])
+        discrimination.ProbeState([math.nan, 0, 0, 0])
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])

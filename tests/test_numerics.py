@@ -306,12 +306,14 @@ def test_gate_entry_points_reject_non_numeric_gates(fn):
 
 
 @pytest.mark.parametrize(
-    "fn",
-    [discrimination.concurrence, discrimination.achieved_overlap, oracle.helstrom_simulate],
-    ids=_name,
+    "fn, kind",
+    [(discrimination.concurrence, "amplitudes"), (discrimination.achieved_overlap, "amplitudes"),
+     # helstrom_simulate takes its state as a ProbeState, which checks it
+     (discrimination.ProbeState, "product amplitudes")],
+    ids=["concurrence", "achieved_overlap", "helstrom_simulate"],
 )
-def test_state_entry_points_reject_non_numeric_states(fn):
-    keeps(fn, "amplitudes", *(v for v, _, f in KINDS["amplitudes"][1] if "numbers" in f))
+def test_state_entry_points_reject_non_numeric_states(fn, kind):
+    keeps(fn, kind, *(v for v, _, f in KINDS["amplitudes"][1] if "numbers" in f))
 
 
 def test_extract_interaction_keeps_its_tolerance():
