@@ -217,12 +217,21 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
     with their magnitudes, phased 1, i, 1, i around it, so that sum(u^2)
     cancels and the probe is a product state."""
     groups = hull.groups
-    if not hull.origin_inside or len(groups) == 2:
-        # a chord: outside, the one between the angular extremes, which
-        # realizes the minimum; inside, the one through the origin between
-        # two antipodal groups.  Equal weight on one index at each end (on
-        # two of a lone group's); 1/sqrt(2) is spelled two ways, an ulp
-        # apart, and the goldens pin both
+    chord = not hull.origin_inside or len(groups) == 2
+    if not chord:
+        # the verdict's band: the origin counts as inside, within
+        # VERDICT_TOL of a hull whose spread is below pi.  Varignon weights
+        # clip there and can miss; the extremes' chord reaches the hull's
+        # own distance
+        imax, spread = geometry._largest_gap([g.phase for g in groups])
+        if spread < math.pi:
+            chord, groups = True, groups[imax + 1:] + groups[:imax + 1]
+    if chord:
+        # a chord: with a spread below pi, the one between the angular
+        # extremes, which realizes the minimum; else the one through the
+        # origin between two antipodal groups.  Equal weight on one index
+        # at each end (on two of a lone group's); 1/sqrt(2) is spelled two
+        # ways, an ulp apart, and the goldens pin both
         first, last = groups[0].indices, groups[-1].indices
         verts = first[:2] if len(groups) == 1 else [first[0], last[0]]
         mags = [math.sqrt(0.5) if hull.origin_inside else SQRT_HALF] * 2
@@ -252,8 +261,9 @@ def construct_probe(omega) -> ProbeState:
     """Optimal product probe for the relative phase vector omega.
 
     The closed form: a 90 degree phased chord between the angular extremes
-    when the origin lies outside the hull, Varignon midpoint weights when
-    it lies inside.  The returned state is a product state, as every
+    when their spread is below pi, so that the hull misses the origin (by
+    at most VERDICT_TOL in the verdict's band), Varignon midpoint weights
+    when the hull holds it.  The returned state is a product state, as every
     `ProbeState` is, whose overlap |<psi|W|psi>| under the rotation W fixed
     by omega equals the hull minimum within `numerics.VERDICT_TOL`; a miss
     raises ConstructionFailedError.

@@ -199,6 +199,21 @@ def test_probe_random_outside(rng):
             check_probe(construct_probe(om), om, h.min_distance)
 
 
+def test_probe_in_the_verdict_band():
+    # spreads just below pi: the hull misses the origin by at most
+    # VERDICT_TOL, so the verdict is inside, and the probe reaches the
+    # hull's own distance; at the extremes' chord, not clipped Varignon
+    # weights, which once missed in about 1 set in 40 to 3 in 10
+    rng = np.random.default_rng(1711)
+    for d in (5e-10, 1e-9, 1.9e-9):
+        for _ in range(1000):
+            lo = rng.uniform(-PI, PI)
+            phases = rng.permutation([lo, lo + PI - d, *(lo + rng.uniform(0, PI - d, 2))])
+            r = discriminate(ID4, canonical.from_magic_phases(wrap_angle(-phases)))
+            assert r.perfectly_distinguishable
+            assert r.achieved_value <= numerics.VERDICT_TOL
+
+
 def test_probe_forced_miss_raises(monkeypatch):
     # a product state that misses the hull minimum, 0, by 1/sqrt(2); the
     # closed form is the only route, so the miss surfaces and no search runs

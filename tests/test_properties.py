@@ -54,6 +54,8 @@ def test_fidelity_invariant_under_reflection(om):
 @given(phases, st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
 # two phases 1e-10 apart merge into one hull vertex before the shift only
 @example(np.array([0.0, 0.0, 1.0, 1e-10]), 1.0)
+# spread pi - 1e-9: inside by the verdict, and its probe once missed
+@example(np.array([1.0, PI, 0.5, 1e-9]), 0.0)
 def test_fidelity_invariant_under_common_shift(om, shift):
     assert _same(_fid(om), _fid(om + shift))
 
