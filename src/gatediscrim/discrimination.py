@@ -165,11 +165,6 @@ def _error_probability(fid: float, p1: float, p2: float) -> float:
     return 0.5 * (1.0 - math.sqrt(max(rad, 0.0)))
 
 
-def _probe_from_kets(a, b) -> ProbeState:
-    """The probe of the product ket a x b of two unit qubit kets."""
-    return ProbeState(canonical.MAGIC_BASIS.conj().T @ np.multiply.outer(a, b).ravel())
-
-
 def achieved_overlap(u, omega) -> float:
     """|sum_k |u_k|^2 e^{-i omega_k}| actually reached by amplitudes u.
 

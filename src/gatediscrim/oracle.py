@@ -2,8 +2,7 @@
 
 The searches use neither the magic basis nor the arc spread of the
 phases; only the product search's probe record does, since a probe is its
-magic amplitudes: `ProbeState(u)`, by way of
-`discrimination._probe_from_kets`, checks it as it checks every probe.  The
+magic amplitudes: `ProbeState(u)` checks it as it checks every probe.  The
 product-state search fixes Alice's factor on a Bloch-angle grid with
 deterministic refinement and solves Bob's factor exactly for each of her
 states: <a x b|W|a x b> is affine in Bob's Bloch vector, so his best
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
-from .discrimination import ProbeState, _probe_from_kets
+from . import canonical, numerics
+from .discrimination import ProbeState
 from .errors import DomainError
 from .numerics import TWO_PI
 
@@ -114,7 +113,7 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
             val, center, nb = scan
     ta, pa = center
     a = np.array([math.cos(0.5 * ta), math.sin(0.5 * ta) * np.exp(1j * pa)])
-    probe = _probe_from_kets(a, _ket(nb))
+    probe = ProbeState(canonical.MAGIC_BASIS.conj().T @ np.multiply.outer(a, _ket(nb)).ravel())
     psi = probe.psi_computational
     return float(abs(psi.conj() @ w @ psi)), probe
 

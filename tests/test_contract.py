@@ -167,19 +167,16 @@ KINDS = {
 }
 
 
-def _entangled(c) -> list:
-    """Unit amplitudes (cos t, i sin t, 0, 0) of concurrence c = cos(2t)."""
-    t = 0.5 * math.acos(c)
-    return [math.cos(t), 1j * math.sin(t), 0, 0]
-
-
 # a probe's amplitudes are those of a product state: a Bell state such as
-# [1, 0, 0, 0] is none
+# [1, 0, 0, 0] is none; (sqrt((1 + c) / 2), i sqrt((1 - c) / 2), 0, 0) has
+# concurrence c
 KINDS["product amplitudes"] = (
     [[SQ2, 1j * SQ2, 0, 0], (0, SQ2, 1j * SQ2, 0), [[SQ2, 0], [0, 1j * SQ2]], _PROBE.u,
-     np.complex64([0.5, 0.5j, 0.5, 0.5j]), _entangled(5e-10)],
+     np.complex64([0.5, 0.5j, 0.5, 0.5j]),
+     [math.sqrt(0.5 + 2.5e-10), 1j * math.sqrt(0.5 - 2.5e-10), 0, 0]],
     [*bad(DomainError, "have concurrence", [1, 0, 0, 0], [SQ2, SQ2, 0, 0], np.full(4, 0.5),
-          _entangled(3e-9)), *KINDS["amplitudes"][1]],
+          [math.sqrt(0.5 + 1.5e-9), 1j * math.sqrt(0.5 - 1.5e-9), 0, 0]),
+     *KINDS["amplitudes"][1]],
 )
 
 

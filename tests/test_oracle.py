@@ -5,9 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gatediscrim import _kernels, canonical, geometry, oracle
+from gatediscrim import _kernels, canonical, oracle
 from gatediscrim.discrimination import (
-    concurrence,
     construct_probe,
     discriminate,
     error_probability,
@@ -54,7 +53,6 @@ def test_product_search_matches_analytic_examples():
     val, probe = oracle.min_over_product_states(ID4, canonical.build_ud((PI / 8, 0, 0)))
     # every Alice state ties, so the coarse scan already sits on the floor
     assert abs(val - math.cos(PI / 8)) <= 1e-15
-    assert concurrence(probe.u) <= 1e-9
 
     cfg = oracle.SearchConfig(grid_steps=24, refinement_rounds=10)
 
@@ -830,16 +828,9 @@ def test_product_oracle_exact_on_criterion_2_pairs(rng):
         # the value is the returned probe's own overlap, bit for bit
         assert pv == abs(psi.conj() @ (u1.conj().T @ u2) @ psi)
         assert probe.concurrence <= 1e-12
-        assert concurrence(probe.u) <= 1e-12
-        _assert_factors_give_ket(probe)
-    # the closed-form probes of criterion 7's origin-inside draw carry their
-    # factors too
-    draw = np.random.default_rng(707)
-    inside = [om for om in draw.uniform(-PI, PI, (400, 4))
-              if geometry.hull_of_phases(-om).origin_inside]
-    assert len(inside) >= 100
-    for om in inside:
-        _assert_factors_give_ket(construct_probe(om))
+        np.testing.assert_allclose(
+            np.kron(probe.local_a, probe.local_b), probe.psi_computational, rtol=0, atol=1e-12
+        )
 
 
 def test_product_oracle_returns_its_best_scan_near_swap(monkeypatch):
@@ -865,13 +856,6 @@ def test_product_oracle_returns_its_best_scan_near_swap(monkeypatch):
         scanned.clear()
         val, _ = oracle.min_over_product_states(ID4, w)
         assert val <= min(scanned) + 1e-12
-
-
-def _assert_factors_give_ket(probe):
-    np.testing.assert_allclose(
-        np.kron(probe.local_a, probe.local_b), probe.psi_computational,
-        rtol=0, atol=1e-12,
-    )
 
 
 def test_product_search_memory_bounded_in_grid_steps():

@@ -25,7 +25,8 @@ PI = math.pi
 phases = st.lists(
     st.floats(min_value=-PI, max_value=PI, allow_nan=False), min_size=4, max_size=4
 ).map(np.array)
-cfg = settings(deadline=None, database=None)
+# the same examples on every run, as test_canonical's guard draws them
+cfg = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
 def _fid(om) -> float:
