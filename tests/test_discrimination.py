@@ -192,9 +192,8 @@ def test_probe_random_outside(rng):
 
 def test_probe_in_the_verdict_band():
     # spreads just below pi: the hull misses the origin by at most
-    # VERDICT_TOL, so the verdict is inside, and the probe reaches the
-    # hull's own distance; at the extremes' chord, not clipped Varignon
-    # weights, which once missed in about 1 set in 40 to 3 in 10
+    # VERDICT_TOL, so the verdict is inside, and the probe, the extremes'
+    # chord, reaches the hull's own distance
     rng = np.random.default_rng(1711)
     for d in np.repeat([5e-10, 1e-9, 1.9e-9], 1000):
         lo = rng.uniform(-PI, PI)
