@@ -203,6 +203,13 @@ def _load(doc, tol=numerics.GATE_TOL):
         return files.load_matrix_file(path, tol=tol)
 
 
+def _factored(probe):
+    """Assert that `probe`'s factors give its ket, within the concurrence a
+    probe may have."""
+    np.testing.assert_allclose(np.kron(probe.local_a, probe.local_b),
+                               probe.psi_computational, atol=numerics.VERDICT_TOL)
+
+
 V = object()  # the argument a row sets to each value
 
 
@@ -261,7 +268,13 @@ ROWS = [
     row(oracle.min_over_product_states, "search config", "cfg", ID4, _U, V),
     row(oracle.min_over_all_states, "search config", "cfg", ID4, _U, V),
     row(oracle.helstrom_simulate, "probe", "probe", ID4, _U, V, shots=10),
+    # every probe ProbeState takes runs through the simulator
+    Row(oracle.helstrom_simulate, "product amplitudes", "probe", lambda u: (
+        oracle.helstrom_simulate(ID4, _U, discrimination.ProbeState(u), shots=10))),
     row(discrimination.ProbeState, "product amplitudes", "probe amplitudes"),
+    # and factors into its ket, which is never checked again
+    Row(discrimination.ProbeState, "product amplitudes", "probe",
+        lambda u: _factored(discrimination.ProbeState(u))),
     row(discrimination.concurrence, "amplitudes", "magic amplitudes"),
     row(discrimination.achieved_overlap, "amplitudes", "magic amplitudes", V, np.zeros(4)),
     row(numerics.require_normalized, "amplitudes", "state"),

@@ -309,7 +309,7 @@ def test_gate_entry_points_reject_non_numeric_gates(fn):
     "fn, kind",
     [(discrimination.concurrence, "amplitudes"), (discrimination.achieved_overlap, "amplitudes"),
      # helstrom_simulate takes its state as a ProbeState, which checks it
-     (discrimination.ProbeState, "product amplitudes")],
+     (oracle.helstrom_simulate, "product amplitudes")],
     ids=["concurrence", "achieved_overlap", "helstrom_simulate"],
 )
 def test_state_entry_points_reject_non_numeric_states(fn, kind):
