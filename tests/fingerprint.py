@@ -251,6 +251,31 @@ def oracles():
                             **_fields(probe, PROBE, "probe."), "all": best, "psi": psi}
 
 
+def near_swap_gates(rng, n: int):
+    """n gates SWAP e^{i eps H}, H a random Hermitian matrix and eps from
+    1e-8 to 1e-2: the product search's Bob maps are thin ellipses there."""
+    for _ in range(n):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        lam, v = np.linalg.eigh(a + a.conj().T)
+        eps = 10.0 ** rng.uniform(-8, -2)
+        yield ID4[[0, 2, 1, 3]] @ (v * np.exp(1j * eps * lam)) @ v.conj().T
+
+
+def oracle_rounds():
+    # pairs on which the product search refines: W = diag(e^{i theta}) stays
+    # above the all-states floor, so every round runs; near-SWAP gates make
+    # Newton climb to roots far above its bracket.  Each at the default
+    # config and at a smaller grid with more rounds
+    rng = np.random.default_rng(2626)
+    gates = [np.diag(np.exp(1j * th)) for th in rng.uniform(-PI, PI, (40, 4))]
+    gates += near_swap_gates(rng, 16)
+    for k, w in enumerate(gates):
+        for cfg in (None, oracle.SearchConfig(grid_steps=16, refinement_rounds=6)):
+            value, probe = oracle.min_over_product_states(ID4, w, cfg)
+            yield f"gate {k} cfg {cfg}", {"w": w, "product": value,
+                                          **_fields(probe, PROBE, "probe.")}
+
+
 def helstrom_simulate():
     # the first pairs are equal gates (F = 1) and an antipodal set (F = 0)
     rng = np.random.default_rng(42)
@@ -268,7 +293,7 @@ def helstrom_simulate():
 CORPORA = {fn.__name__: fn for fn in [
     discriminate, discriminate_edges, construct_probe,
     hull_of_phases, render_hull_svg, decompose, load_matrix_file, wrap_angle,
-    oracles, helstrom_simulate]}
+    oracles, oracle_rounds, helstrom_simulate]}
 
 
 # --- digests and tooling -------------------------------------------------------------
