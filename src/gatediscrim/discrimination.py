@@ -212,22 +212,20 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
     with their magnitudes, phased 1, i, 1, i around it, so that sum(u^2)
     cancels and the probe is a product state."""
     groups = hull.groups
-    chord = not hull.origin_inside or len(groups) == 2
-    if not chord:
-        # the verdict's band: a hull whose spread is below pi counts as
-        # holding the origin when within VERDICT_TOL of it, but its
-        # Varignon weights clip there and can miss
-        imax, spread = geometry._largest_gap([g.phase for g in groups])
-        if spread < math.pi:
-            chord, groups = True, groups[imax + 1:] + groups[:imax + 1]
-    if chord:
+    # the verdict's band: a hull whose spread is below pi counts as holding
+    # the origin when within VERDICT_TOL of it, but its Varignon weights
+    # clip there and can miss
+    band = hull.extremes if hull.origin_inside else ()
+    if band or not hull.origin_inside or len(groups) == 2:
         # a chord: with a spread below pi, the one between the angular
-        # extremes, which realizes the hull's distance; else the one
-        # through the origin between two antipodal groups.  Equal weight on
-        # one index at each end (on two of a lone group's); 1/sqrt(2) is
-        # spelled two ways, an ulp apart, and the goldens pin both
+        # extremes, which realizes the hull's distance (in the band on the
+        # raw extremes, which a merged group's first index need not hold);
+        # else the one through the origin between two antipodal groups.
+        # Equal weight on one index at each end (on two of a lone group's);
+        # 1/sqrt(2) is spelled two ways, an ulp apart, and the goldens pin
+        # both
         first, last = groups[0].indices, groups[-1].indices
-        verts = first[:2] if len(groups) == 1 else [first[0], last[0]]
+        verts = band or (first[:2] if len(groups) == 1 else [first[0], last[0]])
         mags = [math.sqrt(0.5) if hull.origin_inside else SQRT_HALF] * 2
     else:
         # each vertex once per index it holds: a triangle's double vertex

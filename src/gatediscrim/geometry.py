@@ -38,12 +38,17 @@ class HullResult:
     """The hull's vertices (`groups`), whether it holds the origin, and the
     origin's distance to it with the nearest hull point.  The arc spread
     behind that distance is not kept: `arc_spread` computes it.  A hull of
-    one group reports `min_distance` 1.0, see `hull_of_phases`."""
+    one group reports `min_distance` 1.0, see `hull_of_phases`.  When the
+    spread is below pi and the hull has two or more groups, `extremes`
+    holds the indices of the raw phases at the arc's two ends, in
+    counter-clockwise order, each the lowest index among raw phases equal
+    to it; otherwise it is empty."""
 
     groups: list[PhaseGroup]
     origin_inside: bool
     min_distance: float
     nearest_point: np.ndarray
+    extremes: tuple[int, ...] = ()
 
 
 def _finite_phases(phases) -> list[float]:
@@ -148,12 +153,15 @@ def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
     mid_x = 0.5 * (math.cos(lo) + math.cos(hi))
     mid_y = 0.5 * (math.sin(lo) + math.sin(hi))
     distance = float(np.hypot(mid_x, mid_y)) if spread < math.pi else 0.0
+    # the chord's ends, each the lowest index among raw phases equal to it
+    extremes = (vals.index(lo), vals.index(hi)) if spread < math.pi else ()
     if distance <= VERDICT_TOL:
         return HullResult(
             groups=groups,
             origin_inside=True,
             min_distance=0.0,
             nearest_point=np.zeros(2),
+            extremes=extremes,
         )
     # the group holding the raw phase just after the largest gap opens the arc
     start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
@@ -163,5 +171,6 @@ def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
         origin_inside=False,
         min_distance=distance,
         nearest_point=np.array([mid_x, mid_y]),
+        extremes=extremes,
     )
 

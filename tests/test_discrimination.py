@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import itertools
 import math
 import pkgutil
 
@@ -200,6 +201,27 @@ def test_probe_in_the_verdict_band():
         phases = rng.permutation([lo, lo + PI - d, *(lo + rng.uniform(0, PI - d, 2))])
         r = discriminate(ID4, canonical.from_magic_phases(wrap_angle(-phases)))
         assert r.perfectly_distinguishable and r.achieved_value <= numerics.VERDICT_TOL
+
+
+def test_probe_in_the_verdict_band_with_a_merged_extreme():
+    # as above, but each of the two other phases sits interior, or up to
+    # 1e-10 inside an extreme, where it merges with it into one hull vertex
+    # whose first index need not hold the extreme raw phase; every order of
+    # the four phases.  The chord on the group's first index misses by up
+    # to DEDUPE_TOL's share of the spread, past VERDICT_TOL
+    rng = np.random.default_rng(2525)
+    pairs = [np.array([9e-11, 0.0, 1.0, PI - 1.99e-9])]
+    for k, d in enumerate(np.repeat([1.9e-9, 1.99e-9], 40)):
+        lo = rng.uniform(-PI, PI)
+        hi = lo + PI - d
+        inner = [lo + rng.uniform(0.1, PI - 0.2), lo + rng.uniform(0, 1e-10),
+                 hi - rng.uniform(0, 1e-10)]
+        pairs += [np.array([lo, hi, inner[k % 3], inner[(k + 1) % 3]])]
+    for phases in pairs:
+        for order in itertools.permutations(range(4)):
+            om = wrap_angle(-phases[list(order)])
+            r = discriminate(ID4, canonical.from_magic_phases(om))
+            assert r.perfectly_distinguishable and r.achieved_value <= numerics.VERDICT_TOL
 
 
 def test_probe_forced_miss_raises(monkeypatch):

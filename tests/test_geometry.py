@@ -71,6 +71,19 @@ def test_hull_arc_example():
     # last are the angular extremes
     assert h.groups[0].phase == pytest.approx(0.0)
     assert h.groups[-1].phase == pytest.approx(PI / 3)
+    assert h.extremes == (0, 1)
+
+
+def test_hull_extremes_are_raw_phases():
+    # the extremes name raw phases, not a merged group's first index, and
+    # the lowest index among equal ones; none for a spread of pi or more,
+    # nor for a lone group
+    assert hull_of_phases([5e-11, 0.0, 1.0, 2.0 + 5e-11, 2.0]).extremes == (1, 3)
+    assert hull_of_phases([1.0, 0.0, 1.0, 0.0]).extremes == (1, 0)
+    band = hull_of_phases([0.0, 1.0, PI - 1e-9])
+    assert band.origin_inside and band.extremes == (0, 2)
+    assert hull_of_phases([0.0, PI / 2, PI, -PI / 2]).extremes == ()
+    assert hull_of_phases([0.3, 0.3 + 5e-11]).extremes == ()
 
 
 def test_hull_single_point():
