@@ -27,7 +27,7 @@ class CaseTag(enum.Enum):
     ORIGIN_OUTSIDE = "OriginOutside"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeState:
     """A two-qubit product probe, given by its four magic-basis amplitudes.
 
@@ -38,7 +38,9 @@ class ProbeState:
     `numerics.VERDICT_TOL`, else DomainError: an entangled state is never
     a probe.  The rest is a function of `u`, computed on first read and
     kept: the ket `psi_computational`, equal to `MAGIC_BASIS @ u`, and
-    its single-qubit factors `local_a` and `local_b`.
+    its single-qubit factors `local_a` and `local_b`.  Like
+    `DiscriminationReport`, a probe compares and hashes by identity: an
+    array field has no single truth value to compare by.
     """
 
     u: np.ndarray
@@ -89,7 +91,7 @@ class ProbeState:
         return self._factors[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscriminationReport:
     """`discriminate`'s answer for one gate pair.
 
@@ -100,6 +102,7 @@ class DiscriminationReport:
     F; `perfectly_distinguishable` whether one query tells the gates apart
     with certainty; `probe` an optimal product probe, and `achieved_value`
     the overlap that probe reaches, within VERDICT_TOL of `fidelity`.
+    A report compares and hashes by identity, as `ProbeState` does.
     """
 
     omega: np.ndarray

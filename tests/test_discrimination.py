@@ -100,6 +100,17 @@ def test_a_probe_is_its_amplitudes():
         discrimination.ProbeState(probe.u, probe.psi_computational, 0.0)
 
 
+def test_records_compare_and_hash_by_identity():
+    # an ndarray field has no single truth value: records compare as
+    # objects, so == neither raises nor calls equal-valued records equal
+    om = [0.3, 1.9, -2.2, 0.8]
+    u2 = canonical.from_magic_phases(om)
+    for make in (lambda: construct_probe(om), lambda: discriminate(ID4, u2)):
+        a, b = make(), make()
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_error_probability_values():
     assert error_probability(0.0, 0.5, 0.5) == 0.0
     assert error_probability(1.0, 0.5, 0.5) == pytest.approx(0.5)
