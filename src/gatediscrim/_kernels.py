@@ -4,9 +4,14 @@
 only and solves Bob's side exactly (see the section below), and it stops
 at the first state whose Bob ellipse holds the origin, which needs no
 Newton solve.  It returns the winner's value, its angles and Bob's Bloch
-vector for it, built from one SVD.  `product_scan`, the 4-D Bloch-angle
-grid scan described next, no longer serves the oracle; it stays as the
-4-D reference that the benchmark times and the tests pin.
+vector for it, built from one SVD and only when the value beats the
+incumbent the caller passes.  A call does only the work that depends on
+w: the grid's Bloch rows come from `scan_grid`, which a SearchConfig runs
+once for its coarse grid, the winner's row is read from them, and only
+the columns that Newton solves get a root and a bracket.  `product_scan`,
+the 4-D Bloch-angle grid scan described next, no longer serves the
+oracle; it stays as the 4-D reference that the benchmark times and the
+tests pin.
 
 A single-qubit state s = (cos t/2, e^{ip} sin t/2) has s s^dag =
 sum_mu r_mu sigma_mu with the real Bloch row r = (1, sin t cos p,
@@ -147,28 +152,48 @@ def _response_form(w) -> np.ndarray:
     return np.concatenate([t.real, t.imag]).reshape(12, 4)
 
 
+def scan_grid(theta, phi):
+    """Read-only (theta, phi, rows_t) for `alice_scan`: the axes as float
+    arrays and, when the grid fits one block, its Bloch rows as the columns
+    of a contiguous 4 x n array, so that a block's product is a plain
+    matmul; else None, so that a grid of any size costs no more than a block
+    in memory.  A SearchConfig builds its coarse grid's once."""
+    theta, phi = (np.array(a, dtype=float) for a in (theta, phi))
+    rows_t = None
+    if len(theta) * len(phi) <= _ALICE_BLOCK:
+        rows_t = np.ascontiguousarray(_bloch_rows(theta, phi).T)
+    for a in (theta, phi, rows_t):
+        if a is not None:
+            a.flags.writeable = False
+    return theta, phi, rows_t
+
+
 def _bob_setup(xy):
     """The closed-form half of Bob's minimum per column of xy = response
-    form @ Alice's Bloch rows^T: (vals, mu, near, ellipse).
+    form @ Alice's Bloch rows^T: (vals, s, q, todo, near).
 
     vals is each column's exact value where no root is needed, 0 inside the
-    ellipse and the distance to a segment where s_2 = 0, and inf outside,
-    in the columns Newton solves; mu is 0 inside and the lower bracket
-    elsewhere; near marks the outside columns within _NEAR of the boundary;
-    ellipse carries what `_newton` needs.  `alice_scan` skips `_newton`
-    in a block whose setup already holds a 0.
+    ellipse and the distance to a segment where s_2 = 0, and inf in the
+    outside columns, which todo marks and `_newton` solves; s holds G's
+    eigenvalues s_1 >= s_2 and q the squared coordinates of c in its
+    eigenbasis; near marks the outside columns within _NEAR of the
+    boundary.  `alice_scan` skips `_newton` in a block whose setup already
+    holds a 0.
     """
     p = xy[::6]
     m3 = xy.reshape(2, 6, -1)[:, 1:4]
-    (a, b), (_, d) = np.einsum("ikn,jkn->ijn", m3, m3)
-    # s_1 s_2 = det G = |m_x x m_y|^2 (Lagrange), with no cancellation
+    # G = [[a, b], [b, d]]; s_1 s_2 = det G = |m_x x m_y|^2 (Lagrange), with
+    # no cancellation
+    a, d = (m3 * m3).sum(axis=1)
+    b = (m3[0] * m3[1]).sum(axis=0)
     cross = xy[2:5] * xy[9:12]
     cross -= xy[3:6] * xy[8:11]
+    cross *= cross
     s = np.empty((2, len(a)))
     h = 0.5 * (a - d)
     r = np.sqrt(h * h + b * b)
     s[0] = 0.5 * (a + d) + r
-    s[1] = np.einsum("ij,ij->j", cross, cross) / np.maximum(s[0], _TINY)
+    s[1] = cross.sum(axis=0) / np.maximum(s[0], _TINY)
     # the major axis is (1, beta) for h >= 0 and (beta, 1) otherwise, with
     # beta = b / (r + |h|), the tangent of G's half-angle, in [-1, 1];
     # swapping c's coordinates for h < 0 reads both cases as the first.
@@ -180,10 +205,6 @@ def _bob_setup(xy):
     q[1] = u[0] * beta - u[1]
     q *= q
     q /= 1.0 + beta * beta
-    root = np.sqrt(s * q)
-    mu = root - s
-    mu = np.maximum(mu[0], mu[1])
-    np.maximum(mu, 0.0, out=mu)
     rank2 = s[1] > 0.0
     lhs = q[0] * s[1] + q[1] * s[0]
     det = s[0] * s[1]
@@ -192,7 +213,6 @@ def _bob_setup(xy):
     todo = rank2 ^ inside
     near = lhs <= det * _NEAR
     near &= todo
-    mu[inside] = 0.0
     vals = np.where(todo, math.inf, 0.0)
     if not rank2.all():
         # s_2 = 0: the distance to the segment (a point when M = 0)
@@ -201,21 +221,28 @@ def _bob_setup(xy):
         seg *= seg
         seg += q[1]
         vals = np.where(rank2, vals, np.sqrt(seg))
-    return vals, mu, near, (todo, s, q, root)
+    return vals, s, q, todo, near
 
 
-def _newton(vals, mu, ellipse):
-    """(min, mu) per column from `_bob_setup`'s output: Newton on the
-    outside columns, written back into vals and mu.
+def _bracket(s, q):
+    """(sqrt(s q), the lower bracket max(0, sqrt(s_i q_i) - s_i)) per
+    column of `_bob_setup`'s s and q; on a segment the bracket is mu."""
+    root = np.sqrt(s * q)
+    mu = root - s
+    return root, np.maximum(np.maximum(mu[0], mu[1]), 0.0)
 
-    mu is 0 inside the ellipse and the root above outside it (on a segment,
-    the lower bracket, which is the root there), so mu >= 0, and 0 outside
-    only where rounding puts -p on the rim; `_bob_vector` builds n_b from it.
+
+def _newton(vals, s, q, todo):
+    """Newton on the outside columns of `_bob_setup`'s output: writes their
+    minima into vals and returns their roots mu, in column order.
+
+    Each mu starts at the lower bracket and ends at the root above it, so
+    mu >= 0, and 0 only where rounding puts -p on the rim; `_bob_vector`
+    builds n_b from it.
     """
-    todo, s, q, root = ellipse
     # compress keeps the rows contiguous, which s[:, todo] does not
-    s, q, root = (a.compress(todo, axis=1) for a in (s, q, root))
-    m = mu[todo]
+    s, q = (a.compress(todo, axis=1) for a in (s, q))
+    root, m = _bracket(s, q)
     for _ in range(_NEWTON_CAP):
         t = 1.0 / (s + m)
         v = root * t
@@ -235,20 +262,31 @@ def _newton(vals, mu, ellipse):
     t *= t
     t *= q
     vals[todo] = np.sqrt(t[0] + t[1])
-    mu[todo] = m
-    return vals, mu
+    return m
 
 
-def alice_scan(w, theta, phi):
+def _winner_mu(k, s, q, todo, roots) -> float:
+    """Bob's mu for column k of a block: Newton's root outside the ellipse,
+    0 inside it, and the bracket on a segment."""
+    if todo[k]:
+        return float(roots[np.count_nonzero(todo[:k])])
+    if s[1, k] > 0.0:
+        return 0.0
+    return float(_bracket(s[:, k], q[:, k])[1])
+
+
+def alice_scan(w, theta, phi, rows_t=None, incumbent=math.inf):
     """Min over Alice's grid of Bob's exact best response to each state.
 
     Returns (value, angles, n_b): the winning state's (theta, phi) as a
-    2-array and Bob's unit Bloch vector for it.  The winner is the first
-    minimum in row-major order over (i_theta, j_phi), so exact ties go to
-    the lowest index.  A block holds at most _ALICE_BLOCK states and always
-    at least one whole theta row.  w must be finite (a NaN fails in the
-    SVD of Bob's map): `oracle.min_over_product_states` checks both gates
-    before it scans.
+    2-array and Bob's unit Bloch vector for it, which is built only when
+    value is below `incumbent` and is None otherwise.  rows_t holds the
+    grid's Bloch rows as `scan_grid` gives them, or None to build them
+    block by block.  The winner is the first minimum in row-major order
+    over (i_theta, j_phi), so exact ties go to the lowest index.  A block
+    holds at most _ALICE_BLOCK states and always at least one whole theta
+    row.  w must be finite: `oracle.min_over_product_states` checks both
+    gates before it scans.
 
     A block whose setup holds a 0 (a column inside its ellipse, or a
     segment that reaches the origin) runs no Newton step: it answers with
@@ -259,24 +297,28 @@ def alice_scan(w, theta, phi):
     scan also ends at a 0 from Newton.
     """
     form = _response_form(w)
-    theta = np.asarray(theta, dtype=float)
     n_phi = len(phi)
     per_block = max(1, _ALICE_BLOCK // n_phi)
-    best, best_lin, best_mu = math.inf, 0, 0.0
+    best, best_lin = math.inf, 0
     for start in range(0, len(theta), per_block):
-        rows = _bloch_rows(theta[start : start + per_block], phi)
-        vals, mu, near, ellipse = _bob_setup(form @ rows.T)
+        if rows_t is None:
+            block = _bloch_rows(theta[start : start + per_block], phi).T
+        else:
+            block = rows_t[:, start * n_phi : (start + per_block) * n_phi]
+        vals, s, q, todo, near = _bob_setup(form @ block)
         k = int(vals.argmin())  # ties resolve to the lower index
+        roots = None
         if vals[k] != 0.0 or near[:k].any():
-            vals, mu = _newton(vals, mu, ellipse)
+            roots = _newton(vals, s, q, todo)
             k = int(vals.argmin())
         if vals[k] < best:  # strict: earlier blocks win ties
-            best, best_lin, best_mu = float(vals[k]), start * n_phi + k, float(mu[k])
+            best, best_lin, row = float(vals[k]), start * n_phi + k, block[:, k]
+            best_mu = _winner_mu(k, s, q, todo, roots)
             if best == 0.0:
                 break
     i, j = divmod(best_lin, n_phi)
     angles = np.array([theta[i], phi[j]])
-    n_b = _bob_vector(form @ _bloch_rows(angles[:1], angles[1:])[0], best_mu)
+    n_b = _bob_vector(form @ row, best_mu) if best < incumbent else None
     return best, angles, n_b
 
 

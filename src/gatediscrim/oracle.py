@@ -17,6 +17,7 @@ samples the measurement's confusion counts.  They can therefore confirm
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,6 +55,12 @@ class SearchConfig:
     unitary W and |r_b| = 1/sqrt(2), and a minimum over Bob keeps that
     constant.  That bounds the coarse scan only; the refinements carry no
     such certificate, but stop at the all-states optimum, a proven floor.
+
+    A config builds its coarse grid's axes and Bloch rows on first use and
+    keeps them, read-only, for every search it serves; cfg=None means one
+    module-level default config.  A grid beyond one scan block
+    (`_kernels._ALICE_BLOCK` states) keeps its axes only, and the scan
+    builds its rows block by block, so memory stays bounded.
     """
 
     grid_steps: int = 32
@@ -62,6 +69,21 @@ class SearchConfig:
     def __post_init__(self):
         numerics.require_count(self.grid_steps, 8, "grid_steps")
         numerics.require_count(self.refinement_rounds, 0, "refinement_rounds")
+
+    @functools.cached_property
+    def _grid(self):
+        """The coarse scan's axes and Bloch rows, read-only, built on first use
+        and kept (see `_kernels.scan_grid`)."""
+        from . import _kernels
+
+        return _kernels.scan_grid(
+            np.linspace(0.0, math.pi, self.grid_steps),
+            np.linspace(0.0, TWO_PI, self.grid_steps, endpoint=False),
+        )
+
+
+# what cfg=None means; it keeps its coarse grid across calls
+_DEFAULT_CONFIG = SearchConfig()
 
 
 @dataclass(frozen=True)
@@ -97,9 +119,7 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     cfg = _search_config(cfg)
     u1, u2 = numerics.require_gates((u1, u2))
     w = u1.conj().T @ u2
-    theta = np.linspace(0.0, math.pi, cfg.grid_steps)
-    phi = np.linspace(0.0, TWO_PI, cfg.grid_steps, endpoint=False)
-    val, center, nb = _kernels.alice_scan(w, theta, phi)
+    val, center, nb = _kernels.alice_scan(w, *cfg._grid)
     spacing = np.array([math.pi / (cfg.grid_steps - 1), TWO_PI / cfg.grid_steps])
     floor = _range_min(np.linalg.eigvals(w).tolist())[0] if val > 0.0 else 0.0
     for r in range(cfg.refinement_rounds):
@@ -108,7 +128,7 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
         # row 0 is the theta window, kept in [0, pi]; row 1 the phi window
         window = center[:, None] + (spacing * SHRINK_FACTOR**r)[:, None] * _STEPS
         np.clip(window[0], 0.0, math.pi, out=window[0])
-        scan = _kernels.alice_scan(w, *window)
+        scan = _kernels.alice_scan(w, *window, incumbent=val)
         if scan[0] < val:
             val, center, nb = scan
     ta, pa = center
@@ -120,7 +140,7 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
 
 def _search_config(cfg) -> SearchConfig:
     """cfg, or the default SearchConfig for None; DomainError otherwise."""
-    cfg = SearchConfig() if cfg is None else cfg
+    cfg = _DEFAULT_CONFIG if cfg is None else cfg
     if not isinstance(cfg, SearchConfig):
         raise DomainError(f"cfg must be a SearchConfig or None, got {cfg!r}")
     return cfg

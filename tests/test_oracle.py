@@ -49,6 +49,95 @@ def test_product_search_takes_none_or_a_search_config():
     keeps(oracle.min_over_all_states, "search config")
 
 
+def test_search_config_keeps_its_coarse_grid():
+    # built once per config and read-only: the linspace axes and their
+    # Bloch rows, bit for bit, as the columns of a contiguous array
+    for steps in (8, 17, 32):
+        cfg = oracle.SearchConfig(grid_steps=steps)
+        theta, phi, rows_t = cfg._grid
+        assert cfg._grid is cfg._grid
+        axes = np.linspace(0.0, PI, steps), np.linspace(0.0, 2 * PI, steps, endpoint=False)
+        assert (theta.tobytes(), phi.tobytes()) == tuple(a.tobytes() for a in axes)
+        assert rows_t.flags.c_contiguous
+        assert rows_t.T.tobytes() == _kernels._bloch_rows(*axes).tobytes()
+        for a in (theta, phi, rows_t):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    # past one block the scan builds the rows block by block, so that its
+    # memory stays bounded; the default config is one instance
+    assert oracle.SearchConfig(grid_steps=33)._grid[2] is None
+    assert oracle._search_config(None) is oracle._search_config(None)
+
+
+def test_default_config_gives_the_bytes_of_a_fresh_one(rng):
+    # cfg=None reuses one config's grid; a fresh SearchConfig() builds its own
+    pairs = [(random_unitary(rng), random_unitary(rng)) for _ in range(4)]
+    pairs += [(random_magic_diag(rng)[0], random_magic_diag(rng)[0]) for _ in range(4)]
+    pairs += [(ID4, np.diag(np.exp(1j * rng.uniform(-PI, PI, 4)))) for _ in range(4)]
+    for u1, u2 in pairs:
+        v1, p1 = oracle.min_over_product_states(u1, u2)
+        v2, p2 = oracle.min_over_product_states(u1, u2, oracle.SearchConfig())
+        assert v1.hex() == v2.hex() and p1.u.tobytes() == p2.u.tobytes()
+
+
+def test_product_search_builds_only_its_windows_rows(monkeypatch):
+    # the coarse scan reads its config's rows and the winner's row from
+    # them; each refinement round builds its 9 x 9 window's rows once
+    cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=3)
+    cfg._grid
+    w = _gap_pair()
+    built, bloch_rows = [], _kernels._bloch_rows
+
+    def counted(theta, phi):
+        built.append((len(theta), len(phi)))
+        return bloch_rows(theta, phi)
+
+    monkeypatch.setattr(_kernels, "_bloch_rows", counted)
+    oracle.min_over_product_states(ID4, w, cfg)
+    assert built == [(9, 9)] * 3
+
+
+def test_a_round_that_does_not_improve_builds_no_bob_vector(rng, monkeypatch):
+    # Bob's vector takes an SVD: the scan builds it only for a value below
+    # the incumbent it is given, so once per coarse scan and per round that
+    # improves the search's incumbent
+    theta = np.linspace(0.0, PI, 12)
+    phi = np.linspace(0.0, 2 * PI, 12, endpoint=False)
+    w = random_unitary(rng)
+    val, angles, n_b = _kernels.alice_scan(w, theta, phi)
+    for incumbent, built in ((val, False), (np.nextafter(val, 2.0), True)):
+        got = _kernels.alice_scan(w, theta, phi, incumbent=incumbent)
+        assert got[0] == val and got[1].tolist() == angles.tolist()
+        assert (got[2] is not None) == built
+    assert got[2].tolist() == n_b.tolist()
+    vectors, scans = [], []
+    bob_vector, scan = _kernels._bob_vector, _kernels.alice_scan
+
+    def counted_vector(xy, mu):
+        vectors.append(mu)
+        return bob_vector(xy, mu)
+
+    def recorded_scan(*args, **kwargs):
+        scans.append(scan(*args, **kwargs))
+        return scans[-1]
+
+    monkeypatch.setattr(_kernels, "_bob_vector", counted_vector)
+    monkeypatch.setattr(_kernels, "alice_scan", recorded_scan)
+    cfg = oracle.SearchConfig(grid_steps=16, refinement_rounds=6)
+    idle = 0
+    for _ in range(12):
+        vectors.clear()
+        scans.clear()
+        oracle.min_over_product_states(ID4, np.diag(np.exp(1j * rng.uniform(-PI, PI, 4))), cfg)
+        incumbent = math.inf
+        for value, _, n_b in scans:
+            assert (n_b is not None) == (value < incumbent)
+            incumbent = min(incumbent, value)
+        assert len(vectors) == sum(n_b is not None for *_, n_b in scans)
+        idle += len(scans) - len(vectors)
+    assert idle >= 5
+
+
 def test_product_search_matches_analytic_examples():
     val, probe = oracle.min_over_product_states(ID4, canonical.build_ud((PI / 8, 0, 0)))
     # every Alice state ties, so the coarse scan already sits on the floor
@@ -103,9 +192,9 @@ def _record_scans(monkeypatch) -> list:
     seen = []
     scan = _kernels.alice_scan
 
-    def recording(w, theta, phi):
+    def recording(w, theta, phi, *args, **kwargs):
         seen.append(np.array(theta))
-        return scan(w, theta, phi)
+        return scan(w, theta, phi, *args, **kwargs)
 
     monkeypatch.setattr(_kernels, "alice_scan", recording)
     return seen
@@ -654,6 +743,10 @@ def _assert_scan_returns(w, theta, phi, val, lin, mu):
     assert got[0] == val
     assert got[1].tolist() == angles.tolist()
     assert got[2].tolist() == _kernels._bob_vector(xy, mu).tolist()
+    # the same from the grid's rows given whole, sliced into the blocks
+    rows_t = np.ascontiguousarray(_kernels._bloch_rows(theta, phi).T)
+    kept = _kernels.alice_scan(w, theta, phi, rows_t)
+    assert (kept[0], kept[1].tolist(), kept[2].tolist()) == (val, angles.tolist(), got[2].tolist())
 
 
 def _scan_matches_blocks(w, theta, phi):
@@ -741,7 +834,7 @@ def test_bob_minima_keep_mu_at_least_zero_on_the_rim():
         p = -(r2 @ np.array([s1 * math.cos(t), s2 * math.sin(t)]))
         cols.append([p[0], *m[0], *m[0, :2], p[1], *m[1], *m[1, :2]])
     xy = np.array(cols).T
-    outside = _kernels._bob_setup(xy)[3][0]
+    outside = _kernels._bob_setup(xy)[3]
     vals, mu = bob_minima(xy)
     assert outside.sum() >= 2000
     assert mu.min() >= 0.0
@@ -842,8 +935,8 @@ def test_product_oracle_returns_its_best_scan_near_swap(monkeypatch):
     scanned = []
     scan = _kernels.alice_scan
 
-    def recording_scan(w, theta, phi):
-        out = scan(w, theta, phi)
+    def recording_scan(w, theta, phi, *args, **kwargs):
+        out = scan(w, theta, phi, *args, **kwargs)
         scanned.append(out[0])
         return out
 
