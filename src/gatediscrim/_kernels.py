@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .numerics import ID2, PAULI_X, PAULI_Y, PAULI_Z
+from .numerics import ID2, PAULI_X, PAULI_Y, PAULI_Z, TWO_PI
 
 # There is no compiled route; the benchmark's machine record reads this.
 NUMBA_ENABLED = False
@@ -152,19 +152,22 @@ def _response_form(w) -> np.ndarray:
     return np.concatenate([t.real, t.imag]).reshape(12, 4)
 
 
-def scan_grid(theta, phi):
-    """Read-only (theta, phi, rows_t) for `alice_scan`: the axes as float
-    arrays and, when the grid fits one block, its Bloch rows as the columns
-    of a contiguous 4 x n array, so that a block's product is a plain
-    matmul; else None, so that a grid of any size costs no more than a block
-    in memory.  A SearchConfig builds its coarse grid's once."""
-    theta, phi = (np.array(a, dtype=float) for a in (theta, phi))
+def scan_grid(steps: int):
+    """Read-only (theta, phi, rows_t) of the product search's coarse grid:
+    `steps` thetas in [0, pi] by `steps` phis in [0, 2 pi) and, when the
+    grid fits one block, its Bloch rows as the columns of a contiguous
+    4 x n array, so that a block's product is a plain matmul; else None,
+    and `alice_scan` builds them block by block, so that a grid of any size
+    costs no more than a block in memory.  A SearchConfig builds its grid
+    once."""
+    theta = np.linspace(0.0, math.pi, steps)
+    phi = np.linspace(0.0, TWO_PI, steps, endpoint=False)
     rows_t = None
-    if len(theta) * len(phi) <= _ALICE_BLOCK:
+    if steps * steps <= _ALICE_BLOCK:
         rows_t = np.ascontiguousarray(_bloch_rows(theta, phi).T)
-    for a in (theta, phi, rows_t):
-        if a is not None:
-            a.flags.writeable = False
+        rows_t.flags.writeable = False
+    theta.flags.writeable = False
+    phi.flags.writeable = False
     return theta, phi, rows_t
 
 

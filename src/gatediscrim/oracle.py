@@ -72,14 +72,10 @@ class SearchConfig:
 
     @functools.cached_property
     def _grid(self):
-        """The coarse scan's axes and Bloch rows, read-only, built on first use
-        and kept (see `_kernels.scan_grid`)."""
+        """`_kernels.scan_grid` of this grid, built on first use and kept."""
         from . import _kernels
 
-        return _kernels.scan_grid(
-            np.linspace(0.0, math.pi, self.grid_steps),
-            np.linspace(0.0, TWO_PI, self.grid_steps, endpoint=False),
-        )
+        return _kernels.scan_grid(self.grid_steps)
 
 
 # what cfg=None means; it keeps its coarse grid across calls
