@@ -7,12 +7,12 @@ product-state search fixes Alice's factor on a Bloch-angle grid with
 deterministic refinement and solves Bob's factor exactly for each of her
 states: <a x b|W|a x b> is affine in Bob's Bloch vector, so his best
 response is a point-to-ellipse distance (see `_kernels`).  Each scan
-returns its winner's angles and Bob's Bloch vector for that state, and the
-probe is built from the best scan's pair.  The all-states optimum, exact
-from the eigenvalues of u1^dag u2 (a normal matrix's numerical range is
-their convex hull), ends the refinement once reached; `helstrom_simulate`
-samples the measurement's confusion counts.  They can therefore confirm
-(or refute) the analytic pipeline.
+returns its winner's angles and, when it beats the incumbent, Bob's Bloch
+vector for that state, and the probe is built from the best scan's pair.
+The all-states optimum, exact from the eigenvalues of u1^dag u2 (a normal
+matrix's numerical range is their convex hull), ends the refinement once
+reached; `helstrom_simulate` samples the measurement's confusion counts.
+They can therefore confirm (or refute) the analytic pipeline.
 """
 
 from __future__ import annotations
