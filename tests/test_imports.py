@@ -156,7 +156,7 @@ def test_gate_files_keep_no_number_rule():
 def test_oracle_reads_only_the_scan_from_kernels():
     # the scan returns its winning state whole, angles and Bob's vector: the
     # oracle decodes no grid index and hands no root back to the kernels.
-    # Besides the scan it reads the builder of the grid a SearchConfig keeps
+    # Besides the scan it reads scan_grid, the grid a SearchConfig keeps
     tree = ast.parse((Path(gatediscrim.__file__).parent / "oracle.py").read_text())
     used = set()
     for node in ast.walk(tree):
