@@ -215,20 +215,15 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
     with their magnitudes, phased 1, i, 1, i around it, so that sum(u^2)
     cancels and the probe is a product state."""
     groups = hull.groups
-    # the verdict's band: a hull whose spread is below pi counts as holding
-    # the origin when within VERDICT_TOL of it, but its Varignon weights
-    # clip there and can miss
-    band = hull.extremes if hull.origin_inside else ()
-    if band or not hull.origin_inside or len(groups) == 2:
-        # a chord: with a spread below pi, the one between the angular
-        # extremes, which realizes the hull's distance (in the band on the
-        # raw extremes, which a merged group's first index need not hold);
-        # else the one through the origin between two antipodal groups.
-        # Equal weight on one index at each end (on two of a lone group's);
-        # 1/sqrt(2) is spelled two ways, an ulp apart, and the goldens pin
-        # both
+    if hull.extremes or len(groups) <= 2:
+        # a chord: with a spread below pi, the one on the hull's raw
+        # extremes, which realizes its distance (also in the verdict's band,
+        # where Varignon weights clip and can miss); else two of a lone
+        # group's indices, or the chord through the origin between two
+        # antipodal groups.  Equal weight at each end; 1/sqrt(2) is spelled
+        # two ways, an ulp apart, and the goldens pin both
         first, last = groups[0].indices, groups[-1].indices
-        verts = band or (first[:2] if len(groups) == 1 else [first[0], last[0]])
+        verts = hull.extremes or (first[:2] if len(groups) == 1 else [first[0], last[0]])
         mags = [math.sqrt(0.5) if hull.origin_inside else SQRT_HALF] * 2
     else:
         # each vertex once per index it holds: a triangle's double vertex
@@ -255,13 +250,14 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
 def construct_probe(omega) -> ProbeState:
     """Optimal product probe for the relative phase vector omega.
 
-    The closed form: a 90 degree phased chord between the angular extremes
-    when their spread is below pi, so that the hull misses the origin (by
-    at most VERDICT_TOL in the verdict's band), Varignon midpoint weights
-    when the hull holds it.  The returned state is a product state, as every
-    `ProbeState` is, whose overlap |<psi|W|psi>| under the rotation W fixed
-    by omega equals the hull minimum within `numerics.VERDICT_TOL`; a miss
-    raises ConstructionFailedError.
+    The closed form: a 90 degree phased chord on the hull's raw extremes
+    (`HullResult.extremes`) whenever their spread is below pi, so that the
+    hull misses the origin (by at most VERDICT_TOL in the verdict's band);
+    Varignon midpoint weights when the hull holds it.  The returned state
+    is a product state, as every `ProbeState` is, whose overlap
+    |<psi|W|psi>| under the rotation W fixed by omega equals the hull
+    minimum within `numerics.VERDICT_TOL`; a miss raises
+    ConstructionFailedError.
     """
     om = wrap_angle(numerics.require_finite(omega, "omega", 4))
     return _probe_for_hull(om, geometry._hull_of_omega(om))[0]

@@ -42,7 +42,8 @@ class HullResult:
     spread is below pi and the hull has two or more groups, `extremes`
     holds the indices of the raw phases at the arc's two ends, in
     counter-clockwise order, each the lowest index among raw phases equal
-    to it; otherwise it is empty."""
+    to it; otherwise it is empty.  They are the one chord rule: every
+    probe whose spread is below pi puts its chord on them."""
 
     groups: list[PhaseGroup]
     origin_inside: bool
@@ -116,7 +117,10 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     four phases at DEDUPE_TOL.  Inside, the groups (the hull's vertices)
     come out counter-clockwise from the smallest phase.  Outside, the ordering
     starts just after the largest empty arc, so groups[0] and groups[-1]
-    are the angular extremes, whose chord realizes `min_distance`.
+    hold the angular extremes.  Whenever the spread is below pi, outside
+    or in the verdict's band, `extremes` names the raw phases at the arc's
+    two ends, whose chord realizes the hull's distance; which index of a
+    merged group holds them is this function's choice alone.
     Raises DomainError on empty input, a phase that is not a finite real
     number, or a `tol` that is not a real number, finite and >= 0.
     """

@@ -218,21 +218,36 @@ def test_probe_in_the_verdict_band_with_a_merged_extreme():
     # as above, but each of the two other phases sits interior, or up to
     # 1e-10 inside an extreme, where it merges with it into one hull vertex
     # whose first index need not hold the extreme raw phase; every order of
-    # the four phases.  The chord on the group's first index misses by up
-    # to DEDUPE_TOL's share of the spread, past VERDICT_TOL
+    # the four phases.  The chord sits on the raw extremes, in the band and
+    # outside it (spreads in (0.05, pi - 1e-3)); on the group's first index
+    # it missed by up to DEDUPE_TOL's share of the spread, past VERDICT_TOL
+    # in the band and past a few ulps of the fidelity outside it
     rng = np.random.default_rng(2525)
-    pairs = [np.array([9e-11, 0.0, 1.0, PI - 1.99e-9])]
+    band = [np.array([9e-11, 0.0, 1.0, PI - 1.99e-9])]
     for k, d in enumerate(np.repeat([1.9e-9, 1.99e-9], 40)):
         lo = rng.uniform(-PI, PI)
         hi = lo + PI - d
         inner = [lo + rng.uniform(0.1, PI - 0.2), lo + rng.uniform(0, 1e-10),
                  hi - rng.uniform(0, 1e-10)]
-        pairs += [np.array([lo, hi, inner[k % 3], inner[(k + 1) % 3]])]
-    for phases in pairs:
+        band += [np.array([lo, hi, inner[k % 3], inner[(k + 1) % 3]])]
+    outside = []
+    for k, spread in enumerate(rng.uniform(0.05, PI - 1e-3, 60)):
+        lo = rng.uniform(-PI, PI)
+        hi = lo + spread
+        merged = [lo + rng.uniform(0, 1e-10), hi - rng.uniform(0, 1e-10)][k % 2]
+        outside += [np.array([lo, hi, merged, lo + rng.uniform(0, spread)])]
+    eps = np.finfo(float).eps
+    for phases, inside in [(p, True) for p in band] + [(p, False) for p in outside]:
         for order in itertools.permutations(range(4)):
             om = wrap_angle(-phases[list(order)])
             r = discriminate(ID4, canonical.from_magic_phases(om))
-            assert r.perfectly_distinguishable and r.achieved_value <= numerics.VERDICT_TOL
+            chord = geometry.hull_of_phases(-r.omega).extremes
+            assert sorted(np.flatnonzero(r.probe.u)) == sorted(chord)
+            assert r.perfectly_distinguishable is inside
+            if inside:
+                assert r.achieved_value <= numerics.VERDICT_TOL
+            else:
+                assert abs(r.achieved_value - r.fidelity) <= 4 * eps
 
 
 def test_probe_forced_miss_raises(monkeypatch):
