@@ -27,7 +27,6 @@ import numpy as np
 from . import canonical, numerics
 from .discrimination import ProbeState
 from .errors import DomainError
-from .numerics import TWO_PI
 
 # contraction of the product search's refinement window per round
 SHRINK_FACTOR = 0.25
@@ -115,8 +114,10 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     cfg = _search_config(cfg)
     u1, u2 = numerics.require_gates((u1, u2))
     w = u1.conj().T @ u2
-    val, center, nb = _kernels.alice_scan(w, *cfg._grid)
-    spacing = np.array([math.pi / (cfg.grid_steps - 1), TWO_PI / cfg.grid_steps])
+    theta, phi, rows_t = cfg._grid
+    val, center, nb = _kernels.alice_scan(w, theta, phi, rows_t)
+    # the refinement's first spacing is the coarse axes' own step
+    spacing = np.array([theta[1], phi[1]])
     floor = _range_min(np.linalg.eigvals(w).tolist())[0] if val > 0.0 else 0.0
     for r in range(cfg.refinement_rounds):
         if val <= floor + _FLOOR_SLACK:
