@@ -193,8 +193,8 @@ def _varignon_weights(mids) -> list[float]:
     regular because the sides are half the quadrilateral's diagonals, which
     cross (or, for a padded triangle, share one vertex).  An origin within
     the verdict tolerance outside the parallelogram gets clipped weights.
-    `mids` holds four (x, y) pairs; the sums run in the order numpy's
-    reductions use, so the weights match the array formulas bit for bit.
+    `mids` holds four (x, y) pairs.  The goldens and the fingerprint's
+    digests pin the bytes of the weights, so the order of the sums is fixed.
     """
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = mids
     cx = (((x0 + x1) + x2) + x3) / 4
@@ -214,25 +214,21 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
     """The closed-form probe's magic amplitudes: an even cycle of vertices
     with their magnitudes, phased 1, i, 1, i around it, so that sum(u^2)
     cancels and the probe is a product state."""
-    groups = hull.groups
-    if hull.extremes or len(groups) <= 2:
-        # a chord: with a spread below pi, the one on the hull's raw
-        # extremes, which realizes its distance (also in the verdict's band,
-        # where Varignon weights clip and can miss); else two of a lone
-        # group's indices, or the chord through the origin between two
-        # antipodal groups.  Equal weight at each end; 1/sqrt(2) is spelled
-        # two ways, an ulp apart, and the goldens pin both
-        first, last = groups[0].indices, groups[-1].indices
-        verts = hull.extremes or (first[:2] if len(groups) == 1 else [first[0], last[0]])
+    if hull.extremes:
+        # a chord on the hull's extremes, which realizes its distance (also
+        # in the verdict's band, where Varignon weights clip and can miss).
+        # Equal weight at each end; 1/sqrt(2) is spelled two ways, an ulp
+        # apart, and the goldens pin both
+        verts = hull.extremes
         mags = [math.sqrt(0.5) if hull.origin_inside else SQRT_HALF] * 2
     else:
         # each vertex once per index it holds: a triangle's double vertex
         # pads it to a quadrilateral; vertex k's weight is the mean of the
         # weights of the two midpoints on it
-        verts = [i for g in groups for i in g.indices]
+        verts = [i for g in hull.groups for i in g.indices]
         pts = [
             (math.cos(g.phase), math.sin(g.phase))
-            for g in groups
+            for g in hull.groups
             for _ in g.indices
         ]
         mids = [
@@ -250,14 +246,15 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
 def construct_probe(omega) -> ProbeState:
     """Optimal product probe for the relative phase vector omega.
 
-    The closed form: a 90 degree phased chord on the hull's raw extremes
-    (`HullResult.extremes`) whenever their spread is below pi, so that the
-    hull misses the origin (by at most VERDICT_TOL in the verdict's band);
-    Varignon midpoint weights when the hull holds it.  The returned state
-    is a product state, as every `ProbeState` is, whose overlap
-    |<psi|W|psi>| under the rotation W fixed by omega equals the hull
-    minimum within `numerics.VERDICT_TOL`; a miss raises
-    ConstructionFailedError.
+    The closed form: whenever the hull of the points e^{-i omega_k} is a
+    chord, a 90 degree phased chord on its ends (`HullResult.extremes`).
+    That is a spread below pi, where the hull misses the origin (by at
+    most VERDICT_TOL in the verdict's band), a lone vertex, or two
+    antipodal vertices.  Varignon midpoint weights when a polygon holds
+    the origin.  The returned state is a product state, as every
+    `ProbeState` is, whose overlap |<psi|W|psi>| under the rotation W
+    fixed by omega equals the hull minimum within `numerics.VERDICT_TOL`;
+    a miss raises ConstructionFailedError.
     """
     om = wrap_angle(numerics.require_finite(omega, "omega", 4))
     return _probe_for_hull(om, geometry._hull_of_omega(om))[0]

@@ -39,11 +39,13 @@ class HullResult:
     origin's distance to it with the nearest hull point.  The arc spread
     behind that distance is not kept: `arc_spread` computes it.  A hull of
     one group reports `min_distance` 1.0, see `hull_of_phases`.  When the
-    spread is below pi and the hull has two or more groups, `extremes`
-    holds the indices of the raw phases at the arc's two ends, in
+    hull is a chord, `extremes` holds the indices of its two ends: with a
+    spread below pi, the raw phases at the arc's two ends, in
     counter-clockwise order, each the lowest index among raw phases equal
-    to it; otherwise it is empty.  They are the one chord rule: every
-    probe whose spread is below pi puts its chord on them."""
+    to it; for one group, its first two indices; for two antipodal groups,
+    each one's first index.  For one phase, or a polygon around the
+    origin, it is empty.  They are the one chord rule: every chord the
+    probe draws is `extremes`."""
 
     groups: list[PhaseGroup]
     origin_inside: bool
@@ -75,8 +77,8 @@ def _dedupe(vals: list[float], tol: float):
         rep = vals[run[0]]
         if len(run) > 1:
             # circular mean of the run, taken about its first phase, whose
-            # own offset is 0.0: for a run of up to 7 phases the sum is
-            # numpy's mean, bit for bit
+            # own offset is 0.0; the goldens and the fingerprint's digests
+            # pin the bytes of this sum
             offsets = [wrap_angle(vals[i] - rep) for i in run]
             rep = wrap_angle(rep + sum(offsets) / len(offsets))
         groups.append(PhaseGroup(phase=rep, indices=tuple(sorted(run))))
@@ -117,10 +119,11 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     four phases at DEDUPE_TOL.  Inside, the groups (the hull's vertices)
     come out counter-clockwise from the smallest phase.  Outside, the ordering
     starts just after the largest empty arc, so groups[0] and groups[-1]
-    hold the angular extremes.  Whenever the spread is below pi, outside
-    or in the verdict's band, `extremes` names the raw phases at the arc's
-    two ends, whose chord realizes the hull's distance; which index of a
-    merged group holds them is this function's choice alone.
+    hold the angular extremes.  Whenever the hull is a chord, `extremes`
+    names its two ends (see `HullResult`), and every chord the probe draws
+    is that one; with a spread below pi, outside or in the verdict's band,
+    it realizes the hull's distance.  Which index of a merged group holds
+    an end is this function's choice alone.
     Raises DomainError on empty input, a phase that is not a finite real
     number, or a `tol` that is not a real number, finite and >= 0.
     """
@@ -141,40 +144,37 @@ def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
     """`hull_of_phases` of finite phases that their caller has wrapped to
     (-pi, pi], given as a list of floats, and a checked `tol`."""
     order, groups = _dedupe(vals, tol)
-    if len(groups) == 1:
-        g = groups[0]
-        return HullResult(
-            groups=[g],
-            origin_inside=False,
-            min_distance=1.0,
-            nearest_point=np.array([math.cos(g.phase), math.sin(g.phase)]),
-        )
     imax, spread = _largest_gap([vals[i] for i in order])
     first = (imax + 1) % len(order)
-    # the chord between the angular extremes; its midpoint lies
-    # cos(spread / 2) from the origin
-    lo, hi = vals[order[first]], vals[order[imax]]
-    mid_x = 0.5 * (math.cos(lo) + math.cos(hi))
-    mid_y = 0.5 * (math.sin(lo) + math.sin(hi))
-    distance = float(np.hypot(mid_x, mid_y)) if spread < math.pi else 0.0
-    # the chord's ends, each the lowest index among raw phases equal to it
-    extremes = (vals.index(lo), vals.index(hi)) if spread < math.pi else ()
-    if distance <= VERDICT_TOL:
-        return HullResult(
-            groups=groups,
-            origin_inside=True,
-            min_distance=0.0,
-            nearest_point=np.zeros(2),
-            extremes=extremes,
-        )
-    # the group holding the raw phase just after the largest gap opens the arc
-    start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
-    groups = groups[start:] + groups[:start]
+    if len(groups) == 1:
+        # a lone vertex: distance 1.0 at its own point, and a chord on its
+        # first two indices when it merges two or more phases
+        g = groups[0]
+        distance, point = 1.0, (math.cos(g.phase), math.sin(g.phase))
+        extremes = g.indices[:2] if len(g.indices) > 1 else ()
+    else:
+        # the chord between the angular extremes; its midpoint lies
+        # cos(spread / 2) from the origin
+        lo, hi = vals[order[first]], vals[order[imax]]
+        point = (0.5 * (math.cos(lo) + math.cos(hi)), 0.5 * (math.sin(lo) + math.sin(hi)))
+        if spread < math.pi:
+            distance = float(np.hypot(*point))
+            # the chord's ends, each the lowest index among raw phases equal to it
+            extremes = (vals.index(lo), vals.index(hi))
+        else:
+            # two antipodal groups: the chord through the origin between
+            # their first indices; more groups: a polygon around it
+            distance = 0.0
+            extremes = (groups[0].indices[0], groups[-1].indices[0]) if len(groups) == 2 else ()
+    inside = distance <= VERDICT_TOL
+    if not inside:
+        # the group holding the raw phase just after the largest gap opens the arc
+        start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
+        groups = groups[start:] + groups[:start]
     return HullResult(
         groups=groups,
-        origin_inside=False,
-        min_distance=distance,
-        nearest_point=np.array([mid_x, mid_y]),
+        origin_inside=inside,
+        min_distance=0.0 if inside else distance,
+        nearest_point=np.zeros(2) if inside else np.array(point),
         extremes=extremes,
     )
-

@@ -221,7 +221,9 @@ def test_probe_in_the_verdict_band_with_a_merged_extreme():
     # the four phases.  The chord sits on the raw extremes, in the band and
     # outside it (spreads in (0.05, pi - 1e-3)); on the group's first index
     # it missed by up to DEDUPE_TOL's share of the spread, past VERDICT_TOL
-    # in the band and past a few ulps of the fidelity outside it
+    # in the band and past a few ulps of the fidelity outside it.  The
+    # lone-vertex and antipodal 2+2 sets close the list, so every chord the
+    # probe draws is held to `extremes`
     rng = np.random.default_rng(2525)
     band = [np.array([9e-11, 0.0, 1.0, PI - 1.99e-9])]
     for k, d in enumerate(np.repeat([1.9e-9, 1.99e-9], 40)):
@@ -236,8 +238,11 @@ def test_probe_in_the_verdict_band_with_a_merged_extreme():
         hi = lo + spread
         merged = [lo + rng.uniform(0, 1e-10), hi - rng.uniform(0, 1e-10)][k % 2]
         outside += [np.array([lo, hi, merged, lo + rng.uniform(0, spread)])]
+    # of the lone-vertex and 2+2 sets only the last, antipodal, holds the origin
+    repeated = list(fingerprint.repeated_omegas(rng, 5, ("4", "2+2")))
+    chords = [(p, False) for p in repeated[:-1]] + [(repeated[-1], True)]
     eps = np.finfo(float).eps
-    for phases, inside in [(p, True) for p in band] + [(p, False) for p in outside]:
+    for phases, inside in [(p, True) for p in band] + [(p, False) for p in outside] + chords:
         for order in itertools.permutations(range(4)):
             om = wrap_angle(-phases[list(order)])
             r = discriminate(ID4, canonical.from_magic_phases(om))

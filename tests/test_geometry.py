@@ -75,15 +75,18 @@ def test_hull_arc_example():
 
 
 def test_hull_extremes_are_raw_phases():
-    # the extremes name raw phases, not a merged group's first index, and
-    # the lowest index among equal ones; none for a spread of pi or more,
-    # nor for a lone group
+    # below pi the extremes name raw phases, not a merged group's first
+    # index, and the lowest index among equal ones; a lone group's first
+    # two indices; each antipodal group's first index; none for one phase
+    # or a polygon around the origin
     assert hull_of_phases([5e-11, 0.0, 1.0, 2.0 + 5e-11, 2.0]).extremes == (1, 3)
     assert hull_of_phases([1.0, 0.0, 1.0, 0.0]).extremes == (1, 0)
     band = hull_of_phases([0.0, 1.0, PI - 1e-9])
     assert band.origin_inside and band.extremes == (0, 2)
+    assert hull_of_phases([0.3, 0.3 + 5e-11]).extremes == (0, 1)
+    assert hull_of_phases([0.0, PI, 0.0, PI]).extremes == (0, 1)
+    assert hull_of_phases([0.3]).extremes == ()
     assert hull_of_phases([0.0, PI / 2, PI, -PI / 2]).extremes == ()
-    assert hull_of_phases([0.3, 0.3 + 5e-11]).extremes == ()
 
 
 def test_hull_single_point():
