@@ -12,9 +12,10 @@ version it was written with; the digests depend on numpy and its LAPACK.
 `tests/test_fingerprint.py` compares it with the code.  A change to the
 manifest is a change to the program's output, as a golden file's is:
 
-    python -m pytest tests/test_fingerprint.py   check every corpus
-    python tests/fingerprint.py --write          regenerate the manifest
-    python tests/fingerprint.py --diff CORPUS    show the first changed input
+    python -m pytest tests/test_fingerprint.py      check every corpus
+    python tests/fingerprint.py --write             regenerate the manifest
+    python tests/fingerprint.py --write CORPUS ...  regenerate those corpora only
+    python tests/fingerprint.py --diff CORPUS       show the first changed input
 
 `--diff` runs CORPUS on the `src/` of git's HEAD and on the working tree,
 and prints the first input whose fields differ, with every field.  The
@@ -376,12 +377,21 @@ def diff(name: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate or diff the output fingerprint.")
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true", help="regenerate the manifest")
+    mode.add_argument("--write", nargs="*", metavar="CORPUS", choices=CORPORA,
+                      help="regenerate the named corpora's digests, or all of them")
     mode.add_argument("--diff", metavar="CORPUS", choices=CORPORA, help="show what changed")
     args = parser.parse_args(argv)
     if args.diff:
         return diff(args.diff)
-    manifest = {"numpy": np.__version__, "corpora": {n: digest(n) for n in CORPORA}}
+    kept = {}
+    if args.write:
+        old = json.loads(MANIFEST.read_text())
+        if old["numpy"] != np.__version__:
+            parser.error(f"the manifest is numpy {old['numpy']}'s: write every corpus")
+        kept = old["corpora"]
+    digests = {**kept, **{n: digest(n) for n in args.write or CORPORA}}
+    manifest = {"numpy": np.__version__,
+                "corpora": {n: digests[n] for n in CORPORA if n in digests}}
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
     return 0
 
