@@ -39,7 +39,7 @@ _EXPORTS = {
         "error_probability",
     ),
     "files": (),
-    "geometry": ("HullResult", "PhaseGroup", "arc_spread", "hull_of_phases"),
+    "geometry": ("HullResult", "arc_spread", "hull_of_phases"),
     "numerics": ("unitary_eigenphases",),
     "oracle": (
         "SearchConfig",

@@ -222,15 +222,11 @@ def _amplitudes_for_hull(hull: geometry.HullResult) -> np.ndarray:
         verts = hull.extremes
         mags = [math.sqrt(0.5) if hull.origin_inside else SQRT_HALF] * 2
     else:
-        # each vertex once per index it holds: a triangle's double vertex
-        # pads it to a quadrilateral; vertex k's weight is the mean of the
-        # weights of the two midpoints on it
-        verts = [i for g in hull.groups for i in g.indices]
-        pts = [
-            (math.cos(g.phase), math.sin(g.phase))
-            for g in hull.groups
-            for _ in g.indices
-        ]
+        # the four raw points counter-clockwise, so a triangle's double
+        # vertex pads it to a quadrilateral; vertex k's weight is the mean
+        # of the weights of the two midpoints on it
+        verts = hull.order
+        pts = [(math.cos(hull.phases[i]), math.sin(hull.phases[i])) for i in verts]
         mids = [
             (0.5 * (x + x1), 0.5 * (y + y1))
             for (x, y), (x1, y1) in zip(pts, pts[1:] + pts[:1])
@@ -249,12 +245,14 @@ def construct_probe(omega) -> ProbeState:
     The closed form: whenever the hull of the points e^{-i omega_k} is a
     chord, a 90 degree phased chord on its ends (`HullResult.extremes`).
     That is a spread below pi, where the hull misses the origin (by at
-    most VERDICT_TOL in the verdict's band), a lone vertex, or two
-    antipodal vertices.  Varignon midpoint weights when a polygon holds
-    the origin.  The returned state is a product state, as every
-    `ProbeState` is, whose overlap |<psi|W|psi>| under the rotation W
-    fixed by omega equals the hull minimum within `numerics.VERDICT_TOL`;
-    a miss raises ConstructionFailedError.
+    most VERDICT_TOL in the verdict's band), phases that span at most
+    `geometry.DEDUPE_TOL`, or two ends of the largest empty arc whose
+    chord passes within VERDICT_TOL of the origin.  Varignon midpoint
+    weights over the four raw points when a polygon holds the origin.
+    The returned state is a product state, as every `ProbeState` is,
+    whose overlap |<psi|W|psi>| under the rotation W fixed by omega
+    equals the hull minimum within `numerics.VERDICT_TOL`; a miss raises
+    ConstructionFailedError.
     """
     om = wrap_angle(numerics.require_finite(omega, "omega", 4))
     return _probe_for_hull(om, geometry._hull_of_omega(om))[0]

@@ -6,8 +6,9 @@ are automatically in convex position, so the hull is just the points in
 counter-clockwise order and the origin distance is an arc-length statement:
 it is cos(min(spread, pi) / 2) for an occupied arc of length `spread`.
 `hull_of_phases` is the one place that turns that distance into the
-inside/outside verdict, and its `groups` are the one grouping of
-near-equal phases into hull vertices.
+inside/outside verdict.  It works on the raw phases: no two are merged
+into one vertex, and `tol` only rounds the distance of a hull that is one
+point to 1.0.
 """
 
 from __future__ import annotations
@@ -20,34 +21,27 @@ import numpy as np
 from .errors import DomainError
 from .numerics import TWO_PI, VERDICT_TOL, require_finite, require_real, wrap_angle
 
-# phases closer than this on the circle are one hull vertex; rounding is ~1e-16
+# a hull whose phases each lie this close to the next is one point;
+# rounding is ~1e-16
 DEDUPE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class PhaseGroup:
-    """A hull vertex: the circular mean `phase` of the input phases that
-    merge into it (those within the hull's `tol`), and their `indices`."""
-
-    phase: float
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class HullResult:
-    """The hull's vertices (`groups`), whether it holds the origin, and the
-    origin's distance to it with the nearest hull point.  The arc spread
-    behind that distance is not kept: `arc_spread` computes it.  A hull of
-    one group reports `min_distance` 1.0, see `hull_of_phases`.  When the
-    hull is a chord, `extremes` holds the indices of its two ends: with a
-    spread below pi, the raw phases at the arc's two ends, in
-    counter-clockwise order, each the lowest index among raw phases equal
-    to it; for one group, its first two indices; for two antipodal groups,
-    each one's first index.  For one phase, or a polygon around the
-    origin, it is empty.  They are the one chord rule: every chord the
-    probe draws is `extremes`."""
+    """The hull of the wrapped `phases` it was built from, whether it holds
+    the origin, and the origin's distance to it with the nearest hull
+    point.  `order` lists the indices of `phases` counter-clockwise, equal
+    phases by index: from the smallest phase when the origin is inside,
+    from just after the largest empty arc when it is outside, so that
+    order[0] and order[-1] are then the angular extremes.  The arc spread
+    behind the distance is not kept: `arc_spread` computes it.  When the
+    hull is a chord, `extremes` holds the indices of its two ends, see
+    `hull_of_phases`; for one phase, or a polygon around the origin, it is
+    empty.  They are the one chord rule: every chord the probe draws is
+    `extremes`."""
 
-    groups: list[PhaseGroup]
+    phases: tuple[float, ...]
+    order: tuple[int, ...]
     origin_inside: bool
     min_distance: float
     nearest_point: np.ndarray
@@ -58,32 +52,6 @@ def _finite_phases(phases) -> list[float]:
     """Phases as a list of wrapped floats; DomainError if empty, NaN or inf."""
     # a few phases per call: scalar wraps beat the ufunc round trip
     return [wrap_angle(x) for x in require_finite(phases, "phases").tolist()]
-
-
-def _dedupe(vals: list[float], tol: float):
-    """(stable ascending order, merged groups) of wrapped phases."""
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    runs: list[list[int]] = [[order[0]]]
-    for idx in order[1:]:
-        if vals[idx] - vals[runs[-1][-1]] <= tol:
-            runs[-1].append(idx)
-        else:
-            runs.append([idx])
-    # the circle closes: last run may wrap onto the first
-    if len(runs) > 1 and (vals[runs[0][0]] + TWO_PI) - vals[runs[-1][-1]] <= tol:
-        runs[0] = runs.pop() + runs[0]
-    groups = []
-    for run in runs:
-        rep = vals[run[0]]
-        if len(run) > 1:
-            # circular mean of the run, taken about its first phase, whose
-            # own offset is 0.0; the goldens and the fingerprint's digests
-            # pin the bytes of this sum
-            offsets = [wrap_angle(vals[i] - rep) for i in run]
-            rep = wrap_angle(rep + sum(offsets) / len(offsets))
-        groups.append(PhaseGroup(phase=rep, indices=tuple(sorted(run))))
-    groups.sort(key=lambda g: g.phase)
-    return order, groups
 
 
 def _largest_gap(raw: list[float]) -> tuple[int, float]:
@@ -110,20 +78,21 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
 
     The origin counts as inside when its distance to the hull,
     cos(min(spread, pi) / 2), is at most VERDICT_TOL; `min_distance` is 0
-    then.  The largest empty arc, the spread and the chord come from the
-    raw phases, so they do not depend on which near-equal phases merge into
-    one group, with one exception: when all of them merge into one group,
-    `min_distance` is 1.0 and `nearest_point` that group's point.  Its n
-    raw phases span at most (n - 1) * tol, so 1.0 lies within
-    1 - cos((n - 1) * tol / 2) of their exact distance, below 1.2e-20 for
-    four phases at DEDUPE_TOL.  Inside, the groups (the hull's vertices)
-    come out counter-clockwise from the smallest phase.  Outside, the ordering
-    starts just after the largest empty arc, so groups[0] and groups[-1]
-    hold the angular extremes.  Whenever the hull is a chord, `extremes`
-    names its two ends (see `HullResult`), and every chord the probe draws
-    is that one; with a spread below pi, outside or in the verdict's band,
-    it realizes the hull's distance.  Which index of a merged group holds
-    an end is this function's choice alone.
+    then.  Everything comes from the raw phases, by three rules taken in
+    this order:
+    - a hull of one point: n phases that span at most (n - 1) * tol, as
+      far as a run of them each within `tol` of the next reaches, report
+      `min_distance` exactly 1.0, and a chord on indices (0, 1).  1.0 is
+      within 1 - cos((n - 1) * tol / 2) of their exact distance, below
+      1.2e-20 for four phases at DEDUPE_TOL, where the chord's own
+      rounding can put it an ulp below 1.0;
+    - a chord: a spread below pi, or a chord between the largest empty
+      arc's two ends that passes within VERDICT_TOL of the origin.
+      `extremes` names those two ends, each the lowest index among the
+      phases equal to it: counter-clockwise below pi, where the chord
+      realizes the hull's distance (outside, or in the verdict's band),
+      and by phase from pi on;
+    - a polygon around the origin otherwise, with no `extremes`.
     Raises DomainError on empty input, a phase that is not a finite real
     number, or a `tol` that is not a real number, finite and >= 0.
     """
@@ -143,36 +112,29 @@ def _hull_of_omega(om) -> HullResult:
 def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
     """`hull_of_phases` of finite phases that their caller has wrapped to
     (-pi, pi], given as a list of floats, and a checked `tol`."""
-    order, groups = _dedupe(vals, tol)
+    order = sorted(range(len(vals)), key=vals.__getitem__)
     imax, spread = _largest_gap([vals[i] for i in order])
     first = (imax + 1) % len(order)
-    if len(groups) == 1:
-        # a lone vertex: distance 1.0 at its own point, and a chord on its
-        # first two indices when it merges two or more phases
-        g = groups[0]
-        distance, point = 1.0, (math.cos(g.phase), math.sin(g.phase))
-        extremes = g.indices[:2] if len(g.indices) > 1 else ()
+    # the chord between the largest gap's two ends; its midpoint lies
+    # |cos(spread / 2)| from the origin
+    lo, hi = vals[order[first]], vals[order[imax]]
+    point = (0.5 * (math.cos(lo) + math.cos(hi)), 0.5 * (math.sin(lo) + math.sin(hi)))
+    # equal ends are equal phases, whatever the rounding of the spread
+    if lo == hi or spread <= (len(vals) - 1) * tol:
+        distance, extremes = 1.0, (0, 1) if len(vals) > 1 else ()
+    elif spread < math.pi:
+        distance, extremes = float(np.hypot(*point)), (vals.index(lo), vals.index(hi))
     else:
-        # the chord between the angular extremes; its midpoint lies
-        # cos(spread / 2) from the origin
-        lo, hi = vals[order[first]], vals[order[imax]]
-        point = (0.5 * (math.cos(lo) + math.cos(hi)), 0.5 * (math.sin(lo) + math.sin(hi)))
-        if spread < math.pi:
-            distance = float(np.hypot(*point))
-            # the chord's ends, each the lowest index among raw phases equal to it
-            extremes = (vals.index(lo), vals.index(hi))
-        else:
-            # two antipodal groups: the chord through the origin between
-            # their first indices; more groups: a polygon around it
-            distance = 0.0
-            extremes = (groups[0].indices[0], groups[-1].indices[0]) if len(groups) == 2 else ()
+        distance = 0.0
+        # a chord through the origin, its ends by phase; else a polygon
+        through = math.hypot(*point) <= VERDICT_TOL
+        extremes = (vals.index(min(lo, hi)), vals.index(max(lo, hi))) if through else ()
     inside = distance <= VERDICT_TOL
     if not inside:
-        # the group holding the raw phase just after the largest gap opens the arc
-        start = next(i for i, g in enumerate(groups) if order[first] in g.indices)
-        groups = groups[start:] + groups[:start]
+        order = order[first:] + order[:first]
     return HullResult(
-        groups=groups,
+        phases=tuple(vals),
+        order=tuple(order),
         origin_inside=inside,
         min_distance=0.0 if inside else distance,
         nearest_point=np.zeros(2) if inside else np.array(point),

@@ -65,7 +65,13 @@ def render_hull_svg(omega) -> str:
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#999999" '
         'stroke-width="0.012" />',
     ]
-    pts = [np.array([math.cos(g.phase), math.sin(g.phase)]) for g in hull.groups]
+    # points whose printed coordinates agree are one mark with one label:
+    # a rule of the figure's resolution, not of the verdict's
+    marks: dict[tuple[str, str], tuple[np.ndarray, list[int]]] = {}
+    for i in hull.order:
+        p = np.array([math.cos(hull.phases[i]), math.sin(hull.phases[i])])
+        marks.setdefault((_f(p[0]), _f(p[1])), (p, []))[1].append(i)
+    pts = [p for p, _ in marks.values()]
     if len(pts) >= 2:
         poly = " ".join(f"{_f(x)},{_f(-y)}" for x, y in pts)
         lines.append(
@@ -85,9 +91,9 @@ def render_hull_svg(omega) -> str:
                     fill="#e3742f",
                 )
             )
-    for g, (x, y) in zip(hull.groups, pts):
+    for (x, y), indices in marks.values():
         lines.append(_circle(x, y, 0.025, "#111111"))
-        label = ",".join(f"P{k + 1}" for k in g.indices)
+        label = ",".join(f"P{k + 1}" for k in sorted(indices))
         lines.append(_text(x * 1.17, y * 1.17, label))
     if not hull.origin_inside:
         nx, ny = hull.nearest_point

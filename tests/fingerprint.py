@@ -73,8 +73,8 @@ REPEATS = {"2+2": [0, 1, 0, 1], "3+1": [0, 0, 1, 0], "4": [0, 0, 0, 0], "2+1+1":
 
 def repeated_omegas(rng, n: int = 100, patterns=tuple(REPEATS)):
     """n permuted phase sets per repeat pattern, 2+1+1 giving the
-    triangles, equal or split by 1e-13 or -3e-11, inside the merge
-    tolerance; then, with 2+2, the antipodal 2+2 set."""
+    triangles, equal or split by 1e-13 or -3e-11, within DEDUPE_TOL;
+    then, with 2+2, the antipodal 2+2 set."""
     for pattern in patterns:
         for _ in range(n):
             om = rng.permutation(rng.uniform(-PI, PI, 3)[REPEATS[pattern]])
@@ -94,7 +94,8 @@ def inside_omegas(n: int, seed: int = 707):
 
 def mixed_phase_sets(rng, n: int):
     """1 to 6 phases in [-4, 4]; every third set's phases sit 0, 5e-11,
-    -9e-11 or a whole turn from its first, so they merge, across the cut too."""
+    -9e-11 or a whole turn from its first, within DEDUPE_TOL, across the
+    cut too."""
     for k in range(n):
         ph = rng.uniform(-4.0, 4.0, 1 + k % 6)
         if k % 3 == 0 and len(ph) > 1:
@@ -162,9 +163,8 @@ def hull_of_phases():
     for k, ph in enumerate(mixed_phase_sets(np.random.default_rng(3003), 1000)):
         for tol in (geometry.DEDUPE_TOL, 0.0, 1e-3):
             h = geometry.hull_of_phases(ph, tol=tol)
-            groups = [(g.phase, g.indices) for g in h.groups]
-            yield f"phases {k} tol {tol:g}", {"phases": ph, "groups": groups, **_fields(
-                h, ("origin_inside", "min_distance", "nearest_point"))}
+            yield f"phases {k} tol {tol:g}", {"phases": ph, **_fields(
+                h, ("order", "extremes", "origin_inside", "min_distance", "nearest_point"))}
 
 
 def render_hull_svg():

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -635,6 +636,17 @@ def test_figure_single_point(capsys, tmp_path):
     assert code == 0
     text = path.read_text()
     assert "P1,P2,P3,P4" in text
+
+
+def test_figure_draws_points_that_print_alike_once():
+    # 1e-8 apart, P1 and P2 print at the same coordinates: one mark with one
+    # label, a triangle, and no edge of length zero with a midpoint on it
+    text = svg.render_hull_svg([-0.3, -0.3 - 1e-8, -1.0, -2.0])
+    labels = re.findall(r">(P[0-9,P]+)</text>", text)
+    assert sorted(labels) == ["P1,P2", "P3", "P4"]
+    (points,) = re.findall(r'<polygon points="([^"]*)"', text)
+    assert len(points.split()) == 3
+    assert re.findall(r">(M[0-9]+)</text>", text) == ["M1", "M2", "M3"]
 
 
 def test_discriminate_outputs_are_deterministic(capsys, tmp_path):

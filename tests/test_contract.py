@@ -341,7 +341,7 @@ TRUSTED = (canonical.magic_rep, numerics.unitarity_residual, numerics.wrap_angle
 # exported classes whose constructors check nothing: the records the
 # package returns, and the enums
 UNCHECKED = {"CaseTag", "DiscriminationReport", "GateClass", "HullResult",
-             "InteractionDecomposition", "PhaseGroup", "ShotOutcome"}
+             "InteractionDecomposition", "ShotOutcome"}
 
 
 def test_every_public_function_has_a_row():

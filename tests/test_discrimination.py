@@ -164,6 +164,14 @@ def test_probe_antipodal_pair():
     np.testing.assert_allclose(p.u[0], SQ2, atol=1e-12)
     np.testing.assert_allclose(p.u[1], 1j * SQ2, atol=1e-12)
     check_probe(p, om, 0.0)
+    # pairs split by an ulp, in every order: the chord through the origin,
+    # where Varignon weights over the four raw points divide by zero
+    for pair in ([0.2892537411489346, -2.8523389124408585, 0.28925374114893465, -2.8523389124408585],
+                 [-2.856239860691277, -2.856239860691277, 0.2853527928985162, 0.28535279289851617]):
+        for order in itertools.permutations(range(4)):
+            om = np.array(pair)[list(order)]
+            assert geometry.hull_of_phases(wrap_angle(-om)).origin_inside
+            check_probe(construct_probe(om), om, 0.0, tol=numerics.VERDICT_TOL)
 
 
 def test_probe_outside_case():
@@ -216,14 +224,13 @@ def test_probe_in_the_verdict_band():
 
 def test_probe_in_the_verdict_band_with_a_merged_extreme():
     # as above, but each of the two other phases sits interior, or up to
-    # 1e-10 inside an extreme, where it merges with it into one hull vertex
-    # whose first index need not hold the extreme raw phase; every order of
-    # the four phases.  The chord sits on the raw extremes, in the band and
-    # outside it (spreads in (0.05, pi - 1e-3)); on the group's first index
-    # it missed by up to DEDUPE_TOL's share of the spread, past VERDICT_TOL
-    # in the band and past a few ulps of the fidelity outside it.  The
-    # lone-vertex and antipodal 2+2 sets close the list, so every chord the
-    # probe draws is held to `extremes`
+    # 1e-10 inside an extreme, within DEDUPE_TOL of it; every order of the
+    # four phases.  The chord sits on the raw extremes, in the band and
+    # outside it (spreads in (0.05, pi - 1e-3)); on a phase up to 1e-10
+    # inside an extreme it would miss by up to that share of the spread,
+    # past VERDICT_TOL in the band and past a few ulps of the fidelity
+    # outside it.  The one-point and antipodal 2+2 sets close the list, so
+    # every chord the probe draws is held to `extremes`
     rng = np.random.default_rng(2525)
     band = [np.array([9e-11, 0.0, 1.0, PI - 1.99e-9])]
     for k, d in enumerate(np.repeat([1.9e-9, 1.99e-9], 40)):
@@ -310,6 +317,13 @@ def test_discriminate_report_fields():
 
     r = discriminate(ID4, ID4)
     assert r.fidelity == pytest.approx(1.0) and not r.perfectly_distinguishable
+    # phases an ulp or two apart are one point, at fidelity exactly 1.0: the
+    # chord's rounding can put it an ulp below, which moves the error
+    # probability by 7.45e-9
+    a = np.full(4, 0.3)
+    for k in itertools.product(range(-2, 3), repeat=4):
+        r = discriminate(ID4, canonical.from_magic_phases(a + np.array(k) * np.spacing(a)))
+        assert r.fidelity == 1.0 and r.error_probability == 0.5
 
 
 def check_pair(u1, u2, p1):

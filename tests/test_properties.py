@@ -53,7 +53,7 @@ def test_fidelity_invariant_under_reflection(om):
 
 @cfg
 @given(phases, st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-# two phases 1e-10 apart merge into one hull vertex before the shift only
+# two phases 1e-10 apart, within DEDUPE_TOL before the shift only
 @example(np.array([0.0, 0.0, 1.0, 1e-10]), 1.0)
 # spread pi - 1e-9: inside by the verdict, and its probe once missed
 @example(np.array([1.0, PI, 0.5, 1e-9]), 0.0)
