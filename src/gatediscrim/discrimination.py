@@ -245,14 +245,14 @@ def construct_probe(omega) -> ProbeState:
     The closed form: whenever the hull of the points e^{-i omega_k} is a
     chord, a 90 degree phased chord on its ends (`HullResult.extremes`).
     That is a spread below pi, where the hull misses the origin (by at
-    most VERDICT_TOL in the verdict's band), phases that span at most
-    `geometry.DEDUPE_TOL`, or two ends of the largest empty arc whose
-    chord passes within VERDICT_TOL of the origin.  Varignon midpoint
-    weights over the four raw points when a polygon holds the origin.
-    The returned state is a product state, as every `ProbeState` is,
-    whose overlap |<psi|W|psi>| under the rotation W fixed by omega
-    equals the hull minimum within `numerics.VERDICT_TOL`; a miss raises
-    ConstructionFailedError.
+    most VERDICT_TOL in the verdict's band), phases close enough to be
+    one point (see `geometry.hull_of_phases`), or two ends of the largest
+    empty arc whose chord passes within VERDICT_TOL of the origin.
+    Varignon midpoint weights over the four raw points when a polygon
+    holds the origin.  The returned state is a product state, as every
+    `ProbeState` is, whose overlap |<psi|W|psi>| under the rotation W
+    fixed by omega equals the hull minimum within `numerics.VERDICT_TOL`;
+    a miss raises ConstructionFailedError.
     """
     om = wrap_angle(numerics.require_finite(omega, "omega", 4))
     return _probe_for_hull(om, geometry._hull_of_omega(om))[0]

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DomainError
 from .numerics import TWO_PI, VERDICT_TOL, require_finite, require_real, wrap_angle
 
-# a hull whose phases each lie this close to the next is one point;
-# rounding is ~1e-16
+# n phases that span at most (n - 1) times this are one point; rounding
+# is ~1e-16
 DEDUPE_TOL = 1e-10
 
 
