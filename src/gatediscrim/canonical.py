@@ -39,7 +39,6 @@ MAGIC_BASIS = SQRT_HALF * np.array(
     dtype=complex,
 )
 _MAGIC_DAG = MAGIC_BASIS.conj().T
-_OFF_DIAG = 1.0 - np.eye(4)
 # an alpha computed from pi/4 may overshoot a chamber wall by a few ulps
 _CHAMBER_SLACK = 1e-12
 # an alpha this near the identity or SWAP corner is it (round trip errs ~1e-15)
@@ -147,8 +146,7 @@ def extract_interaction(u, tol: float = GATE_TOL) -> InteractionDecomposition:
     v = magic_rep(u) * cmath.exp(-1j * global_phase)
     gram = v.T @ v
     # gram is unitary because u is: no second check, at another tolerance.
-    # The tail, `_eigenphases` included, works on four Python floats: a
-    # numpy call costs more here than the arithmetic it would do.
+    # the tail, `_eigenphases` included, keeps the four-number rule (numerics)
     l0, l1, l2, l3 = [wrap_angle(-0.5 * t) for t in numerics._eigenphases(gram)]
     # halving each phase can flip the parity of the sum; legal branch moves
     # only come in pairs, so restore sum(lam) = 0 (mod 2 pi) explicitly
@@ -174,18 +172,17 @@ def relative_phases(u1, u2, tol: float = GATE_TOL) -> np.ndarray:
     """
     # both gates go through each check as one (2, 4, 4) stack
     m = magic_rep(numerics.require_gates((u1, u2), tol))
-    worst = np.abs(m * _OFF_DIAG).max(axis=(1, 2))
-    for name, w in zip(numerics.PAIR_NAMES, worst.tolist()):
+    off = np.abs(m).reshape(2, 16)
+    off[:, ::5] = 0.0  # the diagonal
+    for name, w in zip(numerics.PAIR_NAMES, off.max(axis=1).tolist()):
         if w > tol:
             raise NotMagicDiagonalError(
                 f"{name} has off-diagonal magic-basis weight {w:.3e} "
                 f"(tolerance {tol:g}); decompose it and strip the local "
                 f"factors first"
             )
-    d = np.diagonal(m, axis1=1, axis2=2)
-    w = d[0].conj() * d[1]
-    # np.angle(w), without its wrapper
-    return wrap_angle(-np.arctan2(w.imag, w.real))
+    d1, d2 = np.diagonal(m, axis1=1, axis2=2).tolist()
+    return np.array([wrap_angle(-cmath.phase(a.conjugate() * b)) for a, b in zip(d1, d2)])
 
 
 def classify(alpha) -> GateClass:

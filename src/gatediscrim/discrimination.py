@@ -19,7 +19,7 @@ import numpy as np
 
 from . import canonical, geometry, numerics
 from .errors import ConstructionFailedError, DomainError
-from .numerics import GATE_TOL, SQRT_HALF, VERDICT_TOL, wrap_angle
+from .numerics import GATE_TOL, SQRT_HALF, VERDICT_TOL
 
 
 class CaseTag(enum.Enum):
@@ -128,8 +128,9 @@ def concurrence(u) -> float:
 
 
 def _concurrence(u) -> float:
-    """`concurrence` of amplitudes whose caller has checked their norm."""
-    return float(abs((u * u).sum()))
+    """`concurrence` of an array of amplitudes whose caller has checked
+    their norm."""
+    return abs(sum(z * z for z in u.tolist()))
 
 
 def _factor(psi) -> tuple[np.ndarray, np.ndarray]:
@@ -175,12 +176,18 @@ def achieved_overlap(u, omega) -> float:
     NORM_TOL, else NotNormalizedError) and omega 4 finite phases.
     """
     u = numerics.require_normalized(u, name="magic amplitudes")
-    return _achieved_overlap(u, numerics.require_finite(omega, "omega", 4))
+    return _achieved_overlap(u, numerics.require_finite(omega, "omega", 4).tolist())
 
 
 def _achieved_overlap(u, om) -> float:
-    """`achieved_overlap` of amplitudes and 4 phases their caller has checked."""
-    return float(abs((np.abs(u) ** 2 * np.exp(-1j * om)).sum()))
+    """`achieved_overlap` of an array of amplitudes and 4 phases, as floats,
+    that their caller has checked."""
+    x = y = 0.0
+    for z, w in zip(u.tolist(), om):
+        p = z.real * z.real + z.imag * z.imag
+        x += p * math.cos(w)
+        y -= p * math.sin(w)
+    return math.hypot(x, y)
 
 
 def _varignon_weights(mids) -> list[float]:
@@ -254,13 +261,14 @@ def construct_probe(omega) -> ProbeState:
     fixed by omega equals the hull minimum within `numerics.VERDICT_TOL`;
     a miss raises ConstructionFailedError.
     """
-    om = wrap_angle(numerics.require_finite(omega, "omega", 4))
+    om = geometry._finite_phases(omega, "omega", 4)
     return _probe_for_hull(om, geometry._hull_of_omega(om))[0]
 
 
 def _probe_for_hull(om, hull: geometry.HullResult) -> tuple[ProbeState, float]:
-    """(probe, the overlap it achieves) for the hull of -om; an overlap more
-    than VERDICT_TOL from the hull minimum raises ConstructionFailedError."""
+    """(probe, the overlap it achieves) for the hull of -om, 4 phases as
+    floats; an overlap more than VERDICT_TOL from the hull minimum raises
+    ConstructionFailedError."""
     probe = ProbeState(_amplitudes_for_hull(hull))
     got, target = _achieved_overlap(probe.u, om), hull.min_distance
     if not (abs(got - target) <= VERDICT_TOL):  # written so that NaN fails
@@ -280,8 +288,9 @@ def discriminate(u1, u2, p1: float = 0.5, tol: float = GATE_TOL) -> Discriminati
     p1 = numerics.require_prior(p1)
     p2 = 1.0 - p1
     om = canonical.relative_phases(u1, u2, tol=tol)
-    hull = geometry._hull_of_omega(om)
-    probe, achieved = _probe_for_hull(om, hull)
+    phases = om.tolist()
+    hull = geometry._hull_of_omega(phases)
+    probe, achieved = _probe_for_hull(phases, hull)
     return DiscriminationReport(
         omega=om,
         fidelity=hull.min_distance,

@@ -48,17 +48,17 @@ class HullResult:
     extremes: tuple[int, ...] = ()
 
 
-def _finite_phases(phases) -> list[float]:
-    """Phases as a list of wrapped floats; DomainError if empty, NaN or inf."""
-    # a few phases per call: scalar wraps beat the ufunc round trip
-    return [wrap_angle(x) for x in require_finite(phases, "phases").tolist()]
+def _finite_phases(phases, what: str = "phases", size: int | None = None) -> list[float]:
+    """Phases as a list of wrapped floats; DomainError unless
+    `require_finite` takes them, called `what`, with `size` entries."""
+    return [wrap_angle(x) for x in require_finite(phases, what, size).tolist()]
 
 
 def _largest_gap(raw: list[float]) -> tuple[int, float]:
     """(i, spread) for ascending phases: the largest empty arc runs from
     raw[i] to raw[i+1] (mod len), and the rest of the circle is `spread`."""
     gaps = [b - a for a, b in zip(raw, raw[1:])] + [(raw[0] + TWO_PI) - raw[-1]]
-    imax = max(range(len(raw)), key=gaps.__getitem__)
+    imax = gaps.index(max(gaps))
     return imax, TWO_PI - gaps[imax]
 
 
@@ -102,11 +102,13 @@ def hull_of_phases(phases, tol: float = DEDUPE_TOL) -> HullResult:
     return _hull_of_phases(vals, tol)
 
 
-def _hull_of_omega(om) -> HullResult:
-    """Hull of the points e^{-i omega_k} for an array of finite phases; it
-    decides every verdict and draws every figure."""
-    # negation is exact, so this is hull_of_phases(-om) without its checks
-    return _hull_of_phases([wrap_angle(-x) for x in om.tolist()])
+def _hull_of_omega(om: list[float]) -> HullResult:
+    """Hull of the points e^{-i omega_k} for a list of finite phases that
+    their caller has wrapped to (-pi, pi]; it decides every verdict and
+    draws every figure."""
+    # hull_of_phases(-om) without its checks: negation is exact, 0.0 - x
+    # keeps a zero 0.0 rather than -0.0, and pi, as -pi would wrap, stays pi
+    return _hull_of_phases([x if x == math.pi else 0.0 - x for x in om])
 
 
 def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
@@ -123,7 +125,7 @@ def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
     if lo == hi or spread <= (len(vals) - 1) * tol:
         distance, extremes = 1.0, (0, 1) if len(vals) > 1 else ()
     elif spread < math.pi:
-        distance, extremes = float(np.hypot(*point)), (vals.index(lo), vals.index(hi))
+        distance, extremes = math.hypot(*point), (vals.index(lo), vals.index(hi))
     else:
         distance = 0.0
         # a chord through the origin, its ends by phase; else a polygon

@@ -16,10 +16,20 @@ alone also takes complex numbers.  Neither takes a bool, string or object
 array, nor a list or tuple that holds a bool.  `wrap_angle` has one
 formula, run angle by angle on an array.  It names the tolerances other
 modules read: GATE_TOL, VERDICT_TOL.
+
+The four-number rule: a formula on one gate pair's few numbers (its four
+phases, four amplitudes or four eigenvalues) runs on Python floats and
+complexes, with `math` and `cmath`, and its stages hand each other lists:
+on so few numbers a numpy call costs more than the arithmetic it does.
+Angles come from libm's atan2, as `cmath.phase`, never from `np.angle`,
+so those outputs do not depend on which CPU loops numpy dispatches.
+numpy keeps what works on whole matrices: the stacked gate checks, the
+magic-basis projection and LAPACK's eigenvalues.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 
@@ -130,7 +140,6 @@ def require_finite(v, what: str, size: int | None = None) -> np.ndarray:
         raise DomainError(f"{what} must not be empty")
     if size is not None and a.shape != (size,):
         raise DomainError(f"{what} must have {size} entries, got {a.shape}")
-    # a few entries per call: scalar checks beat the ufunc round trip
     vals = a.tolist()
     if not all(map(math.isfinite, vals)):
         raise DomainError(f"{what} must be finite, got {vals}")
@@ -254,5 +263,4 @@ def unitary_eigenphases(m) -> np.ndarray:
 def _eigenphases(m) -> list[float]:
     """`unitary_eigenphases` of a matrix its caller knows to be unitary, as
     a list: the one wrap-and-sort of LAPACK's eigenvalue angles."""
-    # four angles: scalar wraps and a list sort beat numpy's per-call cost
-    return sorted(map(wrap_angle, np.angle(np.linalg.eigvals(m)).tolist()))
+    return sorted(wrap_angle(cmath.phase(z)) for z in np.linalg.eigvals(m).tolist())

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import __version__, geometry
-from .numerics import VERDICT_TOL, require_finite
+from .numerics import VERDICT_TOL
 
 _W = 2.9
 _VIEW = f"-{_W / 2} -{_W / 2} {_W} {_W}"
@@ -47,9 +47,9 @@ def _text(x, y, s, size=0.11, fill="#222222") -> str:
 def render_hull_svg(omega) -> str:
     """SVG document (text) for the hull picture of a 4-phase vector.
 
-    `omega` may hold any finite angles: the hull wraps the points -omega
-    itself, and wrapping is exact, so none is wrapped first."""
-    hull = geometry._hull_of_omega(require_finite(omega, "omega", 4))
+    `omega` may hold any finite angles: wrapping is exact, so wrapping
+    them first draws the same figure."""
+    hull = geometry._hull_of_omega(geometry._finite_phases(omega, "omega", 4))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_VIEW}" '

@@ -1,15 +1,22 @@
 """The package's outputs over the seeded corpora of `fingerprint.py` match
 the committed digests in tests/data/fingerprint.json, byte for byte, and
-`--diff` finds no change where the source agrees with git's HEAD, and
-`--write CORPUS ...` rewrites only the named digests."""
+`--diff` finds no change where the source agrees with git's HEAD,
+`--write CORPUS ...` rewrites only the named digests, and the package's
+own outputs do not depend on numpy's AVX-512 loops."""
 
 import json
+import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import fingerprint
+
+# the corpora that run the four-number formulas of `discriminate`,
+# `construct_probe` and `extract_interaction` (numerics' module docstring)
+OWN_ARITHMETIC = ("discriminate", "discriminate_edges", "construct_probe", "decompose")
 
 
 @pytest.mark.parametrize("corpus", list(fingerprint.CORPORA))
@@ -52,3 +59,28 @@ def test_write_regenerates_only_the_named_corpora(tmp_path, monkeypatch):
     with pytest.raises(SystemExit):
         fingerprint.main(["--write", "one"])
     assert written() == stale
+
+
+def _avx512_targets() -> list[str]:
+    """numpy's dispatched loop targets at the AVX-512 level that this CPU has."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)
+            and (t.startswith("AVX512") or t == "X86_V4")]
+
+
+def test_outputs_do_not_depend_on_numpys_avx512_loops():
+    # the per-pair formulas run on Python floats and libm, so a numpy that
+    # may not use its AVX-512 loops gives the same digests
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 loop on this CPU")
+    src = str(fingerprint.TESTS.parent / "src")
+    code = (f"import sys; sys.path[:0] = {[src, str(fingerprint.TESTS)]!r}; "
+            f"import fingerprint; print([fingerprint.check(c) for c in {OWN_ARITHMETIC!r}])")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == f"{[None] * len(OWN_ARITHMETIC)}\n", (targets, out)

@@ -1,9 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from gatediscrim import geometry
+from gatediscrim import geometry, numerics, svg
 from gatediscrim.geometry import arc_spread, hull_of_phases
 
 import fingerprint
@@ -157,3 +158,24 @@ def test_empty_phases_rejected(fn, empty):
 def test_merge_tol_domain(fn, tol):
     # tol = nan used to merge nothing, silently
     keeps(fn, "merge tol", tol)
+
+
+def test_figure_of_unwrapped_omega_is_the_figure_of_its_wrap():
+    # render_hull_svg wraps its angles before the hull: wrapping is exact,
+    # so any finite angles draw the figure of their wrap, byte for byte,
+    # and the hull negates the wrapped phases as hull_of_phases(-om) would
+    pi_edges = [PI, -PI, 3 * PI, -3 * PI, math.nextafter(PI, 4.0), math.nextafter(-PI, -4.0)]
+    turns = [2 * PI, -2 * PI, 6 * PI, -4 * PI, 0.0, -0.0]
+    near_1e3 = [1e3, -1e3, 1e3 + 0.5, math.nextafter(1e3, 2e3), -999.25, 1e3 + PI]
+    rows = [pi_edges[:4], pi_edges[2:], turns[:4], turns[2:], near_1e3[:4], near_1e3[2:],
+            [PI, 2 * PI, 1e3, -3 * PI], [-0.0, -PI, 1e3 - 0.5, 4 * PI + 1.0]]
+    for om in rows:
+        wrapped = [numerics.wrap_angle(x) for x in om]
+        assert wrapped != om
+        assert svg.render_hull_svg(om) == svg.render_hull_svg(wrapped), om
+        got = geometry._hull_of_omega(wrapped)
+        want = hull_of_phases([-x for x in om])
+        assert [struct.pack("<d", x) for x in got.phases] == [
+            struct.pack("<d", x) for x in want.phases], om
+        assert (got.order, got.extremes, got.min_distance) == (
+            want.order, want.extremes, want.min_distance)
