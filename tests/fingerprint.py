@@ -8,7 +8,11 @@ a 0.0, or a float32 against a float64, counts as a change.  A corpus's
 digest is the sha256 of its records' digests, in order.
 
 `tests/data/fingerprint.json` holds one digest per corpus and the numpy
-version it was written with; the digests depend on numpy and its LAPACK.
+version it was written with.  The digests depend on numpy and its LAPACK,
+on the OpenBLAS kernel that numpy's OpenBLAS picks for the CPU (see
+OPENBLAS_CORETYPE), and on numpy's AVX2-level loops that build the
+corpora's inputs; not on its AVX-512 loops, which
+`tests/test_fingerprint.py` disables for four corpora.
 `tests/test_fingerprint.py` compares it with the code.  A change to the
 manifest is a change to the program's output, as a golden file's is:
 
