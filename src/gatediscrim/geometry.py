@@ -107,7 +107,7 @@ def _hull_of_omega(om: list[float]) -> HullResult:
     their caller has wrapped to (-pi, pi]; it decides every verdict and
     draws every figure."""
     # hull_of_phases(-om) without its checks: negation is exact, 0.0 - x
-    # keeps a zero 0.0 rather than -0.0, and pi, as -pi would wrap, stays pi
+    # gives 0.0 for a zero, not -0.0, and pi stays pi, the wrap of -pi
     return _hull_of_phases([x if x == math.pi else 0.0 - x for x in om])
 
 

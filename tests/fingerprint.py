@@ -12,9 +12,9 @@ version it was written with.  The digests depend on numpy and its LAPACK,
 on the OpenBLAS kernel that numpy's OpenBLAS picks for the CPU (see
 OPENBLAS_CORETYPE), and on numpy's AVX2-level loops that build the
 corpora's inputs; not on its AVX-512 loops, which
-`tests/test_fingerprint.py` disables for four corpora.
-`tests/test_fingerprint.py` compares it with the code.  A change to the
-manifest is a change to the program's output, as a golden file's is:
+`tests/test_fingerprint.py` disables for four corpora.  That test file
+compares the manifest with the code.  A change to the manifest is a change
+to the program's output, as a golden file's is:
 
     python -m pytest tests/test_fingerprint.py      check every corpus
     python tests/fingerprint.py --write             regenerate the manifest
