@@ -41,7 +41,7 @@ def _cmd_build_ud(args) -> int:
 
     alpha = _angles(args.alpha, 3, args.degrees, "--alpha")
     matrix = canonical.build_ud(alpha)
-    label = args.label or f"ud({args.alpha})"
+    label = f"ud({args.alpha})" if args.label is None else args.label
     files.write_document(files.matrix_document(matrix, label), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -85,11 +85,8 @@ def _cmd_discriminate(args) -> int:
     text = files.render_document(doc)
     outputs = []
     if args.probe_out:
-        probe_doc = {
-            **files.header("probe_state"),
-            "inputs": {"first": g1.label, "second": g2.label},
-            **files.probe_block(report.probe),
-        }
+        # the report's own probe block: the probe is encoded once
+        probe_doc = {**files.header("probe_state"), "inputs": doc["inputs"], **doc["probe"]}
         outputs.append((files.render_document(probe_doc), args.probe_out))
     if args.svg_out:
         from . import svg

@@ -33,18 +33,11 @@ class LoadedGate:
     label: str
 
 
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def vector_pairs(v) -> list[list[float]]:
-    return [_pair(z) for z in np.asarray(v, dtype=complex).ravel()]
-
-
-def matrix_pairs(m) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[_pair(z) for z in row] for row in m]
+def pairs(a) -> list:
+    """A complex array as nested lists of [re, im] floats, in `a`'s shape:
+    the form a gate file's rows and a probe's vectors take."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def floats(v) -> list[float]:
@@ -73,11 +66,11 @@ def load_matrix_file(path, tol: float = numerics.GATE_TOL) -> LoadedGate:
     if not isinstance(label, str):
         raise DomainError(f"{path}: label must be a string")
     if kind == "matrix":
-        pairs = numerics._real_array(doc.get("rows"), f"{path}: rows")
-        if pairs.ndim != 3 or pairs.shape[-1] != 2:
+        rows = numerics._real_array(doc.get("rows"), f"{path}: rows")
+        if rows.ndim != 3 or rows.shape[-1] != 2:
             raise DomainError(f"{path}: rows must be rows of [re, im] pairs")
         # exact: each (re, im) pair of floats is one complex in memory
-        m = pairs.view(complex)[..., 0]
+        m = rows.view(complex)[..., 0]
     elif kind == "alpha":
         # build_ud checks the numbers, their count, finiteness and the chamber
         try:
@@ -135,7 +128,7 @@ def matrix_document(matrix, label: str) -> dict:
     return {
         "kind": "matrix",
         "label": label,
-        "rows": matrix_pairs(matrix),
+        "rows": pairs(matrix),
     }
 
 
@@ -146,11 +139,11 @@ def header(kind: str) -> dict:
 
 def probe_block(probe) -> dict:
     return {
-        "magic_amplitudes": vector_pairs(probe.u),
-        "computational": vector_pairs(probe.psi_computational),
+        "magic_amplitudes": pairs(probe.u),
+        "computational": pairs(probe.psi_computational),
         "weights": floats(probe.weights),
-        "local_a": vector_pairs(probe.local_a),
-        "local_b": vector_pairs(probe.local_b),
+        "local_a": pairs(probe.local_a),
+        "local_b": pairs(probe.local_b),
         "concurrence": float(probe.concurrence),
         "via_fallback": bool(probe.via_fallback),
     }

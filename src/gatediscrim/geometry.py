@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .numerics import TWO_PI, VERDICT_TOL, require_finite, require_real, wrap_angle
 
@@ -30,10 +28,13 @@ DEDUPE_TOL = 1e-10
 class HullResult:
     """The hull of the wrapped `phases` it was built from, whether it holds
     the origin, and the origin's distance to it with the nearest hull
-    point.  `order` lists the indices of `phases` counter-clockwise, equal
-    phases by index: from the smallest phase when the origin is inside,
-    from just after the largest empty arc when it is outside, so that
-    order[0] and order[-1] are then the angular extremes.  The arc spread
+    point, a pair of floats: (0.0, 0.0) when the origin is inside, else
+    the midpoint of the chord between the angular extremes.  Every field
+    is plain Python, as a hull is a few numbers.  `order` lists the
+    indices of `phases` counter-clockwise, equal phases by index: from the
+    smallest phase when the origin is inside, from just after the largest
+    empty arc when it is outside, so that order[0] and order[-1] are then
+    the angular extremes.  The arc spread
     behind the distance is not kept: `arc_spread` computes it.  When the
     hull is a chord, `extremes` holds the indices of its two ends, see
     `hull_of_phases`; for one phase, or a polygon around the origin, it is
@@ -44,7 +45,7 @@ class HullResult:
     order: tuple[int, ...]
     origin_inside: bool
     min_distance: float
-    nearest_point: np.ndarray
+    nearest_point: tuple[float, float]
     extremes: tuple[int, ...] = ()
 
 
@@ -139,6 +140,6 @@ def _hull_of_phases(vals: list[float], tol: float = DEDUPE_TOL) -> HullResult:
         order=tuple(order),
         origin_inside=inside,
         min_distance=0.0 if inside else distance,
-        nearest_point=np.zeros(2) if inside else np.array(point),
+        nearest_point=(0.0, 0.0) if inside else point,
         extremes=extremes,
     )

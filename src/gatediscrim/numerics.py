@@ -24,7 +24,9 @@ on so few numbers a numpy call costs more than the arithmetic it does.
 Angles come from libm's atan2, as `cmath.phase`, never from `np.angle`,
 so those outputs do not depend on which CPU loops numpy dispatches.
 numpy keeps what works on whole matrices: the stacked gate checks, the
-magic-basis projection and LAPACK's eigenvalues.
+magic-basis projection and LAPACK's eigenvalues.  `geometry` and `svg`
+are plain Python: a hull record and its figure hold a few floats, the
+nearest point too, and neither module imports numpy.
 """
 
 from __future__ import annotations

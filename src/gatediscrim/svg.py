@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import __version__, geometry
 from .numerics import VERDICT_TOL
 
@@ -21,7 +19,6 @@ _VIEW = f"-{_W / 2} -{_W / 2} {_W} {_W}"
 
 
 def _f(v: float) -> str:
-    v = float(v)
     if abs(v) < 5e-7:
         v = 0.0
     return f"{v:.6f}"
@@ -67,10 +64,10 @@ def render_hull_svg(omega) -> str:
     ]
     # points whose printed coordinates agree are one mark with one label:
     # a rule of the figure's resolution, not of the verdict's
-    marks: dict[tuple[str, str], tuple[np.ndarray, list[int]]] = {}
+    marks: dict[tuple[str, str], tuple[tuple[float, float], list[int]]] = {}
     for i in hull.order:
-        p = np.array([math.cos(hull.phases[i]), math.sin(hull.phases[i])])
-        marks.setdefault((_f(p[0]), _f(p[1])), (p, []))[1].append(i)
+        x, y = math.cos(hull.phases[i]), math.sin(hull.phases[i])
+        marks.setdefault((_f(x), _f(y)), ((x, y), []))[1].append(i)
     pts = [p for p, _ in marks.values()]
     if len(pts) >= 2:
         poly = " ".join(f"{_f(x)},{_f(-y)}" for x, y in pts)
@@ -78,14 +75,15 @@ def render_hull_svg(omega) -> str:
             f'<polygon points="{poly}" fill="#1f6feb" fill-opacity="0.10" '
             'stroke="#1f6feb" stroke-width="0.014" />'
         )
-        for i, p in enumerate(pts):
-            mid = 0.5 * (p + pts[(i + 1) % len(pts)])  # edge i's midpoint
-            lines.append(_circle(mid[0], mid[1], 0.018, "#e3742f"))
-            off = 0.14 if np.hypot(*mid) < VERDICT_TOL else 0.0
+        for i, (x, y) in enumerate(pts):
+            qx, qy = pts[(i + 1) % len(pts)]
+            mx, my = 0.5 * (x + qx), 0.5 * (y + qy)  # edge i's midpoint
+            lines.append(_circle(mx, my, 0.018, "#e3742f"))
+            off = 0.14 if math.hypot(mx, my) < VERDICT_TOL else 0.0
             lines.append(
                 _text(
-                    mid[0] + off,
-                    mid[1] + 0.16,
+                    mx + off,
+                    my + 0.16,
                     f"M{i + 1}",
                     size=0.09,
                     fill="#e3742f",

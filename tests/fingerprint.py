@@ -55,6 +55,9 @@ ID4 = numerics.ID4
 REPORT = ("omega", "fidelity", "p1", "p2", "error_probability",
           "perfectly_distinguishable", "case", "achieved_value")
 PROBE = ("u", "psi_computational", "concurrence", "via_fallback", "local_a", "local_b")
+# said by every failed byte check, here and in test_golden.py
+BLAS_NOTE = ("the bytes also move with the OpenBLAS kernel that numpy picks for the CPU "
+             "(OPENBLAS_CORETYPE): see the fingerprint paragraph of README.md")
 
 
 # --- input families --------------------------------------------------------------
@@ -334,7 +337,7 @@ def check(name: str) -> str | None:
                 f"{np.__version__}: check, then python tests/fingerprint.py --write")
     if manifest["corpora"].get(name) != digest(name):
         return (f"corpus {name!r} changed: python tests/fingerprint.py --diff {name} "
-                f"prints the first input that did")
+                f"prints the first input that did; {BLAS_NOTE}")
 
 
 def _text(v) -> str:

@@ -115,16 +115,19 @@ def test_discriminate_error_messages(capsys, tmp_path):
 
 def test_build_ud_decompose_roundtrip(capsys, tmp_path):
     out = tmp_path / "gate.json"
-    code, _, _ = run_main(
-        capsys, "build-ud", "--alpha", "0.3,0.2,0.1", "--out", str(out)
-    )
-    assert code == 0
-    code, text, _ = run_main(capsys, "decompose", str(out))
-    assert code == 0
-    doc = json.loads(text)
-    assert doc["alpha"] == pytest.approx([0.3, 0.2, 0.1], abs=1e-7)
-    assert doc["class"] == "Entangling"
-    assert sum(doc["lambda"]) == pytest.approx(0.0, abs=1e-9)
+    # decompose names the gate by its label; the empty label is a label too
+    for flags, label in [([], "ud(0.3,0.2,0.1)"), (["--label", "g"], "g"), (["--label", ""], "")]:
+        code, _, _ = run_main(
+            capsys, "build-ud", "--alpha", "0.3,0.2,0.1", "--out", str(out), *flags
+        )
+        assert code == 0
+        code, text, _ = run_main(capsys, "decompose", str(out))
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["input"] == label
+        assert doc["alpha"] == pytest.approx([0.3, 0.2, 0.1], abs=1e-7)
+        assert doc["class"] == "Entangling"
+        assert sum(doc["lambda"]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_build_ud_degrees_flag(capsys, tmp_path):
@@ -182,7 +185,7 @@ def _write_bytes(path, data: bytes) -> str:
 
 
 def _identity_rows_with(entry: str) -> str:
-    rows = files.matrix_pairs(np.eye(4))
+    rows = files.pairs(np.eye(4))
     rows[1][2] = [12345.0, 0.0]
     return json.dumps({"kind": "matrix", "rows": rows}).replace("12345.0", entry)
 
@@ -190,7 +193,7 @@ def _identity_rows_with(entry: str) -> str:
 def _identity_rows_with_bools() -> str:
     # the (0, 0) entry as [true, false], which a bool-as-int reading takes
     # for 1 + 0j
-    text = json.dumps({"kind": "matrix", "rows": files.matrix_pairs(np.eye(4))})
+    text = json.dumps({"kind": "matrix", "rows": files.pairs(np.eye(4))})
     return text.replace("[1.0, 0.0]", "[true, false]", 1)
 
 
@@ -649,7 +652,10 @@ def test_figure_draws_points_that_print_alike_once():
     assert re.findall(r">(M[0-9]+)</text>", text) == ["M1", "M2", "M3"]
 
 
-def test_discriminate_outputs_are_deterministic(capsys, tmp_path):
+def test_discriminate_outputs_are_deterministic(capsys, tmp_path, monkeypatch):
+    # one probe block per request, for the report and the probe file both
+    calls = []
+    monkeypatch.setattr(files, "probe_block", lambda p, f=files.probe_block: calls.append(p) or f(p))
     blobs = []
     for r in range(2):
         probe = tmp_path / f"probe{r}.json"
@@ -666,7 +672,7 @@ def test_discriminate_outputs_are_deterministic(capsys, tmp_path):
         )
         assert code == 1
         blobs.append((out, probe.read_bytes(), fig.read_bytes()))
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] and len(calls) == 2
     probe_doc = json.loads(blobs[0][1].decode())
     assert probe_doc["kind"] == "probe_state"
     assert files.render_document(probe_doc).encode() == blobs[0][1]

@@ -19,6 +19,7 @@ import pytest
 from gatediscrim import cli
 
 from conftest import GOLDEN, g
+from fingerprint import BLAS_NOTE
 from test_cli import DISCRIMINATE_TABLE
 
 EXPECTED = GOLDEN / "expected"
@@ -78,19 +79,19 @@ def render_all() -> dict[str, bytes]:
 @pytest.mark.parametrize("first,second", DISCRIMINATE_PAIRS)
 def test_discriminate_matches_snapshot(first, second):
     for name, got in render_discriminate(first, second).items():
-        assert got == (EXPECTED / name).read_bytes(), name
+        assert got == (EXPECTED / name).read_bytes(), f"{name}: {BLAS_NOTE}"
 
 
 @pytest.mark.parametrize("gate", DECOMPOSE_GATES)
 def test_decompose_matches_snapshot(gate):
     for name, got in render_decompose(gate).items():
-        assert got == (EXPECTED / name).read_bytes(), name
+        assert got == (EXPECTED / name).read_bytes(), f"{name}: {BLAS_NOTE}"
 
 
 @pytest.mark.parametrize("first,second,shots,seed", SIMULATE_RUNS)
 def test_simulate_matches_snapshot(first, second, shots, seed):
     for name, got in render_simulate(first, second, shots, seed).items():
-        assert got == (EXPECTED / name).read_bytes(), name
+        assert got == (EXPECTED / name).read_bytes(), f"{name}: {BLAS_NOTE}"
 
 
 def test_snapshot_set_is_complete():

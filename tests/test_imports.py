@@ -135,6 +135,14 @@ def test_svg_draws_from_geometry_alone():
     assert not imported & {"discrimination", "files"}
 
 
+def test_the_hull_and_its_figure_import_no_numpy():
+    # a hull is a few numbers, which stay Python floats (the four-number
+    # rule in numerics' docstring)
+    for name in ("geometry.py", "svg.py"):
+        path = Path(gatediscrim.__file__).parent / name
+        assert "numpy" not in {m.split(".")[0] for _, m in _absolute_imports(path)}, name
+
+
 def test_gate_files_keep_no_number_rule():
     # a gate file's numbers pass the one real-number check in numerics; the
     # reader checks the file's layout only

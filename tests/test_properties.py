@@ -1,7 +1,8 @@
 """Property tests: fidelity depends only on the set of phases up to a shift
 and a reflection, and on neither gate's global phase; the interaction vector
 does not see local dressing; every gate-taking entry point accepts a gate
-exactly when its unitarity residual is within the tolerance."""
+exactly when its unitarity residual is within the tolerance; the files'
+complex encoder keeps each entry's value and sign in its input's shape."""
 
 import math
 import tempfile
@@ -141,3 +142,26 @@ def test_entry_points_accept_exactly_the_unitary_gates(om1, om2, r1, r2, tol):
                 lambda: files.load_matrix_file(path, **kw),
             ):
                 assert _accepts(call) == u_ok
+
+
+def _entrywise(a):
+    """[re, im] pairs of Python floats built one entry at a time."""
+    if np.ndim(a) == 0:
+        z = complex(a)
+        return [float(z.real), float(z.imag)]
+    return [_entrywise(x) for x in a]
+
+
+def test_pairs_encodes_each_entry_in_the_input_shape():
+    # repr tells -0.0 from 0.0, and a numpy float from a Python float
+    assert repr(files.pairs([complex(-0.0, -0.0), 1j])) == "[[-0.0, -0.0], [0.0, 1.0]]"
+    assert repr(files.pairs([[complex(0.0, -0.0)]])) == "[[[0.0, -0.0]]]"
+    rng = np.random.default_rng(43)
+    for shape in [(4,), (2,), (4, 4), (2, 3, 4)]:
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a.real[rng.uniform(size=shape) < 0.2] = -0.0
+        a.imag[rng.uniform(size=shape) < 0.2] = -0.0
+        got = files.pairs(a)
+        assert np.shape(got) == shape + (2,)
+        assert repr(got) == repr(_entrywise(a))
+    assert files.pairs(np.eye(2)) == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
