@@ -34,12 +34,11 @@ class HullResult:
     indices of `phases` counter-clockwise, equal phases by index: from the
     smallest phase when the origin is inside, from just after the largest
     empty arc when it is outside, so that order[0] and order[-1] are then
-    the angular extremes.  The arc spread
-    behind the distance is not kept: `arc_spread` computes it.  When the
-    hull is a chord, `extremes` holds the indices of its two ends, see
-    `hull_of_phases`; for one phase, or a polygon around the origin, it is
-    empty.  They are the one chord rule: every chord the probe draws is
-    `extremes`."""
+    the angular extremes.  The arc spread behind the distance is not kept:
+    `arc_spread` computes it.  When the hull is a chord, `extremes` holds
+    the indices of its two ends, see `hull_of_phases`; for one phase, or a
+    polygon around the origin, it is empty.  They are the one chord rule:
+    every chord the probe draws is `extremes`."""
 
     phases: tuple[float, ...]
     order: tuple[int, ...]
