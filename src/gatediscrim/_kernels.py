@@ -1,17 +1,16 @@
 """The scans over product probe states, the package's hot loops.
 
 `alice_scan` serves the product oracle: it walks a grid of Alice's states
-only and solves Bob's side exactly (see the section below), and it stops
-at the first state whose Bob ellipse holds the origin, which needs no
-Newton solve.  It returns the winner's value, its angles and Bob's Bloch
-vector for it, built from one SVD and only when the value beats the
-incumbent the caller passes.  A call does only the work that depends on
-w: the grid's Bloch rows come from `scan_grid`, which a SearchConfig runs
-once for its coarse grid, the winner's row is read from them, and only
-the columns that Newton solves get a root and a bracket.  `product_scan`,
-the 4-D Bloch-angle grid scan described next, no longer serves the
-oracle; it stays as the 4-D reference that the benchmark times and the
-tests pin.
+only and solves Bob's side exactly (see the section below), and it
+answers with the first state whose Bob ellipse holds the origin, which
+needs no Newton solve.  It returns the winner's value, its angles and
+Bob's Bloch vector for it, built from one SVD and only when the value
+beats the incumbent the caller passes.  A call does only the work that
+depends on w: the coarse grid's Bloch rows come from `scan_grid`, which
+the oracle runs once, the winner's row is read from them, and only the
+columns that Newton solves get a root and a bracket.  `product_scan`, the 4-D
+Bloch-angle grid scan described next, no longer serves the oracle; it
+stays as the 4-D reference that the benchmark times and the tests pin.
 
 A single-qubit state s = (cos t/2, e^{ip} sin t/2) has s s^dag =
 sum_mu r_mu sigma_mu with the real Bloch row r = (1, sin t cos p,
@@ -118,8 +117,6 @@ def product_scan(w, ta, pa, tb, pb):
 # below the root climbs to it monotonically; each term alone gives the lower
 # bracket mu >= sqrt(s_i q_i^2) - s_i.
 
-# Alice states per block of the 2-D scan, unless one theta row alone holds more
-_ALICE_BLOCK = 2**10
 # Newton stops once S(mu) <= 1 + _NEWTON_TOL, after taking that step, or after
 # _NEWTON_CAP steps, where a value still low is a lower bound.  Each term of S
 # falls at least as fast as ((s_1 + mu) / (s_1 + mu'))^2, so the root is then
@@ -154,20 +151,14 @@ def _response_form(w) -> np.ndarray:
 
 def scan_grid(steps: int):
     """Read-only (theta, phi, rows_t) of the product search's coarse grid:
-    `steps` thetas in [0, pi] by `steps` phis in [0, 2 pi) and, when the
-    grid fits one block, its Bloch rows as the columns of a contiguous
-    4 x n array, so that a block's product is a plain matmul; else None,
-    and `alice_scan` builds them block by block, so that a grid of any size
-    costs no more than a block in memory.  A SearchConfig builds its grid
-    once."""
+    `steps` thetas in [0, pi] by `steps` phis in [0, 2 pi) and their Bloch
+    rows as the columns of a contiguous 4 x n array, so that the scan's
+    product is a plain matmul.  The oracle builds it once."""
     theta = np.linspace(0.0, math.pi, steps)
     phi = np.linspace(0.0, TWO_PI, steps, endpoint=False)
-    rows_t = None
-    if steps * steps <= _ALICE_BLOCK:
-        rows_t = np.ascontiguousarray(_bloch_rows(theta, phi).T)
-        rows_t.flags.writeable = False
-    theta.flags.writeable = False
-    phi.flags.writeable = False
+    rows_t = np.ascontiguousarray(_bloch_rows(theta, phi).T)
+    for a in (theta, phi, rows_t):
+        a.flags.writeable = False
     return theta, phi, rows_t
 
 
@@ -180,8 +171,8 @@ def _bob_setup(xy):
     outside columns, which todo marks and `_newton` solves; s holds G's
     eigenvalues s_1 >= s_2 and q the squared coordinates of c in its
     eigenbasis; near marks the outside columns within _NEAR of the
-    boundary.  `alice_scan` skips `_newton` in a block whose setup already
-    holds a 0.
+    boundary.  `alice_scan` skips `_newton` when its setup already holds
+    a 0.
     """
     p = xy[::6]
     m3 = xy.reshape(2, 6, -1)[:, 1:4]
@@ -269,7 +260,7 @@ def _newton(vals, s, q, todo):
 
 
 def _winner_mu(k, s, q, todo, roots) -> float:
-    """Bob's mu for column k of a block: Newton's root outside the ellipse,
+    """Bob's mu for column k of a scan: Newton's root outside the ellipse,
     0 inside it, and the bracket on a segment."""
     if todo[k]:
         return float(roots[np.count_nonzero(todo[:k])])
@@ -284,44 +275,33 @@ def alice_scan(w, theta, phi, rows_t=None, incumbent=math.inf):
     Returns (value, angles, n_b): the winning state's (theta, phi) as a
     2-array and Bob's unit Bloch vector for it, which is built only when
     value is below `incumbent` and is None otherwise.  rows_t holds the
-    grid's Bloch rows as `scan_grid` gives them, or None to build them
-    block by block.  The winner is the first minimum in row-major order
-    over (i_theta, j_phi), so exact ties go to the lowest index.  A block
-    holds at most _ALICE_BLOCK states and always at least one whole theta
-    row.  w must be finite: `oracle.min_over_product_states` checks both
-    gates before it scans.
+    grid's Bloch rows as `scan_grid` gives them, or None to build them.
+    The winner is the first minimum in row-major order over (i_theta,
+    j_phi), so exact ties go to the lowest index.  One `_bob_setup` takes
+    every column of the grid.  w must be finite:
+    `oracle.min_over_product_states` checks both gates before it scans.
 
-    A block whose setup holds a 0 (a column inside its ellipse, or a
-    segment that reaches the origin) runs no Newton step: it answers with
-    its first such column, and the scan ends, since no later block can go
-    strictly below 0.  Newton would pick the same column: an outside
-    column reaches 0.0 only when rounding puts -p on the rim, and a block
-    with such a `near` column ahead of its first zero runs Newton.  The
-    scan also ends at a 0 from Newton.
+    A scan whose setup holds a 0 (a column inside its ellipse, or a
+    segment that reaches the origin) runs no Newton step and answers with
+    its first such column.  Newton would pick the same column: an outside
+    column reaches 0.0 only when rounding puts -p on the rim, and a scan
+    with such a `near` column ahead of its first zero runs Newton.
     """
     form = _response_form(w)
-    n_phi = len(phi)
-    per_block = max(1, _ALICE_BLOCK // n_phi)
-    best, best_lin = math.inf, 0
-    for start in range(0, len(theta), per_block):
-        if rows_t is None:
-            block = _bloch_rows(theta[start : start + per_block], phi).T
-        else:
-            block = rows_t[:, start * n_phi : (start + per_block) * n_phi]
-        vals, s, q, todo, near = _bob_setup(form @ block)
-        k = int(vals.argmin())  # ties resolve to the lower index
-        roots = None
-        if vals[k] != 0.0 or near[:k].any():
-            roots = _newton(vals, s, q, todo)
-            k = int(vals.argmin())
-        if vals[k] < best:  # strict: earlier blocks win ties
-            best, best_lin, row = float(vals[k]), start * n_phi + k, block[:, k]
-            best_mu = _winner_mu(k, s, q, todo, roots)
-            if best == 0.0:
-                break
-    i, j = divmod(best_lin, n_phi)
+    if rows_t is None:
+        rows_t = _bloch_rows(theta, phi).T
+    vals, s, q, todo, near = _bob_setup(form @ rows_t)
+    k = int(vals.argmin())  # ties resolve to the lower index
+    roots = None
+    if vals[k] != 0.0 or near[:k].any():
+        roots = _newton(vals, s, q, todo)
+        k = int(vals.argmin())
+    best = float(vals[k])
+    i, j = divmod(k, len(phi))
     angles = np.array([theta[i], phi[j]])
-    n_b = _bob_vector(form @ row, best_mu) if best < incumbent else None
+    n_b = None
+    if best < incumbent:
+        n_b = _bob_vector(form @ rows_t[:, k], _winner_mu(k, s, q, todo, roots))
     return best, angles, n_b
 
 

@@ -139,7 +139,7 @@ def extract_interaction(u, tol: float = GATE_TOL) -> InteractionDecomposition:
     matrix are perfectly conditioned.  NotUnitaryError unless `u` is a 4x4
     matrix unitary within `tol`, DomainError unless `tol` is finite and > 0.
     """
-    u = numerics.require_gates([u], tol, ["gate"])[0]
+    u = numerics.require_unitary(u, tol, "gate")
     det = complex(np.linalg.det(u))
     # wrapped because cmath.phase(-1 - 0j) is -pi, which would give -pi/4
     global_phase = wrap_angle(cmath.phase(det)) / 4.0

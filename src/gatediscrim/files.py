@@ -41,7 +41,7 @@ def pairs(a) -> list:
 
 
 def floats(v) -> list[float]:
-    return [float(x) for x in np.asarray(v, dtype=float).ravel()]
+    return np.asarray(v, dtype=float).ravel().tolist()
 
 
 def load_matrix_file(path, tol: float = numerics.GATE_TOL) -> LoadedGate:
@@ -79,7 +79,7 @@ def load_matrix_file(path, tol: float = numerics.GATE_TOL) -> LoadedGate:
             raise DomainError(f"{path}: alpha: {err}") from err
     else:
         raise DomainError(f"{path}: kind must be 'matrix' or 'alpha', got {kind!r}")
-    m = numerics.require_gates([m], tol, [f"{path}: {kind}"])[0]
+    m = numerics.require_unitary(m, tol, f"{path}: {kind}")
     return LoadedGate(matrix=m, label=label)
 
 

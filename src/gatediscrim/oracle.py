@@ -39,7 +39,7 @@ _FLOOR_SLACK = 8.0 * float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the deterministic product-state search.
+    """The deterministic product-state search's grid, which is fixed.
 
     grid_steps:        points per axis of Alice's Bloch sphere in the coarse
                        scan: grid_steps thetas in [0, pi] by grid_steps phis
@@ -55,30 +55,21 @@ class SearchConfig:
     constant.  That bounds the coarse scan only; the refinements carry no
     such certificate, but stop at the all-states optimum, a proven floor.
 
-    A config builds its coarse grid's axes and Bloch rows on first use and
-    keeps them, read-only, for every search it serves; cfg=None means one
-    module-level default config.  A grid beyond one scan block
-    (`_kernels._ALICE_BLOCK` states) keeps its axes only, and the scan
-    builds its rows block by block, so memory stays bounded.
+    Both are class constants, not fields: SearchConfig() takes no
+    arguments.  The coarse grid's axes and Bloch rows are built once per
+    process, read-only, and kept for every search.
     """
 
-    grid_steps: int = 32
-    refinement_rounds: int = 4
-
-    def __post_init__(self):
-        numerics.require_count(self.grid_steps, 8, "grid_steps")
-        numerics.require_count(self.refinement_rounds, 0, "refinement_rounds")
-
-    @functools.cached_property
-    def _grid(self):
-        """`_kernels.scan_grid` of this grid, built on first use and kept."""
-        from . import _kernels
-
-        return _kernels.scan_grid(self.grid_steps)
+    grid_steps = 32
+    refinement_rounds = 4
 
 
-# what cfg=None means; it keeps its coarse grid across calls
-_DEFAULT_CONFIG = SearchConfig()
+@functools.cache
+def _coarse_grid():
+    """`_kernels.scan_grid` of the coarse grid, built on first use and kept."""
+    from . import _kernels
+
+    return _kernels.scan_grid(SearchConfig.grid_steps)
 
 
 @dataclass(frozen=True)
@@ -98,28 +89,29 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
 
     Bob's side is solved exactly for each of Alice's states (see
     `_kernels.alice_scan`), so only Alice's Bloch sphere is searched: a
-    coarse (theta, phi) grid, then up to `refinement_rounds` shrinking 9 x 9
-    refinements around the incumbent, which stop once it is within
-    _FLOOR_SLACK of the exact all-states optimum, a floor for every product
-    probe; the incumbent only improves, and exact ties resolve toward the
-    lower row-major grid index.  Bob's factor is his exact best response
-    to the winning state.  Returns (value, ProbeState), the value being
-    |<psi|u1^dag u2|psi>| of that probe's own ket psi.  DomainError unless
-    `cfg` is None (the default SearchConfig) or a SearchConfig.
+    coarse (theta, phi) grid, then up to `SearchConfig.refinement_rounds`
+    shrinking 9 x 9 refinements around the incumbent, which stop once it is
+    within _FLOOR_SLACK of the exact all-states optimum, a floor for every
+    product probe; the incumbent only improves, and exact ties resolve
+    toward the lower row-major grid index.  Bob's factor is his exact best
+    response to the winning state.  Returns (value, ProbeState), the value
+    being |<psi|u1^dag u2|psi>| of that probe's own ket psi.  The grid is
+    fixed: `cfg` is checked, DomainError unless it is None or a
+    SearchConfig, and not used.
     """
     # imported on first use, so that `import gatediscrim` and the CLI's
     # other commands do not load the kernels
     from . import _kernels
 
-    cfg = _search_config(cfg)
+    _check_search_config(cfg)
     u1, u2 = numerics.require_gates((u1, u2))
     w = u1.conj().T @ u2
-    theta, phi, rows_t = cfg._grid
+    theta, phi, rows_t = _coarse_grid()
     val, center, nb = _kernels.alice_scan(w, theta, phi, rows_t)
     # the refinement's first spacing is the coarse axes' own step
     spacing = np.array([theta[1], phi[1]])
     floor = _range_min(np.linalg.eigvals(w).tolist())[0] if val > 0.0 else 0.0
-    for r in range(cfg.refinement_rounds):
+    for r in range(SearchConfig.refinement_rounds):
         if val <= floor + _FLOOR_SLACK:
             break
         # row 0 is the theta window, kept in [0, pi]; row 1 the phi window
@@ -135,12 +127,10 @@ def min_over_product_states(u1, u2, cfg: SearchConfig | None = None):
     return float(abs(psi.conj() @ w @ psi)), probe
 
 
-def _search_config(cfg) -> SearchConfig:
-    """cfg, or the default SearchConfig for None; DomainError otherwise."""
-    cfg = _DEFAULT_CONFIG if cfg is None else cfg
-    if not isinstance(cfg, SearchConfig):
+def _check_search_config(cfg) -> None:
+    """DomainError unless cfg is None or a SearchConfig."""
+    if cfg is not None and not isinstance(cfg, SearchConfig):
         raise DomainError(f"cfg must be a SearchConfig or None, got {cfg!r}")
-    return cfg
 
 
 def _ket(n) -> np.ndarray:
@@ -163,7 +153,7 @@ def min_over_all_states(u1, u2, cfg: SearchConfig | None = None):
     segment weights.  There is nothing to tune: `cfg` is checked as
     `min_over_product_states` checks it, and not used.  Returns (value, psi).
     """
-    _search_config(cfg)
+    _check_search_config(cfg)
     u1, u2 = numerics.require_gates((u1, u2))
     lam, vecs = np.linalg.eig(u1.conj().T @ u2)
     # eig need not return orthogonal vectors for a repeated eigenvalue; QR

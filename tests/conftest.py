@@ -238,7 +238,7 @@ def ref_bloch_scan(w, ta, pa, tb, pb):
 def bob_minima(xy):
     """Bob's exact minimum and mu per column of xy = response form @
     Alice's Bloch rows^T: the kernel's setup, then Newton on every column
-    that needs a root, as `_kernels.alice_scan` runs them on a block; mu
+    that needs a root, as `_kernels.alice_scan` runs them on a scan; mu
     is 0 inside the ellipse, the lower bracket on a segment and Newton's
     root outside, as the scan reads it for its winner."""
     vals, s, q, todo, _ = _kernels._bob_setup(xy)

@@ -272,16 +272,13 @@ def near_swap_gates(rng, n: int):
 def oracle_rounds():
     # pairs on which the product search refines: W = diag(e^{i theta}) stays
     # above the all-states floor, so every round runs; near-SWAP gates make
-    # Newton climb to roots far above its bracket.  Each at the default
-    # config and at a smaller grid with more rounds
+    # Newton climb to roots far above its bracket
     rng = np.random.default_rng(2626)
     gates = [np.diag(np.exp(1j * th)) for th in rng.uniform(-PI, PI, (40, 4))]
     gates += near_swap_gates(rng, 16)
     for k, w in enumerate(gates):
-        for cfg in (None, oracle.SearchConfig(grid_steps=16, refinement_rounds=6)):
-            value, probe = oracle.min_over_product_states(ID4, w, cfg)
-            yield f"gate {k} cfg {cfg}", {"w": w, "product": value,
-                                          **_fields(probe, PROBE, "probe.")}
+        value, probe = oracle.min_over_product_states(ID4, w)
+        yield f"gate {k}", {"w": w, "product": value, **_fields(probe, PROBE, "probe.")}
 
 
 def helstrom_simulate():

@@ -100,11 +100,10 @@ KINDS = {
     "overlap": ([0.0, 0.5, 1.0, 0, 1, 1.0 + 1e-10, -1e-10, np.float32(0.5)],
                 _real("outside [0, 1]", -0.1, 1.2)),
     "count from 0": ([0, 1, np.int64(3), np.int32(0), 2**70], _count(0)),
-    "count from 8": ([8, 9, np.int64(8), 32], _count(8)),
     "shots": ([1, 10, np.int64(10), 2**63 - 1], _count(1) + bad(
         DomainError, "must be at most 2**63 - 1", 2**63, 10**23, HUGE)),
     "search config": (
-        [None, oracle.SearchConfig(grid_steps=8, refinement_rounds=0)],
+        [None, oracle.SearchConfig()],
         bad(DomainError, "must be a SearchConfig or None", "x", 0, False, 32,
             oracle.SearchConfig),
     ),
@@ -188,7 +187,6 @@ class Row(NamedTuple):
 
 
 _U = canonical.build_ud((0.3, 0.2, 0.1))
-_SMALL = oracle.SearchConfig(grid_steps=8, refinement_rounds=0)
 # unitary within 4e-7: every good tol takes it and the default would not,
 # so a bad tol is reported as the tol's error, not as the gate's
 _NEAR = (1.0 + 2e-7) * ID4
@@ -236,7 +234,7 @@ ROWS = [
     *pair(canonical.relative_phases),
     *pair(discrimination.discriminate),
     *pair(oracle.min_over_all_states),
-    *pair(oracle.min_over_product_states, _SMALL),
+    *pair(oracle.min_over_product_states),
     *pair(oracle.helstrom_simulate, _PROBE, shots=10),
     row(canonical.extract_interaction, "gate", "gate"),
     row(numerics.require_unitary, "gate", "matrix"),
@@ -263,8 +261,6 @@ ROWS = [
     row(discrimination.error_probability, "overlap", "fidelity", V, 0.5, 0.5),
     row(oracle.helstrom_simulate, "shots", "shots", ID4, _U, _PROBE, shots=V),
     row(oracle.helstrom_simulate, "count from 0", "seed", ID4, _U, _PROBE, shots=10, seed=V),
-    row(oracle.SearchConfig, "count from 8", "grid_steps", grid_steps=V),
-    row(oracle.SearchConfig, "count from 0", "refinement_rounds", refinement_rounds=V),
     row(oracle.min_over_product_states, "search config", "cfg", ID4, _U, V),
     row(oracle.min_over_all_states, "search config", "cfg", ID4, _U, V),
     row(oracle.helstrom_simulate, "probe", "probe", ID4, _U, V, shots=10),
@@ -339,9 +335,9 @@ TRUSTED = (canonical.magic_rep, numerics.unitarity_residual, numerics.wrap_angle
 
 
 # exported classes whose constructors check nothing: the records the
-# package returns, and the enums
+# package returns, the enums, and SearchConfig, which takes no arguments
 UNCHECKED = {"CaseTag", "DiscriminationReport", "GateClass", "HullResult",
-             "InteractionDecomposition", "ShotOutcome"}
+             "InteractionDecomposition", "SearchConfig", "ShotOutcome"}
 
 
 def test_every_public_function_has_a_row():

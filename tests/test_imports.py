@@ -164,7 +164,7 @@ def test_gate_files_keep_no_number_rule():
 def test_oracle_reads_only_the_scan_from_kernels():
     # the scan returns its winning state whole, angles and Bob's vector: the
     # oracle decodes no grid index and hands no root back to the kernels.
-    # Besides the scan it reads scan_grid, the grid a SearchConfig keeps
+    # Besides the scan it reads scan_grid, the coarse grid it builds once
     tree = ast.parse((Path(gatediscrim.__file__).parent / "oracle.py").read_text())
     used = set()
     for node in ast.walk(tree):
@@ -211,17 +211,31 @@ def _benchmark_reads(path):
                 yield modules[node.value.id], node.attr
 
 
+def _search_reads(path):
+    """Each attribute a benchmark file reads from `SEARCH` or `ops.SEARCH`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("SEARCH", "ops.SEARCH"):
+            yield node.attr
+
+
 def test_the_benchmark_reads_only_names_the_package_has():
     # the benchmark is no tier-1 test, so a deleted name it reads would only
     # show when it runs; its files are parsed, not imported
-    from gatediscrim import _kernels
+    from gatediscrim import _kernels, oracle
 
     assert not _kernels.NUMBA_ENABLED
+    bench = TESTS.parent / "perfbench"
+    # ops.SEARCH is a SearchConfig, whose attributes workloads reads on import
+    made = [ast.unparse(node.value) for node in ast.parse((bench / "ops.py").read_text()).body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SEARCH"]
+    assert made == ["oracle.SearchConfig()"]
     missing = set()
-    for path in sorted((TESTS.parent / "perfbench").glob("*.py")):
+    for path in sorted(bench.glob("*.py")):
         for module, name in _benchmark_reads(path):
             if not hasattr(importlib.import_module(module), name):
                 missing.add((module.split(".")[-1], name))
+        missing.update(("SEARCH", name) for name in _search_reads(path)
+                       if not hasattr(oracle.SearchConfig(), name))
     assert missing <= _UNREAD_BY_BENCHMARK, sorted(missing - _UNREAD_BY_BENCHMARK)
 
 

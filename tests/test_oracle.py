@@ -29,11 +29,6 @@ from test_contract import keeps
 PI = math.pi
 
 
-def test_search_config_rejects_bool_counts():
-    for kind in ("count from 8", "count from 0"):  # grid_steps, refinement_rounds
-        keeps(oracle.SearchConfig, kind, True, False, np.bool_(True))
-
-
 def test_helstrom_rejects_a_probe_that_is_no_probe_state():
     keeps(oracle.helstrom_simulate, "probe")
 
@@ -49,28 +44,35 @@ def test_product_search_takes_none_or_a_search_config():
     keeps(oracle.min_over_all_states, "search config")
 
 
-def test_search_config_keeps_its_coarse_grid():
-    # built once per config and read-only: the linspace axes and their
-    # Bloch rows, bit for bit, as the columns of a contiguous array
-    for steps in (8, 17, 32):
-        cfg = oracle.SearchConfig(grid_steps=steps)
-        theta, phi, rows_t = cfg._grid
-        assert cfg._grid is cfg._grid
-        axes = np.linspace(0.0, PI, steps), np.linspace(0.0, 2 * PI, steps, endpoint=False)
-        assert (theta.tobytes(), phi.tobytes()) == tuple(a.tobytes() for a in axes)
-        assert rows_t.flags.c_contiguous
-        assert rows_t.T.tobytes() == _kernels._bloch_rows(*axes).tobytes()
-        for a in (theta, phi, rows_t):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
-    # past one block the scan builds the rows block by block, so that its
-    # memory stays bounded; the default config is one instance
-    assert oracle.SearchConfig(grid_steps=33)._grid[2] is None
-    assert oracle._search_config(None) is oracle._search_config(None)
+def test_search_config_keeps_its_coarse_grid(monkeypatch):
+    # the grid is fixed: a SearchConfig takes no arguments, and all are equal
+    for args, kwargs in (((32,), {}), ((), {"grid_steps": 32}), ((), {"refinement_rounds": 4})):
+        with pytest.raises(TypeError):
+            oracle.SearchConfig(*args, **kwargs)
+    assert oracle.SearchConfig() == oracle.SearchConfig()
+    assert repr(oracle.SearchConfig()) == "SearchConfig()"
+    # the coarse grid is built once and read-only: the linspace axes and
+    # their Bloch rows, bit for bit, as the columns of a contiguous array
+    n = oracle.SearchConfig.grid_steps
+    theta, phi, rows_t = oracle._coarse_grid()
+    axes = np.linspace(0.0, PI, n), np.linspace(0.0, 2 * PI, n, endpoint=False)
+    assert (theta.tobytes(), phi.tobytes()) == tuple(a.tobytes() for a in axes)
+    assert rows_t.flags.c_contiguous
+    assert rows_t.T.tobytes() == _kernels._bloch_rows(*axes).tobytes()
+    for a in (theta, phi, rows_t):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    monkeypatch.setattr(_kernels, "scan_grid", _forbidden)
+    oracle.min_over_product_states(ID4, SWAP)
+    assert oracle._coarse_grid()[2] is rows_t
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called once too often")
 
 
 def test_default_config_gives_the_bytes_of_a_fresh_one(rng):
-    # cfg=None reuses one config's grid; a fresh SearchConfig() builds its own
+    # cfg=None and a fresh SearchConfig() run the one fixed search
     pairs = [(random_unitary(rng), random_unitary(rng)) for _ in range(4)]
     pairs += [(random_magic_diag(rng)[0], random_magic_diag(rng)[0]) for _ in range(4)]
     pairs += [(ID4, np.diag(np.exp(1j * rng.uniform(-PI, PI, 4)))) for _ in range(4)]
@@ -81,10 +83,9 @@ def test_default_config_gives_the_bytes_of_a_fresh_one(rng):
 
 
 def test_product_search_builds_only_its_windows_rows(monkeypatch):
-    # the coarse scan reads its config's rows and the winner's row from
+    # the coarse scan reads the kept grid's rows and the winner's row from
     # them; each refinement round builds its 9 x 9 window's rows once
-    cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=3)
-    cfg._grid
+    oracle._coarse_grid()
     w = _gap_pair()
     built, bloch_rows = [], _kernels._bloch_rows
 
@@ -93,8 +94,29 @@ def test_product_search_builds_only_its_windows_rows(monkeypatch):
         return bloch_rows(theta, phi)
 
     monkeypatch.setattr(_kernels, "_bloch_rows", counted)
-    oracle.min_over_product_states(ID4, w, cfg)
-    assert built == [(9, 9)] * 3
+    oracle.min_over_product_states(ID4, w)
+    assert built == [(9, 9)] * oracle.SearchConfig.refinement_rounds
+
+
+def test_a_search_sets_up_each_scan_once(rng, monkeypatch):
+    # a scan is one `_bob_setup` over all its columns: 1024 for the coarse
+    # grid, 81 for a window
+    seen = _record_scans(monkeypatch)
+    setup, columns = _kernels._bob_setup, []
+
+    def counted(xy):
+        columns.append(xy.shape[1])
+        return setup(xy)
+
+    monkeypatch.setattr(_kernels, "_bob_setup", counted)
+    scans = []
+    for w in (_gap_pair(), random_unitary(rng), random_magic_diag(rng)[0], SWAP):
+        seen.clear()
+        columns.clear()
+        oracle.min_over_product_states(ID4, w)
+        assert columns == [1024] + [81] * (len(seen) - 1)
+        scans.append(len(seen))
+    assert scans[0] == 1 + oracle.SearchConfig.refinement_rounds  # the gap runs them all
 
 
 def test_a_round_that_does_not_improve_builds_no_bob_vector(rng, monkeypatch):
@@ -123,12 +145,11 @@ def test_a_round_that_does_not_improve_builds_no_bob_vector(rng, monkeypatch):
 
     monkeypatch.setattr(_kernels, "_bob_vector", counted_vector)
     monkeypatch.setattr(_kernels, "alice_scan", recorded_scan)
-    cfg = oracle.SearchConfig(grid_steps=16, refinement_rounds=6)
     idle = 0
     for _ in range(12):
         vectors.clear()
         scans.clear()
-        oracle.min_over_product_states(ID4, np.diag(np.exp(1j * rng.uniform(-PI, PI, 4))), cfg)
+        oracle.min_over_product_states(ID4, np.diag(np.exp(1j * rng.uniform(-PI, PI, 4))))
         incumbent = math.inf
         for value, _, n_b in scans:
             assert (n_b is not None) == (value < incumbent)
@@ -143,33 +164,27 @@ def test_product_search_matches_analytic_examples():
     # every Alice state ties, so the coarse scan already sits on the floor
     assert abs(val - math.cos(PI / 8)) <= 1e-15
 
-    cfg = oracle.SearchConfig(grid_steps=24, refinement_rounds=10)
-
-    val, _ = oracle.min_over_product_states(
-        ID4, canonical.build_ud((PI / 4, PI / 4, 0.0)), cfg
-    )
+    val, _ = oracle.min_over_product_states(ID4, canonical.build_ud((PI / 4, PI / 4, 0.0)))
     assert val <= 2e-3
 
-    val, _ = oracle.min_over_product_states(ID4, ID4, cfg)
+    val, _ = oracle.min_over_product_states(ID4, ID4)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_product_search_matches_analytic_random(rng):
-    cfg = oracle.SearchConfig(grid_steps=20, refinement_rounds=8)
     for _ in range(6):
         u1, _ = random_magic_diag(rng)
         u2, _ = random_magic_diag(rng)
         f = discriminate(u1, u2).fidelity
-        val, probe = oracle.min_over_product_states(u1, u2, cfg)
+        val, probe = oracle.min_over_product_states(u1, u2)
         assert abs(val - f) <= 2e-3
         assert val >= f - 2e-3  # search over a subset can never beat the bound
 
 
 def test_product_search_deterministic():
     u2 = canonical.build_ud((0.6, 0.3, 0.1))
-    cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=3)
-    v1, p1 = oracle.min_over_product_states(ID4, u2, cfg)
-    v2, p2 = oracle.min_over_product_states(ID4, u2, cfg)
+    v1, p1 = oracle.min_over_product_states(ID4, u2)
+    v2, p2 = oracle.min_over_product_states(ID4, u2)
     assert v1 == v2
     np.testing.assert_array_equal(p1.u, p2.u)
 
@@ -206,21 +221,20 @@ def test_product_search_monotone_in_rounds(monkeypatch):
     vals = []
     for r in (0, 2, 5):
         seen.clear()
-        cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=r)
-        vals.append(oracle.min_over_product_states(ID4, w, cfg)[0])
+        monkeypatch.setattr(oracle.SearchConfig, "refinement_rounds", r)
+        vals.append(oracle.min_over_product_states(ID4, w)[0])
         assert len(seen) == 1 + r  # the gap keeps every round running
     assert vals[0] >= vals[1] >= vals[2]
     assert vals[2] >= oracle.min_over_all_states(ID4, w)[0] + 0.1
 
 
 def test_all_states_never_beats_product_for_diagonal_pairs(rng):
-    cfg = oracle.SearchConfig(grid_steps=14, refinement_rounds=4)
     for _ in range(3):
         u1, _ = random_magic_diag(rng)
         u2, _ = random_magic_diag(rng)
         f = discriminate(u1, u2).fidelity
-        pv, _ = oracle.min_over_product_states(u1, u2, cfg)
-        av, psi = oracle.min_over_all_states(u1, u2, cfg)
+        pv, _ = oracle.min_over_product_states(u1, u2)
+        av, psi = oracle.min_over_all_states(u1, u2)
         assert av <= pv + 1e-9  # the exact optimum bounds every product probe
         # entanglement buys nothing for these pairs
         assert abs(av - f) <= 2e-3
@@ -232,7 +246,6 @@ def _reached(u1, u2, psi) -> float:
 
 
 def test_all_states_exact_on_haar_pairs(rng):
-    cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=2)
     for _ in range(15):
         u1, u2 = random_unitary(rng), random_unitary(rng)
         val, psi = oracle.min_over_all_states(u1, u2)
@@ -241,7 +254,7 @@ def test_all_states_exact_on_haar_pairs(rng):
         # distance from 0 to the eigenvalues' hull, by conftest's own projection
         lam = np.linalg.eigvals(u1.conj().T @ u2)
         assert val == pytest.approx(polygon_origin_distance(np.angle(lam)), abs=1e-12)
-        assert val <= oracle.min_over_product_states(u1, u2, cfg)[0] + 1e-12
+        assert val <= oracle.min_over_product_states(u1, u2)[0] + 1e-12
 
 
 def test_all_states_equals_fidelity_on_magic_diagonal_pairs(rng):
@@ -711,8 +724,8 @@ def test_alice_scan_never_above_the_4d_grid(rng):
         assert abs(abs(p + m @ n_b) - val) <= 1e-12
 
 
-def test_alice_scan_blocks_keep_the_lowest_index(rng, monkeypatch):
-    # any block size gives the first minimum of the full per-row array:
+def test_alice_scan_blocks_keep_the_lowest_index(rng):
+    # the scan gives the first minimum of the full per-row array:
     # U_d(pi/8, 0, 0) ties every row at cos(pi/8) (a segment that never
     # reaches the origin), identity at exactly 1 and zero at exactly 0
     theta = np.linspace(0.0, PI, 11)
@@ -720,13 +733,7 @@ def test_alice_scan_blocks_keep_the_lowest_index(rng, monkeypatch):
     gates = [canonical.build_ud((PI / 8, 0.0, 0.0)), ID4, np.zeros((4, 4))]
     gates += [random_unitary(rng), random_magic_diag(rng)[0], SWAP]
     for w in gates:
-        vals, mus = bob_minima(
-            _kernels._response_form(w) @ _kernels._bloch_rows(theta, phi).T
-        )
-        first = int(np.argmin(vals))
-        for block in (1, 13, 20, 40, 2**10):
-            monkeypatch.setattr(_kernels, "_ALICE_BLOCK", block)
-            _assert_scan_returns(w, theta, phi, float(vals[first]), first, mus[first])
+        _scan_matches_newton_everywhere(w, theta, phi)
     for w, val in ((ID4, 1.0), (np.zeros((4, 4)), 0.0)):
         got = _kernels.alice_scan(w, theta, phi)
         assert (got[0], got[1].tolist()) == (val, [0.0, 0.0])
@@ -743,33 +750,21 @@ def _assert_scan_returns(w, theta, phi, val, lin, mu):
     assert got[0] == val
     assert got[1].tolist() == angles.tolist()
     assert got[2].tolist() == _kernels._bob_vector(xy, mu).tolist()
-    # the same from the grid's rows given whole, sliced into the blocks
+    # the same from the grid's rows given whole
     rows_t = np.ascontiguousarray(_kernels._bloch_rows(theta, phi).T)
     kept = _kernels.alice_scan(w, theta, phi, rows_t)
     assert (kept[0], kept[1].tolist(), kept[2].tolist()) == (val, angles.tolist(), got[2].tolist())
 
 
-def _scan_matches_blocks(w, theta, phi):
-    """`_scan_by_blocks`' (value, index, mu), which `alice_scan` is seen to
-    return as value, angles and Bob vector."""
-    ref = _scan_by_blocks(w, theta, phi)
+def _scan_matches_newton_everywhere(w, theta, phi):
+    """The (value, index, mu) of `bob_minima`'s first minimum over the
+    grid, Newton on every column, which `alice_scan` is seen to return as
+    value, angles and Bob vector."""
+    vals, mu = bob_minima(_kernels._response_form(w) @ _kernels._bloch_rows(theta, phi).T)
+    k = int(vals.argmin())
+    ref = float(vals[k]), k, float(mu[k])
     _assert_scan_returns(w, theta, phi, *ref)
     return ref
-
-
-def _scan_by_blocks(w, theta, phi):
-    # alice_scan with Newton on every block: `bob_minima` per block, the
-    # strict-improvement argmin kept across blocks
-    form = _kernels._response_form(w)
-    per_block = max(1, _kernels._ALICE_BLOCK // len(phi))
-    best = (math.inf, 0, 0.0)
-    for start in range(0, len(theta), per_block):
-        rows = _kernels._bloch_rows(theta[start : start + per_block], phi)
-        vals, mu = bob_minima(form @ rows.T)
-        k = int(vals.argmin())
-        if vals[k] < best[0]:
-            best = (float(vals[k]), start * len(phi) + k, float(mu[k]))
-    return best
 
 
 def _rim_gates():
@@ -786,8 +781,8 @@ def _rim_gates():
 
 
 def test_alice_scan_stops_at_the_first_zero_exactly(rng):
-    # the scan that skips Newton once a block holds an exact zero returns
-    # what Newton on every block returns: value, state and Bob vector alike
+    # the scan that skips Newton when its setup holds an exact zero returns
+    # what Newton on every column returns: value, state and Bob vector alike
     draw = np.random.default_rng(2020)
     gates = list(_row_gates(rng).values())
     for _ in range(20):
@@ -797,21 +792,18 @@ def test_alice_scan_stops_at_the_first_zero_exactly(rng):
         lam, v = np.linalg.eigh(a + a.conj().T)
         eps = 10.0 ** draw.uniform(-8, -2)
         gates.append(SWAP @ (v * np.exp(1j * eps * lam)) @ v.conj().T)
-    late = 0
-    for steps in (32, 100):
-        theta = np.linspace(0.0, PI, steps)
-        phi = np.linspace(0.0, 2 * PI, steps, endpoint=False)
-        for w in gates:
-            ref = _scan_matches_blocks(w, theta, phi)
-            first_block = _kernels._ALICE_BLOCK // steps * steps
-            late += ref[0] == 0.0 and ref[1] >= first_block
-    assert late >= 3  # first zeros after the 100^2 grid's first block
+    theta, phi, rows_t = oracle._coarse_grid()
+    skipped = 0
+    for w in gates:
+        _scan_matches_newton_everywhere(w, theta, phi)
+        vals, *_, near = _kernels._bob_setup(_kernels._response_form(w) @ rows_t)
+        k = int(vals.argmin())
+        skipped += vals[k] == 0.0 and not near[:k].any()
+    assert skipped >= 10
     # a rim column that Newton leaves at 0 comes before the first inside one
-    theta = np.linspace(0.0, PI, 32)
-    phi = np.linspace(0.0, 2 * PI, 32, endpoint=False)
     newton_zeros = 0
     for w in _rim_gates():
-        ref = _scan_matches_blocks(w, theta, phi)
+        ref = _scan_matches_newton_everywhere(w, theta, phi)
         xy = _kernels._response_form(w) @ _kernels._bloch_rows(theta, phi).T
         first_set_up = int(np.argmin(_kernels._bob_setup(xy)[0]))
         newton_zeros += ref[0] == 0.0 and ref[1] < first_set_up
@@ -841,17 +833,17 @@ def test_bob_minima_keep_mu_at_least_zero_on_the_rim():
     assert vals.max() <= 1e-15
     for k in np.flatnonzero(outside):
         _assert_bob_vector_reaches(xy[:, k], vals[k], mu[k])
-    # on another grid than above, the scan that skips Newton after a zero
-    # still returns what Newton on every block returns
+    # on another grid than the coarse one, the scan that skips Newton after
+    # a zero still returns what Newton on every column returns
     theta = np.linspace(0.0, PI, 40)
     phi = np.linspace(0.0, 2 * PI, 24, endpoint=False)
     for w in _rim_gates():
-        ref = _scan_matches_blocks(w, theta, phi)
+        ref = _scan_matches_newton_everywhere(w, theta, phi)
         assert ref[2] >= 0.0
 
 
 def _log_scan_work(monkeypatch) -> list:
-    """Per later `_bob_setup` call, whether its block holds a zero without
+    """Per later `_bob_setup` call, whether its scan holds a zero without
     Newton; per `_newton` call, "newton"."""
     log = []
     setup, newton = _kernels._bob_setup, _kernels._newton
@@ -871,31 +863,29 @@ def _log_scan_work(monkeypatch) -> list:
 
 
 def test_alice_scan_skips_newton_after_a_zero(monkeypatch):
-    # 100^2 grid, blocks of 10 theta rows.  The origin is inside the hull of
-    # (0, 1, 2, 4): the first block has no zero and runs Newton, the second
-    # has one and runs none, and no later block is set up.  The origin is
-    # outside the hull of (0, 0.3, 0.6, 0.9): all ten blocks run Newton
-    theta = np.linspace(0.0, PI, 100)
-    phi = np.linspace(0.0, 2 * PI, 100, endpoint=False)
+    # on the coarse grid, the origin is inside the hull of (0, 1, 2, 4):
+    # the setup holds a zero and the scan runs no Newton.  It is outside the
+    # hull of (0, 0.3, 0.6, 0.9): the scan runs Newton once
+    theta, phi, rows_t = oracle._coarse_grid()
     log = _log_scan_work(monkeypatch)
     w = canonical.from_magic_phases(np.array([0.0, 1.0, 2.0, 4.0]))
-    val, angles, _ = _kernels.alice_scan(w, theta, phi)
-    assert (val, angles.tolist()) == (0.0, [theta[12], phi[0]])
-    assert log == ["outside", "newton", "zero"]
+    val, angles, _ = _kernels.alice_scan(w, theta, phi, rows_t)
+    assert (val, angles.tolist()) == (0.0, [theta[4], phi[0]])
+    assert log == ["zero"]
     log.clear()
     w = canonical.from_magic_phases(np.array([0.0, 0.3, 0.6, 0.9]))
-    assert _kernels.alice_scan(w, theta, phi)[0] > 0.9
-    assert log == ["outside", "newton"] * 10
-    # one theta row per block: a rim row that Newton leaves at 0 ends the scan
-    monkeypatch.setattr(_kernels, "_ALICE_BLOCK", 32)
-    theta = np.linspace(0.0, PI, 32)
-    phi = np.linspace(0.0, 2 * PI, 32, endpoint=False)
+    assert _kernels.alice_scan(w, theta, phi, rows_t)[0] > 0.9
+    assert log == ["outside", "newton"]
+    # a rim column ahead of the first zero makes the scan run Newton, which
+    # can leave that column at 0; the scan then answers with it
+    rim_zeros = 0
     for w in _rim_gates():
         log.clear()
-        val, angles, _ = _kernels.alice_scan(w, theta, phi)
-        if (val, angles.tolist()) == (0.0, [0.0, 0.0]) and log[0] == "outside":
-            break
-    assert log == ["outside", "newton"]
+        val, angles, _ = _kernels.alice_scan(w, theta, phi, rows_t)
+        if (val, angles.tolist()) == (0.0, [0.0, 0.0]) and "newton" in log:
+            assert log == ["zero", "newton"]
+            rim_zeros += 1
+    assert rim_zeros >= 1
 
 
 def test_product_oracle_exact_on_criterion_2_pairs(rng):
@@ -951,43 +941,29 @@ def test_product_oracle_returns_its_best_scan_near_swap(monkeypatch):
         assert val <= min(scanned) + 1e-12
 
 
-def test_product_search_memory_bounded_in_grid_steps():
-    # Alice's rows are built block by block: 16x the rows, about the same peak
-    w2 = canonical.build_ud((0.7, 0.4, 0.1))
-    peaks = []
-    for g in (128, 512):
-        tracemalloc.start()
-        try:
-            oracle.min_over_product_states(ID4, w2, oracle.SearchConfig(grid_steps=g))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0]
-
-
 def test_product_search_windows_stay_on_the_sphere(monkeypatch):
     # the gap pair's winner stays at the theta = 0 pole, so each window's
     # thetas are clipped there
     w = _gap_pair()
     seen = _record_scans(monkeypatch)
-    cfg = oracle.SearchConfig(grid_steps=12, refinement_rounds=3)
-    oracle.min_over_product_states(ID4, w, cfg)
-    assert len(seen) == 4
+    oracle.min_over_product_states(ID4, w)
+    assert len(seen) == 1 + oracle.SearchConfig.refinement_rounds
     for theta in seen[1:]:
         assert theta.min() == 0.0 and theta.max() <= PI
         assert np.all(np.diff(theta) >= 0.0)
 
 
-def _full_refinement(w, cfg) -> list:
+def _full_refinement(w) -> list:
     # the search without its early stop, every round run: the incumbent's
     # value after the coarse scan and after each round
-    theta = np.linspace(0.0, PI, cfg.grid_steps)
-    phi = np.linspace(0.0, 2 * PI, cfg.grid_steps, endpoint=False)
+    n = oracle.SearchConfig.grid_steps
+    theta = np.linspace(0.0, PI, n)
+    phi = np.linspace(0.0, 2 * PI, n, endpoint=False)
     val, center, _ = _kernels.alice_scan(w, theta, phi)
-    spacing = np.array([PI / (cfg.grid_steps - 1), 2 * PI / cfg.grid_steps])
+    spacing = np.array([PI / (n - 1), 2 * PI / n])
     steps = np.linspace(-1.0, 1.0, 9)
     vals = [val]
-    for r in range(cfg.refinement_rounds):
+    for r in range(oracle.SearchConfig.refinement_rounds):
         window = center[:, None] + (spacing * oracle.SHRINK_FACTOR**r)[:, None] * steps
         window[0] = np.clip(window[0], 0.0, PI)
         v2, angles, _ = _kernels.alice_scan(w, *window)
@@ -1001,7 +977,6 @@ def test_product_search_early_stop_keeps_the_full_answer(rng, monkeypatch):
     # criterion 2's 200 pairs and 30 Haar pairs: stopping at the all-states
     # floor gives the full search's value, and skips exactly the rounds
     # after the incumbent first reaches the floor
-    cfg = oracle.SearchConfig()
     slack = oracle._FLOOR_SLACK
     draw = np.random.default_rng(202)
     pairs = []
@@ -1014,10 +989,10 @@ def test_product_search_early_stop_keeps_the_full_answer(rng, monkeypatch):
     kinds = collections.Counter()
     for u1, u2, f in pairs:
         w = u1.conj().T @ u2
-        vals = _full_refinement(w, cfg)
+        vals = _full_refinement(w)
         floor = oracle._range_min(np.linalg.eigvals(w).tolist())[0]
         seen.clear()
-        val, _ = oracle.min_over_product_states(u1, u2, cfg)
+        val, _ = oracle.min_over_product_states(u1, u2)
         assert abs(val - vals[-1]) <= 1e-15
         assert val >= floor - slack
         reached = [v <= floor + slack for v in vals[:-1]]
@@ -1025,7 +1000,7 @@ def test_product_search_early_stop_keeps_the_full_answer(rng, monkeypatch):
         if f is None:
             gap = vals[-1] > floor + slack
             kinds["gap" if gap else "Haar, no gap"] += 1
-            assert len(seen) == (1 + cfg.refinement_rounds if gap else 1)
+            assert len(seen) == (len(vals) if gap else 1)
         else:
             # a coarse 0 needs no round; the paper's class needs one at most
             hit = f == vals[0] == 0.0

@@ -97,7 +97,6 @@ def _accepts(call) -> bool:
     return True
 
 
-_SMALL_SEARCH = oracle.SearchConfig(grid_steps=8, refinement_rounds=0)
 _PROBE = discrimination.construct_probe(np.zeros(4))
 # squared scale 1 + r gives a unitarity residual of about |r|
 residual = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(min_value=0.0, max_value=2.0))
@@ -128,7 +127,7 @@ def test_entry_points_accept_exactly_the_unitary_gates(om1, om2, r1, r2, tol):
     ]
     if tol is None:
         # the oracles take no tol: they check at GATE_TOL
-        pair_calls.append(lambda: oracle.min_over_product_states(u1, u2, _SMALL_SEARCH))
+        pair_calls.append(lambda: oracle.min_over_product_states(u1, u2))
         pair_calls.append(lambda: oracle.min_over_all_states(u1, u2))
     for call in pair_calls:
         assert _accepts(call) == pair_ok
@@ -156,6 +155,7 @@ def test_pairs_encodes_each_entry_in_the_input_shape():
     # repr tells -0.0 from 0.0, and a numpy float from a Python float
     assert repr(files.pairs([complex(-0.0, -0.0), 1j])) == "[[-0.0, -0.0], [0.0, 1.0]]"
     assert repr(files.pairs([[complex(0.0, -0.0)]])) == "[[[0.0, -0.0]]]"
+    assert repr(files.floats([[-0.0, 1], [np.float32(0.5), -2]])) == "[-0.0, 1.0, 0.5, -2.0]"
     rng = np.random.default_rng(43)
     for shape in [(4,), (2,), (4, 4), (2, 3, 4)]:
         a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -164,4 +164,7 @@ def test_pairs_encodes_each_entry_in_the_input_shape():
         got = files.pairs(a)
         assert np.shape(got) == shape + (2,)
         assert repr(got) == repr(_entrywise(a))
+        # floats: a real array's entries, raveled, each as a Python float
+        for part in (a.real, a.imag):
+            assert repr(files.floats(part)) == repr([float(x) for x in part.ravel()])
     assert files.pairs(np.eye(2)) == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
