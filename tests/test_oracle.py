@@ -62,13 +62,13 @@ def test_search_config_keeps_its_coarse_grid(monkeypatch):
     for a in (theta, phi, rows_t):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
-    monkeypatch.setattr(_kernels, "scan_grid", _forbidden)
+
+    def rebuilt(steps):
+        raise AssertionError("the coarse grid is built once")
+
+    monkeypatch.setattr(_kernels, "scan_grid", rebuilt)
     oracle.min_over_product_states(ID4, SWAP)
     assert oracle._coarse_grid()[2] is rows_t
-
-
-def _forbidden(*args, **kwargs):
-    raise AssertionError("called once too often")
 
 
 def test_default_config_gives_the_bytes_of_a_fresh_one(rng):
